@@ -324,18 +324,18 @@ let meter_tests =
 (* ---- trace/* : the observability tax ----
 
    The pair prices the tracing hook both ways: "emit-noop" is the
-   instrumented-site idiom with no sink installed (one ref read, no
+   instrumented-site idiom with no recorder installed (one ref read, no
    allocation — see the matching no-alloc test), "emit-collector" is
-   the same hop landing in a Collector (including the sink
-   install/remove ref writes the closure needs to keep the global sink
-   honest between tests). *)
+   the same hop landing in a recorder (including the install/uninstall
+   ref writes the closure needs to leave no recorder behind between
+   tests). *)
 
 let trace_tests =
   let pkt =
     Netpkt.Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
       ~ip_dst:(ip "10.0.0.2") ~src_port:1 ~dst_port:2 "x"
   in
-  let collector = Telemetry.Trace.Collector.create () in
+  let recorder = Telemetry.Trace.create () in
   let emitted = ref 0 in
   Test.make_grouped ~name:"trace"
     [
@@ -346,14 +346,13 @@ let trace_tests =
                  ~layer:Telemetry.Trace.Host ~stage:"noop" pkt));
       Test.make ~name:"emit-collector"
         (Staged.stage (fun () ->
-             Telemetry.Trace.Collector.install collector;
+             Telemetry.Trace.install recorder;
              Telemetry.Trace.emit ~ts_ns:0 ~component:"bench"
                ~layer:Telemetry.Trace.Host ~stage:"sunk" pkt;
-             Telemetry.Trace.Collector.uninstall collector;
+             Telemetry.Trace.uninstall recorder;
              incr emitted;
              (* keep the accumulator bounded over millions of runs *)
-             if !emitted land 4095 = 0 then
-               Telemetry.Trace.Collector.clear collector));
+             if !emitted land 4095 = 0 then Telemetry.Trace.clear recorder));
     ]
 
 (* ---- flows/* : the sampled traffic observability plane ----

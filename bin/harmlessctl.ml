@@ -201,20 +201,14 @@ let build_scenario () =
 let run_trace format chrome_out =
   let engine, deployment, _ctrl, ping = build_scenario () in
   (* Steady state reached: trace the second ping. *)
-  let (), traces_and_hops =
-    let collector = Telemetry.Trace.Collector.create () in
-    Telemetry.Trace.Collector.install collector;
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Trace.Collector.uninstall collector)
-      (fun () ->
+  let recorder =
+    Telemetry.Trace.with_recorder (fun r ->
         ping ~seq:2 0 1;
         Simnet.Engine.run engine
-          ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 100)));
-    ( (),
-      ( Telemetry.Trace.Collector.traces collector,
-        Telemetry.Trace.Collector.hops collector ) )
+          ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 100));
+        r)
   in
-  let traces, hops = traces_and_hops in
+  let traces = Telemetry.Trace.traces recorder in
   let view = Harmless.Trace_view.of_deployment deployment in
   let spans =
     Telemetry.Span.of_traces
@@ -228,16 +222,17 @@ let run_trace format chrome_out =
       List.iter
         (fun tr -> Format.printf "%a@." (Harmless.Trace_view.pp_trace view) tr)
         traces
-  | `Chrome -> print_endline (Telemetry.Chrome_trace.to_string ~spans hops)
+  | `Chrome -> print_endline (Telemetry.Chrome_trace.to_string ~spans recorder)
   | `Collapsed -> print_string (Telemetry.Span.to_collapsed spans));
   match chrome_out with
   | None -> ()
   | Some path -> (
-      match Telemetry.Chrome_trace.save ~path ~spans hops with
+      match Telemetry.Chrome_trace.save ~path ~spans recorder with
       | () ->
           Printf.eprintf
             "wrote %s (%d events; load it in chrome://tracing or Perfetto)\n"
-            path (List.length hops)
+            path
+            (List.length (Telemetry.Trace.hops recorder))
       | exception Sys_error msg ->
           Printf.eprintf "cannot write chrome trace: %s\n" msg;
           exit 1)

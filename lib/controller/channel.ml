@@ -63,12 +63,12 @@ let on_reconnect t f = t.on_reconnect <- t.on_reconnect @ [ f ]
 let switch_labels t = [ ("switch", Softswitch.Soft_switch.name t.switch) ]
 
 (* Flight-recorder events for channel lifecycle.  Call sites guard on
-   [Eventlog.enabled] so the disabled path stays allocation-free. *)
+   [Trace.enabled] so the disabled path stays allocation-free. *)
 let event t ?level ?detail name =
-  Telemetry.Eventlog.emit ?level
+  Telemetry.Trace.event ?level
     ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
     ~corr:
-      (Telemetry.Eventlog.corr_of_string
+      (Telemetry.Trace.corr_of_string
          ("channel:" ^ Softswitch.Soft_switch.name t.switch))
     ?detail ~stream:"channel" name
 
@@ -83,8 +83,8 @@ let count_drop t ~direction =
        ~labels:(("direction", direction) :: switch_labels t)
        ~help:"control messages lost on the channel"
        "channel_dropped_messages_total");
-  if Telemetry.Eventlog.enabled () then
-    event t ~level:Telemetry.Eventlog.Debug
+  if Telemetry.Trace.enabled () then
+    event t ~level:Telemetry.Trace.Debug
       ~detail:(Softswitch.Soft_switch.name t.switch ^ " " ^ direction)
       "drop"
 
@@ -146,7 +146,7 @@ let rec attempt_reconnect t ~attempt =
           mark_connected t;
           t.reconnects <- t.reconnects + 1;
           count_reconnect t;
-          if Telemetry.Eventlog.enabled () then
+          if Telemetry.Trace.enabled () then
             event t
               ~detail:
                 (Printf.sprintf "%s attempt=%d"
@@ -161,8 +161,8 @@ let mark_disconnected t =
   if t.state = Connected then begin
     t.state <- Disconnected;
     Softswitch.Soft_switch.set_connected t.switch false;
-    if Telemetry.Eventlog.enabled () then
-      event t ~level:Telemetry.Eventlog.Warn
+    if Telemetry.Trace.enabled () then
+      event t ~level:Telemetry.Trace.Warn
         ~detail:(Softswitch.Soft_switch.name t.switch)
         "disconnect";
     attempt_reconnect t ~attempt:1
@@ -235,7 +235,7 @@ let connect engine ?latency ?(config = default_config) ~switch ~to_controller
   in
   Softswitch.Soft_switch.set_controller switch (deliver_to_controller t);
   Softswitch.Soft_switch.set_connected switch true;
-  if Telemetry.Eventlog.enabled () then
+  if Telemetry.Trace.enabled () then
     event t ~detail:(Softswitch.Soft_switch.name switch) "connect";
   (match config.keepalive_interval with
   | Some interval -> keepalive_tick t ~interval

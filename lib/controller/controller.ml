@@ -122,11 +122,10 @@ let packet_out t dpid ?in_port ~actions packet =
 
 let dispatch_packet_in t dpid ~in_port reason packet =
   t.packet_ins <- t.packet_ins + 1;
-  if Telemetry.Trace.enabled () then
-    Telemetry.Trace.emit
-      ~ts_ns:(Simnet.Sim_time.to_ns (Simnet.Engine.now t.engine))
-      ~component:"controller" ~layer:Telemetry.Trace.Controller
-      ~stage:"packet_in" ~port:in_port
+  if Telemetry.Trace.enabled () then begin
+    let ts_ns = Simnet.Sim_time.to_ns (Simnet.Engine.now t.engine) in
+    Telemetry.Trace.emit ~ts_ns ~component:"controller"
+      ~layer:Telemetry.Trace.Controller ~stage:"packet_in" ~port:in_port
       ~cycles:0 (* control-plane CPU is not part of the datapath model *)
       ~detail:
         (Printf.sprintf "dpid=%Ld reason=%s" dpid
@@ -134,15 +133,14 @@ let dispatch_packet_in t dpid ~in_port reason packet =
            | Of_message.No_match -> "no_match"
            | Of_message.Action_to_controller -> "action"))
       packet;
-  (* The control↔dataplane join: the event's correlation id is the
-     packet's trace key, so a post-mortem can pair this decision with
-     the packet's hop spans. *)
-  if Telemetry.Eventlog.enabled () then
-    Telemetry.Eventlog.emit ~level:Telemetry.Eventlog.Debug
-      ~ts_ns:(Simnet.Sim_time.to_ns (Simnet.Engine.now t.engine))
+    (* The control↔dataplane join: the event's correlation id is the
+       packet's trace key, so a post-mortem can pair this decision with
+       the packet's hop spans. *)
+    Telemetry.Trace.event ~level:Telemetry.Trace.Debug ~ts_ns
       ~corr:(Telemetry.Trace.key_of_packet packet)
       ~detail:(Printf.sprintf "dpid:%Lx port=%d" dpid in_port)
-      ~stream:"controller" "packet-in";
+      ~stream:"controller" "packet-in"
+  end;
   let rec offer = function
     | [] -> ()
     | app :: rest ->

@@ -136,16 +136,16 @@ let record_rtt t span =
 (* Flight-recorder events, correlated on the polled dpid.  Guarded at
    every call site. *)
 let event t ?level ?detail name =
-  Telemetry.Eventlog.emit ?level ~ts_ns:(now_ns t)
+  Telemetry.Trace.event ?level ~ts_ns:(now_ns t)
     ~corr:
-      (Telemetry.Eventlog.corr_of_string
+      (Telemetry.Trace.corr_of_string
          (Printf.sprintf "dpid:%Lx" t.poller_dpid))
     ?detail ~stream:"poller" name
 
 let issue_round t =
   t.rounds <- t.rounds + 1;
-  if Telemetry.Eventlog.enabled () then
-    event t ~level:Telemetry.Eventlog.Debug
+  if Telemetry.Trace.enabled () then
+    event t ~level:Telemetry.Trace.Debug
       ~detail:(Printf.sprintf "dpid:%Lx round=%d" t.poller_dpid t.rounds)
       "round";
   Controller.flow_stats t.ctrl t.poller_dpid ~on_reply:(record_flows t);
@@ -171,8 +171,8 @@ let rec tick t ~epoch =
     if not (connected t) then t.failures <- t.failures + 1
     else if t.rounds > 0 && t.flow_reply_count = t.replies_at_last_tick then
       t.failures <- t.failures + 1;
-    if t.failures > failed_before && Telemetry.Eventlog.enabled () then
-      event t ~level:Telemetry.Eventlog.Warn
+    if t.failures > failed_before && Telemetry.Trace.enabled () then
+      event t ~level:Telemetry.Trace.Warn
         ~detail:
           (Printf.sprintf "dpid:%Lx consecutive=%d%s" t.poller_dpid t.failures
              (if connected t then "" else " disconnected"))

@@ -1,43 +1,10 @@
 open Netpkt
 
-type t = {
-  counts : (Ipv4_addr.t, int) Hashtbl.t;
-  mutable total : int;
-  mutable pollers : Stats_poller.t list;
-}
+type t = { mutable pollers : Stats_poller.t list }
 
-let create () = { counts = Hashtbl.create 32; total = 0; pollers = [] }
+let create () = { pollers = [] }
 
 let attach_poller t p = t.pollers <- p :: t.pollers
-
-let samples t = t.total
-
-let ranking t =
-  Hashtbl.fold (fun ip n acc -> (ip, n) :: acc) t.counts []
-  |> List.sort (fun (ia, a) (ib, b) ->
-         (* Total order — count desc, then address asc — so ranks never
-            depend on hash-table iteration order. *)
-         match Int.compare b a with 0 -> Ipv4_addr.compare ia ib | c -> c)
-
-let estimated_share t ip =
-  if t.total = 0 then 0.0
-  else
-    float_of_int (Option.value (Hashtbl.find_opt t.counts ip) ~default:0)
-    /. float_of_int t.total
-
-let app t =
-  let packet_in _ctrl _dpid ~in_port:_ reason (pkt : Packet.t) =
-    match (reason, pkt.Packet.l3) with
-    | Openflow.Of_message.Action_to_controller, Packet.Ip hdr ->
-        t.total <- t.total + 1;
-        Hashtbl.replace t.counts hdr.Ipv4.src
-          (1 + Option.value (Hashtbl.find_opt t.counts hdr.Ipv4.src) ~default:0);
-        (* samples are copies: never consume, forwarding already happened *)
-        false
-    | (Openflow.Of_message.Action_to_controller | Openflow.Of_message.No_match), _ ->
-        false
-  in
-  { (Controller.no_op_app "top-talkers") with Controller.packet_in }
 
 (* Exact byte accounting from the monitoring plane: fold the attached
    pollers' latest flow stats, attributing each /32-source-matched flow's
@@ -85,4 +52,6 @@ let polled_bytes t =
 let byte_ranking t =
   polled_bytes t
   |> List.sort (fun (ia, a) (ib, b) ->
+         (* Total order — bytes desc, then address asc — so ranks never
+            depend on hash-table iteration order. *)
          match Int.compare b a with 0 -> Ipv4_addr.compare ia ib | c -> c)

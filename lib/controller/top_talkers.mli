@@ -1,29 +1,15 @@
-(** Top-talkers from sampled packets: pair with
-    {!Softswitch.Soft_switch.set_sampling} and the app turns the sampled
-    packet-ins into a per-source traffic ranking — the sFlow-collector
-    replacement among the in-network use cases. *)
+(** Top-talkers from the monitoring plane's exact counters: the
+    attached {!Stats_poller}s' flow stats folded into a per-source byte
+    ranking.  The sampled view of the same question is the flow
+    telemetry plane ({!Softswitch.Flowrec} feeding {!Flow_collector}),
+    whose top-k ranking agrees with this one on exact workloads. *)
 
 type t
 
 val create : unit -> t
-val app : t -> Controller.app
-
-val samples : t -> int
-(** Total sampled packets absorbed. *)
-
-val ranking : t -> (Netpkt.Ipv4_addr.t * int) list
-(** Source addresses by sample count, descending; ties break on
-    address order, so the ranking is a total order (and agrees with
-    {!byte_ranking} and the sketch plane's top-k on exact workloads). *)
-
-val estimated_share : t -> Netpkt.Ipv4_addr.t -> float
-(** Fraction of sampled traffic attributed to one source, in [0, 1]. *)
 
 val attach_poller : t -> Stats_poller.t -> unit
-(** Also source exact counters from this {!Stats_poller} — sampling
-    gives cheap estimates, the monitoring plane gives ground truth; the
-    two rankings side by side is exactly the sFlow-vs-counters
-    comparison operators run. *)
+(** Source counters from this {!Stats_poller}. *)
 
 val byte_ranking : t -> (Netpkt.Ipv4_addr.t * int) list
 (** Sources by cumulative bytes, descending, from the attached pollers'

@@ -305,17 +305,15 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     let probe_before = answered t in
     let n = Array.length t.hosts in
     let probe_pairs = n * (n - 1) in
-    (* The recovery probe runs under a trace collector so the report can
-       also say how long each forwarding stage took after healing — the
-       per-stage latency SLIs. *)
-    let (), probe_traces =
-      Telemetry.Trace.with_collector (fun _collector ->
-          for k = 0 to probe_pairs - 1 do
-            ping_pair t k
-          done;
-          Engine.run t.engine
-            ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 20)))
-    in
+    (* Only the recovery probe's hops feed the report's per-stage
+       latency SLIs — how long each forwarding stage took after healing. *)
+    let probe_start = Telemetry.Trace.mark recorder in
+    for k = 0 to probe_pairs - 1 do
+      ping_pair t k
+    done;
+    Engine.run t.engine
+      ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 20));
+    let probe_traces = Telemetry.Trace.traces ~since:probe_start recorder in
     let probe_answered = answered t - probe_before in
     let stage_slis =
       let view =
@@ -394,16 +392,9 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
 let run t ~script ~duration ?(ping_interval = Sim_time.ms 1) () =
   if duration <= 0 then Error "chaos: duration must be positive"
   else
-    let result, _retained =
-      Telemetry.Eventlog.with_recorder (fun recorder ->
-          Telemetry.Eventlog.set_clock
-            (Some (fun () -> Sim_time.to_ns (Engine.now t.engine)));
-          Fun.protect
-            ~finally:(fun () -> Telemetry.Eventlog.set_clock None)
-            (fun () ->
-              run_recorded t ~recorder ~script ~duration ~ping_interval))
-    in
-    result
+    Telemetry.Trace.with_recorder
+      ~clock:(fun () -> Sim_time.to_ns (Engine.now t.engine))
+      (fun recorder -> run_recorded t ~recorder ~script ~duration ~ping_interval)
 
 let pp_report ppf r =
   let open Format in
@@ -473,6 +464,6 @@ let pp_report ppf r =
         (List.length s.Telemetry.Postmortem.triggers)
         (match tl.Telemetry.Postmortem.root_cause with
         | Some e ->
-            e.Telemetry.Eventlog.stream ^ "." ^ e.Telemetry.Eventlog.name
+            e.Telemetry.Trace.stream ^ "." ^ e.Telemetry.Trace.name
         | None -> "unknown"));
   fprintf ppf "@]"

@@ -112,10 +112,10 @@ val run :
     for an unparsable script or nonpositive duration — fault outcomes
     land in the report, not in errors.
 
-    The run executes under a freshly installed {!Telemetry.Eventlog}
+    The run executes under a freshly installed {!Telemetry.Trace}
     recorder (any previously installed recorder is restored afterwards)
-    with the engine as the fallback clock, and finishes with a
-    {!Telemetry.Postmortem.capture} over the recorded events, the traced
-    recovery probe and the probe-liveness series. *)
+    with the engine as its clock, and finishes with a
+    {!Telemetry.Postmortem.capture} over the recorded events, the hops
+    of the recovery probe and the probe-liveness series. *)
 
 val pp_report : Format.formatter -> report -> unit

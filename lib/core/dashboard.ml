@@ -132,11 +132,12 @@ let advance t span =
         Telemetry.Alert.eval t.alerts ~now_ns:(Sim_time.to_ns now)
       end;
       Sim_time.( < ) now stop);
-  (* The run happens under a trace collector so the probe traffic also
-     feeds the per-stage latency profile behind [render_stages]. *)
-  let (), traces =
-    Telemetry.Trace.with_collector (fun _collector ->
-        Engine.run t.engine ~until:stop)
+  (* The run happens under a recorder so the probe traffic also feeds
+     the per-stage latency profile behind [render_stages]. *)
+  let traces =
+    Telemetry.Trace.with_recorder (fun r ->
+        Engine.run t.engine ~until:stop;
+        Telemetry.Trace.traces r)
   in
   Telemetry.Profile.record_traces
     ~stage_of:(Trace_view.semantic t.view)

@@ -73,7 +73,7 @@ val render_stages : t -> string
 (** Per-stage latency SLIs: the {!Telemetry.Profile} attribution table
     folded from every packet traced during {!advance} — where the probe
     traffic's end-to-end time goes, stage by stage.  [advance] runs
-    under a trace collector, so this works out of the box; before any
+    under a trace recorder, so this works out of the box; before any
     [advance] the frame says so instead of rendering an empty table. *)
 
 val render_migration : ?wal:Mgmt.Txn.t -> Migration.Fleet.t -> string

@@ -45,10 +45,10 @@ let count_failover ~direction =
 (* Flight-recorder events, correlated on the device hostname.  Guarded
    at every call site. *)
 let event t ?level ?detail name =
-  Telemetry.Eventlog.emit ?level
+  Telemetry.Trace.event ?level
     ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
     ~corr:
-      (Telemetry.Eventlog.corr_of_string
+      (Telemetry.Trace.corr_of_string
          ("failover:" ^ Mgmt.Device.hostname t.device))
     ?detail ~stream:"failover" name
 
@@ -119,8 +119,8 @@ let activate_backup t =
           t.active <- `Backup;
           t.failovers <- t.failovers + 1;
           count_failover ~direction:"to_backup";
-          if Telemetry.Eventlog.enabled () then
-            event t ~level:Telemetry.Eventlog.Warn
+          if Telemetry.Trace.enabled () then
+            event t ~level:Telemetry.Trace.Warn
               ~detail:(Mgmt.Device.hostname t.device ^ " to_backup")
               "failover";
           Ok ())
@@ -136,7 +136,7 @@ let activate_primary t =
           t.active <- `Primary;
           t.failbacks <- t.failbacks + 1;
           count_failover ~direction:"to_primary";
-          if Telemetry.Eventlog.enabled () then
+          if Telemetry.Trace.enabled () then
             event t
               ~detail:(Mgmt.Device.hostname t.device ^ " to_primary")
               "failback";
@@ -161,8 +161,8 @@ let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
   let give_up msg =
     t.last_error <- Some msg;
     t.status <- Gave_up msg;
-    if Telemetry.Eventlog.enabled () then
-      event t ~level:Telemetry.Eventlog.Error
+    if Telemetry.Trace.enabled () then
+      event t ~level:Telemetry.Trace.Error
         ~detail:(Mgmt.Device.hostname t.device ^ " " ^ msg)
         "gave_up";
     match on_failure with Some f -> f msg | None -> ()

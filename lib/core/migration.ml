@@ -246,9 +246,9 @@ let journal t entry = ignore (Mgmt.Txn.append t.wal ~txn:t.id entry)
    WAL stream hashes, so a post-mortem joins stage boundaries to the
    journal records they bracket.  Guarded at every call site. *)
 let event t ?level ?detail name =
-  Telemetry.Eventlog.emit ?level
+  Telemetry.Trace.event ?level
     ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
-    ~corr:(Telemetry.Eventlog.corr_of_string t.id)
+    ~corr:(Telemetry.Trace.corr_of_string t.id)
     ?detail ~stream:"migration" name
 
 let crash_point t =
@@ -264,8 +264,8 @@ let guard t f =
     with Mgmt.Txn.Crashed ->
       t.status <- Crashed (crash_point t);
       t.dead <- true;
-      if Telemetry.Eventlog.enabled () then
-        event t ~level:Telemetry.Eventlog.Error
+      if Telemetry.Trace.enabled () then
+        event t ~level:Telemetry.Trace.Error
           ~detail:(t.id ^ " at " ^ crash_point t)
           "crashed"
 
@@ -273,12 +273,12 @@ let after t span f = Engine.schedule_after t.engine span (fun () -> guard t f)
 
 let finish t status =
   t.status <- status;
-  if Telemetry.Eventlog.enabled () then begin
+  if Telemetry.Trace.enabled () then begin
     match status with
     | Committed -> event t ~detail:t.id "committed"
     | Rolled_back why -> event t ~detail:(t.id ^ " " ^ why) "rolled-back"
     | Failed why ->
-        event t ~level:Telemetry.Eventlog.Error ~detail:(t.id ^ " " ^ why)
+        event t ~level:Telemetry.Trace.Error ~detail:(t.id ^ " " ^ why)
           "failed"
     | Pending | Running _ | Crashed _ -> ()
   end;
@@ -324,8 +324,8 @@ let device_rollback t =
 
 let rollback t ~reason =
   t.rolling_back <- true;
-  if Telemetry.Eventlog.enabled () then
-    event t ~level:Telemetry.Eventlog.Warn ~detail:(t.id ^ " " ^ reason)
+  if Telemetry.Trace.enabled () then
+    event t ~level:Telemetry.Trace.Warn ~detail:(t.id ^ " " ^ reason)
       "rollback";
   journal t (Mgmt.Txn.Rollback reason);
   match device_rollback t with
@@ -342,7 +342,7 @@ let rollback t ~reason =
 
 let rec enter t stage =
   t.status <- Running stage;
-  if Telemetry.Eventlog.enabled () then
+  if Telemetry.Trace.enabled () then
     event t ~detail:(t.id ^ " " ^ stage_name stage) "stage";
   journal t (Mgmt.Txn.Stage_start (stage_name stage));
   List.iter (fun f -> f stage) t.observers;
@@ -637,12 +637,12 @@ module Fleet = struct
   let breaker fl = fl.brk
 
   let fleet_event fl ?level ?corr ?detail name =
-    Telemetry.Eventlog.emit ?level
+    Telemetry.Trace.event ?level
       ~ts_ns:(Sim_time.to_ns (Engine.now fl.engine))
       ~corr:
         (match corr with
         | Some c -> c
-        | None -> Telemetry.Eventlog.corr_of_string "fleet")
+        | None -> Telemetry.Trace.corr_of_string "fleet")
       ?detail ~stream:"fleet" name
 
   let rollbacks_total fl =
@@ -655,8 +655,8 @@ module Fleet = struct
     match fl.st with
     | Done | Aborted _ -> ()
     | Idle | Running | Paused ->
-        if Telemetry.Eventlog.enabled () then
-          fleet_event fl ~level:Telemetry.Eventlog.Error ~detail:reason "abort";
+        if Telemetry.Trace.enabled () then
+          fleet_event fl ~level:Telemetry.Trace.Error ~detail:reason "abort";
         fl.st <- Aborted reason;
         for i = fl.next to Array.length fl.slots - 1 do
           fl.slots.(i).mstatus <- Skipped ("fleet aborted: " ^ reason)
@@ -704,9 +704,9 @@ module Fleet = struct
     slot.mstatus <- Migrating Precheck;
     machine_on_stage m (fun st -> slot.mstatus <- Migrating st);
     fl.in_flight <- fl.in_flight + 1;
-    if Telemetry.Eventlog.enabled () then
-      fleet_event fl ~level:Telemetry.Eventlog.Debug
-        ~corr:(Telemetry.Eventlog.corr_of_string slot.member.name)
+    if Telemetry.Trace.enabled () then
+      fleet_event fl ~level:Telemetry.Trace.Debug
+        ~corr:(Telemetry.Trace.corr_of_string slot.member.name)
         ~detail:slot.member.name "launch";
     machine_start m ~on_done:(fun st -> settle fl slot st)
 
@@ -714,10 +714,10 @@ module Fleet = struct
     slot.mstatus <- Done st;
     fl.in_flight <- fl.in_flight - 1;
     let ok = match st with Committed -> true | _ -> false in
-    if Telemetry.Eventlog.enabled () then
+    if Telemetry.Trace.enabled () then
       fleet_event fl
-        ~level:(if ok then Telemetry.Eventlog.Info else Telemetry.Eventlog.Warn)
-        ~corr:(Telemetry.Eventlog.corr_of_string slot.member.name)
+        ~level:(if ok then Telemetry.Trace.Info else Telemetry.Trace.Warn)
+        ~corr:(Telemetry.Trace.corr_of_string slot.member.name)
         ~detail:
           (Printf.sprintf "%s %s" slot.member.name
              (Format.asprintf "%a" pp_status st))

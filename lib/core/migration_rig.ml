@@ -467,15 +467,9 @@ type breach = {
    captures them as a post-mortem snapshot. *)
 let rec canary_breach ?(num_hosts = 2) ~seed () =
   let* t = build ~num_switches:3 ~num_hosts ~seed () in
-  let result, _retained =
-    Telemetry.Eventlog.with_recorder (fun recorder ->
-        Telemetry.Eventlog.set_clock
-          (Some (fun () -> Sim_time.to_ns (Engine.now t.engine)));
-        Fun.protect
-          ~finally:(fun () -> Telemetry.Eventlog.set_clock None)
-          (fun () -> canary_breach_recorded t ~recorder ~seed))
-  in
-  result
+  Telemetry.Trace.with_recorder
+    ~clock:(fun () -> Sim_time.to_ns (Engine.now t.engine))
+    (fun recorder -> canary_breach_recorded t ~recorder ~seed)
 
 and canary_breach_recorded t ~recorder ~seed =
   let sw0 = t.switches.(0) in
@@ -583,7 +577,7 @@ let render_breach br =
         (List.length s.Telemetry.Postmortem.events)
         (match tl.Telemetry.Postmortem.root_cause with
         | Some e ->
-            e.Telemetry.Eventlog.stream ^ "." ^ e.Telemetry.Eventlog.name
+            e.Telemetry.Trace.stream ^ "." ^ e.Telemetry.Trace.name
         | None -> "unknown"));
   Printf.bprintf b "verdict: %s\n" (if br.ok then "PASS" else "FAIL");
   Buffer.contents b

@@ -114,7 +114,7 @@ val canary_breach : ?num_hosts:int -> seed:int -> unit -> (breach, string) resul
     switch's canary the trunk link degrades to 95% loss, the liveness
     SLO fires, the switch rolls back, and the fleet aborts — the
     remaining switches are never touched.  Runs under a freshly
-    installed {!Telemetry.Eventlog} recorder (restored afterwards) and
+    installed {!Telemetry.Trace} recorder (restored afterwards) and
     finishes with a {!Telemetry.Postmortem.capture} whose timeline
     names the trunk degradation as the root cause. *)
 

@@ -1,6 +1,6 @@
 (* Deterministic profiling rig: the HARMLESS sandwich and a direct
    OpenFlow deployment, warmed up, driven with identical ping
-   sequences under a trace collector, folded into per-stage profiles.
+   sequences under a trace recorder, folded into per-stage profiles.
    Sim-clock only, so the whole report is reproducible byte-for-byte. *)
 
 open Simnet
@@ -86,11 +86,12 @@ let profile_deployment ~pings deployment =
   for k = 0 to pairs - 1 do
     step k
   done;
-  let (), traces =
-    Telemetry.Trace.with_collector (fun _collector ->
+  let traces =
+    Telemetry.Trace.with_recorder (fun r ->
         for k = 0 to pings - 1 do
           step k
-        done)
+        done;
+        Telemetry.Trace.traces r)
   in
   let view = Trace_view.of_deployment deployment in
   let profile = Telemetry.Profile.create () in

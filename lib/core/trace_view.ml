@@ -134,7 +134,7 @@ let pp_trace t fmt (trace : Telemetry.Trace.trace) =
   (match trace.Telemetry.Trace.hops with
   | first :: _ ->
       Format.fprintf fmt "packet %08x: %s (%d hops)@." trace.Telemetry.Trace.key
-        first.Telemetry.Trace.packet
+        (Lazy.force first.Telemetry.Trace.packet)
         (List.length trace.Telemetry.Trace.hops)
   | [] -> Format.fprintf fmt "packet %08x: (no hops)@." trace.Telemetry.Trace.key);
   List.iter

@@ -27,9 +27,9 @@ let run () =
   (* The headline figure also lands on the flight recorder when one is
      installed, so an experiment sweep shows up in a post-mortem's
      event window like any other control-plane activity. *)
-  if Telemetry.Eventlog.enabled () then
-    Telemetry.Eventlog.emit ~stream:"experiment"
-      ~corr:(Telemetry.Eventlog.corr_of_string "e4-cost")
+  if Telemetry.Trace.enabled () then
+    Telemetry.Trace.event ~stream:"experiment"
+      ~corr:(Telemetry.Trace.corr_of_string "e4-cost")
       ~detail:(Printf.sprintf "e4-cost savings_vs_cots=%.3f ports=48" savings)
       "headline";
   (match Costmodel.Cost.crossover_vs_cots ~max_ports:1024 with

@@ -109,9 +109,9 @@ let event ?ts_ns ?corr ~op ?level ~detail name =
   let corr =
     match corr with
     | Some c -> c
-    | None -> Telemetry.Eventlog.corr_of_string ("retry:" ^ op)
+    | None -> Telemetry.Trace.corr_of_string ("retry:" ^ op)
   in
-  Telemetry.Eventlog.emit ?level ?ts_ns ~corr ~detail ~stream:"retry" name
+  Telemetry.Trace.event ?level ?ts_ns ~corr ~detail ~stream:"retry" name
 
 let run ?(policy = default) ?registry ?(op = "op") ?corr ?rng ?budget
     ?(on_retry = fun ~attempt:_ ~delay:_ _ -> ()) f =
@@ -119,8 +119,8 @@ let run ?(policy = default) ?registry ?(op = "op") ?corr ?rng ?budget
     match f () with
     | Ok _ as ok -> ok
     | Error e when n >= policy.max_attempts ->
-        if Telemetry.Eventlog.enabled () then
-          event ?corr ~op ~level:Telemetry.Eventlog.Warn
+        if Telemetry.Trace.enabled () then
+          event ?corr ~op ~level:Telemetry.Trace.Warn
             ~detail:(Printf.sprintf "%s after %d attempt(s)" op n)
             "gave_up";
         Error (give_up_error policy ~attempts:n e)
@@ -128,15 +128,15 @@ let run ?(policy = default) ?registry ?(op = "op") ?corr ?rng ?budget
         let delay = delay_before_attempt ?rng policy ~attempt:(n + 1) in
         match charge budget ~delay with
         | Error () ->
-            if Telemetry.Eventlog.enabled () then
-              event ?corr ~op ~level:Telemetry.Eventlog.Warn
+            if Telemetry.Trace.enabled () then
+              event ?corr ~op ~level:Telemetry.Trace.Warn
                 ~detail:(Printf.sprintf "%s after %d attempt(s)" op n)
                 "deadline";
             Error (deadline_error ?registry ~op ~attempts:n (Option.get budget) e)
         | Ok () ->
             count_retry ?registry ~op ();
-            if Telemetry.Eventlog.enabled () then
-              event ?corr ~op ~level:Telemetry.Eventlog.Debug
+            if Telemetry.Trace.enabled () then
+              event ?corr ~op ~level:Telemetry.Trace.Debug
                 ~detail:(Printf.sprintf "%s attempt=%d delay=%dns" op n delay)
                 "retry";
             on_retry ~attempt:n ~delay e;
@@ -151,8 +151,8 @@ let run_async engine ?(policy = default) ?registry ?(op = "op") ?corr ?rng
     match f () with
     | Ok _ as ok -> on_done ok
     | Error e when n >= policy.max_attempts ->
-        if Telemetry.Eventlog.enabled () then
-          event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Eventlog.Warn
+        if Telemetry.Trace.enabled () then
+          event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Trace.Warn
             ~detail:(Printf.sprintf "%s after %d attempt(s)" op n)
             "gave_up";
         on_done (Error (give_up_error policy ~attempts:n e))
@@ -160,8 +160,8 @@ let run_async engine ?(policy = default) ?registry ?(op = "op") ?corr ?rng
         let delay = delay_before_attempt ?rng policy ~attempt:(n + 1) in
         match charge budget ~delay with
         | Error () ->
-            if Telemetry.Eventlog.enabled () then
-              event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Eventlog.Warn
+            if Telemetry.Trace.enabled () then
+              event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Trace.Warn
                 ~detail:(Printf.sprintf "%s after %d attempt(s)" op n)
                 "deadline";
             on_done
@@ -169,8 +169,8 @@ let run_async engine ?(policy = default) ?registry ?(op = "op") ?corr ?rng
                  (deadline_error ?registry ~op ~attempts:n (Option.get budget) e))
         | Ok () ->
             count_retry ?registry ~op ();
-            if Telemetry.Eventlog.enabled () then
-              event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Eventlog.Debug
+            if Telemetry.Trace.enabled () then
+              event ~ts_ns:(now ()) ?corr ~op ~level:Telemetry.Trace.Debug
                 ~detail:(Printf.sprintf "%s attempt=%d delay=%dns" op n delay)
                 "retry";
             on_retry ~attempt:n ~delay e;

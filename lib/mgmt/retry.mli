@@ -93,11 +93,11 @@ val run :
     delay against a shared allowance and fails fast with a
     ["deadline exceeded…"] error when the next delay would exceed it.
 
-    When a {!Telemetry.Eventlog} recorder is installed, every retry,
+    When a {!Telemetry.Trace} recorder is installed, every retry,
     deadline exhaustion and give-up also lands on the ["retry"] event
     stream; [corr] sets the correlation id (default: derived from
     [op]).  The synchronous path has no engine, so those events are
-    stamped by the recorder's fallback clock. *)
+    stamped by the recorder's clock. *)
 
 val run_async :
   Simnet.Engine.t -> ?policy:policy -> ?registry:Telemetry.Registry.t ->

@@ -58,9 +58,9 @@ let append t ~txn entry =
      crash fires — mirroring what a real WAL writer would have managed
      to log, so a post-mortem of a crash sweep shows the record that
      made it to disk. *)
-  if Telemetry.Eventlog.enabled () then
-    Telemetry.Eventlog.emit
-      ~corr:(Telemetry.Eventlog.corr_of_string txn)
+  if Telemetry.Trace.enabled () then
+    Telemetry.Trace.event
+      ~corr:(Telemetry.Trace.corr_of_string txn)
       ~detail:
         (match entry_detail entry with "" -> txn | d -> txn ^ " " ^ d)
       ~stream:"txn" (entry_kind entry);

@@ -20,7 +20,7 @@
     Nesting is fine: an inner probe's own bookkeeping (one array push)
     is charged to the enclosing probe — a constant, documented tax.
     The recorder is process-global, single-domain, like the trace
-    sink. *)
+    recorder. *)
 
 type t
 (** A recorder: per-site sample sets, keyed by the probe name. *)

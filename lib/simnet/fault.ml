@@ -184,14 +184,14 @@ let fire t event =
   in
   (* Every injection lands on the flight recorder's "fault" stream —
      the trigger (and root cause) a post-mortem pivots on. *)
-  if Telemetry.Eventlog.enabled () then
-    Telemetry.Eventlog.emit
+  if Telemetry.Trace.enabled () then
+    Telemetry.Trace.event
       ~level:
         (match outcome with
-        | Ok () -> Telemetry.Eventlog.Warn
-        | Error _ -> Telemetry.Eventlog.Error)
+        | Ok () -> Telemetry.Trace.Warn
+        | Error _ -> Telemetry.Trace.Error)
       ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
-      ~corr:(Telemetry.Eventlog.corr_of_string event.target)
+      ~corr:(Telemetry.Trace.corr_of_string event.target)
       ~detail:
         (Format.asprintf "%s %a%s" event.target pp_action event.action
            (match outcome with Ok () -> "" | Error e -> " FAILED: " ^ e))

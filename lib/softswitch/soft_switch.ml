@@ -32,8 +32,6 @@ type t = {
   mutable packet_ins : int;
   mutable flow_mods : int;
   mutable since_expiry : int;
-  mutable sample_rate : int option;
-  mutable sample_countdown : int;
   mutable flowrec : Flowrec.t option;
   mutable connected : bool;
   mutable alive : bool;
@@ -103,13 +101,6 @@ let hardware_dataplane pipeline =
 
 let set_flowrec t fr = t.flowrec <- fr
 let flowrec t = t.flowrec
-
-let set_sampling t ~rate =
-  (match rate with
-  | Some n when n <= 0 -> invalid_arg "Soft_switch.set_sampling: rate <= 0"
-  | Some _ | None -> ());
-  t.sample_rate <- rate;
-  t.sample_countdown <- Option.value rate ~default:0
 
 let expire_flows t =
   let now_ns = Sim_time.to_ns (Engine.now t.engine) in
@@ -218,17 +209,6 @@ let handle_packet t ~in_port pkt =
            (if result.Pipeline.table_miss then " table_miss" else ""))
       pkt;
   let complete () =
-    (match t.sample_rate with
-    | Some rate when t.connected ->
-        t.sample_countdown <- t.sample_countdown - 1;
-        if t.sample_countdown <= 0 then begin
-          t.sample_countdown <- rate;
-          t.packet_ins <- t.packet_ins + 1;
-          t.controller
-            (Of_message.Packet_in
-               { in_port; reason = Of_message.Action_to_controller; packet = pkt })
-        end
-    | Some _ | None -> ());
     t.since_expiry <- t.since_expiry + 1;
     if t.since_expiry >= 1024 then begin
       t.since_expiry <- 0;
@@ -460,8 +440,6 @@ let create engine ~name ~ports ?(dataplane = Eswitch) ?(pmd = Pmd.default_config
       packet_ins = 0;
       flow_mods = 0;
       since_expiry = 0;
-      sample_rate = None;
-      sample_countdown = 0;
       flowrec = None;
       connected = true;
       alive = true;

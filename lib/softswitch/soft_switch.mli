@@ -69,7 +69,7 @@ val connection_mode : t -> connection_mode
 
 val set_connected : t -> bool -> unit
 (** Flip the switch's view of the control channel.  While [false], the
-    agent stops emitting packet-ins and samples; misses obey the
+    agent stops emitting packet-ins; misses obey the
     {!connection_mode}.  Flipping back to [true] clears the standalone
     learning table (the controller owns forwarding again). *)
 
@@ -94,12 +94,6 @@ val standalone_forwards : t -> int
 val handle_message : t -> Openflow.Of_message.t -> unit
 (** Deliver a controller→switch message to the agent.  Errors (e.g. table
     full) come back as [Error] messages on the controller callback. *)
-
-val set_sampling : t -> rate:int option -> unit
-(** sFlow-style visibility: send every [rate]-th processed packet to the
-    controller as a packet-in (reason [Action_to_controller]) in addition
-    to normal forwarding.  [None] disables.
-    @raise Invalid_argument if the rate is not positive. *)
 
 val set_flowrec : t -> Flowrec.t option -> unit
 (** Attach (or detach, with [None]) a sampled flow recorder.  When

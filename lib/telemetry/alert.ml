@@ -89,15 +89,15 @@ let transition t rule ~now_ns ~value next =
         value;
       }
       :: t.log;
-    if Eventlog.enabled () then
-      Eventlog.emit
+    if Trace.enabled () then
+      Trace.event
         ~level:
           (match next with
-          | Firing _ -> Eventlog.Error
-          | Pending _ -> Eventlog.Warn
-          | Ok -> Eventlog.Info)
+          | Firing _ -> Trace.Error
+          | Pending _ -> Trace.Warn
+          | Ok -> Trace.Info)
         ~ts_ns:now_ns
-        ~corr:(Eventlog.corr_of_string rule.rule_name)
+        ~corr:(Trace.corr_of_string rule.rule_name)
         ~detail:
           (match value with
           | None -> rule.rule_name

@@ -1,11 +1,12 @@
-(* Chrome trace-event export: render collected hops as the JSON array
+(* Chrome trace-event export: render a recorder as the JSON array
    format that chrome://tracing and https://ui.perfetto.dev load.
 
    Layout: one process (pid 1), one "thread" per emitting component, a
    thread_name metadata event per component, and one complete ("X")
-   event per hop.  Timestamps are sim-time microseconds; durations come
-   from the hop's modelled cycle cost at [cycles_per_us] (default 2400,
-   i.e. a 2.4 GHz core), floored at 1 ns so every event is visible. *)
+   event per hop, then the recorder's events as instants.  Timestamps
+   are sim-time microseconds; hop durations come from the hop's
+   modelled cycle cost at [cycles_per_us] (default 2400, i.e. a 2.4 GHz
+   core), floored at 1 ns so every event is visible. *)
 
 let pid = 1
 
@@ -27,10 +28,10 @@ let us_of_ns ns = float_of_int ns /. 1e3
    thread per stream, carrying the correlation id in args in the same
    "%08x" form as the hops' trace_key — Perfetto's args search joins
    the two. *)
-let eventlog_events tid_base (events : Eventlog.event list) =
+let recorder_events tid_base (events : Trace.event list) =
   let streams =
     List.sort_uniq String.compare
-      (List.map (fun (e : Eventlog.event) -> e.Eventlog.stream) events)
+      (List.map (fun (e : Trace.event) -> e.Trace.stream) events)
   in
   let tid_of =
     List.mapi (fun i stream -> (stream, tid_base + i)) streams
@@ -49,35 +50,36 @@ let eventlog_events tid_base (events : Eventlog.event list) =
           ])
       tid_of
   in
-  let instant (e : Eventlog.event) =
+  let instant (e : Trace.event) =
     let args =
       [
-        ("level", Json.Str (Eventlog.level_name e.Eventlog.level));
-        ("seq", Json.Int e.Eventlog.seq);
+        ("level", Json.Str (Trace.level_name e.Trace.level));
+        ("seq", Json.Int e.Trace.seq);
       ]
-      @ (if e.Eventlog.corr <> 0 then
-           [ ("trace_key", Json.Str (Printf.sprintf "%08x" e.Eventlog.corr)) ]
+      @ (if e.Trace.corr <> 0 then
+           [ ("trace_key", Json.Str (Printf.sprintf "%08x" e.Trace.corr)) ]
          else [])
       @
-      if e.Eventlog.detail <> "" then
-        [ ("detail", Json.Str e.Eventlog.detail) ]
+      if e.Trace.detail <> "" then
+        [ ("detail", Json.Str e.Trace.detail) ]
       else []
     in
     Json.Obj
       [
-        ("name", Json.Str (e.Eventlog.stream ^ "." ^ e.Eventlog.name));
+        ("name", Json.Str (e.Trace.stream ^ "." ^ e.Trace.name));
         ("cat", Json.Str "eventlog");
         ("ph", Json.Str "i");
         ("s", Json.Str "t");
-        ("ts", Json.Float (us_of_ns e.Eventlog.ts_ns));
+        ("ts", Json.Float (us_of_ns e.Trace.ts_ns));
         ("pid", Json.Int pid);
-        ("tid", Json.Int (List.assoc e.Eventlog.stream tid_of));
+        ("tid", Json.Int (List.assoc e.Trace.stream tid_of));
         ("args", Json.Obj args);
       ]
   in
   meta @ List.map instant events
 
-let to_json ?(cycles_per_us = 2400.0) ?(spans = []) ?(events = []) hops =
+let to_json ?(cycles_per_us = 2400.0) ?(spans = []) recorder =
+  let hops = Trace.hops recorder in
   let tid_of, components = tids hops in
   let meta =
     List.map
@@ -99,8 +101,9 @@ let to_json ?(cycles_per_us = 2400.0) ?(spans = []) ?(events = []) hops =
     in
     let args =
       [
-        ("packet", Json.Str hop.Trace.packet);
-        ("trace_key", Json.Str (Printf.sprintf "%08x" hop.Trace.trace_key));
+        ("packet", Json.Str (Lazy.force hop.Trace.packet));
+        ( "trace_key",
+          Json.Str (Printf.sprintf "%08x" (Lazy.force hop.Trace.trace_key)) );
         ("bytes", Json.Int hop.Trace.bytes);
       ]
       @ (match hop.Trace.port with
@@ -125,13 +128,13 @@ let to_json ?(cycles_per_us = 2400.0) ?(spans = []) ?(events = []) hops =
     (meta
     @ List.map event hops
     @ Span.chrome_events spans
-    @ eventlog_events (List.length components + 1) events)
+    @ recorder_events (List.length components + 1) (Trace.events recorder))
 
-let to_string ?cycles_per_us ?spans ?events hops =
-  Json.to_string_lines (to_json ?cycles_per_us ?spans ?events hops)
+let to_string ?cycles_per_us ?spans recorder =
+  Json.to_string_lines (to_json ?cycles_per_us ?spans recorder)
 
-let save ?cycles_per_us ?spans ?events hops ~path =
+let save ?cycles_per_us ?spans recorder ~path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?cycles_per_us ?spans ?events hops))
+    (fun () -> output_string oc (to_string ?cycles_per_us ?spans recorder))

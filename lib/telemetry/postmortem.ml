@@ -3,15 +3,15 @@ type snapshot = {
   seed : int;
   captured_ns : int;
   window_start_ns : int;
-  triggers : Eventlog.event list;
-  events : Eventlog.event list;
+  triggers : Trace.event list;
+  events : Trace.event list;
   spans : Span.t list;
   series : (string * (int * float) list) list;
 }
 
 let schema = "harmless-postmortem/1"
 
-let default_trigger (e : Eventlog.event) =
+let default_trigger (e : Trace.event) =
   match (e.stream, e.name) with
   | "fault", _ -> true
   | "alert", "firing" -> true
@@ -27,17 +27,17 @@ let capture ?(trigger = default_trigger) ?(pre_window_ns = 5_000_000) ?(spans = 
     ?(series = []) ~scenario ~seed ~captured_ns recorder =
   if not (is_token scenario) then
     invalid_arg "Postmortem.capture: scenario must be a non-empty token";
-  let all = Eventlog.events recorder in
+  let all = Trace.events recorder in
   match List.filter trigger all with
   | [] -> None
   | first :: _ as triggers ->
-      let window_start_ns = max 0 (first.Eventlog.ts_ns - pre_window_ns) in
+      let window_start_ns = max 0 (first.Trace.ts_ns - pre_window_ns) in
       let events =
-        List.filter (fun (e : Eventlog.event) -> e.ts_ns >= window_start_ns) all
+        List.filter (fun (e : Trace.event) -> e.ts_ns >= window_start_ns) all
       in
       let corrs =
         List.fold_left
-          (fun acc (e : Eventlog.event) ->
+          (fun acc (e : Trace.event) ->
             if e.corr = 0 then acc else e.corr :: acc)
           [] events
       in
@@ -133,9 +133,9 @@ let to_string snap =
   add "captured %d\n" snap.captured_ns;
   add "window %d %d\n" snap.window_start_ns snap.captured_ns;
   add "triggers %d\n" (List.length snap.triggers);
-  List.iter (fun e -> add "%s\n" (Eventlog.event_to_string e)) snap.triggers;
+  List.iter (fun e -> add "%s\n" (Trace.event_to_string e)) snap.triggers;
   add "events %d\n" (List.length snap.events);
-  List.iter (fun e -> add "%s\n" (Eventlog.event_to_string e)) snap.events;
+  List.iter (fun e -> add "%s\n" (Trace.event_to_string e)) snap.events;
   add "spans %d\n" (List.length snap.spans);
   List.iter (fun s -> add "%s\n" (span_to_string s)) snap.spans;
   add "series %d\n" (List.length snap.series);
@@ -191,9 +191,9 @@ let of_string text =
       | None -> Error "malformed window line"
     in
     let* n_triggers = int_field "triggers" in
-    let* triggers = collect n_triggers Eventlog.event_of_string [] in
+    let* triggers = collect n_triggers Trace.event_of_string [] in
     let* n_events = int_field "events" in
-    let* events = collect n_events Eventlog.event_of_string [] in
+    let* events = collect n_events Trace.event_of_string [] in
     let* n_spans = int_field "spans" in
     let* spans = collect n_spans span_of_string [] in
     let* n_series = int_field "series" in
@@ -245,12 +245,12 @@ let load ~path =
       close_in ic;
       of_string text
 
-let event_json (e : Eventlog.event) =
+let event_json (e : Trace.event) =
   Json.Obj
     [
       ("seq", Json.Int e.seq);
       ("ts_ns", Json.Int e.ts_ns);
-      ("level", Json.Str (Eventlog.level_name e.level));
+      ("level", Json.Str (Trace.level_name e.level));
       ("stream", Json.Str e.stream);
       ("name", Json.Str e.name);
       ("corr", Json.Str (Printf.sprintf "%08x" e.corr));
@@ -302,29 +302,29 @@ let to_json snap =
 (* ---- causal timeline ---- *)
 
 type timeline = {
-  root_cause : Eventlog.event option;
-  steps : Eventlog.event list;
+  root_cause : Trace.event option;
+  steps : Trace.event list;
 }
 
 (* A step earns a place in the causal chain when it marks a decision
    or a state change an operator would act on — fault injections,
    alerts going firing, rollbacks/aborts/deadline exhaustion, and
    anything logged at Error. *)
-let significant (e : Eventlog.event) =
+let significant (e : Trace.event) =
   match (e.stream, e.name, e.level) with
   | "fault", _, _ -> true
   | "alert", "firing", _ -> true
   | _, ("rollback" | "abort" | "gave_up" | "deadline"), _ -> true
-  | _, _, Eventlog.Error -> true
+  | _, _, Trace.Error -> true
   | _ -> false
 
 let analyze snap =
   let root_cause =
-    List.find_opt (fun (e : Eventlog.event) -> e.stream = "fault") snap.events
+    List.find_opt (fun (e : Trace.event) -> e.stream = "fault") snap.events
   in
   { root_cause; steps = List.filter significant snap.events }
 
-let step_label (e : Eventlog.event) =
+let step_label (e : Trace.event) =
   let subject =
     match fst (split_word e.detail) with "" -> None | tok -> Some tok
   in
@@ -356,7 +356,7 @@ let render snap =
       add "timeline: %s\n" (String.concat " -> " (List.map step_label steps)));
   add "\nevents:\n";
   List.iter
-    (fun e -> add "  %s\n" (Format.asprintf "%a" Eventlog.pp_event e))
+    (fun e -> add "  %s\n" (Format.asprintf "%a" Trace.pp_event e))
     snap.events;
   if snap.spans <> [] then begin
     add "\ncorrelated spans:\n";

@@ -1,4 +1,5 @@
-(** Automatic post-mortem capture over the {!Eventlog} flight recorder.
+(** Automatic post-mortem capture over the events of a {!Trace}
+    recorder.
 
     A {e snapshot} is a deterministic, bounded bundle of everything a
     failure investigation needs: the recent event window around the
@@ -23,8 +24,8 @@ type snapshot = {
   seed : int;
   captured_ns : int;  (** sim time at capture *)
   window_start_ns : int;  (** first trigger minus the pre-window *)
-  triggers : Eventlog.event list;  (** events that matched the trigger predicate *)
-  events : Eventlog.event list;  (** the retained window, (ts, seq) order *)
+  triggers : Trace.event list;  (** events that matched the trigger predicate *)
+  events : Trace.event list;  (** the retained window, (ts, seq) order *)
   spans : Span.t list;  (** spans correlated with the window's events *)
   series : (string * (int * float) list) list;
       (** per-series points inside the window, given order *)
@@ -33,23 +34,23 @@ type snapshot = {
 val schema : string
 (** ["harmless-postmortem/1"] — first line of every serialized snapshot. *)
 
-val default_trigger : Eventlog.event -> bool
+val default_trigger : Trace.event -> bool
 (** The capture policy the rigs use: any ["fault"]-stream event, an
     ["alert"] event named ["firing"], a ["migration"] event named
     ["rollback"] or ["abort"], or a ["fleet"] event named ["abort"]. *)
 
 val capture :
-  ?trigger:(Eventlog.event -> bool) ->
+  ?trigger:(Trace.event -> bool) ->
   ?pre_window_ns:int ->
   ?spans:Span.t list ->
   ?series:Timeseries.t list ->
   scenario:string ->
   seed:int ->
   captured_ns:int ->
-  Eventlog.t ->
+  Trace.t ->
   snapshot option
-(** Derive a snapshot from a recorder at the end of a run.  [None]
-    when no retained event matches [trigger] (default
+(** Derive a snapshot from a recorder's retained events at the end of
+    a run.  [None] when no retained event matches [trigger] (default
     {!default_trigger}) — an uneventful run produces no post-mortem.
     The event window is everything from [pre_window_ns] (default 5ms)
     before the first trigger through the end of the recording; spans
@@ -72,9 +73,9 @@ val to_json : snapshot -> Json.t
 (** One-way JSON export of the same content (machine consumers). *)
 
 type timeline = {
-  root_cause : Eventlog.event option;
+  root_cause : Trace.event option;
       (** earliest ["fault"]-stream event in the window *)
-  steps : Eventlog.event list;
+  steps : Trace.event list;
       (** the significant events, (ts, seq) order, root cause first
           when present *)
 }

@@ -81,7 +81,7 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
           begin_words = first.Trace.words;
           end_words = last.Trace.words;
           cycles = total_cycles;
-          detail = first.Trace.packet;
+          detail = Lazy.force first.Trace.packet;
         }
       in
       let groups = visits hops in

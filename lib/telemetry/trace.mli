@@ -1,13 +1,42 @@
-(** Per-packet hop tracing: a span API every forwarding component
-    emits into, a pluggable sink (default: none — untraced runs pay a
-    single ref read per potential hop), and a collector that assembles
-    emitted hops into per-packet traces.
+(** The one recorder: per-packet hop tracing and the control-plane
+    flight recorder behind a single installed {!t} and a single
+    {!enabled} guard.
 
-    Correlation: packets are immutable values, copied and re-tagged as
-    they cross the fabric, so hops correlate on {!key_of_packet} — a
-    hash of the frame with its VLAN stack stripped.  The HARMLESS tag
+    Forwarding components (host NIC, legacy switch, soft switch,
+    controller) {!emit} {e hops}; control-plane subsystems (channel,
+    retry, WAL, migration, failover, poller, fault injection, alerts)
+    record leveled {e events} with {!event}.  Both draw their [seq] from
+    one per-recorder sequence, so a same-seed rerun numbers them
+    identically, however many recorders the process has seen.  Hops are
+    all kept (exact attribution in {!Span} and {!Profile} needs every
+    one); events are kept in one bounded ring per stream, so the
+    recorder's event memory is bounded no matter how long the run is.
+
+    The default state is {e off}: no recorder installed, and a call site
+    guarded by {!enabled} pays one ref read and allocates exactly zero
+    minor words (pinned by test).  An emitted hop keeps the immutable
+    packet and renders it, and computes its {!key_of_packet}, only when
+    read.
+
+    {2 Correlation}
+
+    Packets are immutable values, copied and re-tagged as they cross
+    the fabric, so hops correlate on {!key_of_packet} — a hash of the
+    frame with its VLAN stack stripped.  The HARMLESS tag
     push/pop/rewrite path preserves the key; L3-header rewrites start a
-    new trace and byte-identical frames share one.
+    new trace and byte-identical frames share one.  Event correlation
+    ids are plain ints, [0] meaning "uncorrelated", derived from stable
+    names by {!corr_of_string} (a migration machine uses its txn id, a
+    channel its switch name, an alert rule its rule name) or, for
+    packet-correlated events, taken from {!key_of_packet} directly — the
+    join the Chrome trace export renders.
+
+    {2 Clock}
+
+    Hops always carry their sim-time stamp.  Event sites that know their
+    engine pass [~ts_ns]; sites with no time source (the synchronous
+    retry loop, WAL appends) fall back to the recorder's [clock], and
+    are stamped [0] when it has none.
 
     {2 Cycle model}
 
@@ -47,73 +76,147 @@ type layer =
 val layer_name : layer -> string
 
 type hop = {
-  seq : int;            (** global emission order, 1-based *)
+  seq : int;            (** recorder emission order, shared with events, 1-based *)
   ts_ns : int;          (** sim-time timestamp *)
   component : string;   (** emitting node, e.g. ["legacy0"], ["sw-ss1"] *)
   layer : layer;
   stage : string;       (** e.g. ["ingress"], ["tag_push"], ["pipeline"] *)
   port : int option;    (** port involved, when meaningful *)
-  trace_key : int;
-  packet : string;      (** one-line packet rendering *)
+  trace_key : int Lazy.t;  (** {!key_of_packet}, computed on first read *)
+  packet : string Lazy.t;  (** one-line packet rendering, on first read *)
   bytes : int;          (** wire size *)
   cycles : int;         (** processing cost, 0 when not modelled *)
   words : int;
-      (** cumulative minor-heap words ([Gc.minor_words]) captured at
-          emission; consecutive hops' deltas attribute real allocation
-          to stages, exactly as timestamps attribute latency.  [0] in
-          hand-built hops that never went through {!emit}. *)
+      (** minor-heap words ([Gc.minor_words]) allocated since the
+          recorder was created, captured at emission before the hop is
+          built; consecutive hops' deltas attribute real allocation to
+          stages, exactly as timestamps attribute latency.  Relative,
+          so a same-seed rerun reproduces them whatever the process did
+          first.  [0] in hand-built hops that never went through
+          {!emit}. *)
   detail : string;
 }
 
-type sink = hop -> unit
+type level = Debug | Info | Warn | Error
 
-val set_sink : sink option -> unit
-(** Install ([Some f]) or remove ([None], the default) the process-wide
-    sink. *)
+val level_name : level -> string
+(** ["debug"], ["info"], ["warn"], ["error"]. *)
+
+val level_of_string : string -> level option
+
+type event = {
+  seq : int;  (** recorder emission order, shared with hops, 1-based *)
+  ts_ns : int;
+  level : level;
+  stream : string;  (** emitting subsystem, a token: ["channel"], ["txn"], … *)
+  name : string;  (** short verb token: ["reconnect"], ["rollback"], … *)
+  corr : int;  (** correlation id; [0] = uncorrelated *)
+  detail : string;  (** free text, single line *)
+}
+
+(** {2 The recorder} *)
+
+type t
+
+val create : ?stream_capacity:int -> ?clock:(unit -> int) -> unit -> t
+(** A fresh recorder.  Each event stream keeps at most
+    [stream_capacity] events (default 512); older ones are evicted and
+    counted in {!dropped}.  [clock] stamps events emitted without
+    [~ts_ns].  @raise Invalid_argument if [stream_capacity < 2]. *)
+
+val install : t -> unit
+(** Make [t] the process-wide recorder. *)
+
+val uninstall : t -> unit
+(** Remove the recorder if [t] is the one installed. *)
 
 val enabled : unit -> bool
-(** True iff a sink is installed.  Instrumentation sites guard their
-    emit (and any detail-string formatting) behind this. *)
+(** True iff a recorder is installed.  Instrumentation sites guard
+    their emit (and any detail-string formatting) behind this. *)
+
+val with_recorder :
+  ?stream_capacity:int -> ?clock:(unit -> int) -> (t -> 'a) -> 'a
+(** Run [f] with a fresh recorder installed, restoring the previous
+    one afterwards (also on exceptions). *)
+
+val clear : t -> unit
+(** Forget every hop and event and restart the sequence at 1. *)
+
+val of_hops : hop list -> t
+(** A recorder holding exactly these hops (given in emission order)
+    and no events, for rendering hand-built traces. *)
+
+(** {2 Emitting} *)
 
 val key_of_packet : Netpkt.Packet.t -> int
 (** The VLAN-stack-invariant correlation key. *)
 
+val corr_of_string : string -> int
+(** A stable, non-zero correlation id for a name.  Same hash family as
+    {!key_of_packet}, so the two id spaces render identically. *)
+
 val emit :
   ts_ns:int -> component:string -> layer:layer -> stage:string ->
   ?port:int -> ?cycles:int -> ?detail:string -> Netpkt.Packet.t -> unit
-(** Emit one hop to the current sink; a no-op (no allocation beyond the
-    caller's arguments) when no sink is installed. *)
+(** Record one hop; a no-op when no recorder is installed.  Renders
+    nothing: the packet string and key are computed when first read. *)
+
+val event :
+  ?level:level ->
+  ?ts_ns:int ->
+  ?corr:int ->
+  ?detail:string ->
+  stream:string ->
+  string ->
+  unit
+(** [event ~stream name] records one event ([level] defaults to
+    [Info], [corr] to [0]); a no-op when no recorder is installed.
+    Newlines in [detail] become spaces (events are single lines).
+    @raise Invalid_argument if [stream] or [name] is empty or contains
+    whitespace — they must be tokens. *)
+
+(** {2 Reading} *)
+
+val mark : t -> int
+(** The [seq] the next hop or event will get: pass it as [~since] to
+    read only what was recorded from now on. *)
+
+val hops : ?since:int -> t -> hop list
+(** Hops with [seq >= since] (default all), in emission order. *)
 
 type trace = { key : int; hops : hop list }
 (** One packet's life, hops ordered by [(ts_ns, seq)]. *)
 
-(** A sink that accumulates hops for later assembly. *)
-module Collector : sig
-  type t
+val traces : ?since:int -> t -> trace list
+(** {!hops} grouped per packet, traces ordered by first appearance. *)
 
-  val create : unit -> t
+val events : ?stream:string -> ?min_level:level -> t -> event list
+(** The retained events, merged across streams in [(ts_ns, seq)]
+    order, optionally restricted to one stream and/or to levels at or
+    above [min_level]. *)
 
-  val install : t -> unit
-  (** Make this collector the process sink. *)
+val streams : t -> string list
+(** Streams that have recorded at least one event, sorted. *)
 
-  val uninstall : t -> unit
-  (** Remove the sink if this collector installed it. *)
+val recorded : t -> int
+(** Events ever emitted into this recorder, including evicted ones. *)
 
-  val clear : t -> unit
-  val hops : t -> hop list
-  (** In emission order. *)
+val dropped : t -> int
+(** Events evicted by ring wrap-around. *)
 
-  val traces : t -> trace list
-  (** Hops grouped per packet, traces ordered by first appearance. *)
-end
+(** {2 Rendering} *)
 
-val with_collector : (Collector.t -> 'a) -> 'a * trace list
-(** Run [f] with a fresh collector installed, restoring the previous
-    sink afterwards (also on exceptions); returns [f]'s result and the
-    assembled traces. *)
+val event_to_string : event -> string
+(** ["event <seq> <ts_ns> <level> <stream> <corr-hex8> <name> [detail]"]
+    — the snapshot line format, parsed back by {!event_of_string}. *)
+
+val event_of_string : string -> (event, string) result
 
 val pp_time : Format.formatter -> int -> unit
 (** Nanoseconds, human-readable (["12.500us"]). *)
 
 val pp_hop : Format.formatter -> hop -> unit
 val pp_trace : Format.formatter -> trace -> unit
+
+val pp_event : Format.formatter -> event -> unit
+(** Human-readable: time, level, stream.name, corr, detail. *)

@@ -43,77 +43,72 @@ let recorder_tests =
   [
     tc "per-stream ring wraps, keeps the newest, counts evictions"
       (fun () ->
-        let (), retained =
-          Eventlog.with_recorder ~stream_capacity:4 (fun r ->
+        let retained =
+          Trace.with_recorder ~stream_capacity:4 (fun r ->
               for i = 1 to 10 do
-                Eventlog.emit ~ts_ns:i ~stream:"s"
+                Trace.event ~ts_ns:i ~stream:"s"
                   ~detail:(Printf.sprintf "n%d" i) "tick"
               done;
               check Alcotest.int "recorded counts evicted too" 10
-                (Eventlog.recorded r);
-              check Alcotest.int "dropped = overflow" 6 (Eventlog.dropped r))
+                (Trace.recorded r);
+              check Alcotest.int "dropped = overflow" 6 (Trace.dropped r);
+              Trace.events r)
         in
         check Alcotest.int "ring retains capacity" 4 (List.length retained);
         check
           Alcotest.(list int)
           "newest survive, in order" [ 7; 8; 9; 10 ]
-          (List.map (fun (e : Eventlog.event) -> e.Eventlog.seq) retained));
+          (List.map (fun (e : Trace.event) -> e.Trace.seq) retained));
     tc "streams are bounded independently and merge by (ts, seq)"
       (fun () ->
-        let (), retained =
-          Eventlog.with_recorder ~stream_capacity:2 (fun r ->
-              Eventlog.emit ~ts_ns:5 ~stream:"b" "one";
-              Eventlog.emit ~ts_ns:1 ~stream:"a" "one";
-              Eventlog.emit ~ts_ns:9 ~stream:"a" "two";
-              Eventlog.emit ~ts_ns:3 ~stream:"a" "three";
+        let retained =
+          Trace.with_recorder ~stream_capacity:2 (fun r ->
+              Trace.event ~ts_ns:5 ~stream:"b" "one";
+              Trace.event ~ts_ns:1 ~stream:"a" "one";
+              Trace.event ~ts_ns:9 ~stream:"a" "two";
+              Trace.event ~ts_ns:3 ~stream:"a" "three";
               (* "a" wrapped (capacity 2); "b" did not. *)
-              check Alcotest.int "one eviction" 1 (Eventlog.dropped r);
+              check Alcotest.int "one eviction" 1 (Trace.dropped r);
               check
                 Alcotest.(list string)
-                "streams sorted" [ "a"; "b" ] (Eventlog.streams r);
+                "streams sorted" [ "a"; "b" ] (Trace.streams r);
               check Alcotest.int "stream filter" 2
-                (List.length (Eventlog.events ~stream:"a" r)))
+                (List.length (Trace.events ~stream:"a" r));
+              Trace.events r)
         in
         check
           Alcotest.(list string)
           "merged (ts, seq) order" [ "three"; "one"; "two" ]
-          (List.map (fun (e : Eventlog.event) -> e.Eventlog.name) retained));
+          (List.map (fun (e : Trace.event) -> e.Trace.name) retained));
     tc "min_level filters, levels order debug < info < warn < error"
       (fun () ->
-        let (), _ =
-          Eventlog.with_recorder (fun r ->
-              Eventlog.emit ~level:Eventlog.Debug ~ts_ns:1 ~stream:"s" "d";
-              Eventlog.emit ~level:Eventlog.Info ~ts_ns:2 ~stream:"s" "i";
-              Eventlog.emit ~level:Eventlog.Warn ~ts_ns:3 ~stream:"s" "w";
-              Eventlog.emit ~level:Eventlog.Error ~ts_ns:4 ~stream:"s" "e";
-              check Alcotest.int "warn and up" 2
-                (List.length (Eventlog.events ~min_level:Eventlog.Warn r)))
-        in
-        ());
+        Trace.with_recorder (fun r ->
+            Trace.event ~level:Trace.Debug ~ts_ns:1 ~stream:"s" "d";
+            Trace.event ~level:Trace.Info ~ts_ns:2 ~stream:"s" "i";
+            Trace.event ~level:Trace.Warn ~ts_ns:3 ~stream:"s" "w";
+            Trace.event ~level:Trace.Error ~ts_ns:4 ~stream:"s" "e";
+            check Alcotest.int "warn and up" 2
+              (List.length (Trace.events ~min_level:Trace.Warn r))));
     tc "stream and name must be tokens" (fun () ->
-        let (), _ =
-          Eventlog.with_recorder (fun _ ->
-              Alcotest.check_raises "space in stream"
-                (Invalid_argument
-                   "Eventlog.emit: stream must be a non-empty token: \"a b\"")
-                (fun () -> Eventlog.emit ~stream:"a b" "x");
-              Alcotest.check_raises "empty name"
-                (Invalid_argument
-                   "Eventlog.emit: event name must be a non-empty token: \"\"")
-                (fun () -> Eventlog.emit ~stream:"s" ""))
-        in
-        ());
+        Trace.with_recorder (fun _ ->
+            Alcotest.check_raises "space in stream"
+              (Invalid_argument
+                 "Trace.event: stream must be a non-empty token: \"a b\"")
+              (fun () -> Trace.event ~stream:"a b" "x");
+            Alcotest.check_raises "empty name"
+              (Invalid_argument
+                 "Trace.event: event name must be a non-empty token: \"\"")
+              (fun () -> Trace.event ~stream:"s" "")));
     tc "corr_of_string is stable and never zero" (fun () ->
-        let c = Eventlog.corr_of_string "channel:chaos-legacy-ss2" in
+        let c = Trace.corr_of_string "channel:chaos-legacy-ss2" in
         check Alcotest.int "same name, same id" c
-          (Eventlog.corr_of_string "channel:chaos-legacy-ss2");
+          (Trace.corr_of_string "channel:chaos-legacy-ss2");
         check Alcotest.bool "nonzero" true (c <> 0));
-    tc "guarded no-op Eventlog.emit allocates exactly zero minor words"
+    tc "guarded no-op Event emit allocates exactly zero minor words"
       (fun () ->
-        check Alcotest.bool "no recorder" false (Eventlog.enabled ());
+        check Alcotest.bool "no recorder" false (Trace.enabled ());
         let emit_guarded () =
-          if Eventlog.enabled () then
-            Eventlog.emit ~ts_ns:0 ~stream:"eventlog" "noop"
+          if Trace.enabled () then Trace.event ~ts_ns:0 ~stream:"events" "noop"
         in
         emit_guarded ();
         let before = words () in
@@ -123,24 +118,25 @@ let recorder_tests =
         check Alcotest.int "minor words delta over 10k emits" 0
           (words () - before));
     tc "event line round-trips through to_string/of_string" (fun () ->
-        let (), retained =
-          Eventlog.with_recorder (fun _ ->
-              Eventlog.emit ~level:Eventlog.Warn ~ts_ns:4_200_000
-                ~corr:(Eventlog.corr_of_string "trunk:primary")
+        let retained =
+          Trace.with_recorder (fun r ->
+              Trace.event ~level:Trace.Warn ~ts_ns:4_200_000
+                ~corr:(Trace.corr_of_string "trunk:primary")
                 ~detail:"trunk:primary degrade loss=0.95" ~stream:"fault"
-                "degrade")
+                "degrade";
+              Trace.events r)
         in
         let e = List.hd retained in
-        let line = Eventlog.event_to_string e in
-        match Eventlog.event_of_string line with
+        let line = Trace.event_to_string e in
+        match Trace.event_of_string line with
         | Error msg -> Alcotest.failf "parse failed: %s (%s)" msg line
         | Ok e' ->
             check Alcotest.string "line is a fixpoint" line
-              (Eventlog.event_to_string e');
-            check Alcotest.int "corr preserved" e.Eventlog.corr
-              e'.Eventlog.corr;
-            check Alcotest.string "detail preserved" e.Eventlog.detail
-              e'.Eventlog.detail);
+              (Trace.event_to_string e');
+            check Alcotest.int "corr preserved" e.Trace.corr
+              e'.Trace.corr;
+            check Alcotest.string "detail preserved" e.Trace.detail
+              e'.Trace.detail);
   ]
 
 (* ---- the corr-id join with the packet tracer ---- *)
@@ -150,18 +146,14 @@ let join_tests =
     tc "event and hop share one trace_key through the Chrome export"
       (fun () ->
         let key = Trace.key_of_packet test_pkt in
-        let (), traces =
-          Trace.with_collector (fun _ ->
+        let out =
+          Trace.with_recorder (fun r ->
               Trace.emit ~ts_ns:10 ~component:"host0" ~layer:Trace.Host
-                ~stage:"tx" ~cycles:0 test_pkt)
+                ~stage:"tx" ~cycles:0 test_pkt;
+              Trace.event ~level:Trace.Debug ~ts_ns:20 ~corr:key
+                ~detail:"dpid:2 port=0" ~stream:"controller" "packet-in";
+              Chrome_trace.to_string r)
         in
-        let hops = List.concat_map (fun tr -> tr.Trace.hops) traces in
-        let (), events =
-          Eventlog.with_recorder (fun _ ->
-              Eventlog.emit ~level:Eventlog.Debug ~ts_ns:20 ~corr:key
-                ~detail:"dpid:2 port=0" ~stream:"controller" "packet-in")
-        in
-        let out = Chrome_trace.to_string ~events hops in
         let needle = Printf.sprintf "\"%08x\"" key in
         check Alcotest.int
           "trace_key appears in both the hop and the instant event" 2
@@ -176,22 +168,22 @@ let join_tests =
 let postmortem_tests =
   [
     tc "uneventful recording captures nothing" (fun () ->
-        let snap, _ =
-          Eventlog.with_recorder (fun r ->
-              Eventlog.emit ~ts_ns:1 ~stream:"channel" "connect";
+        let snap =
+          Trace.with_recorder (fun r ->
+              Trace.event ~ts_ns:1 ~stream:"channel" "connect";
               Postmortem.capture ~scenario:"quiet" ~seed:1 ~captured_ns:10 r)
         in
         check Alcotest.bool "no trigger, no snapshot" true (snap = None));
     tc "capture windows events around the first trigger" (fun () ->
-        let snap, _ =
-          Eventlog.with_recorder (fun r ->
-              Eventlog.emit ~ts_ns:1_000_000 ~stream:"channel" "connect";
-              Eventlog.emit ~ts_ns:20_000_000 ~stream:"channel" "drop";
-              Eventlog.emit ~level:Eventlog.Warn ~ts_ns:30_000_000
-                ~corr:(Eventlog.corr_of_string "trunk:primary")
+        let snap =
+          Trace.with_recorder (fun r ->
+              Trace.event ~ts_ns:1_000_000 ~stream:"channel" "connect";
+              Trace.event ~ts_ns:20_000_000 ~stream:"channel" "drop";
+              Trace.event ~level:Trace.Warn ~ts_ns:30_000_000
+                ~corr:(Trace.corr_of_string "trunk:primary")
                 ~detail:"trunk:primary down" ~stream:"fault" "down";
-              Eventlog.emit ~level:Eventlog.Error ~ts_ns:31_000_000
-                ~corr:(Eventlog.corr_of_string "slo") ~detail:"slo value=0"
+              Trace.event ~level:Trace.Error ~ts_ns:31_000_000
+                ~corr:(Trace.corr_of_string "slo") ~detail:"slo value=0"
                 ~stream:"alert" "firing";
               Postmortem.capture ~scenario:"windowed" ~seed:7
                 ~captured_ns:40_000_000 r)
@@ -209,7 +201,7 @@ let postmortem_tests =
             (match tl.Postmortem.root_cause with
             | Some e ->
                 check Alcotest.string "root cause is the fault" "fault"
-                  e.Eventlog.stream
+                  e.Trace.stream
             | None -> Alcotest.fail "expected a root cause");
             (* serialization round-trip is a fixpoint *)
             let text = Postmortem.to_string s in
@@ -239,11 +231,11 @@ let golden_tests =
                 | None -> Alcotest.fail "expected a root cause"
                 | Some e ->
                     check Alcotest.string "fault stream" "fault"
-                      e.Eventlog.stream;
+                      e.Trace.stream;
                     check Alcotest.string "degrade action" "degrade"
-                      e.Eventlog.name;
+                      e.Trace.name;
                     check_contains "the injected target"
-                      ~needle:"trunk:sw0" e.Eventlog.detail);
+                      ~needle:"trunk:sw0" e.Trace.detail);
                 let report = Postmortem.render s in
                 check_contains "causal chain reaches the rollback"
                   ~needle:"migration.rollback sw0" report;

@@ -46,7 +46,7 @@ let zero_alloc_tests =
           (words () - before));
     tc "guarded no-op Trace.emit allocates exactly zero minor words"
       (fun () ->
-        check Alcotest.bool "no sink" false (Trace.enabled ());
+        check Alcotest.bool "no recorder" false (Trace.enabled ());
         let emit_guarded () =
           if Trace.enabled () then
             Trace.emit ~ts_ns:0 ~component:"memtel" ~layer:Trace.Host
@@ -281,8 +281,8 @@ let hop ~seq ~ts ~words ~component ~layer ~stage : Trace.hop =
     layer;
     stage;
     port = None;
-    trace_key = 3405;
-    packet = "icmp";
+    trace_key = lazy 3405;
+    packet = lazy "icmp";
     bytes = 64;
     cycles = 0;
     words;

@@ -29,8 +29,8 @@ let hop ~seq ~ts ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") ()
     layer;
     stage;
     port;
-    trace_key = 48879;
-    packet = "icmp h0->h1";
+    trace_key = lazy 48879;
+    packet = lazy "icmp h0->h1";
     bytes = 64;
     cycles;
     words = 0;
@@ -206,7 +206,8 @@ let golden_tests =
              walk));
     tc "trace --format chrome (Chrome_trace.to_string with spans)" (fun () ->
         check Alcotest.string "chrome golden" chrome_golden
-          (Chrome_trace.to_string ~spans:(Span.of_trace walk) walk_hops));
+          (Chrome_trace.to_string ~spans:(Span.of_trace walk)
+             (Trace.of_hops walk_hops)));
     tc "trace --format collapsed (Span.to_collapsed)" (fun () ->
         check Alcotest.string "collapsed golden" collapsed_golden
           (Span.to_collapsed (Span.of_trace walk));

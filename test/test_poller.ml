@@ -279,13 +279,13 @@ let dashboard_tests =
           (Telemetry.Alert.evaluations (Harmless.Dashboard.alerts d) > 0));
   ]
 
-(* ---- the no-sink fast path must stay allocation-free ---- *)
+(* ---- the no-recorder fast path must stay allocation-free ---- *)
 
 let trace_alloc_tests =
   [
-    tc "guarded Trace.emit allocates nothing when no sink is installed"
+    tc "guarded Trace.emit allocates nothing when no recorder is installed"
       (fun () ->
-        check Alcotest.bool "no sink" false (Telemetry.Trace.enabled ());
+        check Alcotest.bool "no recorder" false (Telemetry.Trace.enabled ());
         let pkt =
           Netpkt.Packet.udp
             ~dst:(Netpkt.Mac_addr.make_local 2)

@@ -189,8 +189,8 @@ let golden_tests =
             layer = Trace.Switch;
             stage;
             port;
-            trace_key = 0xabc;
-            packet = "pkt";
+            trace_key = lazy 0xabc;
+            packet = lazy "pkt";
             bytes = 64;
             cycles;
             words = 0;
@@ -211,10 +211,11 @@ let golden_tests =
           \ {\"name\":\"switch.pipeline\",\"cat\":\"switch\",\"ph\":\"X\",\"ts\":1.5,\"dur\":1,\"pid\":1,\"tid\":1,\"args\":{\"packet\":\"pkt\",\"trace_key\":\"00000abc\",\"bytes\":64,\"cycles\":2400,\"detail\":\"emc hit\"}}\n\
            ]"
         in
-        check Alcotest.string "chrome" expected (Chrome_trace.to_string hops));
+        check Alcotest.string "chrome" expected
+          (Chrome_trace.to_string (Trace.of_hops hops)));
   ]
 
-(* ---- trace: keys, sink, collector assembly ---- *)
+(* ---- trace: keys, the recorder, per-packet assembly ---- *)
 
 let pkt ~seq =
   Packet.icmp_echo
@@ -239,17 +240,17 @@ let trace_tests =
         if Trace.key_of_packet (pkt ~seq:2) = k then
           Alcotest.fail "distinct packets should get distinct keys");
     tc "emit without a sink is a no-op" (fun () ->
-        Trace.set_sink None;
         check Alcotest.bool "disabled" false (Trace.enabled ());
         Trace.emit ~ts_ns:0 ~component:"x" ~layer:Trace.Host ~stage:"tx"
           (pkt ~seq:1));
     tc "collector groups per packet, ordered by (ts, seq)" (fun () ->
         let p1 = pkt ~seq:1 and p2 = pkt ~seq:2 in
-        let (), traces =
-          Trace.with_collector (fun _ ->
+        let traces =
+          Trace.with_recorder (fun r ->
               Trace.emit ~ts_ns:300 ~component:"c" ~layer:Trace.Host ~stage:"late" p1;
               Trace.emit ~ts_ns:100 ~component:"a" ~layer:Trace.Host ~stage:"first" p2;
-              Trace.emit ~ts_ns:200 ~component:"b" ~layer:Trace.Host ~stage:"mid" p1)
+              Trace.emit ~ts_ns:200 ~component:"b" ~layer:Trace.Host ~stage:"mid" p1;
+              Trace.traces r)
         in
         check Alcotest.int "two traces" 2 (List.length traces);
         let t1 = List.nth traces 0 and t2 = List.nth traces 1 in
@@ -259,55 +260,79 @@ let trace_tests =
           Alcotest.(list string)
           "p1 hops sorted" [ "mid"; "late" ]
           (List.map (fun h -> h.Trace.stage) t2.Trace.hops));
-    tc "with_collector restores the previous sink" (fun () ->
-        let outer = ref 0 in
-        Trace.set_sink (Some (fun _ -> incr outer));
-        let (), _ =
-          Trace.with_collector (fun _ ->
-              Trace.emit ~ts_ns:1 ~component:"x" ~layer:Trace.Host ~stage:"tx"
-                (pkt ~seq:1))
-        in
-        check Alcotest.int "outer sink not fed" 0 !outer;
-        Trace.emit ~ts_ns:2 ~component:"x" ~layer:Trace.Host ~stage:"tx" (pkt ~seq:1);
-        check Alcotest.int "outer sink restored" 1 !outer;
-        Trace.set_sink None);
+    tc "with_recorder restores the previous recorder" (fun () ->
+        let outer = Trace.create () in
+        Trace.install outer;
+        Fun.protect
+          ~finally:(fun () -> Trace.uninstall outer)
+          (fun () ->
+            Trace.with_recorder (fun _ ->
+                Trace.emit ~ts_ns:1 ~component:"x" ~layer:Trace.Host ~stage:"tx"
+                  (pkt ~seq:1));
+            check Alcotest.int "outer recorder not fed" 0
+              (List.length (Trace.hops outer));
+            Trace.emit ~ts_ns:2 ~component:"x" ~layer:Trace.Host ~stage:"tx"
+              (pkt ~seq:1);
+            check Alcotest.int "outer recorder restored" 1
+              (List.length (Trace.hops outer))));
+    tc "hops and events share one sequence; since reads from a mark"
+      (fun () ->
+        Trace.with_recorder (fun r ->
+            Trace.emit ~ts_ns:1 ~component:"x" ~layer:Trace.Host ~stage:"tx"
+              (pkt ~seq:1);
+            Trace.event ~ts_ns:2 ~stream:"s" "between";
+            let m = Trace.mark r in
+            Trace.emit ~ts_ns:3 ~component:"x" ~layer:Trace.Host ~stage:"rx"
+              (pkt ~seq:1);
+            check Alcotest.(list int) "hop seqs" [ 1; 3 ]
+              (List.map (fun (h : Trace.hop) -> h.Trace.seq) (Trace.hops r));
+            check Alcotest.(list int) "event seq" [ 2 ]
+              (List.map (fun (e : Trace.event) -> e.Trace.seq) (Trace.events r));
+            check Alcotest.(list string) "since the mark" [ "rx" ]
+              (List.map (fun (h : Trace.hop) -> h.Trace.stage)
+                 (Trace.hops ~since:m r))));
   ]
 
 (* ---- integration: the Fig. 1 walk, observed ---- *)
 
+(* A fresh HARMLESS deployment, warmed up, then one ping h0 -> h1 run
+   under a fresh recorder; returns the deployment and that recorder. *)
+let traced_ping () =
+  let engine = Simnet.Engine.create () in
+  let deployment =
+    match Harmless.Deployment.build_harmless engine ~num_hosts:4 () with
+    | Ok d -> d
+    | Error m -> failwith m
+  in
+  let ctrl = Sdnctl.Controller.create engine () in
+  Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
+  ignore
+    (Sdnctl.Controller.attach_switch ctrl
+       (Harmless.Deployment.controller_switch deployment));
+  let run_to ms =
+    Simnet.Engine.run engine ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms ms))
+  in
+  let ping seq =
+    Simnet.Host.ping
+      (Harmless.Deployment.host deployment 0)
+      ~dst_mac:(Harmless.Deployment.host_mac 1)
+      ~dst_ip:(Harmless.Deployment.host_ip 1)
+      ~seq
+  in
+  run_to 5;
+  (* Two warm-up pings: the first floods and teaches the controller h0,
+     the second installs the h0 -> h1 flow. *)
+  ping 1;
+  run_to 50;
+  ping 2;
+  run_to 100;
+  (deployment, Trace.with_recorder (fun r -> ping 3; run_to 150; r))
+
 let integration_tests =
   [
     tc "ping hop sequence through HARMLESS" (fun () ->
-        let engine = Simnet.Engine.create () in
-        let deployment =
-          match Harmless.Deployment.build_harmless engine ~num_hosts:4 () with
-          | Ok d -> d
-          | Error m -> failwith m
-        in
-        let ctrl = Sdnctl.Controller.create engine () in
-        Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
-        ignore
-          (Sdnctl.Controller.attach_switch ctrl
-             (Harmless.Deployment.controller_switch deployment));
-        let run_to ms =
-          Simnet.Engine.run engine
-            ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms ms))
-        in
-        let ping seq =
-          Simnet.Host.ping
-            (Harmless.Deployment.host deployment 0)
-            ~dst_mac:(Harmless.Deployment.host_mac 1)
-            ~dst_ip:(Harmless.Deployment.host_ip 1)
-            ~seq
-        in
-        run_to 5;
-        (* Two warm-up pings: the first floods and teaches the
-           controller h0, the second installs the h0 -> h1 flow. *)
-        ping 1;
-        run_to 50;
-        ping 2;
-        run_to 100;
-        let (), traces = Trace.with_collector (fun _ -> ping 3; run_to 150) in
+        let deployment, recorder = traced_ping () in
+        let traces = Trace.traces recorder in
         let view = Harmless.Trace_view.of_deployment deployment in
         check Alcotest.int "request and reply" 2 (List.length traces);
         let request = List.nth traces 0 and reply = List.nth traces 1 in
@@ -326,6 +351,22 @@ let integration_tests =
           Alcotest.(list string)
           "echo reply path" expected
           (Harmless.Trace_view.semantic_path view reply));
+    tc "sequences are per recorder: same ping, same hops, seq included"
+      (fun () ->
+        (* Everything but [words], which reads the process-wide
+           allocation counter. *)
+        let hops () =
+          List.map
+            (fun (h : Trace.hop) ->
+              ( (h.Trace.seq, h.Trace.ts_ns, h.Trace.component, h.Trace.stage),
+                (h.Trace.port, Lazy.force h.Trace.trace_key, Lazy.force h.Trace.packet),
+                (h.Trace.bytes, h.Trace.cycles, h.Trace.detail) ))
+            (Trace.hops (snd (traced_ping ())))
+        in
+        let first = hops () in
+        check Alcotest.bool "hops recorded" true (first <> []);
+        check Alcotest.bool "second recorder numbers from 1 again" true
+          (first = hops ()));
     tc "publish_metrics surfaces component tallies" (fun () ->
         let engine = Simnet.Engine.create () in
         let deployment =
