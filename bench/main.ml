@@ -2,6 +2,12 @@
    experiment tables (see DESIGN.md section 4 and EXPERIMENTS.md):
 
    - lookup/*       -> E5 (dataplane scaling), real time per classification
+                       on warmed caches.  lookup/ovs-N cycles 1024
+                       microflows, so it measures an EMC-resident steady
+                       state (99% EMC hits), not thrash.  lookup/ovs-churn-1000
+                       cycles 32,768, more than 4x the EMC, so ~98% of runs
+                       miss the EMC, hit the megaflow cache and evict an EMC
+                       slot: the micro companion of e2e zipf-imix-ovs
    - translator/*   -> the SS_1 split ablation (DESIGN section 5)
    - pmd/batch-*    -> PMD batching ablation
    - e2e/*          -> E2/E3 companions: a full ping through HARMLESS
@@ -19,20 +25,33 @@ let ip = Netpkt.Ipv4_addr.of_string
 (* ---- lookup/* : one classification per run ---- *)
 
 let lookup_tests =
-  let mk_bench name dataplane_of rules =
-    let pipeline = Experiments_lib.E5_dataplane.build_pipeline rules in
-    let dp : Softswitch.Dataplane.t = dataplane_of pipeline in
-    let packets =
-      Experiments_lib.E5_dataplane.workload ~rng:(Simnet.Rng.create 5)
-        ~num_rules:rules ~skew:0.0 ~count:1024
+  let module E5 = Experiments_lib.E5_dataplane in
+  (* One pass over the packet ring warms the caches before measuring. *)
+  let bench name (dp : Softswitch.Dataplane.t) packets =
+    let process pkt =
+      ignore (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 pkt)
     in
+    Array.iter process packets;
     let i = ref 0 in
-    Test.make
-      ~name:(Printf.sprintf "%s-%d" name rules)
+    Test.make ~name
       (Staged.stage (fun () ->
-           let pkt = packets.(!i land 1023) in
-           incr i;
-           ignore (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 pkt)))
+           process packets.(!i mod Array.length packets);
+           incr i))
+  in
+  let mk_bench name dataplane_of rules =
+    bench
+      (Printf.sprintf "%s-%d" name rules)
+      (dataplane_of (E5.build_pipeline rules))
+      (E5.workload ~rng:(Simnet.Rng.create 5) ~num_rules:rules ~skew:0.0 ~count:1024)
+  in
+  (* 32,768 microflows: a distinct source port each, spread over the
+     1000 rules' destinations *)
+  let churn_packets =
+    Array.init 32_768 (fun i ->
+        let rule = i mod 1000 in
+        Netpkt.Packet.udp ~dst:(mac 999) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+          ~ip_dst:(Netpkt.Ipv4_addr.of_octets 10 1 (rule / 256) (rule mod 256))
+          ~src_port:(1024 + i) ~dst_port:80 "0123456789")
   in
   Test.make_grouped ~name:"lookup"
     (List.concat_map
@@ -42,7 +61,12 @@ let lookup_tests =
            mk_bench "ovs" (fun p -> Softswitch.Ovs_like.create p) rules;
            mk_bench "eswitch" Softswitch.Eswitch.create rules;
          ])
-       [ 100; 1000 ])
+       [ 100; 1000 ]
+    @ [
+        bench "ovs-churn-1000"
+          (Softswitch.Ovs_like.create (E5.build_pipeline 1000))
+          churn_packets;
+      ])
 
 (* ---- translator/* : SS_1 in both directions ---- *)
 

@@ -105,9 +105,33 @@ let replay pipeline cached ~now_ns ~in_port pkt =
   let lookup table_id ~in_port:_ _fields = List.assoc_opt table_id cached.by_table in
   Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt
 
+(* Megaflow keys hashed over every field: [Hashtbl.hash] stops after 10
+   meaningful values, which leaves [ip_dst] (behind unmasked [None]s) and
+   the L4 ports out of the hash and chains every E5 megaflow together.
+   The projected key holds 12 values plus a block per [Some]. *)
+module Megaflow = Hashtbl.Make (struct
+  type t = int * Packet.Fields.t
+
+  let equal = ( = )
+  let hash key = Hashtbl.hash_param 32 64 key
+end)
+
+(* One EMC slot: the full microflow key and its classification. *)
+type emc_entry = { e_in_port : int; e_fields : Packet.Fields.t; e_cached : cached }
+
+(* The two candidate slots of a microflow come from disjoint 30-bit
+   segments of its flow hash, and bit 60 picks the victim when both are
+   taken: OVS's hash-slot replacement with [EM_FLOW_HASH_SEGS = 2]. *)
+let emc_slot capacity h seg = ((h lsr (30 * seg)) land 0x3FFFFFFF) mod capacity
+
 let create ?(config = default_config) pipeline =
-  let emc : (int * Packet.Fields.t, cached) Hashtbl.t = Hashtbl.create 1024 in
-  let megaflow : (int * Packet.Fields.t, cached) Hashtbl.t = Hashtbl.create 1024 in
+  if config.megaflow_capacity < 1 then
+    invalid_arg "Ovs_like.create: megaflow_capacity must be at least 1";
+  if config.emc_enabled && config.emc_capacity < 1 then
+    invalid_arg "Ovs_like.create: emc_capacity must be at least 1";
+  let emc_capacity = if config.emc_enabled then config.emc_capacity else 0 in
+  let emc : emc_entry option array = Array.make emc_capacity None in
+  let megaflow : cached Megaflow.t = Megaflow.create 1024 in
   let mask = ref (mask_of_pipeline pipeline) in
   let seen_version = ref (Pipeline.version pipeline) in
   let emc_hits = ref 0 and megaflow_hits = ref 0 and upcalls = ref 0 in
@@ -117,23 +141,43 @@ let create ?(config = default_config) pipeline =
     let v = Pipeline.version pipeline in
     if v <> !seen_version then begin
       seen_version := v;
-      Hashtbl.reset emc;
-      Hashtbl.reset megaflow;
+      Array.fill emc 0 emc_capacity None;
+      Megaflow.reset megaflow;
       mask := mask_of_pipeline pipeline;
       incr invalidations
     end
   in
-  let cache_insert table key cached capacity =
-    if Hashtbl.length table >= capacity then
-      (* Random-ish eviction: drop an arbitrary entry (OVS's EMC uses
-         hash-slot replacement; arbitrariness is the behaviour that
-         matters). *)
-      (match Hashtbl.fold (fun k _ _ -> Some k) table None with
-      | Some victim -> Hashtbl.remove table victim
-      | None -> ());
-    Hashtbl.replace table key cached
+  let emc_matches ~in_port fields = function
+    | Some e -> e.e_in_port = in_port && e.e_fields = fields
+    | None -> false
   in
-  let slow_path ~now_ns ~in_port pkt fields =
+  let emc_find ~hash ~in_port fields =
+    let a = emc.(emc_slot emc_capacity hash 0) in
+    if emc_matches ~in_port fields a then a
+    else
+      let b = emc.(emc_slot emc_capacity hash 1) in
+      if emc_matches ~in_port fields b then b else None
+  in
+  (* Inserts only follow an [emc_find] miss, so the key holds neither
+     slot: take an empty one, else evict by hash bit. *)
+  let emc_insert ~hash ~in_port fields cached =
+    let a = emc_slot emc_capacity hash 0 and b = emc_slot emc_capacity hash 1 in
+    let slot =
+      if Option.is_none emc.(a) then a
+      else if Option.is_none emc.(b) then b
+      else if (hash lsr 60) land 1 = 0 then a
+      else b
+    in
+    emc.(slot) <- Some { e_in_port = in_port; e_fields = fields; e_cached = cached }
+  in
+  (* Flushing a full megaflow table is O(1) amortised over the inserts
+     that filled it; no workload at the default size reaches it. *)
+  let megaflow_insert key cached =
+    if Megaflow.length megaflow >= config.megaflow_capacity then
+      Megaflow.reset megaflow;
+    Megaflow.replace megaflow key cached
+  in
+  let slow_path ~now_ns ~hash ~in_port pkt fields =
     incr upcalls;
     let scanned = ref 0 in
     let tables_visited = ref 0 in
@@ -158,10 +202,8 @@ let create ?(config = default_config) pipeline =
        the controller and must keep doing so. *)
     if not result.Pipeline.table_miss then begin
       let cached = { by_table = List.rev !matched_tables } in
-      if config.emc_enabled then
-        cache_insert emc (in_port, fields) cached config.emc_capacity;
-      let mkey = project !mask ~in_port fields in
-      cache_insert megaflow mkey cached config.megaflow_capacity
+      if config.emc_enabled then emc_insert ~hash ~in_port fields cached;
+      megaflow_insert (project !mask ~in_port fields) cached
     end;
     (result, cycles)
   in
@@ -175,12 +217,10 @@ let create ?(config = default_config) pipeline =
     incr packets;
     let fields = Packet.Fields.of_packet pkt in
     let base = Dataplane.Cost.parse in
-    let emc_key = (in_port, fields) in
-    let from_emc =
-      if config.emc_enabled then Hashtbl.find_opt emc emc_key else None
-    in
+    let hash = if config.emc_enabled then Packet.flow_hash ~seed:in_port pkt else 0 in
+    let from_emc = if config.emc_enabled then emc_find ~hash ~in_port fields else None in
     match from_emc with
-    | Some cached ->
+    | Some { e_cached = cached; _ } ->
         incr emc_hits;
         last_tier := "emc";
         let result = replay pipeline cached ~now_ns ~in_port pkt in
@@ -191,12 +231,11 @@ let create ?(config = default_config) pipeline =
     | None -> (
         let emc_miss_cost = if config.emc_enabled then Dataplane.Cost.emc_probe else 0 in
         let mkey = project !mask ~in_port fields in
-        match Hashtbl.find_opt megaflow mkey with
+        match Megaflow.find_opt megaflow mkey with
         | Some cached ->
             incr megaflow_hits;
             last_tier := "megaflow";
-            if config.emc_enabled then
-              cache_insert emc emc_key cached config.emc_capacity;
+            if config.emc_enabled then emc_insert ~hash ~in_port fields cached;
             let result = replay pipeline cached ~now_ns ~in_port pkt in
             finish
               ( result,
@@ -204,7 +243,7 @@ let create ?(config = default_config) pipeline =
                 + Dataplane.cycles_of_result result )
         | None ->
             last_tier := "upcall";
-            let result, slow_cycles = slow_path ~now_ns ~in_port pkt fields in
+            let result, slow_cycles = slow_path ~now_ns ~hash ~in_port pkt fields in
             finish
               ( result,
                 base + emc_miss_cost + Dataplane.Cost.megaflow_probe + slow_cycles

@@ -179,6 +179,91 @@ let cache_tests =
         ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt);
         let stats = dp.Dataplane.stats () in
         check Alcotest.int "both upcalled" 2 (List.assoc "upcalls" stats));
+    tc "capacities below one are rejected" (fun () ->
+        let p = Pipeline.create ~num_tables:1 () in
+        let rejects config =
+          match Ovs_like.create ~config p with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        let d = Ovs_like.default_config in
+        check Alcotest.bool "megaflow 0" true
+          (rejects { d with Ovs_like.megaflow_capacity = 0 });
+        check Alcotest.bool "emc 0" true (rejects { d with Ovs_like.emc_capacity = 0 });
+        check Alcotest.bool "emc -1" true (rejects { d with Ovs_like.emc_capacity = -1 });
+        check Alcotest.bool "emc 0 but disabled" false
+          (rejects { d with Ovs_like.emc_enabled = false; emc_capacity = 0 }));
+    tc "new microflows allocate O(1) words against 1000 rules" (fun () ->
+        let dp = Ovs_like.create (Experiments_lib.E5_dataplane.build_pipeline 1000) in
+        (* distinct source ports make every packet a new microflow; the
+           1000 destinations hit every /32 rule *)
+        let pkt i =
+          let rule = i mod 1000 in
+          Packet.udp ~dst:(mac 999) ~src:(mac 1)
+            ~ip_src:(Ipv4_addr.of_octets 10 0 (i / 50000) 1)
+            ~ip_dst:(Ipv4_addr.of_octets 10 1 (rule / 256) (rule mod 256))
+            ~src_port:(1024 + (i mod 50000)) ~dst_port:80 "0123456789"
+        in
+        for i = 0 to 19_999 do
+          ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 (pkt i))
+        done;
+        let fresh = Array.init 1000 (fun i -> pkt (20_000 + i)) in
+        let before = Gc.minor_words () in
+        Array.iter (fun p -> ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 p)) fresh;
+        let per_packet = (Gc.minor_words () -. before) /. 1000. in
+        if per_packet > 1000. then
+          Alcotest.failf "%.0f minor words per new microflow (bound 1000)" per_packet;
+        check Alcotest.int "no emc hits on new microflows" 0
+          (List.assoc "emc_hits" (dp.Dataplane.stats ())));
+    tc "microflows differing only in l4_src hit the emc on repeat" (fun () ->
+        let p = Pipeline.create ~num_tables:1 () in
+        populate p;
+        let dp = Ovs_like.create p in
+        let pass () =
+          for sport = 1 to 512 do
+            ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 (udp_pkt ~sport ()))
+          done
+        in
+        pass ();
+        let first = List.assoc "emc_hits" (dp.Dataplane.stats ()) in
+        pass ();
+        let hits = List.assoc "emc_hits" (dp.Dataplane.stats ()) - first in
+        if hits * 100 < 95 * 512 then
+          Alcotest.failf "%d of 512 repeats hit the emc (want >= 95%%)" hits);
+    tc "tiny caches agree with linear and account for every packet" (fun () ->
+        let mk () =
+          let p = Pipeline.create ~num_tables:1 () in
+          populate p;
+          p
+        in
+        let reference = Linear.create (mk ()) in
+        let tiny = Option.get (Backends.find "ovs-tiny-cache") (mk ()) in
+        let rng = Rng.create 2000 in
+        (* a hot set small enough to revisit the caches, plus cold flows
+           that force evictions and flushes *)
+        for idx = 0 to 1999 do
+          let pkt =
+            if Rng.int rng 4 = 0 then
+              udp_pkt ~dst:(mac (100 + Rng.int rng 40)) ~sport:(Rng.int rng 60000) ()
+            else if Rng.int rng 3 = 0 then
+              udp_pkt ~ip_dst:(ip (Printf.sprintf "10.9.%d.1" (Rng.int rng 8))) ()
+            else udp_pkt ~dst:(mac (100 + Rng.int rng 6)) ~sport:(Rng.int rng 3) ()
+          in
+          let in_port = Rng.int rng 3 in
+          let out (dp : Dataplane.t) =
+            outputs_of (fst (dp.Dataplane.process ~now_ns:0 ~in_port pkt))
+          in
+          if out reference <> out tiny then
+            Alcotest.failf "packet %d: tiny cache disagrees" idx
+        done;
+        let stats = tiny.Dataplane.stats () in
+        let stat k = List.assoc k stats in
+        check Alcotest.int "every packet is an emc hit, a megaflow hit or an upcall"
+          (stat "packets")
+          (stat "emc_hits" + stat "megaflow_hits" + stat "upcalls");
+        List.iter
+          (fun k -> check Alcotest.bool (k ^ " exercised") true (stat k > 0))
+          [ "emc_hits"; "megaflow_hits"; "upcalls" ]);
   ]
 
 (* ---- PMD ---- *)
