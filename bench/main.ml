@@ -7,7 +7,10 @@
                        state (99% EMC hits), not thrash.  lookup/ovs-churn-1000
                        cycles 32,768, more than 4x the EMC, so ~98% of runs
                        miss the EMC, hit the megaflow cache and evict an EMC
-                       slot: the micro companion of e2e zipf-imix-ovs
+                       slot: the micro companion of e2e zipf-imix-ovs.
+                       lookup/eswitch-l4-1000 keys 1000 rules on l4_dst
+                       alone, so it prices how well ESwitch hashes the
+                       last key components
    - translator/*   -> the SS_1 split ablation (DESIGN section 5)
    - pmd/batch-*    -> PMD batching ablation
    - e2e/*          -> E2/E3 companions: a full ping through HARMLESS
@@ -53,6 +56,25 @@ let lookup_tests =
           ~ip_dst:(Netpkt.Ipv4_addr.of_octets 10 1 (rule / 256) (rule mod 256))
           ~src_port:(1024 + i) ~dst_port:80 "0123456789")
   in
+  (* 1000 rules keyed on eth_type+ip_proto+l4_dst, packets cycling the
+     1000 ports: an exact template whose distinguishing field sits past
+     the tenth component of the key *)
+  let l4_eswitch =
+    let p = Openflow.Pipeline.create ~num_tables:1 () in
+    for i = 0 to 999 do
+      Openflow.Flow_table.add (Openflow.Pipeline.table p 0) ~now_ns:0
+        (Openflow.Flow_entry.make ~priority:1000
+           ~match_:
+             Openflow.Of_match.(any |> eth_type 0x0800 |> ip_proto 17 |> l4_dst (1000 + i))
+           [ Openflow.Flow_entry.Apply_actions [ Openflow.Of_action.output (i mod 8) ] ])
+    done;
+    Softswitch.Eswitch.create p
+  in
+  let l4_packets =
+    Array.init 1000 (fun i ->
+        Netpkt.Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+          ~ip_dst:(ip "10.0.0.2") ~src_port:5000 ~dst_port:(1000 + i) "0123456789")
+  in
   Test.make_grouped ~name:"lookup"
     (List.concat_map
        (fun rules ->
@@ -66,6 +88,7 @@ let lookup_tests =
         bench "ovs-churn-1000"
           (Softswitch.Ovs_like.create (E5.build_pipeline 1000))
           churn_packets;
+        bench "eswitch-l4-1000" l4_eswitch l4_packets;
       ])
 
 (* ---- translator/* : SS_1 in both directions ---- *)

@@ -42,12 +42,12 @@ let of_int64 n =
   done;
   Bytes.unsafe_to_string b
 
-let to_int64 t =
-  let acc = ref 0L in
-  for i = 0 to 5 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code t.[i]))
-  done;
-  !acc
+let to_int t =
+  (String.get_uint16_be t 0 lsl 32)
+  lor (String.get_uint16_be t 2 lsl 16)
+  lor String.get_uint16_be t 4
+
+let to_int64 t = Int64.of_int (to_int t)
 
 (* 0x02 first octet: locally administered, unicast. *)
 let make_local i =

@@ -36,6 +36,10 @@ val of_int64 : int64 -> t
 val to_int64 : t -> int64
 (** Inverse of {!of_int64}. *)
 
+val to_int : t -> int
+(** The address as a non-negative 48-bit int, big-endian; allocates
+    nothing. *)
+
 val make_local : int -> t
 (** [make_local i] is a deterministic locally-administered unicast address
     derived from [i]; distinct [i] in [0, 2^32) give distinct addresses. *)

@@ -44,15 +44,20 @@ let flow_hash (f : Packet.Fields.t) =
                 f.Packet.Fields.ip_proto, f.Packet.Fields.l4_src,
                 f.Packet.Fields.l4_dst)
 
-(* The deferred "action set": at most one action per kind, outputs last.
-   We keep the rewrite actions in arrival order (replacing same-kind
-   duplicates) and a single optional output/group. *)
-type action_set = {
+(* One pipeline execution's state.  [rewrites]/[final] are the deferred
+   "action set": at most one action per kind, outputs last.  A new
+   rewrite replaces any of its kind; the output/group is kept apart. *)
+type exec = {
+  pipe : t;
+  lookup : int -> in_port:int -> Packet.Fields.t -> Flow_entry.t option;
+  now_ns : int;
+  in_port : int;
+  mutable outputs : output list; (* reverse order *)
+  mutable matched : Flow_entry.t list; (* reverse order *)
+  mutable miss : bool;
   mutable rewrites : Of_action.t list; (* reverse order *)
-  mutable final : Of_action.t option;  (* Output or Group *)
+  mutable final : Of_action.t option; (* Output or Group *)
 }
-
-let empty_set () = { rewrites = []; final = None }
 
 let same_kind a b =
   match (a, b) with
@@ -69,103 +74,121 @@ let same_kind a b =
   | Of_action.Pop_vlan, Of_action.Pop_vlan -> true
   | _ -> false
 
-let write_action set action =
+let rec write_actions ex = function
+  | [] -> ()
+  | action :: rest ->
+      (match action with
+      | Of_action.Output _ | Of_action.Group _ -> ex.final <- Some action
+      | Of_action.Drop ->
+          ex.rewrites <- [];
+          ex.final <- None
+      | _ ->
+          ex.rewrites <-
+            action :: List.filter (fun a -> not (same_kind a action)) ex.rewrites);
+      write_actions ex rest
+
+let emit ex out = ex.outputs <- out :: ex.outputs
+
+(* [entered] lists the groups being executed.  It guards against group
+   chaining loops (a bucket whose actions reference a group already being
+   executed, e.g. a group pointing at itself).  OpenFlow forbids such
+   chains; a switch fed one anyway must not diverge, so the cyclic
+   reference is a no-op. *)
+let rec run_action ex entered pkt action =
   match action with
-  | Of_action.Output _ | Of_action.Group _ -> set.final <- Some action
-  | Of_action.Drop ->
-      set.rewrites <- [];
-      set.final <- None
-  | _ ->
-      set.rewrites <- action :: List.filter (fun a -> not (same_kind a action)) set.rewrites
+  | Of_action.Output target ->
+      (match target with
+      | Of_action.Physical p -> emit ex (Port (p, pkt))
+      | Of_action.In_port -> emit ex (In_port pkt)
+      | Of_action.Flood -> emit ex (Flood pkt)
+      | Of_action.All -> emit ex (All_ports pkt)
+      | Of_action.Controller n -> emit ex (Controller (n, pkt)));
+      pkt
+  | Of_action.Group gid ->
+      (if not (List.mem gid entered) then
+         let hash = flow_hash (Packet.Fields.of_packet pkt) in
+         match
+           Group_table.select_buckets ex.pipe.group_table ~id:gid ~flow_hash:hash
+         with
+         | buckets -> run_buckets ex (gid :: entered) pkt buckets
+         | exception Not_found -> ());
+      pkt
+  | Of_action.Drop -> pkt
+  | _ -> Of_action.apply_rewrite action pkt
+
+and run_actions ex entered pkt = function
+  | [] -> pkt
+  | action :: rest -> run_actions ex entered (run_action ex entered pkt action) rest
+
+and run_buckets ex entered pkt = function
+  | [] -> ()
+  | b :: rest ->
+      ignore (run_actions ex entered pkt b.Group_table.actions);
+      run_buckets ex entered pkt rest
+
+(* Oldest rewrite first: the list is newest-first. *)
+let rec apply_rewrites pkt = function
+  | [] -> pkt
+  | action :: older -> Of_action.apply_rewrite action (apply_rewrites pkt older)
+
+let finish ex pkt =
+  let pkt = apply_rewrites pkt ex.rewrites in
+  match ex.final with
+  | None -> ()
+  | Some final -> ignore (run_action ex [] pkt final)
+
+let rec walk ex table_id pkt =
+  if table_id >= Array.length ex.pipe.tables then finish ex pkt
+  else
+    match ex.lookup table_id ~in_port:ex.in_port (Packet.Fields.of_packet pkt) with
+    | None ->
+        ex.miss <- true;
+        finish ex pkt
+    | Some entry ->
+        Flow_entry.touch entry ~now_ns:ex.now_ns ~bytes:(Packet.size pkt);
+        ex.matched <- entry :: ex.matched;
+        run_instructions ex table_id pkt (-1) entry.Flow_entry.instructions
+
+(* [goto] is the last [Goto_table] seen, [-1] for none.  A metered-out
+   packet stops here: no later instruction, table or action set runs. *)
+and run_instructions ex table_id pkt goto = function
+  | [] -> if goto > table_id then walk ex goto pkt else finish ex pkt
+  | instruction :: rest -> (
+      match instruction with
+      | Flow_entry.Apply_actions actions ->
+          run_instructions ex table_id (run_actions ex [] pkt actions) goto rest
+      | Flow_entry.Write_actions actions ->
+          write_actions ex actions;
+          run_instructions ex table_id pkt goto rest
+      | Flow_entry.Clear_actions ->
+          ex.rewrites <- [];
+          ex.final <- None;
+          run_instructions ex table_id pkt goto rest
+      | Flow_entry.Goto_table n -> run_instructions ex table_id pkt n rest
+      | Flow_entry.Meter id -> (
+          match
+            Meter_table.apply ex.pipe.meter_table ~id ~now_ns:ex.now_ns
+              ~bytes:(Packet.size pkt)
+          with
+          | `Pass -> run_instructions ex table_id pkt goto rest
+          | `Drop -> ()))
 
 let execute_with t ~lookup ~now_ns ~in_port pkt =
-  let outputs = ref [] in
-  let matched = ref [] in
-  let miss = ref false in
-  let emit out = outputs := out :: !outputs in
-  (* [entered] guards against group chaining loops (a bucket whose
-     actions reference a group already being executed, e.g. a group
-     pointing at itself).  OpenFlow forbids such chains; a switch fed one
-     anyway must not diverge, so the cyclic reference is a no-op. *)
-  let rec run_actions ?(entered = []) pkt actions =
-    match actions with
-    | [] -> pkt
-    | action :: rest -> (
-        match action with
-        | Of_action.Output target ->
-            (match target with
-            | Of_action.Physical p -> emit (Port (p, pkt))
-            | Of_action.In_port -> emit (In_port pkt)
-            | Of_action.Flood -> emit (Flood pkt)
-            | Of_action.All -> emit (All_ports pkt)
-            | Of_action.Controller n -> emit (Controller (n, pkt)));
-            run_actions ~entered pkt rest
-        | Of_action.Group gid ->
-            if not (List.mem gid entered) then begin
-              let hash = flow_hash (Packet.Fields.of_packet pkt) in
-              match Group_table.select_buckets t.group_table ~id:gid ~flow_hash:hash with
-              | buckets ->
-                  List.iter
-                    (fun b ->
-                      ignore
-                        (run_actions ~entered:(gid :: entered) pkt
-                           b.Group_table.actions))
-                    buckets
-              | exception Not_found -> ()
-            end;
-            run_actions ~entered pkt rest
-        | Of_action.Drop -> run_actions ~entered pkt rest
-        | _ -> run_actions ~entered (Of_action.apply_rewrite action pkt) rest)
+  let ex =
+    {
+      pipe = t;
+      lookup;
+      now_ns;
+      in_port;
+      outputs = [];
+      matched = [];
+      miss = false;
+      rewrites = [];
+      final = None;
+    }
   in
-  let rec walk table_id pkt set =
-    if table_id >= Array.length t.tables then finish pkt set
-    else begin
-      let fields = Packet.Fields.of_packet pkt in
-      match lookup table_id ~in_port fields with
-      | None ->
-          miss := true;
-          finish pkt set
-      | Some entry ->
-          Flow_entry.touch entry ~now_ns ~bytes:(Packet.size pkt);
-          matched := entry :: !matched;
-          let pkt = ref pkt in
-          let goto = ref None in
-          let metered_out = ref false in
-          List.iter
-            (fun instruction ->
-              if not !metered_out then
-                match instruction with
-                | Flow_entry.Apply_actions actions -> pkt := run_actions !pkt actions
-                | Flow_entry.Write_actions actions -> List.iter (write_action set) actions
-                | Flow_entry.Clear_actions ->
-                    set.rewrites <- [];
-                    set.final <- None
-                | Flow_entry.Goto_table n -> goto := Some n
-                | Flow_entry.Meter id -> (
-                    match
-                      Meter_table.apply t.meter_table ~id ~now_ns
-                        ~bytes:(Packet.size !pkt)
-                    with
-                    | `Pass -> ()
-                    | `Drop -> metered_out := true))
-            entry.Flow_entry.instructions;
-          if !metered_out then ()
-          else
-            match !goto with
-            | Some next when next > table_id -> walk next !pkt set
-            | Some _ | None -> finish !pkt set
-    end
-  and finish pkt set =
-    let pkt = List.fold_left
-        (fun p a -> Of_action.apply_rewrite a p)
-        pkt (List.rev set.rewrites)
-    in
-    match set.final with
-    | None -> ()
-    | Some final -> ignore (run_actions pkt [ final ])
-  in
-  walk 0 pkt (empty_set ());
-  { outputs = List.rev !outputs; table_miss = !miss; matched = List.rev !matched }
+  walk ex 0 pkt;
+  { outputs = List.rev ex.outputs; table_miss = ex.miss; matched = List.rev ex.matched }
 
 let execute t ~now_ns ~in_port pkt =
   let lookup table_id ~in_port fields =

@@ -53,7 +53,13 @@ val execute_with :
 (** Like {!execute}, but table lookups go through [lookup] (first argument
     is the table id).  This is how alternative dataplanes — caches,
     specialized matchers — reuse the instruction-execution semantics while
-    supplying their own classification. *)
+    supplying their own classification.
+
+    Beyond what [lookup] allocates, a call allocates only its result
+    (the outputs and matched lists included), the rewritten packets, the
+    {!Netpkt.Packet.Fields.t} each visited table is given and one state
+    record; [Group] actions add their loop guard and flow hash.  The
+    instruction walk builds no closures or refs. *)
 
 val total_entries : t -> int
 val version : t -> int

@@ -1,240 +1,317 @@
 open Netpkt
 open Openflow
 
-(* A template: the set of fields a group of entries all test exactly. *)
-type tsig = {
-  t_in_port : bool;
-  t_eth_dst : bool;
-  t_eth_src : bool;
-  t_eth_type : bool;
-  t_vlan_vid : bool;
-  t_vlan_pcp : bool;
-  t_ip_src : bool;
-  t_ip_dst : bool;
-  t_ip_proto : bool;
-  t_ip_tos : bool;
-  t_l4_src : bool;
-  t_l4_dst : bool;
+(* A template's signature: one bit per field its entries test exactly.
+   [residual] marks a match that needs the scan path. *)
+let b_in_port = 1
+let b_eth_dst = 2
+let b_eth_src = 4
+let b_eth_type = 8
+let b_vlan_vid = 16
+let b_vlan_pcp = 32
+let b_ip_src = 64
+let b_ip_dst = 128
+let b_ip_proto = 256
+let b_ip_tos = 512
+let b_l4_src = 1024
+let b_l4_dst = 2048
+let residual = -1
+
+(* Key components are plain ints: MACs as 48-bit ints, IPv4 addresses as
+   unsigned 32-bit ints, every other field as its value.  Real values are
+   never negative (rules testing a negative value go to the residual), so
+   the two sentinels cannot equal one. *)
+let untested = -1
+let absent = -2
+
+let ip_int ip = Int32.to_int (Ipv4_addr.to_int32 ip) land 0xffff_ffff
+
+(* Set alongside the field bits by any test that is not an exact
+   full-field test of a non-negative value. *)
+let inexact = 4096
+
+let int_bit bit = function
+  | None -> 0
+  | Some v -> if v >= 0 then bit else inexact
+
+let mac_bit bit = function
+  | None -> 0
+  | Some mt ->
+      if Mac_addr.equal mt.Of_match.mask Mac_addr.broadcast then bit else inexact
+
+let prefix_bit bit = function
+  | None -> 0
+  | Some p -> if Ipv4_addr.Prefix.length p = 32 then bit else inexact
+
+let signature (m : Of_match.t) =
+  let sig_ =
+    int_bit b_in_port m.Of_match.in_port
+    lor mac_bit b_eth_dst m.Of_match.eth_dst
+    lor mac_bit b_eth_src m.Of_match.eth_src
+    lor int_bit b_eth_type m.Of_match.eth_type
+    lor (match m.Of_match.vlan with
+        | None -> 0
+        | Some (Of_match.Vid v) -> if v >= 0 then b_vlan_vid else inexact
+        | Some (Of_match.Absent | Of_match.Present) -> inexact)
+    lor int_bit b_vlan_pcp m.Of_match.vlan_pcp
+    lor prefix_bit b_ip_src m.Of_match.ip_src
+    lor prefix_bit b_ip_dst m.Of_match.ip_dst
+    lor int_bit b_ip_proto m.Of_match.ip_proto
+    lor int_bit b_ip_tos m.Of_match.ip_tos
+    lor int_bit b_l4_src m.Of_match.l4_src
+    lor int_bit b_l4_dst m.Of_match.l4_dst
+  in
+  if sig_ land inexact <> 0 then residual else sig_
+
+(* One exact entry of a template.  [hit] is the [Some entry] a lookup
+   returns, built once at compile time so a hit allocates nothing. *)
+type cand = {
+  c_in_port : int;
+  c_eth_dst : int;
+  c_eth_src : int;
+  c_eth_type : int;
+  c_vlan_vid : int;
+  c_vlan_pcp : int;
+  c_ip_src : int;
+  c_ip_dst : int;
+  c_ip_proto : int;
+  c_ip_tos : int;
+  c_l4_src : int;
+  c_l4_dst : int;
+  order : int;
+  hit : Flow_entry.t option;
 }
 
-(* The projected key for a template: absent components are normalized so
-   equal projections hash equally. *)
-type key = {
-  k_in_port : int;
-  k_eth_dst : Mac_addr.t;
-  k_eth_src : Mac_addr.t;
-  k_eth_type : int;
-  k_vlan_vid : int;
-  k_vlan_pcp : int;
-  k_ip_src : int32;
-  k_ip_dst : int32;
-  k_ip_proto : int;
-  k_ip_tos : int;
-  k_l4_src : int;
-  k_l4_dst : int;
-}
-
-let full_mac_mask m = Mac_addr.equal m.Of_match.mask Mac_addr.broadcast
-
-(* Classify a match: Some (sig, key) if every test is an exact full-field
-   test, None if it needs the residual scan path. *)
-let exact_signature (m : Of_match.t) =
-  let ok = ref true in
-  let t_eth_dst, k_eth_dst =
-    match m.Of_match.eth_dst with
-    | None -> (false, Mac_addr.zero)
-    | Some mt ->
-        if full_mac_mask mt then (true, mt.Of_match.value)
-        else begin ok := false; (false, Mac_addr.zero) end
+let cand_of order (entry : Flow_entry.t) =
+  let m = entry.Flow_entry.match_ in
+  let int = function Some v -> v | None -> untested in
+  let mac = function
+    | Some mt -> Mac_addr.to_int mt.Of_match.value
+    | None -> untested
   in
-  let t_eth_src, k_eth_src =
-    match m.Of_match.eth_src with
-    | None -> (false, Mac_addr.zero)
-    | Some mt ->
-        if full_mac_mask mt then (true, mt.Of_match.value)
-        else begin ok := false; (false, Mac_addr.zero) end
+  let ip = function
+    | Some p -> ip_int (Ipv4_addr.Prefix.base p)
+    | None -> untested
   in
-  let t_vlan_vid, k_vlan_vid =
-    match m.Of_match.vlan with
-    | None -> (false, -1)
-    | Some (Of_match.Vid v) -> (true, v)
-    | Some (Of_match.Absent | Of_match.Present) ->
-        ok := false;
-        (false, -1)
-  in
-  let prefix_exact p =
-    if Ipv4_addr.Prefix.length p = 32 then
-      Some (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.base p))
-    else begin ok := false; None end
-  in
-  let t_ip_src, k_ip_src =
-    match Option.map prefix_exact m.Of_match.ip_src with
-    | None -> (false, 0l)
-    | Some (Some ip) -> (true, ip)
-    | Some None -> (false, 0l)
-  in
-  let t_ip_dst, k_ip_dst =
-    match Option.map prefix_exact m.Of_match.ip_dst with
-    | None -> (false, 0l)
-    | Some (Some ip) -> (true, ip)
-    | Some None -> (false, 0l)
-  in
-  let opt_int o = match o with None -> (false, -1) | Some v -> (true, v) in
-  let t_in_port, k_in_port = opt_int m.Of_match.in_port in
-  let t_eth_type, k_eth_type = opt_int m.Of_match.eth_type in
-  let t_vlan_pcp, k_vlan_pcp = opt_int m.Of_match.vlan_pcp in
-  let t_ip_proto, k_ip_proto = opt_int m.Of_match.ip_proto in
-  let t_ip_tos, k_ip_tos = opt_int m.Of_match.ip_tos in
-  let t_l4_src, k_l4_src = opt_int m.Of_match.l4_src in
-  let t_l4_dst, k_l4_dst = opt_int m.Of_match.l4_dst in
-  if not !ok then None
-  else
-    Some
-      ( {
-          t_in_port;
-          t_eth_dst;
-          t_eth_src;
-          t_eth_type;
-          t_vlan_vid;
-          t_vlan_pcp;
-          t_ip_src;
-          t_ip_dst;
-          t_ip_proto;
-          t_ip_tos;
-          t_l4_src;
-          t_l4_dst;
-        },
-        {
-          k_in_port;
-          k_eth_dst;
-          k_eth_src;
-          k_eth_type;
-          k_vlan_vid;
-          k_vlan_pcp;
-          k_ip_src;
-          k_ip_dst;
-          k_ip_proto;
-          k_ip_tos;
-          k_l4_src;
-          k_l4_dst;
-        } )
-
-(* Project a packet's fields onto a template's tested set. *)
-let project (sig_ : tsig) ~in_port (f : Packet.Fields.t) =
-  let or_else default = function Some v -> v | None -> default in
   {
-    k_in_port = (if sig_.t_in_port then in_port else -1);
-    k_eth_dst = (if sig_.t_eth_dst then f.Packet.Fields.eth_dst else Mac_addr.zero);
-    k_eth_src = (if sig_.t_eth_src then f.Packet.Fields.eth_src else Mac_addr.zero);
-    k_eth_type = (if sig_.t_eth_type then f.Packet.Fields.eth_type else -1);
-    k_vlan_vid = (if sig_.t_vlan_vid then or_else (-2) f.Packet.Fields.vlan_vid else -1);
-    k_vlan_pcp = (if sig_.t_vlan_pcp then or_else (-2) f.Packet.Fields.vlan_pcp else -1);
-    k_ip_src =
-      (if sig_.t_ip_src then
-         match f.Packet.Fields.ip_src with
-         | Some ip -> Ipv4_addr.to_int32 ip
-         | None -> -1l
-       else 0l);
-    k_ip_dst =
-      (if sig_.t_ip_dst then
-         match f.Packet.Fields.ip_dst with
-         | Some ip -> Ipv4_addr.to_int32 ip
-         | None -> -1l
-       else 0l);
-    k_ip_proto = (if sig_.t_ip_proto then or_else (-2) f.Packet.Fields.ip_proto else -1);
-    k_ip_tos = (if sig_.t_ip_tos then or_else (-2) f.Packet.Fields.ip_tos else -1);
-    k_l4_src = (if sig_.t_l4_src then or_else (-2) f.Packet.Fields.l4_src else -1);
-    k_l4_dst = (if sig_.t_l4_dst then or_else (-2) f.Packet.Fields.l4_dst else -1);
+    c_in_port = int m.Of_match.in_port;
+    c_eth_dst = mac m.Of_match.eth_dst;
+    c_eth_src = mac m.Of_match.eth_src;
+    c_eth_type = int m.Of_match.eth_type;
+    c_vlan_vid =
+      (match m.Of_match.vlan with Some (Of_match.Vid v) -> v | _ -> untested);
+    c_vlan_pcp = int m.Of_match.vlan_pcp;
+    c_ip_src = ip m.Of_match.ip_src;
+    c_ip_dst = ip m.Of_match.ip_dst;
+    c_ip_proto = int m.Of_match.ip_proto;
+    c_ip_tos = int m.Of_match.ip_tos;
+    c_l4_src = int m.Of_match.l4_src;
+    c_l4_dst = int m.Of_match.l4_dst;
+    order;
+    hit = Some entry;
   }
 
-(* A projected key can collide with a rule key through the [-2]
-   "field absent in packet" sentinels only if some rule legitimately
-   stores -2, which opt_int never produces; so probe hits are exact. *)
+(* One int mix over all twelve components, shared by rules and packets. *)
+let mix h v = (h + v) * 0x100000001b3
 
-type template = { sig_ : tsig; index : (key, int * Flow_entry.t) Hashtbl.t }
+let hash12 a b c d e f g h i j k l =
+  let x =
+    mix (mix (mix (mix (mix (mix (mix (mix (mix (mix (mix (mix 0 a) b) c) d) e) f) g) h) i) j) k) l
+  in
+  let x = (x lxor (x lsr 31)) * 0x3f51afd7ed558ccd in
+  x lxor (x lsr 29)
+
+let hash_cand c =
+  hash12 c.c_in_port c.c_eth_dst c.c_eth_src c.c_eth_type c.c_vlan_vid
+    c.c_vlan_pcp c.c_ip_src c.c_ip_dst c.c_ip_proto c.c_ip_tos c.c_l4_src
+    c.c_l4_dst
+
+(* A packet's components as a template [sig_] sees them: [untested] for
+   fields outside the template, [absent] for tested fields the packet
+   lacks.  A packet whose fields match a candidate hashes like it. *)
+let int_comp sig_ bit = function
+  | Some v -> if sig_ land bit <> 0 then v else untested
+  | None -> if sig_ land bit <> 0 then absent else untested
+
+let ip_comp sig_ bit = function
+  | Some a -> if sig_ land bit <> 0 then ip_int a else untested
+  | None -> if sig_ land bit <> 0 then absent else untested
+
+let mac_comp sig_ bit m = if sig_ land bit <> 0 then Mac_addr.to_int m else untested
+
+let hash_fields sig_ ~in_port (f : Packet.Fields.t) =
+  hash12
+    (if sig_ land b_in_port <> 0 then in_port else untested)
+    (mac_comp sig_ b_eth_dst f.Packet.Fields.eth_dst)
+    (mac_comp sig_ b_eth_src f.Packet.Fields.eth_src)
+    (if sig_ land b_eth_type <> 0 then f.Packet.Fields.eth_type else untested)
+    (int_comp sig_ b_vlan_vid f.Packet.Fields.vlan_vid)
+    (int_comp sig_ b_vlan_pcp f.Packet.Fields.vlan_pcp)
+    (ip_comp sig_ b_ip_src f.Packet.Fields.ip_src)
+    (ip_comp sig_ b_ip_dst f.Packet.Fields.ip_dst)
+    (int_comp sig_ b_ip_proto f.Packet.Fields.ip_proto)
+    (int_comp sig_ b_ip_tos f.Packet.Fields.ip_tos)
+    (int_comp sig_ b_l4_src f.Packet.Fields.l4_src)
+    (int_comp sig_ b_l4_dst f.Packet.Fields.l4_dst)
+
+let int_matches expected = function
+  | Some v -> v = expected
+  | None -> false
+
+let ip_matches expected = function
+  | Some a -> ip_int a = expected
+  | None -> false
+
+(* Field-wise hit check: every component the candidate tests equals the
+   packet's. *)
+let key_matches c ~in_port (f : Packet.Fields.t) =
+  (c.c_in_port = untested || c.c_in_port = in_port)
+  && (c.c_eth_dst = untested || c.c_eth_dst = Mac_addr.to_int f.Packet.Fields.eth_dst)
+  && (c.c_eth_src = untested || c.c_eth_src = Mac_addr.to_int f.Packet.Fields.eth_src)
+  && (c.c_eth_type = untested || c.c_eth_type = f.Packet.Fields.eth_type)
+  && (c.c_vlan_vid = untested || int_matches c.c_vlan_vid f.Packet.Fields.vlan_vid)
+  && (c.c_vlan_pcp = untested || int_matches c.c_vlan_pcp f.Packet.Fields.vlan_pcp)
+  && (c.c_ip_src = untested || ip_matches c.c_ip_src f.Packet.Fields.ip_src)
+  && (c.c_ip_dst = untested || ip_matches c.c_ip_dst f.Packet.Fields.ip_dst)
+  && (c.c_ip_proto = untested || int_matches c.c_ip_proto f.Packet.Fields.ip_proto)
+  && (c.c_ip_tos = untested || int_matches c.c_ip_tos f.Packet.Fields.ip_tos)
+  && (c.c_l4_src = untested || int_matches c.c_l4_src f.Packet.Fields.l4_src)
+  && (c.c_l4_dst = untested || int_matches c.c_l4_dst f.Packet.Fields.l4_dst)
+
+(* A template's entries hashed into a power-of-two bucket array.  Two
+   distinct keys of one template never match the same packet, and equal
+   keys sit in table order, so a probe's first hit is the best one. *)
+type template = {
+  sig_ : int;
+  mutable size : int;
+  mutable buckets : cand list array;
+}
+
+type res = { r_order : int; r_match : Of_match.t; r_hit : Flow_entry.t option }
 
 type compiled_table = {
-  templates : template list;
-  residual : (int * Flow_entry.t) list; (* table order: best-first *)
+  templates : template array;
+  residual : res array; (* table order: best-first *)
 }
 
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+(* Two passes over the entries: the first finds each entry's signature and
+   counts each template's entries, so the second can size every bucket
+   array once and fill it. *)
 let compile_table table =
-  let templates : (tsig, template) Hashtbl.t = Hashtbl.create 8 in
-  let residual = ref [] in
+  let entries = Flow_table.entries table in
+  let sigs = Array.make (Flow_table.size table) residual in
+  let by_sig : (int, template) Hashtbl.t = Hashtbl.create 8 in
+  let residuals = ref 0 in
+  List.iteri
+    (fun i entry ->
+      let sig_ = signature entry.Flow_entry.match_ in
+      sigs.(i) <- sig_;
+      if sig_ = residual then incr residuals
+      else
+        match Hashtbl.find_opt by_sig sig_ with
+        | Some t -> t.size <- t.size + 1
+        | None -> Hashtbl.replace by_sig sig_ { sig_; size = 1; buckets = [||] })
+    entries;
+  let templates = Array.of_seq (Hashtbl.to_seq_values by_sig) in
+  Array.iter (fun t -> t.buckets <- Array.make (pow2_at_least t.size 1) []) templates;
+  let residual_arr =
+    Array.make !residuals { r_order = max_int; r_match = Of_match.any; r_hit = None }
+  in
+  let next_residual = ref 0 in
   List.iteri
     (fun order entry ->
-      match exact_signature entry.Flow_entry.match_ with
-      | None -> residual := (order, entry) :: !residual
-      | Some (sig_, key) ->
-          let template =
-            match Hashtbl.find_opt templates sig_ with
-            | Some template -> template
-            | None ->
-                let template = { sig_; index = Hashtbl.create 64 } in
-                Hashtbl.replace templates sig_ template;
-                template
-          in
-          (* Keep the best (earliest in table order) entry per key. *)
-          (match Hashtbl.find_opt template.index key with
-          | Some (existing, _) when existing < order -> ()
-          | Some _ | None -> Hashtbl.replace template.index key (order, entry)))
-    (Flow_table.entries table);
-  {
-    templates = Hashtbl.fold (fun _ template acc -> template :: acc) templates [];
-    residual = List.rev !residual;
-  }
+      let sig_ = sigs.(order) in
+      if sig_ = residual then begin
+        residual_arr.(!next_residual) <-
+          { r_order = order; r_match = entry.Flow_entry.match_; r_hit = Some entry };
+        incr next_residual
+      end
+      else
+        let t = Hashtbl.find by_sig sig_ in
+        let c = cand_of order entry in
+        let b = hash_cand c land (Array.length t.buckets - 1) in
+        t.buckets.(b) <- t.buckets.(b) @ [ c ])
+    entries;
+  { templates; residual = residual_arr }
+
+(* Per-dataplane state.  [best_order]/[best] are the lookup's scratch:
+   the best candidate so far, reset per lookup. *)
+type state = {
+  mutable compiled : compiled_table array;
+  mutable seen_version : int;
+  mutable recompiles : int;
+  mutable packets : int;
+  mutable probes : int;
+  mutable residual_scans : int;
+  mutable best_order : int;
+  mutable best : Flow_entry.t option;
+}
+
+let consider st order hit =
+  if order < st.best_order then begin
+    st.best_order <- order;
+    st.best <- hit
+  end
+
+let rec probe_bucket st ~in_port fields = function
+  | [] -> ()
+  | c :: rest ->
+      if key_matches c ~in_port fields then consider st c.order c.hit
+      else probe_bucket st ~in_port fields rest
+
+let lookup st table_id ~in_port fields =
+  let ct = st.compiled.(table_id) in
+  st.best_order <- max_int;
+  st.best <- None;
+  let templates = ct.templates in
+  for i = 0 to Array.length templates - 1 do
+    let t = templates.(i) in
+    st.probes <- st.probes + 1;
+    probe_bucket st ~in_port fields
+      t.buckets.(hash_fields t.sig_ ~in_port fields land (Array.length t.buckets - 1))
+  done;
+  let residual = ct.residual in
+  for i = 0 to Array.length residual - 1 do
+    let r = residual.(i) in
+    st.residual_scans <- st.residual_scans + 1;
+    if Of_match.matches r.r_match ~in_port fields then consider st r.r_order r.r_hit
+  done;
+  st.best
 
 let create pipeline =
-  let compiled = ref [||] in
-  let seen_version = ref (-1) in
-  let recompiles = ref 0 in
-  let packets = ref 0 in
-  let recompile () =
-    compiled :=
-      Array.init (Pipeline.num_tables pipeline) (fun i ->
-          compile_table (Pipeline.table pipeline i));
-    incr recompiles
+  let st =
+    {
+      compiled = [||];
+      seen_version = -1;
+      recompiles = 0;
+      packets = 0;
+      probes = 0;
+      residual_scans = 0;
+      best_order = max_int;
+      best = None;
+    }
   in
-  let probes = ref 0 in
-  let residual_scans = ref 0 in
-  let lookup table_id ~in_port fields =
-    let ct = !compiled.(table_id) in
-    let best = ref None in
-    let consider order entry =
-      match !best with
-      | Some (existing, _) when existing <= order -> ()
-      | Some _ | None -> best := Some (order, entry)
-    in
-    List.iter
-      (fun template ->
-        incr probes;
-        match Hashtbl.find_opt template.index (project template.sig_ ~in_port fields) with
-        | Some (order, entry) -> consider order entry
-        | None -> ())
-      ct.templates;
-    List.iter
-      (fun (order, entry) ->
-        incr residual_scans;
-        if Of_match.matches entry.Flow_entry.match_ ~in_port fields then
-          consider order entry)
-      ct.residual;
-    Option.map snd !best
-  in
+  let lookup table_id ~in_port fields = lookup st table_id ~in_port fields in
   let process ~now_ns ~in_port pkt =
     let m = Alloc_probe.mark () in
     let v = Pipeline.version pipeline in
-    if v <> !seen_version then begin
-      seen_version := v;
-      recompile ()
+    if v <> st.seen_version then begin
+      st.seen_version <- v;
+      st.compiled <-
+        Array.init (Pipeline.num_tables pipeline) (fun i ->
+            compile_table (Pipeline.table pipeline i));
+      st.recompiles <- st.recompiles + 1
     end;
-    incr packets;
-    probes := 0;
-    residual_scans := 0;
+    st.packets <- st.packets + 1;
+    st.probes <- 0;
+    st.residual_scans <- 0;
     let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
     let cycles =
       Dataplane.Cost.parse
-      + (!probes * Dataplane.Cost.eswitch_template)
-      + (!residual_scans * Dataplane.Cost.linear_per_entry)
+      + (st.probes * Dataplane.Cost.eswitch_template)
+      + (st.residual_scans * Dataplane.Cost.linear_per_entry)
       + Dataplane.cycles_of_result result
     in
     Alloc_probe.record "lookup.eswitch" m;
@@ -242,13 +319,11 @@ let create pipeline =
   in
   let stats () =
     let template_count =
-      Array.fold_left
-        (fun acc ct -> acc + List.length ct.templates)
-        0 !compiled
+      Array.fold_left (fun acc ct -> acc + Array.length ct.templates) 0 st.compiled
     in
     [
-      ("packets", !packets);
-      ("recompiles", !recompiles);
+      ("packets", st.packets);
+      ("recompiles", st.recompiles);
       ("templates", template_count);
     ]
   in

@@ -3,13 +3,19 @@
     small set of specialized matchers ("templates").
 
     Entries whose match tests a set of fields exactly are grouped per
-    field-set into a hash table keyed by those field values; the few
-    entries with prefixes, masks or presence-tests fall into a residual
-    list.  A lookup probes each template (one hash probe each) plus the
-    residual, then keeps the highest-priority candidate.  Since real
-    OpenFlow programs use a handful of rule shapes, the per-packet cost is
-    near-constant in the number of rules — the property experiment E5
-    reproduces.
+    field-set.  Each entry's key is twelve plain ints: MACs as 48-bit
+    ints, IPv4 addresses as unsigned 32-bit ints, [-1] for a field the
+    template does not test.  A template hashes its keys into a
+    power-of-two bucket array.  The few entries with prefixes, masks or
+    presence-tests fall into a residual list.  A lookup probes each
+    template once (one int mix over the packet's fields, straight from
+    {!Netpkt.Packet.Fields.t}, then a field-wise compare; a tested field
+    the packet lacks hashes as [-2], which no key holds) plus the
+    residual, and keeps the highest-priority candidate.  Apart from
+    residual matching, a lookup allocates nothing: a hit returns the
+    [Some entry] built at compile time.  Since real OpenFlow programs use
+    a handful of rule shapes, the per-packet cost is near-constant in the
+    number of rules — the property experiment E5 reproduces.
 
     The compilation is redone whenever the pipeline version changes;
     stats expose ["recompiles"], ["templates"], ["packets"]. *)

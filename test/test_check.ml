@@ -55,7 +55,11 @@ let corpus_tests =
             | Ok (Some d) ->
                 Alcotest.failf "%s reproduces: %a" path D.pp_divergence d
             | Error e -> Alcotest.failf "%s failed to parse: %s" path e)
-          [ "corpus/group_loop.repro"; "corpus/scenario_1234.repro" ]);
+          [
+            "corpus/group_loop.repro";
+            "corpus/scenario_1234.repro";
+            "corpus/eswitch_ip_sentinel.repro";
+          ]);
   ]
 
 (* ---- pinned regression: group chaining loops ---- *)

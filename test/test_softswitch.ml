@@ -120,6 +120,94 @@ let equivalence_tests =
           (List.assoc "recompiles" (dp.Dataplane.stats ()) >= 2));
   ]
 
+(* ---- ESwitch lookup cost ---- *)
+
+(* Minor words one [process] call allocates, averaged over [n] calls
+   after a warm-up pass (no [Alloc_probe] recorder is installed). *)
+let words_per_process (dp : Dataplane.t) ~in_port pkt =
+  let run () = ignore (dp.Dataplane.process ~now_ns:0 ~in_port pkt) in
+  for _ = 1 to 10 do run () done;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do run () done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let eswitch_tests =
+  let ports = 8 in
+  let map = Harmless.Port_map.make ~access_ports:(List.init ports Fun.id) () in
+  let vid i = Option.get (Harmless.Port_map.vid_of_logical map i) in
+  let ss1 =
+    let p = Pipeline.create ~num_tables:1 () in
+    List.iter
+      (fun fm ->
+        Check.Differential.apply_message p ~now_ns:0 (Of_message.Flow_mod fm))
+      (Harmless.Translator.rules map);
+    Eswitch.create p
+  in
+  (* SS_2's program under Common.proactive_l2: one exact eth_dst rule per
+     host plus an ARP flood. *)
+  let ss2 =
+    let p = Pipeline.create ~num_tables:1 () in
+    let t = Pipeline.table p 0 in
+    for i = 0 to ports - 1 do
+      Flow_table.add t ~now_ns:0
+        (entry
+           Of_match.(any |> eth_dst (Harmless.Deployment.host_mac i))
+           [ Of_action.output i ])
+    done;
+    Flow_table.add t ~now_ns:0
+      (entry ~priority:900 Of_match.(any |> eth_type 0x0806)
+         [ Of_action.Output Of_action.Flood ]);
+    Eswitch.create p
+  in
+  let frame ?vlans dst =
+    Packet.udp ?vlans ~dst ~src:(Harmless.Deployment.host_mac 0)
+      ~ip_src:(Harmless.Deployment.host_ip 0) ~ip_dst:(Harmless.Deployment.host_ip 3)
+      ~src_port:1000 ~dst_port:2000 "0123456789"
+  in
+  let host3 = Harmless.Deployment.host_mac 3 in
+  let bounded name dp ~in_port pkt ~port =
+    tc (name ^ " allocates at most 90 words per process") (fun () ->
+        (match (fst (dp.Dataplane.process ~now_ns:0 ~in_port pkt)).Pipeline.outputs with
+        | [ Pipeline.Port (p, _) ] when p = port -> ()
+        | _ -> Alcotest.failf "%s: expected one output on port %d" name port);
+        let words = words_per_process dp ~in_port pkt in
+        if words > 90. then
+          Alcotest.failf "%s: %.1f minor words per process (bound 90)" name words)
+  in
+  [
+    bounded "ss1 trunk->patch" ss1 ~in_port:Harmless.Translator.trunk_port
+      (frame ~vlans:[ Vlan.make (vid 3) ] host3)
+      ~port:(Harmless.Translator.patch_port_of_logical 3);
+    bounded "ss1 patch->trunk" ss1
+      ~in_port:(Harmless.Translator.patch_port_of_logical 3) (frame host3)
+      ~port:Harmless.Translator.trunk_port;
+    bounded "ss2 l2 lookup" ss2 ~in_port:0 (frame host3) ~port:3;
+    tc "l4_dst-keyed rules agree with linear on every port" (fun () ->
+        let mk () =
+          let p = Pipeline.create ~num_tables:1 () in
+          for i = 0 to 999 do
+            Flow_table.add (Pipeline.table p 0) ~now_ns:0
+              (entry
+                 Of_match.(any |> eth_type 0x0800 |> ip_proto 17 |> l4_dst (1000 + i))
+                 [ Of_action.output (i mod 8) ])
+          done;
+          p
+        in
+        let linear = Linear.create (mk ()) and eswitch = Eswitch.create (mk ()) in
+        for port = 0 to 2999 do
+          let pkt =
+            Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+              ~ip_dst:(ip "10.0.0.2") ~src_port:5000 ~dst_port:port ""
+          in
+          let out (dp : Dataplane.t) =
+            outputs_of (fst (dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt))
+          in
+          if out linear <> out eswitch then
+            Alcotest.failf "l4_dst %d: eswitch disagrees with linear" port
+        done);
+  ]
+
 (* ---- Caches ---- *)
 
 let cache_tests =
@@ -537,6 +625,7 @@ let suite =
   [
     ("softswitch.equivalence", equivalence_tests);
     ("softswitch.random_equivalence", random_equivalence_tests);
+    ("softswitch.eswitch", eswitch_tests);
     ("softswitch.caches", cache_tests);
     ("softswitch.pmd", pmd_tests);
     ("softswitch.agent", agent_tests);
