@@ -898,10 +898,7 @@ let run_gc duration_ms =
       if Simnet.Sim_time.( <= ) now stop then
         Telemetry.Gcstats.sample gcstats ~ts_ns:(Simnet.Sim_time.to_ns now);
       Simnet.Sim_time.( < ) now stop);
-  let (), recorder =
-    Telemetry.Allocprof.with_recorder (fun () ->
-        Simnet.Engine.run engine ~until:stop)
-  in
+  Simnet.Engine.run engine ~until:stop;
   let now_ns = Simnet.Sim_time.to_ns (Simnet.Engine.now engine) in
   Printf.printf "memory telemetry — %d ms of probe traffic\n\n" duration_ms;
   print_string (Telemetry.Gcstats.panel gcstats ~now_ns ~window);
@@ -918,9 +915,7 @@ let run_gc duration_ms =
       Printf.printf "engine: %d events, queue depth %s, sched lag %sns\n"
         (Simnet.Engine.events_executed engine)
         (last depth) (last lag)
-  | _ -> ());
-  print_newline ();
-  print_string (Telemetry.Allocprof.table recorder)
+  | _ -> ())
 
 let gc_duration_arg =
   Arg.(
@@ -931,20 +926,18 @@ let gc_duration_arg =
 let gc_cmd =
   Cmd.v
     (Cmd.info "gc"
-       ~doc:"per-site allocation attribution and GC pressure for the demo"
+       ~doc:"GC pressure and engine queue telemetry for the demo"
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "Runs the quickstart scenario with an allocation recorder \
-              installed and the engine's queue telemetry on: probe pings \
-              cycle through the hosts while the GC is sampled every 2 ms of \
-              sim time.  Prints the GC panel (alloc rate, collections, heap \
-              size), the engine's sampled queue depth and scheduling lag, \
-              and the per-site minor-words table from the instrumented hot \
-              paths (wire codec, dataplane lookup, PMD, trace emission, \
-              engine dispatch).  Allocation counts are deterministic for a \
-              fixed build; GC collection counts depend on the live runtime.";
+             "Runs the quickstart scenario with the engine's queue telemetry \
+              on: probe pings cycle through the hosts while the GC is \
+              sampled every 2 ms of sim time.  Prints the GC panel (alloc \
+              rate, collections, heap size) and the engine's sampled queue \
+              depth and scheduling lag.  GC collection counts depend on the \
+              live runtime.  For measured per-layer words and nanoseconds, \
+              run bench/e2e/run.sh with --trace 1.";
          ])
     Term.(const run_gc $ gc_duration_arg)
 

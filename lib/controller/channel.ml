@@ -47,7 +47,6 @@ type t = {
 }
 
 let switch t = t.switch
-let sent_to_switch t = t.to_switch_count
 let sent_to_controller t = t.to_controller_count
 let state t = t.state
 let is_down t = t.down

@@ -62,7 +62,6 @@ val to_switch : t -> Openflow.Of_message.t -> unit
     the loss process eats it; all three are counted. *)
 
 val switch : t -> Softswitch.Soft_switch.t
-val sent_to_switch : t -> int
 val sent_to_controller : t -> int
 
 val state : t -> state

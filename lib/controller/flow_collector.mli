@@ -56,7 +56,6 @@ val top : ?k:int -> t -> (string * int * int) list
     key asc; at most [k] entries when given. *)
 
 val merged_cm : t -> Telemetry.Sketch.Cm.t
-val merged_hll : t -> Telemetry.Sketch.Hll.t
 val merged_topk : t -> Telemetry.Sketch.Topk.t
 
 val sampled_series : t -> Telemetry.Timeseries.t

@@ -143,17 +143,6 @@ let attribution r =
         (Format.asprintf "%a" Telemetry.Trace.pp_time p.Telemetry.Profile.p50)
         ratio
   | _ -> add "overhead ratio: not enough complete traces\n");
-  (match
-     (Telemetry.Profile.e2e_alloc r.harmless, Telemetry.Profile.e2e_alloc r.plain)
-   with
-  | Some h, Some p when h.Telemetry.Profile.p50 > 0 && p.Telemetry.Profile.p50 > 0
-    ->
-      add
-        "HARMLESS e2e alloc p50 %dw/pkt vs direct %dw/pkt — alloc ratio %.2fx\n"
-        h.Telemetry.Profile.p50 p.Telemetry.Profile.p50
-        (float_of_int h.Telemetry.Profile.p50
-        /. float_of_int p.Telemetry.Profile.p50)
-  | _ -> ());
   Buffer.contents buf
 
 let publish ?registry r =

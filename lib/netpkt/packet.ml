@@ -49,7 +49,6 @@ let l3_bytes = function
   | Raw (_, bytes) -> bytes
 
 let encode t =
-  let m = Alloc_probe.mark () in
   let w = Wire.W.create () in
   Wire.W.bytes w (Mac_addr.to_bytes t.dst);
   Wire.W.bytes w (Mac_addr.to_bytes t.src);
@@ -60,12 +59,9 @@ let encode t =
     t.vlans;
   Wire.W.u16 w (Ethertype.to_int (ethertype t));
   Wire.W.bytes w (l3_bytes t.l3);
-  let out = Wire.W.contents w in
-  Alloc_probe.record "wire.encode" m;
-  out
+  Wire.W.contents w
 
 let decode s =
-  let m = Alloc_probe.mark () in
   let ctx = "ethernet" in
   let r = Wire.R.create s in
   let dst = Mac_addr.of_bytes (Wire.R.bytes ~ctx r 6) in
@@ -86,9 +82,7 @@ let decode s =
     | Ethertype.Arp -> Arp (Arp.decode body)
     | (Ethertype.Unknown _ | Ethertype.Vlan | Ethertype.Qinq) as ty -> Raw (ty, body)
   in
-  let pkt = { dst; src; vlans; l3 } in
-  Alloc_probe.record "wire.decode" m;
-  pkt
+  { dst; src; vlans; l3 }
 
 let equal_l3 a b =
   match (a, b) with
@@ -133,7 +127,6 @@ module Fields = struct
   }
 
   let of_packet (p : packet) =
-    let m = Alloc_probe.mark () in
     let vlan_vid, vlan_pcp =
       match p.vlans with
       | [] -> (None, None)
@@ -156,23 +149,19 @@ module Fields = struct
             l4d )
       | Arp _ | Raw _ -> (None, None, None, None, None, None)
     in
-    let fields =
-      {
-        eth_dst = p.dst;
-        eth_src = p.src;
-        eth_type = Ethertype.to_int (ethertype p);
-        vlan_vid;
-        vlan_pcp;
-        ip_src;
-        ip_dst;
-        ip_proto;
-        ip_tos;
-        l4_src;
-        l4_dst;
-      }
-    in
-    Alloc_probe.record "wire.fields" m;
-    fields
+    {
+      eth_dst = p.dst;
+      eth_src = p.src;
+      eth_type = Ethertype.to_int (ethertype p);
+      vlan_vid;
+      vlan_pcp;
+      ip_src;
+      ip_dst;
+      ip_proto;
+      ip_tos;
+      l4_src;
+      l4_dst;
+    }
 
   let equal a b =
     Mac_addr.equal a.eth_dst b.eth_dst

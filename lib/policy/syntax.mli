@@ -98,9 +98,6 @@ val to_string : t -> string
     any location while [Test Loc] only a [Phys] port; [Balance] buckets
     hold modifications only. *)
 
-val check_test : field -> value -> unit
-(** @raise Invalid_argument on an ill-kinded test. *)
-
 val check_mod : field -> value -> unit
 (** @raise Invalid_argument on an ill-kinded or read-only-field write. *)
 

@@ -70,9 +70,7 @@ let step t =
       | Some _ | None -> ());
       t.clock <- time;
       t.executed <- t.executed + 1;
-      let mark = Alloc_probe.mark () in
       f ();
-      Alloc_probe.record "engine.dispatch" mark;
       true
 
 let run ?until ?max_events t =

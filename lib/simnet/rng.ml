@@ -38,10 +38,6 @@ let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean <= 0";
   -.mean *. log (uniform_pos t)
 
-let pareto t ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.pareto";
-  scale /. (uniform_pos t ** (1.0 /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

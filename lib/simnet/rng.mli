@@ -26,9 +26,6 @@ val bits64 : t -> int64
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (> 0). *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed, [shape > 0], [scale > 0]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

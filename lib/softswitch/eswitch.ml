@@ -295,7 +295,6 @@ let create pipeline =
   in
   let lookup table_id ~in_port fields = lookup st table_id ~in_port fields in
   let process ~now_ns ~in_port pkt =
-    let m = Alloc_probe.mark () in
     let v = Pipeline.version pipeline in
     if v <> st.seen_version then begin
       st.seen_version <- v;
@@ -314,7 +313,6 @@ let create pipeline =
       + (st.residual_scans * Dataplane.Cost.linear_per_entry)
       + Dataplane.cycles_of_result result
     in
-    Alloc_probe.record "lookup.eswitch" m;
     (result, cycles)
   in
   let stats () =

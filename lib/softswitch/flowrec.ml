@@ -81,9 +81,7 @@ let records t =
 (* The per-packet path.  The skip branch (all but every [rate]-th
    packet) is one decrement, a countdown test and a register-max HLL
    update — no allocation, pinned by test_flowrec.  The sampled branch
-   materializes the flow key and feeds every sketch, bracketed by the
-   "flowrec.sample" probe site so its cost shows up in the memory
-   telemetry plane like any other stage. *)
+   materializes the flow key and feeds every sketch. *)
 let observe t ~now_ns ~in_port pkt =
   t.seen <- t.seen + 1;
   (match pkt.Packet.l3 with
@@ -94,7 +92,6 @@ let observe t ~now_ns ~in_port pkt =
   t.countdown <- t.countdown - 1;
   if t.countdown <= 0 then begin
     t.countdown <- t.cfg.rate;
-    let m = Alloc_probe.mark () in
     let key = Packet.flow_key pkt in
     let h = Packet.Flow_key.hash ~seed:t.cfg.seed key in
     (* Scale by the sampling rate so sketch counts estimate the full
@@ -120,6 +117,5 @@ let observe t ~now_ns ~in_port pkt =
       t.ring_next <- t.ring_next + 1
     end;
     t.sampled <- t.sampled + 1;
-    Alloc_probe.record "flowrec.sample" m;
     match t.on_sample with Some f -> f r | None -> ()
   end

@@ -11,9 +11,7 @@
     regardless of flow count, and everything is seeded —
     deterministic across runs.
 
-    The sampled branch is bracketed by the ["flowrec.sample"]
-    {!Alloc_probe} site; the skip branch allocates nothing (pinned by
-    tests). *)
+    The skip branch allocates nothing (pinned by tests). *)
 
 type record = {
   rc_key : Netpkt.Packet.Flow_key.t;

@@ -4,7 +4,6 @@ let create pipeline =
   let scanned_total = ref 0 in
   let packets = ref 0 in
   let process ~now_ns ~in_port pkt =
-    let m = Alloc_probe.mark () in
     let scanned = ref 0 in
     let tables_visited = ref 0 in
     let lookup table_id ~in_port fields =
@@ -22,7 +21,6 @@ let create pipeline =
       + (!scanned * Dataplane.Cost.linear_per_entry)
       + Dataplane.cycles_of_result result
     in
-    Alloc_probe.record "lookup.linear" m;
     (result, cycles)
   in
   let stats () =

@@ -208,11 +208,6 @@ let create ?(config = default_config) pipeline =
     (result, cycles)
   in
   let process ~now_ns ~in_port pkt =
-    let m = Alloc_probe.mark () in
-    let finish out =
-      Alloc_probe.record "lookup.ovs" m;
-      out
-    in
     check_version ();
     incr packets;
     let fields = Packet.Fields.of_packet pkt in
@@ -224,10 +219,9 @@ let create ?(config = default_config) pipeline =
         incr emc_hits;
         last_tier := "emc";
         let result = replay pipeline cached ~now_ns ~in_port pkt in
-        finish
-          ( result,
-            base + Dataplane.Cost.emc_probe + Dataplane.Cost.emc_hit_extra
-            + Dataplane.cycles_of_result result )
+        ( result,
+          base + Dataplane.Cost.emc_probe + Dataplane.Cost.emc_hit_extra
+          + Dataplane.cycles_of_result result )
     | None -> (
         let emc_miss_cost = if config.emc_enabled then Dataplane.Cost.emc_probe else 0 in
         let mkey = project !mask ~in_port fields in
@@ -237,17 +231,15 @@ let create ?(config = default_config) pipeline =
             last_tier := "megaflow";
             if config.emc_enabled then emc_insert ~hash ~in_port fields cached;
             let result = replay pipeline cached ~now_ns ~in_port pkt in
-            finish
-              ( result,
-                base + emc_miss_cost + Dataplane.Cost.megaflow_probe
-                + Dataplane.cycles_of_result result )
+            ( result,
+              base + emc_miss_cost + Dataplane.Cost.megaflow_probe
+              + Dataplane.cycles_of_result result )
         | None ->
             last_tier := "upcall";
             let result, slow_cycles = slow_path ~now_ns ~hash ~in_port pkt fields in
-            finish
-              ( result,
-                base + emc_miss_cost + Dataplane.Cost.megaflow_probe + slow_cycles
-                + Dataplane.cycles_of_result result ))
+            ( result,
+              base + emc_miss_cost + Dataplane.Cost.megaflow_probe + slow_cycles
+              + Dataplane.cycles_of_result result ))
   in
   let stats () =
     [

@@ -51,7 +51,6 @@ let create engine ?(config = default_config) () =
   }
 
 let submit t ~cycles k =
-  let m = Alloc_probe.mark () in
   if t.outstanding >= t.cfg.rx_ring then begin
     t.dropped <- t.dropped + 1;
     false
@@ -68,7 +67,6 @@ let submit t ~cycles k =
         t.outstanding <- t.outstanding - 1;
         t.processed <- t.processed + 1;
         k ());
-    Alloc_probe.record "pmd.submit" m;
     true
   end
 

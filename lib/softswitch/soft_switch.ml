@@ -399,15 +399,10 @@ let publish_metrics ?registry ?(labels = []) t =
       ])
 
 let process_direct t ~now_ns ~in_port pkt =
-  (* Observe before the mark so sampled-branch allocations land on the
-     "flowrec.sample" probe site, not on "switch.process". *)
   (match t.flowrec with
   | Some fr -> Flowrec.observe fr ~now_ns ~in_port pkt
   | None -> ());
-  let m = Alloc_probe.mark () in
-  let out = t.dataplane.Dataplane.process ~now_ns ~in_port pkt in
-  Alloc_probe.record "switch.process" m;
-  out
+  t.dataplane.Dataplane.process ~now_ns ~in_port pkt
 
 let next_dpid = ref 0L
 

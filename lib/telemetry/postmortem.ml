@@ -9,7 +9,7 @@ type snapshot = {
   series : (string * (int * float) list) list;
 }
 
-let schema = "harmless-postmortem/1"
+let schema = "harmless-postmortem/2"
 
 let default_trigger (e : Trace.event) =
   match (e.stream, e.name) with
@@ -59,9 +59,9 @@ let capture ?(trigger = default_trigger) ?(pre_window_ns = 5_000_000) ?(spans = 
 (* ---- serialization ---- *)
 
 let span_to_string (s : Span.t) =
-  Printf.sprintf "span %d %s %08x %d %d %d %d %d %s %s%s" s.id
+  Printf.sprintf "span %d %s %08x %d %d %d %s %s%s" s.id
     (match s.parent with None -> "-" | Some p -> string_of_int p)
-    s.trace_key s.begin_ns s.end_ns s.cycles s.begin_words s.end_words s.name
+    s.trace_key s.begin_ns s.end_ns s.cycles s.name
     (if s.component = "" then "-" else s.component)
     (if s.detail = "" then "" else " " ^ s.detail)
 
@@ -81,8 +81,6 @@ let span_of_string line =
     let b_s, rest = split_word rest in
     let e_s, rest = split_word rest in
     let cy_s, rest = split_word rest in
-    let bw_s, rest = split_word rest in
-    let ew_s, rest = split_word rest in
     let name, rest = split_word rest in
     let component, detail = split_word rest in
     let parent =
@@ -95,18 +93,14 @@ let span_of_string line =
         int_of_string_opt ("0x" ^ key_s),
         int_of_string_opt b_s,
         int_of_string_opt e_s,
-        int_of_string_opt cy_s,
-        int_of_string_opt bw_s,
-        int_of_string_opt ew_s )
+        int_of_string_opt cy_s )
     with
     | ( Some id,
         Some parent,
         Some trace_key,
         Some begin_ns,
         Some end_ns,
-        Some cycles,
-        Some begin_words,
-        Some end_words )
+        Some cycles )
       when name <> "" ->
         Ok
           {
@@ -117,8 +111,6 @@ let span_of_string line =
             component = (if component = "-" then "" else component);
             begin_ns;
             end_ns;
-            begin_words;
-            end_words;
             cycles;
             detail;
           }
@@ -268,7 +260,6 @@ let span_json (s : Span.t) =
       ("begin_ns", Json.Int s.begin_ns);
       ("end_ns", Json.Int s.end_ns);
       ("cycles", Json.Int s.cycles);
-      ("alloc_words", Json.Int (Span.alloc_words s));
     ]
 
 let to_json snap =

@@ -32,7 +32,7 @@ type snapshot = {
 }
 
 val schema : string
-(** ["harmless-postmortem/1"] — first line of every serialized snapshot. *)
+(** ["harmless-postmortem/2"] — first line of every serialized snapshot. *)
 
 val default_trigger : Trace.event -> bool
 (** The capture policy the rigs use: any ["fault"]-stream event, an

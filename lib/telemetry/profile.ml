@@ -57,10 +57,8 @@ let stats_of samples =
 type t = {
   latency : (string, samples) Hashtbl.t;
   cycles : (string, samples) Hashtbl.t;
-  alloc : (string, samples) Hashtbl.t;
   mutable stage_order : string list;  (* reversed first-appearance *)
   e2e_samples : samples;
-  e2e_alloc_samples : samples;
   mutable traces : int;
 }
 
@@ -68,10 +66,8 @@ let create () =
   {
     latency = Hashtbl.create 32;
     cycles = Hashtbl.create 32;
-    alloc = Hashtbl.create 32;
     stage_order = [];
     e2e_samples = samples_create ();
-    e2e_alloc_samples = samples_create ();
     traces = 0;
   }
 
@@ -92,21 +88,12 @@ let cycle_samples t key =
       Hashtbl.replace t.cycles key s;
       s
 
-let alloc_samples t key =
-  match Hashtbl.find_opt t.alloc key with
-  | Some s -> s
-  | None ->
-      let s = samples_create () in
-      Hashtbl.replace t.alloc key s;
-      s
-
 let record_trace ?stage_of t trace =
   match Span.of_trace ?stage_of trace with
   | [] -> ()
   | root :: children ->
       t.traces <- t.traces + 1;
       samples_push t.e2e_samples (Span.duration_ns root);
-      samples_push t.e2e_alloc_samples (Span.alloc_words root);
       (* Leaves only: stage spans (have a component) and transit spans;
          visit spans would double-count their stages. *)
       let parents = Hashtbl.create 16 in
@@ -134,7 +121,6 @@ let record_trace ?stage_of t trace =
               else Printf.sprintf "%s#%d" s.Span.name occurrence
             in
             samples_push (stage_samples t key) (Span.duration_ns s);
-            samples_push (alloc_samples t key) (Span.alloc_words s);
             if s.Span.cycles > 0 then
               samples_push (cycle_samples t key) s.Span.cycles
           end)
@@ -152,22 +138,12 @@ let stage_stats t ~stage =
 let stage_cycles t ~stage =
   Option.bind (Hashtbl.find_opt t.cycles stage) stats_of
 
-let stage_alloc t ~stage =
-  Option.bind (Hashtbl.find_opt t.alloc stage) stats_of
-
 let e2e t = stats_of t.e2e_samples
-let e2e_alloc t = stats_of t.e2e_alloc_samples
 
 let p50_sum_ns t =
   List.fold_left
     (fun acc stage ->
       match stage_stats t ~stage with Some s -> acc + s.p50 | None -> acc)
-    0 (stages t)
-
-let alloc_p50_sum_words t =
-  List.fold_left
-    (fun acc stage ->
-      match stage_alloc t ~stage with Some s -> acc + s.p50 | None -> acc)
     0 (stages t)
 
 let publish ?(registry = Registry.default) ?(prefix = "harmless") t =
@@ -186,20 +162,12 @@ let publish ?(registry = Registry.default) ?(prefix = "harmless") t =
             ~labels:[ ("stage", stage) ]
             s
       | None -> ());
-      (match Hashtbl.find_opt t.cycles stage with
+      match Hashtbl.find_opt t.cycles stage with
       | Some s ->
           observe_all (prefix ^ "_stage_cycles") ~labels:[ ("stage", stage) ] s
-      | None -> ());
-      match Hashtbl.find_opt t.alloc stage with
-      | Some s ->
-          observe_all
-            (prefix ^ "_stage_alloc_words")
-            ~labels:[ ("stage", stage) ]
-            s
       | None -> ())
     (stages t);
-  observe_all (prefix ^ "_e2e_latency_ns") t.e2e_samples;
-  observe_all (prefix ^ "_e2e_alloc_words") t.e2e_alloc_samples
+  observe_all (prefix ^ "_e2e_latency_ns") t.e2e_samples
 
 (* ---- the attribution table ---- *)
 
@@ -208,15 +176,13 @@ let pp_ns ns =
   else if ns < 1_000_000 then Printf.sprintf "%.2fus" (float_of_int ns /. 1e3)
   else Printf.sprintf "%.3fms" (float_of_int ns /. 1e6)
 
-let pp_words w = Printf.sprintf "%dw" w
-
 let attribution_table t =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let sum = p50_sum_ns t in
-  add "%-28s %6s %10s %10s %10s %7s %8s\n" "stage" "count" "p50" "p95" "p99"
-    "share" "wds/pkt";
-  add "%s\n" (String.make 85 '-');
+  add "%-28s %6s %10s %10s %10s %7s\n" "stage" "count" "p50" "p95" "p99"
+    "share";
+  add "%s\n" (String.make 76 '-');
   List.iter
     (fun stage ->
       match stage_stats t ~stage with
@@ -226,13 +192,10 @@ let attribution_table t =
             if sum = 0 then 0.0
             else 100.0 *. float_of_int s.p50 /. float_of_int sum
           in
-          add "%-28s %6d %10s %10s %10s %6.1f%% %8s\n" stage s.count
-            (pp_ns s.p50) (pp_ns s.p95) (pp_ns s.p99) share
-            (match stage_alloc t ~stage with
-            | Some a -> pp_words a.p50
-            | None -> "-"))
+          add "%-28s %6d %10s %10s %10s %6.1f%%\n" stage s.count
+            (pp_ns s.p50) (pp_ns s.p95) (pp_ns s.p99) share)
     (stages t);
-  add "%s\n" (String.make 85 '-');
+  add "%s\n" (String.make 76 '-');
   (match e2e t with
   | None -> add "no traces recorded\n"
   | Some e ->
@@ -240,21 +203,8 @@ let attribution_table t =
         if e.p50 = 0 then 100.0
         else 100.0 *. float_of_int sum /. float_of_int e.p50
       in
-      add "%-28s %6d %10s %10s %10s %7s %8s\n" "end-to-end (measured)" e.count
-        (pp_ns e.p50) (pp_ns e.p95) (pp_ns e.p99) ""
-        (match e2e_alloc t with
-        | Some a -> pp_words a.p50
-        | None -> "-");
+      add "%-28s %6d %10s %10s %10s\n" "end-to-end (measured)" e.count
+        (pp_ns e.p50) (pp_ns e.p95) (pp_ns e.p99);
       add "stage p50 sum %s attributes %.1f%% of the measured e2e p50 %s\n"
-        (pp_ns sum) cover (pp_ns e.p50);
-      match e2e_alloc t with
-      | Some a when a.p50 > 0 ->
-          let asum = alloc_p50_sum_words t in
-          add
-            "stage alloc p50 sum %s attributes %.1f%% of the measured e2e \
-             alloc p50 %s\n"
-            (pp_words asum)
-            (100.0 *. float_of_int asum /. float_of_int a.p50)
-            (pp_words a.p50)
-      | Some _ | None -> ());
+        (pp_ns sum) cover (pp_ns e.p50));
   Buffer.contents buf

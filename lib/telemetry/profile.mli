@@ -53,35 +53,20 @@ val stage_cycles : t -> stage:string -> stats option
 (** Modelled-cycles distribution; [None] also when the stage never
     reported a cycle cost. *)
 
-val stage_alloc : t -> stage:string -> stats option
-(** Minor-words-allocated distribution (from the span derivation's
-    word endpoints — see {!Span.alloc_words}).  All-zero for traces
-    whose hops never carried a word counter. *)
-
 val e2e : t -> stats option
 (** End-to-end (first hop → last hop) latency distribution. *)
-
-val e2e_alloc : t -> stats option
-(** End-to-end minor-words-allocated distribution. *)
 
 val p50_sum_ns : t -> int
 (** Sum of the per-stage latency p50s — the attributed end-to-end
     cost.  Compare against [e2e].p50. *)
 
-val alloc_p50_sum_words : t -> int
-(** Sum of the per-stage allocation p50s; the alloc mirror of
-    {!p50_sum_ns}, comparable against [e2e_alloc].p50 under the same
-    tiling invariant. *)
-
 val publish : ?registry:Registry.t -> ?prefix:string -> t -> unit
 (** Mirror the distributions into registry histograms
-    [<prefix>_stage_latency_ns{stage=…}], [<prefix>_stage_cycles{stage=…}],
-    [<prefix>_stage_alloc_words{stage=…}], [<prefix>_e2e_latency_ns] and
-    [<prefix>_e2e_alloc_words] (prefix default ["harmless"]). *)
+    [<prefix>_stage_latency_ns{stage=…}], [<prefix>_stage_cycles{stage=…}]
+    and [<prefix>_e2e_latency_ns] (prefix default ["harmless"]). *)
 
 val attribution_table : t -> string
 (** Deterministic text table: one row per stage (first-appearance
-    order) with count/p50/p95/p99, its share of the summed p50s, and a
-    words-per-packet column (stage allocation p50), then a footer
-    comparing the latency p50 sum — and, when allocation was measured,
-    the alloc p50 sum — against the measured end-to-end values. *)
+    order) with count/p50/p95/p99 and its share of the summed p50s,
+    then a footer comparing the p50 sum against the measured
+    end-to-end p50. *)

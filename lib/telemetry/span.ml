@@ -19,14 +19,11 @@ type t = {
   component : string;
   begin_ns : int;
   end_ns : int;
-  begin_words : int;
-  end_words : int;
   cycles : int;
   detail : string;
 }
 
 let duration_ns s = s.end_ns - s.begin_ns
-let alloc_words s = max 0 (s.end_words - s.begin_words)
 
 let default_stage (hop : Trace.hop) =
   Trace.layer_name hop.Trace.layer ^ "." ^ hop.Trace.stage
@@ -78,8 +75,6 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
           component = "";
           begin_ns = first.Trace.ts_ns;
           end_ns = last.Trace.ts_ns;
-          begin_words = first.Trace.words;
-          end_words = last.Trace.words;
           cycles = total_cycles;
           detail = Lazy.force first.Trace.packet;
         }
@@ -101,7 +96,6 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
               | _ -> List.nth group (List.length group - 1)
             in
             let gend = glast.Trace.ts_ns in
-            let gwords = glast.Trace.words in
             let visit =
               {
                 id = fresh ();
@@ -111,8 +105,6 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
                 component = ghd.Trace.component;
                 begin_ns = ghd.Trace.ts_ns;
                 end_ns = gend;
-                begin_words = ghd.Trace.words;
-                end_words = gwords;
                 cycles = gcycles;
                 detail = "";
               }
@@ -123,11 +115,10 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
               match hops with
               | [] -> List.rev acc
               | (hop : Trace.hop) :: rest ->
-                  let end_ns, end_words =
+                  let end_ns =
                     match rest with
-                    | (next : Trace.hop) :: _ ->
-                        (next.Trace.ts_ns, next.Trace.words)
-                    | [] -> (hop.Trace.ts_ns, hop.Trace.words)
+                    | (next : Trace.hop) :: _ -> next.Trace.ts_ns
+                    | [] -> hop.Trace.ts_ns
                   in
                   let s =
                     {
@@ -138,8 +129,6 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
                       component = hop.Trace.component;
                       begin_ns = hop.Trace.ts_ns;
                       end_ns;
-                      begin_words = hop.Trace.words;
-                      end_words;
                       cycles = hop.Trace.cycles;
                       detail = hop.Trace.detail;
                     }
@@ -148,14 +137,10 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
             in
             let stage_spans = stages group [] in
             (* Transit span over the gap to the next visit, if any. *)
-            (* Also emitted when only the word counter moved across the
-               gap (zero-width in time): without it the link machinery's
-               allocation would escape the alloc tiling. *)
             let transit =
               match rest with
               | (next_group_hd :: _) :: _
-                when next_group_hd.Trace.ts_ns > gend
-                     || next_group_hd.Trace.words > gwords ->
+                when next_group_hd.Trace.ts_ns > gend ->
                   [
                     {
                       id = fresh ();
@@ -167,8 +152,6 @@ let of_trace_with ~next_id ?(stage_of = fun _ -> None) (trace : Trace.trace) =
                       component = "";
                       begin_ns = gend;
                       end_ns = next_group_hd.Trace.ts_ns;
-                      begin_words = gwords;
-                      end_words = next_group_hd.Trace.words;
                       cycles = 0;
                       detail = "";
                     };
@@ -199,9 +182,6 @@ let chrome_events spans =
         (if s.component <> "" then [ ("component", Json.Str s.component) ]
          else [])
         @ (if s.cycles > 0 then [ ("cycles", Json.Int s.cycles) ] else [])
-        @ (if alloc_words s > 0 then
-             [ ("alloc_words", Json.Int (alloc_words s)) ]
-           else [])
         @ if s.detail <> "" then [ ("detail", Json.Str s.detail) ] else []
       in
       let event ph ts extra =

@@ -15,9 +15,9 @@
     - one {e visit} span per maximal run of consecutive hops emitted by
       the same component ([h0], [legacy0], [sw-ss1], …);
     - one {e stage} span per hop inside its visit;
-    - a [transit:<from>-><to>] span for every gap between two visits —
-      wire time on the links, which would otherwise vanish from the
-      attribution.  Host endpoints collapse to the role name ["host"]
+    - a [transit:<from>-><to>] span for every gap between two visits
+      in which sim time advances — wire time on the links, which would
+      otherwise vanish from the attribution.  Host endpoints collapse to the role name ["host"]
       in transit names, so a workload spread over many host pairs
       yields one transit key per link role rather than one per host —
       the summation invariant below needs that.
@@ -43,21 +43,11 @@ type t = {
   component : string;  (** emitting component; root/transit: [""] *)
   begin_ns : int;
   end_ns : int;  (** [>= begin_ns]; zero-width spans are allowed *)
-  begin_words : int;
-      (** cumulative minor words at span start (see {!Trace.hop}'s
-          [words]); derived exactly like the timestamps, so stage and
-          transit spans tile the root's allocation too *)
-  end_words : int;
   cycles : int;  (** summed modelled cycles of the covered hops *)
   detail : string;
 }
 
 val duration_ns : t -> int
-
-val alloc_words : t -> int
-(** Minor words allocated during the span, [end_words - begin_words]
-    clamped at 0 ([0] throughout for hand-built hops that never carried
-    a counter). *)
 
 val of_trace :
   ?stage_of:(Trace.hop -> string option) -> Trace.trace -> t list

@@ -46,7 +46,6 @@ type hop = {
   packet : string Lazy.t;
   bytes : int;
   cycles : int;
-  words : int;
   detail : string;
 }
 
@@ -107,7 +106,6 @@ let ring_to_list r =
 type t = {
   stream_capacity : int;
   clock : (unit -> int) option;
-  words_base : int;
   mutable next_seq : int;
   mutable rev_hops : hop list;
   rings : (string, ring) Hashtbl.t;
@@ -120,7 +118,6 @@ let create ?(stream_capacity = 512) ?clock () =
   {
     stream_capacity;
     clock;
-    words_base = int_of_float (Gc.minor_words ());
     next_seq = 1;
     rev_hops = [];
     rings = Hashtbl.create 16;
@@ -159,9 +156,6 @@ let emit ~ts_ns ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") pkt 
   match !recorder with
   | None -> ()
   | Some t ->
-      (* Captured before the hop is built, so consecutive hops' deltas
-         attribute the path's allocation, not the recorder's. *)
-      let words = int_of_float (Gc.minor_words ()) in
       t.rev_hops <-
         {
           seq = take_seq t;
@@ -174,11 +168,9 @@ let emit ~ts_ns ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") pkt 
           packet = lazy (Format.asprintf "%a" Netpkt.Packet.pp pkt);
           bytes = Netpkt.Packet.wire_size pkt;
           cycles;
-          words = words - t.words_base;
           detail;
         }
-        :: t.rev_hops;
-      Alloc_probe.record "trace.emit" words
+        :: t.rev_hops
 
 let is_token s =
   s <> "" && not (String.exists (fun c -> c = ' ' || c = '\t' || c = '\n') s)

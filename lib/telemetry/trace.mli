@@ -86,14 +86,6 @@ type hop = {
   packet : string Lazy.t;  (** one-line packet rendering, on first read *)
   bytes : int;          (** wire size *)
   cycles : int;         (** processing cost, 0 when not modelled *)
-  words : int;
-      (** minor-heap words ([Gc.minor_words]) allocated since the
-          recorder was created, captured at emission before the hop is
-          built; consecutive hops' deltas attribute real allocation to
-          stages, exactly as timestamps attribute latency.  Relative,
-          so a same-seed rerun reproduces them whatever the process did
-          first.  [0] in hand-built hops that never went through
-          {!emit}. *)
   detail : string;
 }
 

@@ -212,6 +212,33 @@ let postmortem_tests =
                   (Postmortem.to_string s'));
             check_contains "render names the root cause"
               ~needle:"root cause: fault down" (Postmortem.render s));
+    tc "a harmless-postmortem/1 snapshot is an Error, not an exception"
+      (fun () ->
+        (* The /1 span line carried begin/end word counts after the
+           cycles field. *)
+        let v1 =
+          String.concat "\n"
+            [
+              "harmless-postmortem/1";
+              "scenario old";
+              "seed 1";
+              "captured 3000";
+              "window 0 3000";
+              "triggers 0";
+              "events 0";
+              "spans 1";
+              "span 1 - 00000d4d 0 3000 102 1000 1900 packet - icmp";
+              "series 0";
+              "";
+            ]
+        in
+        match Postmortem.of_string v1 with
+        | Ok _ -> Alcotest.fail "a /1 snapshot must not parse"
+        | Error msg ->
+            check_contains "names the schema it wants"
+              ~needle:Postmortem.schema msg
+        | exception e ->
+            Alcotest.failf "of_string raised %s" (Printexc.to_string e));
   ]
 
 (* ---- the golden: the injected fault is the timeline's root cause ---- *)

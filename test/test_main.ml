@@ -9,9 +9,7 @@ let leftovers =
         Alcotest.test_case "no trace or alloc recorder left installed" `Quick
           (fun () ->
             Alcotest.(check bool) "trace recorder" false
-              (Telemetry.Trace.enabled ());
-            Alcotest.(check bool) "alloc recorder" false
-              (Telemetry.Allocprof.enabled ()));
+              (Telemetry.Trace.enabled ()));
       ] );
   ]
 

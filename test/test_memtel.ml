@@ -1,7 +1,6 @@
-(* The memory-telemetry plane: alloc probes and their zero-cost-when-off
+(* The memory-telemetry plane: the guarded recorder's zero-cost-when-off
    contract, GC time series and alloc-rate alerting, engine queue
-   telemetry, the alloc tiling invariant through profiles, and the
-   alloc axis of the bench-regression gate. *)
+   telemetry, and the alloc axis of the bench-regression gate. *)
 
 open Telemetry
 
@@ -27,23 +26,10 @@ let test_pkt =
     ~ip_dst:(Netpkt.Ipv4_addr.of_string "10.8.0.2")
     ~src_port:1 ~dst_port:2 "x"
 
-(* ---- the disabled fast paths must cost exactly nothing ---- *)
+(* ---- the disabled fast path must cost exactly nothing ---- *)
 
 let zero_alloc_tests =
   [
-    tc "disabled probe brackets allocate exactly zero minor words" (fun () ->
-        check Alcotest.bool "no recorder" false (Allocprof.enabled ());
-        let section () =
-          let m = Allocprof.mark () in
-          Allocprof.record "memtel.noop" m
-        in
-        section ();
-        let before = words () in
-        for _ = 1 to 10_000 do
-          section ()
-        done;
-        check Alcotest.int "minor words delta over 10k brackets" 0
-          (words () - before));
     tc "guarded no-op Trace.emit allocates exactly zero minor words"
       (fun () ->
         check Alcotest.bool "no recorder" false (Trace.enabled ());
@@ -59,71 +45,6 @@ let zero_alloc_tests =
         done;
         check Alcotest.int "minor words delta over 10k emits" 0
           (words () - before));
-  ]
-
-(* ---- recorder: per-site folding and the table ---- *)
-
-let allocprof_tests =
-  [
-    tc "with_recorder folds sections into per-site stats" (fun () ->
-        let (), recorder =
-          Allocprof.with_recorder (fun () ->
-              for _ = 1 to 5 do
-                let m = Allocprof.mark () in
-                ignore (Sys.opaque_identity (Array.make 16 0));
-                Allocprof.record "memtel.array" m
-              done;
-              let m = Allocprof.mark () in
-              Allocprof.record "memtel.empty" m)
-        in
-        check Alcotest.bool "uninstalled afterwards" false
-          (Allocprof.enabled ());
-        check
-          (Alcotest.list Alcotest.string)
-          "sites in first-appearance order"
-          [ "memtel.array"; "memtel.empty" ]
-          (Allocprof.sites recorder);
-        check Alcotest.int "total samples" 6 (Allocprof.count recorder);
-        (match Allocprof.stats recorder "memtel.array" with
-        | None -> Alcotest.fail "no stats for memtel.array"
-        | Some s ->
-            check Alcotest.int "count" 5 s.Allocprof.count;
-            (* Array.make 16 is at least 17 words; the bracket may tax a
-               few more *)
-            check Alcotest.bool "p50 covers the array" true
-              (s.Allocprof.p50 >= 17);
-            check Alcotest.bool "total >= 5 * p50-ish" true
-              (s.Allocprof.total >= 5 * 17));
-        (match Allocprof.stats recorder "memtel.empty" with
-        | None -> Alcotest.fail "no stats for memtel.empty"
-        | Some s -> check Alcotest.int "empty section" 0 s.Allocprof.p50);
-        check (Alcotest.option Alcotest.reject) "unknown site" None
-          (Option.map ignore (Allocprof.stats recorder "memtel.nope"));
-        let table = Allocprof.table recorder in
-        check_contains "table row" ~needle:"memtel.array" table;
-        check_contains "table footer" ~needle:"6 probe samples" table;
-        check Alcotest.string "table is deterministic" table
-          (Allocprof.table recorder));
-    tc "instrumented wire codec reports under a recorder" (fun () ->
-        let raw = Netpkt.Packet.encode test_pkt in
-        let (), recorder =
-          Allocprof.with_recorder (fun () ->
-              for _ = 1 to 8 do
-                ignore (Sys.opaque_identity (Netpkt.Packet.encode test_pkt));
-                ignore (Sys.opaque_identity (Netpkt.Packet.decode raw));
-                ignore
-                  (Sys.opaque_identity (Netpkt.Packet.Fields.of_packet test_pkt))
-              done)
-        in
-        List.iter
-          (fun site ->
-            match Allocprof.stats recorder site with
-            | None -> Alcotest.failf "site %s never reported" site
-            | Some s ->
-                check Alcotest.int (site ^ " count") 8 s.Allocprof.count;
-                check Alcotest.bool (site ^ " allocates") true
-                  (s.Allocprof.p50 > 0))
-          [ "wire.encode"; "wire.decode"; "wire.fields" ]);
   ]
 
 (* ---- GC series: deterministic observe feed, rate, alerting ---- *)
@@ -271,96 +192,6 @@ let engine_telemetry_tests =
               (Timeseries.length s));
   ]
 
-(* ---- the alloc tiling invariant through spans and profiles ---- *)
-
-let hop ~seq ~ts ~words ~component ~layer ~stage : Trace.hop =
-  {
-    Trace.seq;
-    ts_ns = ts;
-    component;
-    layer;
-    stage;
-    port = None;
-    trace_key = lazy 3405;
-    packet = lazy "icmp";
-    bytes = 64;
-    cycles = 0;
-    words;
-    detail = "";
-  }
-
-let alloc_walk =
-  {
-    Trace.key = 3405;
-    hops =
-      [
-        hop ~seq:1 ~ts:0 ~words:1000 ~component:"h0" ~layer:Trace.Host
-          ~stage:"tx";
-        hop ~seq:2 ~ts:1000 ~words:1250 ~component:"legacy0"
-          ~layer:Trace.Legacy ~stage:"ingress";
-        hop ~seq:3 ~ts:2000 ~words:1500 ~component:"sw0" ~layer:Trace.Switch
-          ~stage:"pipeline";
-        hop ~seq:4 ~ts:3000 ~words:1900 ~component:"h1" ~layer:Trace.Host
-          ~stage:"rx";
-      ];
-  }
-
-let profile_alloc_tests =
-  [
-    tc "span word endpoints telescope to the root exactly" (fun () ->
-        match Span.of_trace alloc_walk with
-        | [] -> Alcotest.fail "no spans"
-        | root :: _ as spans ->
-            check Alcotest.int "root alloc" 900 (Span.alloc_words root);
-            let leaf_alloc =
-              let parents = Hashtbl.create 16 in
-              List.iter
-                (fun (s : Span.t) ->
-                  match s.Span.parent with
-                  | Some p -> Hashtbl.replace parents p ()
-                  | None -> ())
-                spans;
-              List.fold_left
-                (fun acc (s : Span.t) ->
-                  if Hashtbl.mem parents s.Span.id then acc
-                  else acc + Span.alloc_words s)
-                0 spans
-            in
-            check Alcotest.int "leaves tile the root's allocation" 900
-              leaf_alloc);
-    tc "profile alloc p50 sum equals the e2e alloc p50" (fun () ->
-        let p = Profile.create () in
-        Profile.record_trace p alloc_walk;
-        (match Profile.e2e_alloc p with
-        | None -> Alcotest.fail "no e2e alloc"
-        | Some s -> check Alcotest.int "e2e alloc p50" 900 s.Profile.p50);
-        check Alcotest.int "attributed = measured" 900
-          (Profile.alloc_p50_sum_words p);
-        let table = Profile.attribution_table p in
-        check_contains "alloc column" ~needle:"wds/pkt" table;
-        check_contains "alloc footer" ~needle:"stage alloc p50 sum" table);
-    tc "perf rig: stage alloc sum attributes e2e alloc within 10%" (fun () ->
-        match Harmless.Perf_rig.run ~num_hosts:3 ~pings:20 () with
-        | Error e -> Alcotest.failf "rig: %s" e
-        | Ok r -> (
-            let profile = r.Harmless.Perf_rig.harmless in
-            match Profile.e2e_alloc profile with
-            | None -> Alcotest.fail "rig collected no e2e alloc"
-            | Some e2e ->
-                check Alcotest.bool "traced hops allocate" true
-                  (e2e.Profile.p50 > 0);
-                let attributed = Profile.alloc_p50_sum_words profile in
-                let ratio =
-                  float_of_int attributed /. float_of_int e2e.Profile.p50
-                in
-                if ratio < 0.9 || ratio > 1.1 then
-                  Alcotest.failf
-                    "alloc p50 sum %dw vs e2e %dw (ratio %.3f) outside 10%%"
-                    attributed e2e.Profile.p50 ratio;
-                let table = Harmless.Perf_rig.attribution r in
-                check_contains "rig alloc line" ~needle:"alloc ratio" table));
-  ]
-
 (* ---- the alloc axis of the bench-regression gate ---- *)
 
 let row ?ns ?words name : Bench_history.row =
@@ -496,9 +327,7 @@ let bench_gate_tests =
 let suite =
   [
     ("memtel_zero_alloc", zero_alloc_tests);
-    ("memtel_allocprof", allocprof_tests);
     ("memtel_gcstats", gcstats_tests);
     ("memtel_engine", engine_telemetry_tests);
-    ("memtel_profile", profile_alloc_tests);
     ("memtel_bench_gate", bench_gate_tests);
   ]

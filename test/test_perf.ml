@@ -33,7 +33,6 @@ let hop ~seq ~ts ~component ~layer ~stage ?port ?(cycles = 0) ?(detail = "") ()
     packet = lazy "icmp h0->h1";
     bytes = 64;
     cycles;
-    words = 0;
     detail;
   }
 

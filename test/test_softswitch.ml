@@ -123,7 +123,7 @@ let equivalence_tests =
 (* ---- ESwitch lookup cost ---- *)
 
 (* Minor words one [process] call allocates, averaged over [n] calls
-   after a warm-up pass (no [Alloc_probe] recorder is installed). *)
+   after a warm-up pass. *)
 let words_per_process (dp : Dataplane.t) ~in_port pkt =
   let run () = ignore (dp.Dataplane.process ~now_ns:0 ~in_port pkt) in
   for _ = 1 to 10 do run () done;

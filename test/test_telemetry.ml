@@ -193,7 +193,6 @@ let golden_tests =
             packet = lazy "pkt";
             bytes = 64;
             cycles;
-            words = 0;
             detail;
           }
         in
@@ -353,20 +352,25 @@ let integration_tests =
           (Harmless.Trace_view.semantic_path view reply));
     tc "sequences are per recorder: same ping, same hops, seq included"
       (fun () ->
-        (* Everything but [words], which reads the process-wide
-           allocation counter. *)
-        let hops () =
-          List.map
-            (fun (h : Trace.hop) ->
-              ( (h.Trace.seq, h.Trace.ts_ns, h.Trace.component, h.Trace.stage),
-                (h.Trace.port, Lazy.force h.Trace.trace_key, Lazy.force h.Trace.packet),
-                (h.Trace.bytes, h.Trace.cycles, h.Trace.detail) ))
-            (Trace.hops (snd (traced_ping ())))
+        let record () =
+          let recorder = snd (traced_ping ()) in
+          let hops =
+            List.map
+              (fun (h : Trace.hop) ->
+                ( (h.Trace.seq, h.Trace.ts_ns, h.Trace.component, h.Trace.stage),
+                  (h.Trace.port, Lazy.force h.Trace.trace_key, Lazy.force h.Trace.packet),
+                  (h.Trace.bytes, h.Trace.cycles, h.Trace.detail) ))
+              (Trace.hops recorder)
+          in
+          (hops, Span.of_traces (Trace.traces recorder))
         in
-        let first = hops () in
-        check Alcotest.bool "hops recorded" true (first <> []);
+        let first_hops, first_spans = record () in
+        let second_hops, second_spans = record () in
+        check Alcotest.bool "hops recorded" true (first_hops <> []);
         check Alcotest.bool "second recorder numbers from 1 again" true
-          (first = hops ()));
+          (first_hops = second_hops);
+        check Alcotest.bool "span trees are equal" true
+          (first_spans = second_spans));
     tc "publish_metrics surfaces component tallies" (fun () ->
         let engine = Simnet.Engine.create () in
         let deployment =
