@@ -74,10 +74,6 @@ val gen_case : spec -> seed:int -> case
     advancing timestamps that occasionally jump far enough to refill
     meter buckets. *)
 
-val run_case : case -> divergence option
-(** Replay on fresh implementations; [None] = every implementation agreed
-    with the interpreter on every packet. *)
-
 val shrink : divergence -> divergence
 (** Greedy packet-step removal while any divergence persists; fixpoint. *)
 
@@ -112,8 +108,8 @@ val of_string : string -> (case, string) result
 val save : path:string -> ?comment:string -> case -> unit
 
 val load : path:string -> (divergence option, string) result
-(** Read a repro file and {!run_case} it: [Ok None] means the repro no
-    longer diverges, [Ok (Some d)] reproduces it, [Error] is a parse
-    failure. *)
+(** Read a repro file and replay it on fresh implementations: [Ok None]
+    means the repro no longer diverges, [Ok (Some d)] reproduces it,
+    [Error] is a parse failure. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit

@@ -286,14 +286,3 @@ let run ?(num_hosts = 3) ?(fault_count = 5)
               violations = List.rev !violations;
               chaos;
             })
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>transparency seed %d: %d trunk / %d patch / %d host frames, %d \
-     packet-ins, %d faults, %d violations%a@]"
-    r.seed r.trunk_frames r.patch_frames r.host_frames r.packet_ins
-    r.faults_injected
-    (List.length r.violations)
-    (fun fmt vs ->
-      List.iter (fun v -> Format.fprintf fmt "@,  %a" pp_violation v) vs)
-    r.violations

@@ -52,5 +52,3 @@ val run :
     frame against the transparency invariant.  Defaults: 3 hosts,
     5 faults, 30 ms.  [Error] only for rig construction / script
     failures — invariant breaches land in [violations]. *)
-
-val pp_report : Format.formatter -> report -> unit

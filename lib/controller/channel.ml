@@ -36,8 +36,6 @@ type t = {
   mutable down : bool;
   mutable last_heard : Sim_time.t;
   mutable in_flight : int;
-  mutable to_switch_count : int;
-  mutable to_controller_count : int;
   mutable dropped_to_switch : int;
   mutable dropped_to_controller : int;
   mutable queue_drops : int;
@@ -46,10 +44,7 @@ type t = {
   mutable on_reconnect : (unit -> unit) list;
 }
 
-let switch t = t.switch
-let sent_to_controller t = t.to_controller_count
 let state t = t.state
-let is_down t = t.down
 let reconnects t = t.reconnects
 let queue_drops t = t.queue_drops
 let dropped_to_switch t = t.dropped_to_switch
@@ -98,11 +93,9 @@ let deliver_to_controller t msg =
     Engine.schedule_after t.engine t.config.latency (fun () ->
         (* Anything the switch says proves the connection is alive. *)
         t.last_heard <- Engine.now t.engine;
-        t.to_controller_count <- t.to_controller_count + 1;
         t.to_controller msg)
 
 let to_switch t msg =
-  t.to_switch_count <- t.to_switch_count + 1;
   if t.state = Disconnected then begin
     t.dropped_to_switch <- t.dropped_to_switch + 1;
     count_drop t ~direction:"to_switch"
@@ -222,8 +215,6 @@ let connect engine ?latency ?(config = default_config) ~switch ~to_controller
       down = false;
       last_heard = Engine.now engine;
       in_flight = 0;
-      to_switch_count = 0;
-      to_controller_count = 0;
       dropped_to_switch = 0;
       dropped_to_controller = 0;
       queue_drops = 0;
@@ -240,14 +231,3 @@ let connect engine ?latency ?(config = default_config) ~switch ~to_controller
   | Some interval -> keepalive_tick t ~interval
   | None -> ());
   t
-
-let stats t =
-  [
-    ("sent_to_switch", t.to_switch_count);
-    ("sent_to_controller", t.to_controller_count);
-    ("dropped_to_switch", t.dropped_to_switch);
-    ("dropped_to_controller", t.dropped_to_controller);
-    ("queue_drops", t.queue_drops);
-    ("reconnects", t.reconnects);
-    ("connected", if t.state = Connected then 1 else 0);
-  ]

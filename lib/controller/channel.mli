@@ -61,9 +61,6 @@ val to_switch : t -> Openflow.Of_message.t -> unit
     unless the channel is disconnected, the bounded queue is full, or
     the loss process eats it; all three are counted. *)
 
-val switch : t -> Softswitch.Soft_switch.t
-val sent_to_controller : t -> int
-
 val state : t -> state
 
 val set_down : t -> bool -> unit
@@ -73,8 +70,6 @@ val set_down : t -> bool -> unit
     backoff probe; with keepalive off the state flips synchronously so
     fail modes still engage. *)
 
-val is_down : t -> bool
-
 val on_reconnect : t -> (unit -> unit) -> unit
 (** Called (in registration order) each time the channel re-establishes —
     where the controller hooks flow resynchronization. *)
@@ -83,6 +78,3 @@ val reconnects : t -> int
 val queue_drops : t -> int
 val dropped_to_switch : t -> int
 val dropped_to_controller : t -> int
-
-val stats : t -> (string * int) list
-(** Send/drop/reconnect tallies plus [connected] as 0/1. *)

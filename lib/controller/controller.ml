@@ -212,7 +212,6 @@ let attach_switch t switch =
   Channel.to_switch ch Of_message.Features_request;
   dpid
 
-let switch_ids t = Hashtbl.fold (fun dpid _ acc -> dpid :: acc) t.switches []
 let packet_ins_received t = t.packet_ins
 let errors_received t = List.rev t.errors
 let resyncs t = t.resyncs

@@ -72,7 +72,6 @@ val resyncs : t -> int
     idempotent for a switch that kept its tables, restorative for one
     that crashed and lost them. *)
 
-val switch_ids : t -> int64 list
 val packet_ins_received : t -> int
 
 val errors_received : t -> string list

@@ -92,7 +92,6 @@ let top ?k t =
 
 let sampled_series t = t.sampled_series
 let hosts_series t = t.hosts_series
-let top_bytes_series t = t.top_bytes_series
 
 let add_alert_rules ?(elephant_bytes = 1_000_000.0) ?(max_hosts = 100_000.0)
     t alerts =

@@ -27,7 +27,6 @@ val attach : t -> name:string -> Softswitch.Flowrec.t -> unit
     collector's config for merges to be valid). *)
 
 val recorders : t -> (string * Softswitch.Flowrec.t) list
-val switch_count : t -> int
 
 val merge_now : t -> unit
 (** Fold every per-switch sketch into the merged fabric view and
@@ -56,16 +55,12 @@ val top : ?k:int -> t -> (string * int * int) list
     key asc; at most [k] entries when given. *)
 
 val merged_cm : t -> Telemetry.Sketch.Cm.t
-val merged_topk : t -> Telemetry.Sketch.Topk.t
 
 val sampled_series : t -> Telemetry.Timeseries.t
 (** Counter: cumulative sampled packets, one point per merge. *)
 
 val hosts_series : t -> Telemetry.Timeseries.t
 (** Gauge: estimated source cardinality. *)
-
-val top_bytes_series : t -> Telemetry.Timeseries.t
-(** Gauge: the heaviest flow's estimated bytes. *)
 
 val add_alert_rules :
   ?elephant_bytes:float -> ?max_hosts:float -> t -> Telemetry.Alert.t -> unit

@@ -49,9 +49,6 @@ val policy : t -> Policy.Syntax.t
     parental drops as a negated guard and an explicit [discard] fallback
     so dropped traffic still meters. *)
 
-val l2_messages : t -> Openflow.Of_message.t list
-val l2_fragment : t -> Policy.Syntax.t
-
 (** Value pools for the equivalence fuzzer — every address the scenario
     knows plus strangers, so collisions are the common case. *)
 

@@ -50,7 +50,6 @@ val block : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> unit
 val unblock : t -> Controller.t -> user:Netpkt.Ipv4_addr.t -> host:string -> unit
 (** Remove the entry and the switch rules enforcing it. *)
 
-val is_blocked : t -> user:Netpkt.Ipv4_addr.t -> host:string -> bool
 val blocked_list : t -> (Netpkt.Ipv4_addr.t * string) list
 val sniffed_drops : t -> int
 (** Requests dropped via the reactive (Host-sniffing) path. *)

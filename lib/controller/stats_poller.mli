@@ -76,8 +76,6 @@ val flow_packets_series : t -> string -> Telemetry.Timeseries.t option
 val port_rx_series : t -> int -> Telemetry.Timeseries.t option
 (** Cumulative received wire bytes for a port, one point per reply. *)
 
-val port_tx_series : t -> int -> Telemetry.Timeseries.t option
-
 val rtt_series : t -> Telemetry.Timeseries.t
 (** Control-channel hairpin RTT in nanoseconds (gauge). *)
 

@@ -38,15 +38,10 @@ val build :
   unit ->
   (rig, string) result
 (** Defaults: 3 hosts, seed 42, [Fail_standalone] SS_2,
-    {!default_channel_config}, 2 ms watchdog, default retry policy, no
-    failback.  Provisions, connects, attaches the controller and runs
+    a fast channel (2 ms keepalive, 5 ms echo timeout, 1–16 ms reconnect
+    backoff), 2 ms watchdog, default retry policy, no failback.  Provisions, connects, attaches the controller and runs
     5 ms of sim time so the handshake settles; the management fault plan
     arms only after provisioning succeeds. *)
-
-val default_channel_config : Sdnctl.Channel.config
-(** {!Sdnctl.Channel.default_config} with a 2 ms keepalive, 5 ms echo
-    timeout and 1–16 ms reconnect backoff — tight enough that outages
-    are detected within a few milliseconds of sim time. *)
 
 val engine : rig -> Simnet.Engine.t
 val injector : rig -> Simnet.Fault.injector

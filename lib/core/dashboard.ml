@@ -17,7 +17,6 @@ type t = {
 let engine t = t.engine
 let poller t = t.poller
 let alerts t = t.alerts
-let gcstats t = t.gcstats
 let flow_collector t = t.collector
 let now_ns t = Sim_time.to_ns (Engine.now t.engine)
 

@@ -40,11 +40,6 @@ val engine : t -> Simnet.Engine.t
 val poller : t -> Sdnctl.Stats_poller.t
 val alerts : t -> Telemetry.Alert.t
 
-val gcstats : t -> Telemetry.Gcstats.t
-(** The demo's GC sampler: fed from the live runtime every 2 ms of sim
-    time during {!advance}, watched by the (deliberately never-firing)
-    ["gc-alloc-rate"] demo rule. *)
-
 val now_ns : t -> int
 
 val render_top : ?top_n:int -> ?window:Simnet.Sim_time.span -> t -> string

@@ -148,10 +148,6 @@ let trunk_healthy t = function
   | `Primary -> Node.carrier (Soft_switch.node t.ss1) ~port:0
   | `Backup -> Node.carrier (Soft_switch.node t.ss1) ~port:1
 
-let stop_watchdog t =
-  t.generation <- t.generation + 1;
-  if t.status <> Idle then t.status <- Idle
-
 let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
     ?on_failure t ~period =
   if period <= 0 then invalid_arg "Failover.start_watchdog: bad period";
@@ -215,19 +211,3 @@ let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
     end
   in
   schedule_tick ()
-
-let publish_metrics ?registry ?(labels = []) t =
-  let labels = ("device", Mgmt.Device.hostname t.device) :: labels in
-  Telemetry.Registry.publish_ints ?registry ~prefix:"failover" ~labels
-    [
-      ("failovers", t.failovers);
-      ("failbacks", t.failbacks);
-      ("activation_retries", t.activation_retries);
-      ("on_backup", (match t.active with `Backup -> 1 | `Primary -> 0));
-      ( "watchdog_status",
-        match t.status with
-        | Idle -> 0
-        | Watching -> 1
-        | Activating -> 2
-        | Gave_up _ -> 3 );
-    ]

@@ -79,9 +79,6 @@ val start_watchdog :
     Successful activations increment [failovers_total{direction=…}];
     retries show up in [retries_total{op="failover.activate_…"}]. *)
 
-val stop_watchdog : t -> unit
-(** Cancel the running watchdog (pending ticks become no-ops). *)
-
 val watchdog_status : t -> watchdog_status
 
 val failovers : t -> int
@@ -95,10 +92,3 @@ val activation_retries : t -> int
 
 val last_error : t -> string option
 (** The most recent activation error, cleared on success. *)
-
-val publish_metrics :
-  ?registry:Telemetry.Registry.t -> ?labels:Telemetry.Registry.labels ->
-  t -> unit
-(** Snapshot failover/failback/retry tallies, which trunk is active and
-    the watchdog status into gauges named [failover_*], labelled with
-    the device hostname.  Pull-based. *)

@@ -63,8 +63,6 @@ end
 
 type stage = Precheck | Shadow | Canary | Commit
 
-let stages = [ Precheck; Shadow; Canary; Commit ]
-
 let stage_name = function
   | Precheck -> "precheck"
   | Shadow -> "shadow"
@@ -109,6 +107,8 @@ type plan = {
   base_vid : int option;
 }
 
+(* The [begin]-record encoding of a plan — enough for [recover] to
+   recompute the target configuration from the WAL alone. *)
 let plan_detail p =
   Printf.sprintf "device=%s trunk=%d access=%s base_vid=%s"
     (Mgmt.Device.hostname p.device)
@@ -234,7 +234,6 @@ let create engine ~wal ?txn_id ?(retry = Mgmt.Retry.default) ?rng ?deadline
     done_cb = ignore;
   }
 
-let txn_id t = t.id
 let status t = t.status
 let port_map t = t.map
 let rollbacks t = t.rollback_count
@@ -543,12 +542,6 @@ let recover ~wal ~txn_id ~device ?(hooks = no_hooks)
           ignore (Txn.append wal ~txn:txn_id Txn.Rolled_back);
           act "journaled rolled-back";
           Ok (result (Rolled_back why)))
-
-let pp_recovery ppf r =
-  Format.fprintf ppf "@[<v>txn %s: %a -> %a" r.txn Mgmt.Txn.pp_resolution
-    r.resolution pp_status r.status;
-  List.iter (fun a -> Format.fprintf ppf "@,  %s" a) r.actions;
-  Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Fleet orchestration                                                 *)

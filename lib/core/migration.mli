@@ -60,7 +60,6 @@ end
 
 type stage = Precheck | Shadow | Canary | Commit
 
-val stages : stage list
 val stage_name : stage -> string
 
 (** The live health gate for the canary stage. *)
@@ -111,11 +110,6 @@ type plan = {
   base_vid : int option;
 }
 
-val plan_detail : plan -> string
-(** The [begin]-record encoding of a plan (["device=… trunk=… access=…
-    base_vid=…"]) — enough for {!recover} to recompute the target
-    configuration from the WAL alone. *)
-
 (** Callbacks that build / tear down the dataplane-side artifacts. *)
 type hooks = {
   on_shadow : Port_map.t -> (unit, string) result;
@@ -141,7 +135,6 @@ type status =
   | Crashed of string
       (** an armed {!Mgmt.Txn.Crashed} fired here; recovery's job now *)
 
-val status_terminal : status -> bool
 val pp_status : Format.formatter -> status -> unit
 
 type t
@@ -162,7 +155,6 @@ val create :
     forward path (rollback is deliberately not starved by it).  Without
     a [gate] the canary stage journals but passes immediately. *)
 
-val txn_id : t -> string
 val status : t -> status
 val port_map : t -> Port_map.t option
 (** Available once precheck computed it. *)
@@ -212,8 +204,6 @@ val recover :
 
     [Error] only for an unusable WAL (unparseable plan detail); a
     failed device rollback lands in [status = Failed …]. *)
-
-val pp_recovery : Format.formatter -> recovery -> unit
 
 (** {2 Fleet orchestration} *)
 

@@ -31,9 +31,7 @@ type t = {
 
 let engine t = t.engine
 let wal t = t.wal_
-let injector t = t.inj
 let controller t = t.ctrl
-let switch_names t = Array.to_list (Array.map (fun s -> s.name) t.switches)
 let device t i = t.switches.(i).dev
 
 let fast_channel =

@@ -34,9 +34,7 @@ val build :
 
 val engine : t -> Simnet.Engine.t
 val wal : t -> Mgmt.Txn.t
-val injector : t -> Simnet.Fault.injector
 val controller : t -> Sdnctl.Controller.t
-val switch_names : t -> string list
 val device : t -> int -> Mgmt.Device.t
 
 val member : t -> int -> Migration.Fleet.member

@@ -144,15 +144,3 @@ let attribution r =
         ratio
   | _ -> add "overhead ratio: not enough complete traces\n");
   Buffer.contents buf
-
-let publish ?registry r =
-  Telemetry.Profile.publish ?registry ~prefix:"harmless" r.harmless;
-  Telemetry.Profile.publish ?registry ~prefix:"direct" r.plain;
-  match overhead_ratio r with
-  | Some ratio ->
-      Telemetry.Registry.Gauge.set
-        (Telemetry.Registry.Gauge.v ?registry
-           ~help:"HARMLESS e2e latency p50 over the direct-path p50"
-           "harmless_overhead_ratio")
-        ratio
-  | None -> ()

@@ -43,8 +43,3 @@ val attribution : report -> string
 (** Deterministic text report: the per-stage attribution table for each
     side (see {!Telemetry.Profile.attribution_table}) and a closing
     HARMLESS-vs-direct overhead line. *)
-
-val publish : ?registry:Telemetry.Registry.t -> report -> unit
-(** Mirror both profiles into registry histograms (prefixes
-    ["harmless"] and ["direct"]) and set the
-    ["harmless_overhead_ratio"] gauge. *)

@@ -38,10 +38,6 @@ val semantic : t -> Telemetry.Trace.hop -> string option
 val semantic_path : t -> Telemetry.Trace.trace -> string list
 (** [semantic] over every hop of a trace, unplaceable hops dropped. *)
 
-val describe : t -> Telemetry.Trace.hop -> string
-(** Human one-liner for a hop (["SS_1: hairpin — re-tagged, back down
-    the trunk"]); [""] when the view cannot place it. *)
-
 val pp_hop : t -> Format.formatter -> Telemetry.Trace.hop -> unit
 (** One line: sim time, component, port, cycle cost, description. *)
 

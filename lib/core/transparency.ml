@@ -15,23 +15,28 @@ type verdict = {
   harmless_delivered : int;
 }
 
-(* What each host's stack saw: the sorted multiset of encoded frames
-   addressed to it (unicast to its MAC, or group-addressed).  Spurious
-   flood copies addressed to other MACs are excluded — see the interface
-   comment. *)
-let delivered_frames deployment =
-  Array.map
-    (fun h ->
-      Host.received h
-      |> List.filter (fun (pkt : Netpkt.Packet.t) ->
-             Netpkt.Mac_addr.equal pkt.Netpkt.Packet.dst (Host.mac h)
-             || not (Netpkt.Mac_addr.is_unicast pkt.Netpkt.Packet.dst))
-      |> List.map Netpkt.Packet.encode
-      |> List.sort String.compare)
-    deployment.Deployment.hosts
+(* Record what each host's stack sees: the encoded frames addressed to
+   it (unicast to its MAC, or group-addressed).  Spurious flood copies
+   addressed to other MACs are excluded — see the interface comment.
+   The returned function reads each host's record as a sorted multiset. *)
+let record_delivered deployment =
+  let records =
+    Array.map
+      (fun h ->
+        let frames = ref [] in
+        Host.on_receive h (fun (pkt : Netpkt.Packet.t) ->
+            if
+              Netpkt.Mac_addr.equal pkt.Netpkt.Packet.dst (Host.mac h)
+              || not (Netpkt.Mac_addr.is_unicast pkt.Netpkt.Packet.dst)
+            then frames := Netpkt.Packet.encode pkt :: !frames);
+        frames)
+      deployment.Deployment.hosts
+  in
+  fun () -> Array.map (fun frames -> List.sort String.compare !frames) records
 
 let run_one scenario deployment =
   let engine = deployment.Deployment.engine in
+  let delivered_frames = record_delivered deployment in
   let ctrl = Sdnctl.Controller.create engine () in
   List.iter (Sdnctl.Controller.add_app ctrl) (scenario.apps ());
   ignore
@@ -41,7 +46,7 @@ let run_one scenario deployment =
   scenario.traffic deployment;
   Engine.run engine
     ~until:(Sim_time.add (Engine.now engine) scenario.duration);
-  delivered_frames deployment
+  delivered_frames ()
 
 let run scenario =
   let plain_engine = Engine.create () in

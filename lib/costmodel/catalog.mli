@@ -14,9 +14,6 @@ type device = {
   openflow_capable : bool;
 }
 
-val legacy_24 : device
-(** 24×1G managed L2 switch, 2×10G uplinks — the "dumb" box. *)
-
 val legacy_48 : device
 (** 48×1G managed L2 switch, 4×10G uplinks. *)
 

@@ -18,5 +18,4 @@ val crossover_vs_cots : max_ports:int -> int option
 (** Smallest port count (if any, up to [max_ports]) where HARMLESS
     greenfield stops being cheaper per port than COTS SDN. *)
 
-val pp_row : Format.formatter -> row -> unit
 val pp_table : Format.formatter -> row list -> unit

@@ -70,10 +70,6 @@ let set_port_security t ~port ~max_macs =
   | Some _ | None -> ());
   t.max_macs.(port) <- max_macs
 
-let port_security t ~port =
-  check_port t port;
-  t.max_macs.(port)
-
 let set_mirror t ~dst =
   (match dst with Some p -> check_port t p | None -> ());
   t.mirror <- dst
@@ -211,6 +207,7 @@ let publish_metrics ?registry ?(labels = []) t =
   let labels = ("device", t.name) :: labels in
   Telemetry.Registry.publish_ints ?registry ~prefix:"ethswitch" ~labels
     (Stats.Counter.to_list (Node.counters t.node)
+    @ Node.traffic_counters t.node
     @ [ ("mac_table_entries", Mac_table.entry_count t.mac_table) ])
 
 let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)

@@ -33,8 +33,9 @@ val port_mode : t -> port:int -> Port_config.mode
 val mac_table : t -> Mac_table.t
 
 val counters : t -> Simnet.Stats.Counter.t
-(** Includes ["fwd"], ["flood"], ["drop_ingress_vlan"], ["drop_same_port"],
-    and the node's rx/tx counters. *)
+(** Includes ["fwd"], ["flood"], ["drop_ingress_vlan"], ["drop_same_port"]
+    and the node's drop reasons.  Per-port frame counts are on {!node}
+    ({!Simnet.Node.rx_packets} and friends). *)
 
 val vlans_in_use : t -> int list
 (** Sorted list of every VLAN some port is a member of. *)
@@ -54,8 +55,6 @@ val set_port_security : t -> port:int -> max_macs:int option -> unit
     the limit are dropped and counted under ["drop_port_security"]).
     @raise Invalid_argument on a bad port or non-positive limit. *)
 
-val port_security : t -> port:int -> int option
-
 val set_mirror : t -> dst:int option -> unit
 (** Configure a SPAN (mirror) port: a copy of every frame the switch
     forwards or floods is also transmitted, unmodified and untagged, out
@@ -67,6 +66,7 @@ val mirror : t -> int option
 val publish_metrics :
   ?registry:Telemetry.Registry.t -> ?labels:Telemetry.Registry.labels ->
   t -> unit
-(** Snapshot the switch's forwarding counters and MAC-table occupancy
+(** Snapshot the switch's forwarding counters, its node's traffic
+    counters ({!Simnet.Node.traffic_counters}) and MAC-table occupancy
     into gauges named [ethswitch_*].  Pull-based; nothing is recorded
     until called. *)

@@ -1,6 +1,9 @@
 (** MAC learning table of a legacy L2 switch: maps (VLAN, MAC) to the
     port where the address was last seen, with aging and a capacity
-    limit (oldest entry evicted when full, as low-end switches do). *)
+    limit (the least recently learned entry is evicted when full, as
+    low-end switches do).  Learning, lookup, eviction and {!count_port}
+    are O(1), so a MAC flood past capacity costs no more per frame than
+    normal traffic. *)
 
 type t
 
@@ -9,7 +12,8 @@ val create : ?capacity:int -> ?aging:Simnet.Sim_time.span -> unit -> t
 
 val learn :
   t -> now:Simnet.Sim_time.t -> vlan:int -> mac:Netpkt.Mac_addr.t -> port:int -> unit
-(** Insert or refresh an entry.  Multicast/broadcast sources are ignored. *)
+(** Insert or refresh an entry.  Multicast/broadcast sources are ignored.
+    @raise Invalid_argument if [port < 0]. *)
 
 val lookup :
   t -> now:Simnet.Sim_time.t -> vlan:int -> mac:Netpkt.Mac_addr.t -> int option
@@ -17,14 +21,11 @@ val lookup :
     are removed on the fly). *)
 
 val entry_count : t -> int
-val capacity : t -> int
 
 val count_port : t -> port:int -> int
-(** Live entries learned on one port. *)
+(** Entries learned on one port (aged-out entries count until a lookup
+    removes them). *)
 
 val flush : t -> unit
 val flush_port : t -> port:int -> unit
 (** Forget everything learned on [port] (used on topology change). *)
-
-val entries : t -> (int * Netpkt.Mac_addr.t * int * Simnet.Sim_time.t) list
-(** (vlan, mac, port, learned_at), unordered. *)

@@ -27,8 +27,6 @@ let egress_encap mode ~vlan =
       else if allows allowed vlan then Some (`Tagged vlan)
       else None
 
-let member mode ~vlan = Option.is_some (egress_encap mode ~vlan)
-
 let pp fmt = function
   | Access pvid -> Format.fprintf fmt "access %d" pvid
   | Disabled -> Format.pp_print_string fmt "disabled"

@@ -21,5 +21,4 @@ val egress_encap : mode -> vlan:int -> [ `Untagged | `Tagged of int ] option
 (** How (whether) a frame in [vlan] leaves through a port, or [None] if
     the port is not a member. *)
 
-val member : mode -> vlan:int -> bool
 val pp : Format.formatter -> mode -> unit

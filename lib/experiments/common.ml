@@ -44,7 +44,3 @@ let total_udp_received deployment =
   Array.fold_left
     (fun acc h -> acc + Host.udp_received h)
     0 deployment.Harmless.Deployment.hosts
-
-let wire_size_of n =
-  if n < 64 then invalid_arg "frame size below the Ethernet minimum";
-  n

@@ -21,6 +21,3 @@ val attach_with_apps :
     proactive installs settle. *)
 
 val total_udp_received : Harmless.Deployment.t -> int
-val wire_size_of : int -> int
-(** Identity guard: asserts the requested frame size is achievable
-    (>= 64) and returns it. *)

@@ -42,16 +42,15 @@ let measure_run () =
   let rate_pps = offered_mbps *. 1e6 /. float_of_int (frame * 8) in
   let sink = Harmless.Deployment.host deployment 2 in
   let stop = Sim_time.add (Engine.now engine) measure in
-  let bytes_from src_port =
-    List.fold_left
-      (fun acc (p : Netpkt.Packet.t) ->
-        match p.Netpkt.Packet.l3 with
-        | Netpkt.Packet.Ip { Netpkt.Ipv4.payload = Netpkt.Ipv4.Udp u; _ }
-          when u.Netpkt.Udp.src_port = src_port ->
-            acc + Netpkt.Packet.wire_size p
-        | _ -> acc)
-      0 (Host.received sink)
-  in
+  (* Wire bytes the sink received, by UDP source port. *)
+  let bytes = Hashtbl.create 2 in
+  let bytes_from src_port = Option.value ~default:0 (Hashtbl.find_opt bytes src_port) in
+  Host.on_receive sink (fun (p : Netpkt.Packet.t) ->
+      match p.Netpkt.Packet.l3 with
+      | Netpkt.Packet.Ip { Netpkt.Ipv4.payload = Netpkt.Ipv4.Udp u; _ } ->
+          let src_port = u.Netpkt.Udp.src_port in
+          Hashtbl.replace bytes src_port (bytes_from src_port + Netpkt.Packet.wire_size p)
+      | _ -> ());
   List.iter
     (fun s ->
       ignore

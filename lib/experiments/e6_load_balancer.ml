@@ -41,10 +41,21 @@ let measure () =
       ()
   in
   ignore (Common.attach_with_apps deployment [ lb_app; Sdnctl.L2_learning.create () ]);
-  List.iter
-    (fun b ->
-      Host.serve_http (Harmless.Deployment.host deployment b) ~pages:[ "/" ])
-    backends;
+  (* Requests served per backend: TCP segments to port 80 it received. *)
+  let served =
+    List.map
+      (fun b ->
+        let h = Harmless.Deployment.host deployment b in
+        let n = ref 0 in
+        Host.serve_http h ~pages:[ "/" ];
+        Host.on_receive h (fun (p : Packet.t) ->
+            match p.Packet.l3 with
+            | Packet.Ip { Ipv4.payload = Ipv4.Tcp seg; _ } when seg.Tcp.dst_port = 80 ->
+                incr n
+            | _ -> ());
+        (b, n))
+      backends
+  in
   let c = Harmless.Deployment.host deployment client in
   let rng = Rng.create 99 in
   for i = 0 to requests - 1 do
@@ -54,23 +65,7 @@ let measure () =
           ~host:"www.example.com" ~path:"/" ~src_port)
   done;
   Common.run_for engine (Sim_time.ms 100);
-  let per_backend =
-    List.map
-      (fun b ->
-        let h = Harmless.Deployment.host deployment b in
-        let served =
-          List.length
-            (List.filter
-               (fun (p : Packet.t) ->
-                 match p.Packet.l3 with
-                 | Packet.Ip { Ipv4.payload = Ipv4.Tcp seg; _ } ->
-                     seg.Tcp.dst_port = 80
-                 | _ -> false)
-               (Host.received h))
-        in
-        (b, served))
-      backends
-  in
+  let per_backend = List.map (fun (b, n) -> (b, !n)) served in
   let counts = List.map snd per_backend in
   let mx = List.fold_left Stdlib.max 0 counts
   and mn = List.fold_left Stdlib.min max_int counts in

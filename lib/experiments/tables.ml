@@ -58,7 +58,6 @@ let print ~title ~header rows =
         (fun () -> output_string oc (to_csv ~header rows))
 
 let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
 let pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 let mpps pps = Printf.sprintf "%.2f Mpps" (pps /. 1e6)
 let gbps bps = Printf.sprintf "%.2f Gbps" (bps /. 1e9)

@@ -8,9 +8,6 @@ val print : title:string -> header:string list -> string list list -> unit
 (** [render] to stdout under a titled banner; also mirrors the rows to the
     CSV directory when {!set_csv_dir} is active. *)
 
-val to_csv : header:string list -> string list list -> string
-(** RFC-4180-style CSV (quotes doubled, fields with commas quoted). *)
-
 val set_csv_dir : string option -> unit
 (** When set, every {!print} also writes [<slug-of-title>.csv] into the
     directory (created if missing) — the plottable form of each table. *)
@@ -18,7 +15,6 @@ val set_csv_dir : string option -> unit
 val f1 : float -> string
 (** One decimal. *)
 
-val f2 : float -> string
 val pct : float -> string
 (** [0.1234] → ["12.3%"]. *)
 

@@ -19,7 +19,6 @@ let switch t = t.switch
 let hostname t = Legacy_switch.name t.switch
 let vendor t = t.vendor
 let snmp t = t.snmp
-let fault_plan t = t.fault
 
 let set_fault_plan t plan =
   t.fault <- plan;
@@ -29,7 +28,7 @@ let set_fault_plan t plan =
 
 let napalm_faulted t ~op =
   match t.fault with
-  | Some plan when Fault_plan.should_fail plan ~op ->
+  | Some plan when Fault_plan.should_fail plan ->
       Some (Error (Printf.sprintf "%s: connection timed out" op))
   | Some _ | None -> None
 
@@ -75,7 +74,7 @@ let register_mib t mib =
   Mib.register_scalar mib Oid.Std.if_number ~get:(fun () -> Mib.Int ports) ();
   (* The interface table: one provider covering the whole subtree. *)
   let if_bindings () =
-    let counters = Node.counters (Legacy_switch.node sw) in
+    let node = Legacy_switch.node sw in
     List.concat
       (List.init ports (fun p ->
            let idx = p + 1 in
@@ -86,10 +85,8 @@ let register_mib t mib =
                  (match Legacy_switch.port_mode sw ~port:p with
                  | Port_config.Disabled -> 2
                  | Port_config.Access _ | Port_config.Trunk _ -> 1) );
-             ( Oid.Std.if_in_ucast idx,
-               Mib.Int (Stats.Counter.get counters (Printf.sprintf "rx.%d" p)) );
-             ( Oid.Std.if_out_ucast idx,
-               Mib.Int (Stats.Counter.get counters (Printf.sprintf "tx.%d" p)) );
+             (Oid.Std.if_in_ucast idx, Mib.Int (Node.rx_packets node ~port:p));
+             (Oid.Std.if_out_ucast idx, Mib.Int (Node.tx_packets node ~port:p));
            ]))
   in
   Mib.register_subtree mib (Oid.Std.if_table) ~bindings:if_bindings ();

@@ -41,7 +41,5 @@ val set_fault_plan : t -> Fault_plan.t option -> unit
     burst can also degrade fact discovery — exactly the mess a real
     flapping management connection produces. *)
 
-val fault_plan : t -> Fault_plan.t option
-
 val running_config : t -> Device_config.t
 val running_config_text : t -> string

@@ -36,14 +36,6 @@ let stanza_for t ~port = List.find_opt (fun s -> s.port = port) t.stanzas
 
 let mode_string mode = Format.asprintf "%a" Port_config.pp mode
 
-let equal a b =
-  String.equal a.hostname b.hostname
-  && List.length a.stanzas = List.length b.stanzas
-  && List.for_all2
-       (fun x y ->
-         x.port = y.port && x.mode = y.mode && x.description = y.description)
-       a.stanzas b.stanzas
-
 let equal_modes a b =
   String.equal a.hostname b.hostname
   && List.length a.stanzas = List.length b.stanzas

@@ -23,8 +23,6 @@ val apply : t -> Ethswitch.Legacy_switch.t -> unit
 
 val stanza_for : t -> port:int -> stanza option
 
-val equal : t -> t -> bool
-
 val equal_modes : t -> t -> bool
 (** Equality on what the device actually enforces — hostname, ports and
     their modes — ignoring descriptions, which not every NOS dialect
@@ -33,4 +31,4 @@ val equal_modes : t -> t -> bool
 
 val diff : t -> t -> string list
 (** Human-readable per-port differences, ["port 3: access 1 -> access 103"];
-    empty when {!equal}. *)
+    empty when the two configurations are equal. *)

@@ -348,9 +348,3 @@ module Junos : S = struct
                 stanzas)
          with Invalid_argument msg -> Error msg)
 end
-
-let of_name = function
-  | "ios" -> Some (module Ios : S)
-  | "eos" -> Some (module Eos : S)
-  | "junos" -> Some (module Junos : S)
-  | _ -> None

@@ -29,6 +29,3 @@ module Junos : S
     [set interfaces ge-0/0/N ...] statements instead of indented
     stanzas — included to demonstrate that the NAPALM abstraction
     really is syntax-independent. *)
-
-val of_name : string -> (module S) option
-(** ["ios"], ["eos"] or ["junos"]. *)

@@ -4,9 +4,7 @@ type t = {
   rng : Rng.t;
   mutable fail_probability : float;
   mutable forced : int;
-  mutable ops : int;
   mutable injected : int;
-  mutable log : (int * string) list; (* (op index, op name), newest first *)
 }
 
 let create ?(seed = 1) ?(fail_probability = 0.0) () =
@@ -16,9 +14,7 @@ let create ?(seed = 1) ?(fail_probability = 0.0) () =
     rng = Rng.create seed;
     fail_probability;
     forced = 0;
-    ops = 0;
     injected = 0;
-    log = [];
   }
 
 let fail_next t n =
@@ -30,8 +26,7 @@ let set_fail_probability t p =
     invalid_arg "Fault_plan.set_fail_probability: outside [0, 1]";
   t.fail_probability <- p
 
-let should_fail t ~op =
-  t.ops <- t.ops + 1;
+let should_fail t =
   let fail =
     if t.forced > 0 then begin
       t.forced <- t.forced - 1;
@@ -40,13 +35,7 @@ let should_fail t ~op =
     else
       t.fail_probability > 0.0 && Rng.float t.rng 1.0 < t.fail_probability
   in
-  if fail then begin
-    t.injected <- t.injected + 1;
-    t.log <- (t.ops, op) :: t.log
-  end;
+  if fail then t.injected <- t.injected + 1;
   fail
 
-let ops t = t.ops
 let injected t = t.injected
-let pending_forced t = t.forced
-let log t = List.rev t.log

@@ -18,18 +18,9 @@ val fail_next : t -> int -> unit
 val set_fail_probability : t -> float -> unit
 (** Ongoing random failure rate in [0, 1]; 1.0 = management black-out. *)
 
-val should_fail : t -> op:string -> bool
+val should_fail : t -> bool
 (** Consume one operation slot.  Forced failures are spent first, then
-    the probability stream.  [op] is recorded in the log. *)
-
-val ops : t -> int
-(** Operations that consulted the plan. *)
+    the probability stream. *)
 
 val injected : t -> int
 (** Failures injected so far. *)
-
-val pending_forced : t -> int
-
-val log : t -> (int * string) list
-(** (operation index, operation name) of every injected failure, oldest
-    first. *)

@@ -1,9 +1,5 @@
 type value = Int of int | Str of string
 
-let pp_value fmt = function
-  | Int n -> Format.fprintf fmt "INTEGER: %d" n
-  | Str s -> Format.fprintf fmt "STRING: %s" s
-
 type provider = {
   prefix : Oid.t;
   bindings : unit -> (Oid.t * value) list;

@@ -5,8 +5,6 @@
 
 type value = Int of int | Str of string
 
-val pp_value : Format.formatter -> value -> unit
-
 type t
 
 val create : unit -> t

@@ -20,7 +20,6 @@ let of_string s =
   of_list arcs
 
 let to_string t = String.concat "." (List.map string_of_int t)
-let append t arcs = t @ arcs
 
 let rec is_prefix p t =
   match (p, t) with
@@ -36,12 +35,10 @@ let rec compare a b =
   | x :: a', y :: b' -> ( match Int.compare x y with 0 -> compare a' b' | c -> c)
 
 let equal a b = compare a b = 0
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Std = struct
   let mib2 = [ 1; 3; 6; 1; 2; 1 ]
   let sys_descr = mib2 @ [ 1; 1; 0 ]
-  let sys_object_id = mib2 @ [ 1; 2; 0 ]
   let sys_up_time = mib2 @ [ 1; 3; 0 ]
   let sys_name = mib2 @ [ 1; 5; 0 ]
   let if_number = mib2 @ [ 2; 1; 0 ]

@@ -14,9 +14,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 
-val append : t -> int list -> t
-(** [append t arcs] extends [t]. *)
-
 val is_prefix : t -> t -> bool
 (** [is_prefix p t]: does [t] live under [p]? (Reflexive.) *)
 
@@ -24,14 +21,11 @@ val compare : t -> t -> int
 (** Lexicographic — the ordering SNMP getnext walks. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Well-known MIB-2 locations used by the simulated agents.  Interface
     accessors take a 1-based ifIndex, SNMP-style. *)
 module Std : sig
   val sys_descr : t
-
-  val sys_object_id : t
 
   val sys_up_time : t
 

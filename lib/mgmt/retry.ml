@@ -52,8 +52,6 @@ let budget limit =
   if limit < 0 then invalid_arg "Retry.budget: negative deadline";
   { limit; spent = 0; exhausted = false }
 
-let budget_limit b = b.limit
-let budget_spent b = b.spent
 let budget_exhausted b = b.exhausted
 
 let deadline_prefix = "deadline exceeded"

@@ -64,11 +64,6 @@ type budget
 val budget : Simnet.Sim_time.span -> budget
 (** @raise Invalid_argument if the span is negative. *)
 
-val budget_limit : budget -> Simnet.Sim_time.span
-val budget_spent : budget -> Simnet.Sim_time.span
-(** Backoff charged so far (the delays that were, or would have been,
-    waited out). *)
-
 val budget_exhausted : budget -> bool
 (** True once a retry loop has refused to continue under this budget. *)
 

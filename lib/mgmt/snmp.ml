@@ -21,7 +21,6 @@ type t = {
   read_community : string;
   write_community : string;
   mutable requests : int;
-  mutable timeouts : int;
   mutable fault : Fault_plan.t option;
 }
 
@@ -31,7 +30,6 @@ let create ?(read_community = "public") ?(write_community = "private") mib =
     read_community;
     write_community;
     requests = 0;
-    timeouts = 0;
     fault = None;
   }
 
@@ -41,26 +39,24 @@ let readable t community =
   String.equal community t.read_community || String.equal community t.write_community
 
 (* A lost datagram times out before the agent sees community or OID. *)
-let timed_out t ~op =
+let timed_out t =
   t.requests <- t.requests + 1;
   match t.fault with
-  | Some plan when Fault_plan.should_fail plan ~op ->
-      t.timeouts <- t.timeouts + 1;
-      true
-  | Some _ | None -> false
+  | Some plan -> Fault_plan.should_fail plan
+  | None -> false
 
 let get t ~community oid =
-  if timed_out t ~op:"snmp.get" then Error Timeout
+  if timed_out t then Error Timeout
   else if not (readable t community) then Error Bad_community
   else match Mib.get t.mib oid with Some v -> Ok v | None -> Error No_such_object
 
 let get_next t ~community oid =
-  if timed_out t ~op:"snmp.get_next" then Error Timeout
+  if timed_out t then Error Timeout
   else if not (readable t community) then Error Bad_community
   else match Mib.next t.mib oid with Some b -> Ok b | None -> Error End_of_mib
 
 let set t ~community oid value =
-  if timed_out t ~op:"snmp.set" then Error Timeout
+  if timed_out t then Error Timeout
   else if not (String.equal community t.write_community) then Error Bad_community
   else
     match Mib.set t.mib oid value with
@@ -68,9 +64,8 @@ let set t ~community oid value =
     | Error reason -> Error (Not_writable reason)
 
 let walk t ~community prefix =
-  if timed_out t ~op:"snmp.walk" then Error Timeout
+  if timed_out t then Error Timeout
   else if not (readable t community) then Error Bad_community
   else Ok (Mib.walk t.mib prefix)
 
 let requests t = t.requests
-let timeouts t = t.timeouts

@@ -30,6 +30,3 @@ val walk : t -> community:string -> Oid.t -> ((Oid.t * Mib.value) list, error) r
 
 val requests : t -> int
 (** Total operations served (for the manager-workflow experiment). *)
-
-val timeouts : t -> int
-(** Operations the fault plan timed out. *)

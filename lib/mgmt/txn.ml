@@ -141,8 +141,6 @@ let entry_to_string = function
 let record_to_string r =
   Printf.sprintf "txn %s %d %s" r.txn r.seq (entry_to_string r.entry)
 
-let pp_record ppf r = Format.pp_print_string ppf (record_to_string r)
-
 let pp_resolution ppf = function
   | Fresh -> Format.pp_print_string ppf "fresh"
   | Committed_ -> Format.pp_print_string ppf "committed"
@@ -223,8 +221,3 @@ let of_string text =
 let save t ~path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_string t))
-
-let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_string text
-  | exception Sys_error msg -> Error msg

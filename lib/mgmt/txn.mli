@@ -80,7 +80,6 @@ val resolve : t -> txn:string -> resolution
 (** Pure function of the record sequence; idempotent replay builds on
     this: resolving an already-terminal log changes nothing. *)
 
-val pp_record : Format.formatter -> record -> unit
 val pp_resolution : Format.formatter -> resolution -> unit
 
 val to_string : t -> string
@@ -93,5 +92,3 @@ val of_string : string -> (t, string) result
 
 val save : t -> path:string -> unit
 (** @raise Sys_error on I/O failure. *)
-
-val load : path:string -> (t, string) result

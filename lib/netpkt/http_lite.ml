@@ -18,9 +18,6 @@ let get ?(headers = []) ~host path = { meth = "GET"; path; host; headers; body =
 let ok ?(headers = []) body =
   { status = 200; reason = "OK"; resp_headers = headers; resp_body = body }
 
-let forbidden =
-  { status = 403; reason = "Forbidden"; resp_headers = []; resp_body = "blocked\n" }
-
 let crlf = "\r\n"
 
 let render_headers headers =

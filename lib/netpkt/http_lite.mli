@@ -23,9 +23,6 @@ val get : ?headers:(string * string) list -> host:string -> string -> request
 val ok : ?headers:(string * string) list -> string -> response
 (** [ok body] is a [200 OK] response. *)
 
-val forbidden : response
-(** A [403 Forbidden] response with a short body. *)
-
 val render_request : request -> string
 val parse_request : string -> request option
 (** [None] if the string is not a complete well-formed request. *)

@@ -6,7 +6,6 @@ let any = 0l
 let broadcast = 0xffffffffl
 let equal = Int32.equal
 let compare = Int32.unsigned_compare
-let hash = Hashtbl.hash
 
 let of_octets a b c d =
   let check x = if x < 0 || x > 255 then invalid_arg "Ipv4_addr.of_octets" in
@@ -14,8 +13,6 @@ let of_octets a b c d =
   Int32.logor
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
-
-let localhost = of_octets 127 0 0 1
 
 let octet t i =
   Int32.to_int (Int32.logand (Int32.shift_right_logical t ((3 - i) * 8)) 0xffl)

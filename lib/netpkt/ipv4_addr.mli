@@ -9,9 +9,6 @@ val any : t
 val broadcast : t
 (** [255.255.255.255]. *)
 
-val localhost : t
-(** [127.0.0.1]. *)
-
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
 
@@ -42,7 +39,6 @@ val is_multicast : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** CIDR prefixes such as [10.0.0.0/8]. *)

@@ -59,5 +59,4 @@ let is_multicast t = Char.code t.[0] land 1 = 1
 let is_unicast t = not (is_multicast t)
 let equal = String.equal
 let compare = String.compare
-let hash = Hashtbl.hash
 let pp fmt t = Format.pp_print_string fmt (to_string t)

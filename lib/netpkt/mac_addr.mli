@@ -52,5 +52,4 @@ val is_unicast : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ let syn = { no_flags with syn = true }
 let syn_ack = { no_flags with syn = true; ack = true }
 let ack_only = { no_flags with ack = true }
 let fin_ack = { no_flags with fin = true; ack = true }
-let rst = { no_flags with rst = true }
 
 type t = {
   src_port : int;

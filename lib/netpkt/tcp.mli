@@ -9,12 +9,10 @@ type flags = {
   urg : bool;
 }
 
-val no_flags : flags
 val syn : flags
 val syn_ack : flags
 val ack_only : flags
 val fin_ack : flags
-val rst : flags
 
 type t = {
   src_port : int;

@@ -1,7 +1,6 @@
 type t = {
   mutable entries : Flow_entry.t list; (* priority-descending, stable *)
   max_entries : int;
-  mutable lookups : int;
   mutable version : int;
 }
 
@@ -9,7 +8,7 @@ exception Table_full
 
 let create ?(max_entries = 100_000) () =
   if max_entries <= 0 then invalid_arg "Flow_table.create: max_entries <= 0";
-  { entries = []; max_entries; lookups = 0; version = 0 }
+  { entries = []; max_entries; version = 0 }
 
 let bump t = t.version <- t.version + 1
 
@@ -84,11 +83,9 @@ let clear t =
   end
 
 let lookup t ~in_port fields =
-  t.lookups <- t.lookups + 1;
   List.find_opt (fun e -> Of_match.matches e.Flow_entry.match_ ~in_port fields) t.entries
 
 let lookup_scan t ~in_port fields =
-  t.lookups <- t.lookups + 1;
   let rec scan n = function
     | [] -> (None, n)
     | e :: rest ->
@@ -111,7 +108,6 @@ let expire t ~now_ns =
 
 let size t = List.length t.entries
 let entries t = t.entries
-let lookups t = t.lookups
 let version t = t.version
 
 let pp fmt t =

@@ -45,9 +45,6 @@ val size : t -> int
 val entries : t -> Flow_entry.t list
 (** Priority-descending. *)
 
-val lookups : t -> int
-(** Total {!lookup} calls (for cache-hit-rate style statistics). *)
-
 val version : t -> int
 (** Increments on every mutation — lets caches detect staleness. *)
 

@@ -22,8 +22,6 @@ val modify : t -> id:int -> group_type -> bucket list -> unit
 (** @raise Not_found if absent. *)
 
 val remove : t -> id:int -> unit
-val mem : t -> id:int -> bool
-val size : t -> int
 
 val select_buckets :
   t -> id:int -> flow_hash:int -> bucket list

@@ -19,10 +19,7 @@ type t = {
 
 let policy t = t.policy
 let fdd t = t.fdd
-let table_id t = t.table_id
 let flow_mods t = t.flow_mods
-let group_mods t = t.group_mods
-let meter_mods t = t.meter_mods
 let flow_count t = List.length t.flow_mods
 let group_count t = List.length t.group_mods
 let meter_count t = List.length t.meter_mods
@@ -300,27 +297,6 @@ let messages t =
   List.map (fun m -> Of_message.Meter_mod m) t.meter_mods
   @ List.map (fun g -> Of_message.Group_mod g) t.group_mods
   @ List.map (fun f -> Of_message.Flow_mod f) t.flow_mods
-
-let install t ~now_ns pipeline =
-  List.iter
-    (function
-      | Of_message.Add_meter { id; band } ->
-          Meter_table.add (Pipeline.meters pipeline) ~id band
-      | _ -> assert false)
-    t.meter_mods;
-  List.iter
-    (function
-      | Of_message.Add_group { id; gtype; buckets } ->
-          Group_table.add (Pipeline.groups pipeline) ~id gtype buckets
-      | _ -> assert false)
-    t.group_mods;
-  let table = Pipeline.table pipeline t.table_id in
-  List.iter
-    (fun (fm : Of_message.flow_mod) ->
-      Flow_table.add table ~now_ns
-        (Flow_entry.make ~priority:fm.priority ~match_:fm.match_
-           fm.instructions))
-    t.flow_mods
 
 let pp_instructions ppf instrs =
   let first = ref true in

@@ -33,13 +33,9 @@ val compile : ?table_id:int -> Syntax.t -> t
 
 val policy : t -> Syntax.t
 val fdd : t -> Fdd.t
-val table_id : t -> int
 
 val flow_mods : t -> Openflow.Of_message.flow_mod list
 (** In descending priority order, catch-all drop last. *)
-
-val group_mods : t -> Openflow.Of_message.group_mod list
-val meter_mods : t -> Openflow.Of_message.meter_mod list
 
 val messages : t -> Openflow.Of_message.t list
 (** Meters, then groups, then flows — dependency order. *)
@@ -47,12 +43,6 @@ val messages : t -> Openflow.Of_message.t list
 val flow_count : t -> int
 val group_count : t -> int
 val meter_count : t -> int
-
-val install : t -> now_ns:int -> Openflow.Pipeline.t -> unit
-(** Install directly into a pipeline (tests and benches; the controller
-    push path sends {!messages} instead).
-    @raise Invalid_argument if the pipeline lacks the target table;
-    @raise Flow_table.Table_full as the table does. *)
 
 val render : t -> string
 (** Deterministic human-readable dump (meters, groups, then rules with

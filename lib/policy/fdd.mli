@@ -41,16 +41,9 @@ module Act : sig
       sorted).  Notably it does {e not} erase rewrites under a discard:
       a later composition can overwrite [Loc] and resurrect the packet,
       so that quotient is only sound at observation time
-      ({!is_plain_disc}, {!strip_disc}). *)
+      ({!strip_disc}). *)
 
   val id : t
-  val is_id : t -> bool
-
-  val is_plain_disc : t -> bool
-  (** Location finally [Disc], no meter, no bucket choice: nothing is
-      emitted and no side effect fires, whatever other rewrites the
-      action carries — it contributes nothing next to other actions in a
-      leaf. *)
 
   val loc : t -> Syntax.location option
   (** The location modification, if any ([None] = leave at ingress port). *)
@@ -72,7 +65,6 @@ val drop : t
 val id : t
 val branch : key -> t -> t -> t
 val atom : key -> t
-val natom : key -> t
 
 val sum : t -> t -> t
 (** Union: pointwise set union of leaf action sets. *)
@@ -80,9 +72,6 @@ val sum : t -> t -> t
 val prod : t -> t -> t
 (** [prod pred d] guards [d] by a {e predicate} diagram (leaves [[]] or
     [[id]] only). @raise Invalid_argument if the left operand is not one. *)
-
-val ors : t -> t -> t
-(** Fallback: where the left diagram's leaf is empty, use the right's. *)
 
 val seq : t -> t -> t
 (** Sequential composition: resolves the right diagram's tests against the
@@ -104,9 +93,9 @@ val eval : (Syntax.field -> Syntax.value option) -> t -> Act.t list
     on an absent field takes the [lo] edge). *)
 
 val strip_disc : t -> t
-(** Quotient by output observability: plain-discard actions
-    ({!Act.is_plain_disc}) are removed from every leaf, so a leaf of
-    discards alone becomes {!drop}.  The distinctions are kept during
+(** Quotient by output observability: plain-discard actions (location
+    finally [Disc], no meter, no bucket choice) are removed from every
+    leaf, so a leaf of discards alone becomes {!drop}.  The distinctions are kept during
     composition because the algebra can still see them — [orelse] stops
     at an explicit discard but falls through an empty set, and a later
     [seq] can test or overwrite a discarded state's fields — but a flow

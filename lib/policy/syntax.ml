@@ -231,8 +231,6 @@ let vlan_vid_is n = test Vlan_vid (Int n)
 let ip_proto_is n = test Ip_proto (Int n)
 let ip_src_is a = test Ip_src (Ip a)
 let ip_dst_is a = test Ip_dst (Ip a)
-let ip_tos_is n = test Ip_tos (Int n)
-let l4_src_is n = test L4_src (Int n)
 let l4_dst_is n = test L4_dst (Int n)
 let fwd p = Mod (Loc, At (Phys p))
 let flood = Mod (Loc, At Flood)
@@ -242,8 +240,6 @@ let set_eth_src m = Mod (Eth_src, Mac m)
 let set_eth_dst m = Mod (Eth_dst, Mac m)
 let set_ip_src a = Mod (Ip_src, Ip a)
 let set_ip_dst a = Mod (Ip_dst, Ip a)
-let set_ip_tos n = Mod (Ip_tos, Int n)
-let set_l4_src n = Mod (L4_src, Int n)
 let set_l4_dst n = Mod (L4_dst, Int n)
 let union a b = Union (a, b)
 let seq a b = Seq (a, b)

@@ -68,19 +68,11 @@ type t =
 
 (** {1 Field and value orders} *)
 
-val field_rank : field -> int
-(** Total order used by the FDD: tests on lower-ranked fields appear nearer
-    the root. [Loc] ranks first; [Eth_dst] ranks last so the broad L2
-    forwarding band compiles to rules that generalize across the
-    narrower protocol- and flow-scoped bands above it. *)
-
 val field_name : field -> string
 val compare_field : field -> field -> int
-val compare_value : value -> value -> int
 val equal_value : value -> value -> bool
 val compare_key : field * value -> field * value -> int
 
-val pp_location : Format.formatter -> location -> unit
 val pp_value : Format.formatter -> value -> unit
 
 val pp_mods : Format.formatter -> (field * value) list -> unit
@@ -97,9 +89,6 @@ val to_string : t -> string
     [Vlan_vid] and [Ip_proto] are read-only (no [Mod]); [Mod Loc] accepts
     any location while [Test Loc] only a [Phys] port; [Balance] buckets
     hold modifications only. *)
-
-val check_mod : field -> value -> unit
-(** @raise Invalid_argument on an ill-kinded or read-only-field write. *)
 
 val check : t -> unit
 (** Structural well-formedness of a whole policy.
@@ -127,8 +116,6 @@ val vlan_vid_is : int -> pred
 val ip_proto_is : int -> pred
 val ip_src_is : Netpkt.Ipv4_addr.t -> pred
 val ip_dst_is : Netpkt.Ipv4_addr.t -> pred
-val ip_tos_is : int -> pred
-val l4_src_is : int -> pred
 val l4_dst_is : int -> pred
 
 val fwd : int -> t
@@ -142,8 +129,6 @@ val set_eth_src : Netpkt.Mac_addr.t -> t
 val set_eth_dst : Netpkt.Mac_addr.t -> t
 val set_ip_src : Netpkt.Ipv4_addr.t -> t
 val set_ip_dst : Netpkt.Ipv4_addr.t -> t
-val set_ip_tos : int -> t
-val set_l4_src : int -> t
 val set_l4_dst : int -> t
 
 val union : t -> t -> t

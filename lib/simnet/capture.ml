@@ -20,7 +20,6 @@ let attach t node =
 let entries t = List.rev t.entries
 let filter t pred = List.filter pred (entries t)
 let count t pred = List.length (filter t pred)
-let clear t = t.entries <- []
 
 let pp_entry fmt e =
   Format.fprintf fmt "%a %s[%d] %s %a" Sim_time.pp e.time e.node e.port

@@ -22,9 +22,7 @@ val entries : t -> entry list
 
 val filter : t -> (entry -> bool) -> entry list
 val count : t -> (entry -> bool) -> int
-val clear : t -> unit
 
-val pp_entry : Format.formatter -> entry -> unit
 val dump : Format.formatter -> t -> unit
 (** One line per entry, tcpdump-style. *)
 

@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let is_empty t = t.size = 0
 let length t = t.size
 
 let entry_before a b =
@@ -71,7 +70,3 @@ let pop t =
   end
 
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  t.size <- 0;
-  t.heap <- [||]

@@ -6,11 +6,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> Sim_time.t -> 'a -> unit
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Earliest event, or [None] when empty. *)
 
 val peek_time : 'a t -> Sim_time.t option
-val clear : 'a t -> unit

@@ -32,7 +32,6 @@ type action =
 
 type event = { after : Sim_time.span; target : string; action : action }
 
-val pp_action : Format.formatter -> action -> unit
 val pp_event : Format.formatter -> event -> unit
 
 val parse_span : string -> (Sim_time.span, string) result

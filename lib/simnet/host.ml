@@ -6,7 +6,6 @@ type t = {
   name : string;
   mac : Mac_addr.t;
   ip : Ipv4_addr.t;
-  mutable rx_log : Packet.t list; (* newest first *)
   mutable udp_rx : int;
   mutable echo_replies : int;
   mutable http_responses : (int * string) list; (* newest first *)
@@ -37,8 +36,7 @@ let serve_http t ~pages = t.pages <- Some pages
 let serve_dns t ~records = t.dns_zone <- Some records
 let resolved t = List.rev t.resolved
 let nxdomains t = t.nxdomains
-let received t = List.rev t.rx_log
-let received_count t = List.length t.rx_log
+let received_count t = Node.rx_packets t.node ~port:0
 let udp_received t = t.udp_rx
 let http_responses t = List.rev t.http_responses
 let echo_replies t = t.echo_replies
@@ -166,7 +164,6 @@ let handle t pkt =
       ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
       ~component:t.name ~layer:Telemetry.Trace.Host ~stage:"rx" ~port:0
       ~cycles:0 (* endpoint stack cost is out of scope for the model *) pkt;
-  t.rx_log <- pkt :: t.rx_log;
   List.iter (fun f -> f pkt) t.user_rx;
   match pkt.Packet.l3 with
   | Packet.Arp arp -> handle_arp t pkt arp
@@ -194,7 +191,6 @@ let create engine ~name ~mac ~ip () =
       name;
       mac;
       ip;
-      rx_log = [];
       udp_rx = 0;
       echo_replies = 0;
       http_responses = [];

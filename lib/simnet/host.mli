@@ -60,11 +60,11 @@ val nxdomains : t -> int
 
 val ping : t -> dst_mac:Netpkt.Mac_addr.t -> dst_ip:Netpkt.Ipv4_addr.t -> seq:int -> unit
 
-(** Everything received, for assertions. *)
-val received : t -> Netpkt.Packet.t list
-(** Oldest first. *)
-
 val received_count : t -> int
+(** Frames delivered to the NIC: the node's port-0 rx counter.  The host
+    keeps no log of the frames themselves; observe them with
+    {!on_receive} or a {!Capture}. *)
+
 val udp_received : t -> int
 val http_responses : t -> (int * string) list
 (** Status and body of each HTTP response received, oldest first. *)
@@ -78,4 +78,6 @@ val latency : t -> Stats.Histogram.t
 val arp_cache : t -> (Netpkt.Ipv4_addr.t * Netpkt.Mac_addr.t) list
 
 val on_receive : t -> (Netpkt.Packet.t -> unit) -> unit
-(** Extra user callback invoked on every delivered frame. *)
+(** Extra user callback invoked on every delivered frame, before the
+    host's own protocol handling.  Frames delivered before the callback
+    is registered are not replayed. *)

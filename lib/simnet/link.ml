@@ -159,8 +159,6 @@ let set_up t up =
     Node.set_carrier t.node_b ~port:t.port_b up
   end
 
-let is_up t = t.ab.up && t.ba.up
-
 let set_impairments ?loss ?jitter t =
   (match loss with
   | Some l when l < 0.0 || l >= 1.0 ->
@@ -187,7 +185,6 @@ let dir_stats d =
   }
 
 let stats_a_to_b t = dir_stats t.ab
-let stats_b_to_a t = dir_stats t.ba
 
 let utilization_a_to_b t ~now =
   let seconds = Sim_time.span_to_seconds (Sim_time.to_ns now) in

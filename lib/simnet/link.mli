@@ -50,8 +50,6 @@ val set_up : t -> bool -> unit
     survives, so [set_up t true] restores service — the primitive the
     fault injector uses for link down/up events. *)
 
-val is_up : t -> bool
-
 val set_impairments : ?loss:float -> ?jitter:Sim_time.span -> t -> unit
 (** Degrade (or heal) a live link: override the loss probability and/or
     jitter of both directions.  The seeded impairment streams continue —
@@ -69,7 +67,6 @@ type dir_stats = {
 }
 
 val stats_a_to_b : t -> dir_stats
-val stats_b_to_a : t -> dir_stats
 
 val utilization_a_to_b : t -> now:Sim_time.t -> float
 (** Fraction of capacity used since the start of the simulation. *)

@@ -30,14 +30,14 @@ val transmit : t -> port:int -> Netpkt.Packet.t -> unit
 
 val deliver : t -> port:int -> Netpkt.Packet.t -> unit
 (** Hand a frame to the node as if it arrived on [port]; links call this,
-    and tests may too.  Runs taps, updates counters, then the handler. *)
+    and tests may too.  Counts the frame on [port], runs taps, then the
+    handler. *)
 
 val attach : t -> port:int -> (Netpkt.Packet.t -> unit) -> unit
 (** Wire the port's transmit side to a link endpoint.  Used by {!Link}.
     @raise Invalid_argument if already attached. *)
 
 val detach : t -> port:int -> unit
-val attached : t -> port:int -> bool
 
 val set_carrier : t -> port:int -> bool -> unit
 (** Force the port's carrier signal (default up).  Dropping carrier on an
@@ -48,12 +48,36 @@ val set_carrier : t -> port:int -> bool -> unit
     so the link can come back later. *)
 
 val carrier : t -> port:int -> bool
-(** [attached] and carrier up. *)
+(** A link is attached to [port] and its carrier is up. *)
+
+val rx_packets : t -> port:int -> int
+(** Frames delivered to [port].  @raise Invalid_argument on a bad port. *)
+
+val tx_packets : t -> port:int -> int
+(** Frames transmitted out of [port] (drops are not counted). *)
+
+val rx_bytes : t -> port:int -> int
+(** Wire bytes ({!Netpkt.Packet.wire_size}) delivered to [port] — what
+    OpenFlow port stats report. *)
+
+val tx_bytes : t -> port:int -> int
+
+val rx_total : t -> int
+(** Frames delivered, summed over all ports. *)
+
+val tx_total : t -> int
+
+val traffic_counters : t -> (string * int) list
+(** The frame counters as named values for metrics export: node totals
+    ["rx"] and ["tx"], and ["rx.<n>"], ["rx_bytes.<n>"], ["tx.<n>"],
+    ["tx_bytes.<n>"] for each port [n] that received (transmitted) at
+    least one frame.  Zero totals are left out. *)
 
 val counters : t -> Stats.Counter.t
-(** Per-node counters; ["rx"], ["tx"], per-port ["rx.<n>"], ["tx.<n>"],
-    per-port byte totals ["rx_bytes.<n>"], ["tx_bytes.<n>"] (wire
-    sizes — what OpenFlow port stats report), and drop reasons. *)
+(** Rare events by name: drop reasons such as ["tx_drop_unattached"] and
+    ["tx_drop_no_carrier"], plus whatever the node's owner adds (a legacy
+    switch's ["fwd"]/["flood"]/["drop_*"], a soft switch's ["drop_*"]).
+    Per-frame traffic is not here; read it with the accessors above. *)
 
 type direction = Rx | Tx
 

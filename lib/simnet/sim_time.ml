@@ -17,7 +17,6 @@ let add t d =
 let diff a b = a - b
 let max = Stdlib.max
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) = Stdlib.( <= )
 let ( < ) = Stdlib.( < )
 let ns n = n

@@ -24,7 +24,6 @@ val diff : t -> t -> span
 
 val max : t -> t -> t
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 

@@ -152,10 +152,4 @@ module Histogram = struct
     t.sum <- a.sum +. b.sum;
     t
 
-  let pp_summary fmt t =
-    if t.total = 0 then Format.pp_print_string fmt "n=0"
-    else
-      Format.fprintf fmt "n=%d min=%a p50=%a p99=%a max=%a" t.total
-        Sim_time.pp_span t.vmin Sim_time.pp_span (percentile t 50.0)
-        Sim_time.pp_span (percentile t 99.0) Sim_time.pp_span t.vmax
 end

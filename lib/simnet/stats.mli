@@ -56,6 +56,4 @@ module Histogram : sig
       outside (0, 100]. *)
 
   val merge : t -> t -> t
-  val pp_summary : Format.formatter -> t -> unit
-  (** "n=... min=... p50=... p99=... max=..." with times in readable units. *)
 end

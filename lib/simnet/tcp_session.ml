@@ -33,16 +33,6 @@ let received t = Buffer.contents t.rx
 let bytes_acked t = Int.max 0 (Int.min (t.snd_una - 1) (Buffer.length t.tx))
 let retransmissions t = t.retransmissions
 
-let pp_state fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Listening -> "listening"
-    | Syn_sent -> "syn-sent"
-    | Syn_received -> "syn-received"
-    | Established -> "established"
-    | Fin_sent -> "fin-sent"
-    | Closed -> "closed")
-
 let data_end t = 1 + Buffer.length t.tx
 
 let emit t ~flags ~seq payload =

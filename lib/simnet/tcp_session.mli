@@ -49,4 +49,3 @@ val bytes_acked : t -> int
 (** Queued bytes confirmed by the peer. *)
 
 val retransmissions : t -> int
-val pp_state : Format.formatter -> state -> unit

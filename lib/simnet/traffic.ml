@@ -74,15 +74,3 @@ let multi_udp_stream ~rng ~src ~dests ?(skew = 0.0) ?(dst_port = 20000) ?start
           ~ip_dst:dst_ip ~src_port ~dst_port payload
       in
       Host.send src pkt)
-
-let http_workload ~rng ~clients ~server_mac ~server_ip ~host ~paths ?start ~stop
-    ~rate () =
-  if Array.length clients = 0 then invalid_arg "Traffic.http_workload: no clients";
-  if Array.length paths = 0 then invalid_arg "Traffic.http_workload: no paths";
-  let engine = Node.engine (Host.node clients.(0)) in
-  let start = match start with Some s -> s | None -> Engine.now engine in
-  generate engine ~rng ~start ~stop (Poisson rate) (fun () ->
-      let client = Rng.choose rng clients in
-      let path = Rng.choose rng paths in
-      let src_port = 1024 + Rng.int rng 60000 in
-      Host.http_get client ~server_mac ~server_ip ~host ~path ~src_port)

@@ -52,18 +52,3 @@ val multi_udp_stream :
 (** Like {!udp_stream} but each packet picks a destination from [dests]:
     zipf-distributed with [skew] (default 0 = uniform).  The UDP source
     port also varies per packet so flow-level caches see many flows. *)
-
-val http_workload :
-  rng:Rng.t ->
-  clients:Host.t array ->
-  server_mac:Netpkt.Mac_addr.t ->
-  server_ip:Netpkt.Ipv4_addr.t ->
-  host:string ->
-  paths:string array ->
-  ?start:Sim_time.t ->
-  stop:Sim_time.t ->
-  rate:float ->
-  unit ->
-  stream
-(** Poisson stream of HTTP GETs; each request picks a uniform client and
-    path, with a fresh source port per request. *)

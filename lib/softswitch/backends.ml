@@ -13,6 +13,4 @@ let all =
     ("eswitch", Eswitch.create);
   ]
 
-let names = List.map fst all
-
 let find name = List.assoc_opt name all

@@ -12,9 +12,4 @@ val all : (string * (Openflow.Pipeline.t -> Dataplane.t)) list
 (** Constructor per backend.  Each call builds a fresh dataplane over the
     given (caller-owned) pipeline. *)
 
-val names : string list
-
 val find : string -> (Openflow.Pipeline.t -> Dataplane.t) option
-
-val tiny_cache_config : Ovs_like.config
-(** 4-entry EMC, 8-entry megaflow table. *)

@@ -30,8 +30,6 @@ module Cost : sig
   val eswitch_template : int
   (** One specialized-template probe in the ESwitch-like dataplane. *)
 
-  val per_action : int
-  (** Executing one action (rewrite or output). *)
 end
 
 (** A dataplane implementation: classification + execution + cycle

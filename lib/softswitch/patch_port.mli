@@ -7,8 +7,3 @@ type t
 
 val connect : Simnet.Node.t * int -> Simnet.Node.t * int -> t
 (** @raise Invalid_argument if a port is attached or engines differ. *)
-
-val disconnect : t -> unit
-
-val packets_a_to_b : t -> int
-val packets_b_to_a : t -> int

@@ -70,7 +70,6 @@ let submit t ~cycles k =
     true
   end
 
-let outstanding t = t.outstanding
 let processed t = t.processed
 let dropped t = t.dropped
 let busy_ns t = t.busy_ns

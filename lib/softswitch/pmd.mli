@@ -35,7 +35,6 @@ val submit : t -> cycles:int -> (unit -> unit) -> bool
     runs when service completes.  Returns [false] (and drops) if the RX
     ring is full. *)
 
-val outstanding : t -> int
 val processed : t -> int
 val dropped : t -> int
 val busy_ns : t -> int

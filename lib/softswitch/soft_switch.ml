@@ -100,7 +100,6 @@ let hardware_dataplane pipeline =
   }
 
 let set_flowrec t fr = t.flowrec <- fr
-let flowrec t = t.flowrec
 
 let expire_flows t =
   let now_ns = Sim_time.to_ns (Engine.now t.engine) in
@@ -334,14 +333,14 @@ let flow_stats t table_filter =
     tables
 
 let port_stats t =
-  let counters = Node.counters t.node in
-  List.init (Node.port_count t.node) (fun p ->
+  let n = t.node in
+  List.init (Node.port_count n) (fun port ->
       {
-        Of_message.port_no = p;
-        rx_packets = Stats.Counter.get counters (Printf.sprintf "rx.%d" p);
-        tx_packets = Stats.Counter.get counters (Printf.sprintf "tx.%d" p);
-        rx_bytes = Stats.Counter.get counters (Printf.sprintf "rx_bytes.%d" p);
-        tx_bytes = Stats.Counter.get counters (Printf.sprintf "tx_bytes.%d" p);
+        Of_message.port_no = port;
+        rx_packets = Node.rx_packets n ~port;
+        tx_packets = Node.tx_packets n ~port;
+        rx_bytes = Node.rx_bytes n ~port;
+        tx_bytes = Node.tx_bytes n ~port;
       })
 
 let handle_message t msg =
@@ -394,8 +393,8 @@ let publish_metrics ?registry ?(labels = []) t =
     @ [
         ("flow_entries", Openflow.Pipeline.total_entries t.pipeline);
         ("pmd_busy_ns", Pmd.busy_ns t.pmd);
-        ("rx_packets", Stats.Counter.get (Node.counters t.node) "rx");
-        ("tx_packets", Stats.Counter.get (Node.counters t.node) "tx");
+        ("rx_packets", Node.rx_total t.node);
+        ("tx_packets", Node.tx_total t.node);
       ])
 
 let process_direct t ~now_ns ~in_port pkt =

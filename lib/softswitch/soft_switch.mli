@@ -102,8 +102,6 @@ val set_flowrec : t -> Flowrec.t option -> unit
     pipeline runs.  Detached, the hook is one field read and allocates
     nothing (pinned by the memory-telemetry tests). *)
 
-val flowrec : t -> Flowrec.t option
-
 val expire_flows : t -> unit
 (** Remove idle/hard-timed-out entries now.  Also runs automatically every
     1024 processed packets. *)

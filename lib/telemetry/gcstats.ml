@@ -41,10 +41,6 @@ let sample t ~ts_ns =
 
 let samples t = t.count
 
-let minor_collections_series t = t.minor_collections
-let major_collections_series t = t.major_collections
-let promoted_words_series t = t.promoted_words
-let heap_words_series t = t.heap_words
 let allocated_words_series t = t.allocated_words
 
 let alloc_rate t ~now_ns ~window =

@@ -39,13 +39,6 @@ val samples : t -> int
 (** {2 The series} — cumulative counters unless noted; read rates with
     {!Timeseries.rate_over}. *)
 
-val minor_collections_series : t -> Timeseries.t
-val major_collections_series : t -> Timeseries.t
-val promoted_words_series : t -> Timeseries.t
-
-val heap_words_series : t -> Timeseries.t
-(** A gauge: major-heap size in words. *)
-
 val allocated_words_series : t -> Timeseries.t
 (** Cumulative words ever allocated (minor + direct major). *)
 

@@ -34,11 +34,6 @@ type snapshot = {
 val schema : string
 (** ["harmless-postmortem/2"] — first line of every serialized snapshot. *)
 
-val default_trigger : Trace.event -> bool
-(** The capture policy the rigs use: any ["fault"]-stream event, an
-    ["alert"] event named ["firing"], a ["migration"] event named
-    ["rollback"] or ["abort"], or a ["fleet"] event named ["abort"]. *)
-
 val capture :
   ?trigger:(Trace.event -> bool) ->
   ?pre_window_ns:int ->
@@ -50,8 +45,11 @@ val capture :
   Trace.t ->
   snapshot option
 (** Derive a snapshot from a recorder's retained events at the end of
-    a run.  [None] when no retained event matches [trigger] (default
-    {!default_trigger}) — an uneventful run produces no post-mortem.
+    a run.  [None] when no retained event matches [trigger] — an
+    uneventful run produces no post-mortem.  The default trigger is any
+    ["fault"]-stream event, an ["alert"] event named ["firing"], a
+    ["migration"] event named ["rollback"] or ["abort"], or a ["fleet"]
+    event named ["abort"].
     The event window is everything from [pre_window_ns] (default 5ms)
     before the first trigger through the end of the recording; spans
     are kept when their trace key matches a window event's correlation

@@ -234,10 +234,6 @@ let reset t =
         fam.series)
     t.families
 
-let clear t =
-  Hashtbl.reset t.families;
-  t.order <- []
-
 (* ---- exposition ---- *)
 
 let sorted_families t =

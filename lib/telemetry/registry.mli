@@ -75,9 +75,6 @@ end
 val reset : t -> unit
 (** Zero every series (registrations and label sets survive). *)
 
-val clear : t -> unit
-(** Drop every family; existing handles become dangling snapshots. *)
-
 val to_prometheus : t -> string
 (** Prometheus text exposition format.  Families sort by name, series
     by labels; histograms render as summaries (quantile 0.5/0.9/0.99

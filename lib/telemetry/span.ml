@@ -244,9 +244,3 @@ let to_collapsed spans =
   in
   String.concat "\n" (List.sort String.compare lines)
   ^ if lines = [] then "" else "\n"
-
-let save_collapsed spans ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_collapsed spans))

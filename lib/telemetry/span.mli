@@ -73,6 +73,3 @@ val to_collapsed : t list -> string
     over every packet (values sum), lines sorted — deterministic.  The
     sample value is the span's duration in nanoseconds, so the flame
     graph's x-axis is sim time. *)
-
-val save_collapsed : t list -> path:string -> unit
-(** Write {!to_collapsed} to [path]. *)

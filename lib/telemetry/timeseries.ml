@@ -28,7 +28,6 @@ let create ?(capacity = 1024) ~name () =
   }
 
 let name t = t.series_name
-let capacity t = Array.length t.ts
 let length t = t.len
 let total_recorded t = t.total
 

@@ -25,7 +25,6 @@ val create : ?capacity:int -> name:string -> unit -> t
     @raise Invalid_argument if [capacity < 2] (rates need two points). *)
 
 val name : t -> string
-val capacity : t -> int
 
 val length : t -> int
 (** Points currently held, [<= capacity]. *)

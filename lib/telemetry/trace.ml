@@ -333,14 +333,6 @@ let pp_hop fmt (hop : hop) =
   else Format.fprintf fmt "          ";
   if hop.detail <> "" then Format.fprintf fmt "  %s" hop.detail
 
-let pp_trace fmt trace =
-  (match trace.hops with
-  | first :: _ ->
-      Format.fprintf fmt "packet %08x: %s (%dB, %d hops)@." trace.key
-        (Lazy.force first.packet) first.bytes (List.length trace.hops)
-  | [] -> Format.fprintf fmt "packet %08x: (no hops)@." trace.key);
-  List.iter (fun hop -> Format.fprintf fmt "  %a@." pp_hop hop) trace.hops
-
 let pp_event fmt e =
   Format.fprintf fmt "%-10s %-5s %-20s"
     (Format.asprintf "%a" pp_time e.ts_ns)

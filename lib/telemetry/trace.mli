@@ -94,8 +94,6 @@ type level = Debug | Info | Warn | Error
 val level_name : level -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-val level_of_string : string -> level option
-
 type event = {
   seq : int;  (** recorder emission order, shared with hops, 1-based *)
   ts_ns : int;
@@ -208,7 +206,6 @@ val pp_time : Format.formatter -> int -> unit
 (** Nanoseconds, human-readable (["12.500us"]). *)
 
 val pp_hop : Format.formatter -> hop -> unit
-val pp_trace : Format.formatter -> trace -> unit
 
 val pp_event : Format.formatter -> event -> unit
 (** Human-readable: time, level, stream.name, corr, detail. *)

@@ -54,6 +54,37 @@ let mac_table_tests =
           (Mac_table.lookup t ~now:(Sim_time.of_ns 10) ~vlan:1 ~mac:(mac 1));
         check Alcotest.(option int) "newest present" (Some 4)
           (Mac_table.lookup t ~now:(Sim_time.of_ns 10) ~vlan:1 ~mac:(mac 4)));
+    tc "refresh protects from eviction; count_port follows the table" (fun () ->
+        let t = Mac_table.create ~capacity:3 () in
+        for i = 1 to 3 do
+          Mac_table.learn t ~now:(Sim_time.of_ns i) ~vlan:1 ~mac:(mac i) ~port:1
+        done;
+        (* refreshed: mac 1 is now the most recent, mac 2 the oldest *)
+        Mac_table.learn t ~now:(Sim_time.of_ns 4) ~vlan:1 ~mac:(mac 1) ~port:2;
+        Mac_table.learn t ~now:(Sim_time.of_ns 5) ~vlan:1 ~mac:(mac 4) ~port:2;
+        let at = Sim_time.of_ns 5 in
+        check Alcotest.(list (option int)) "mac 2 evicted"
+          [ Some 2; None; Some 1; Some 2 ]
+          (List.map (fun i -> Mac_table.lookup t ~now:at ~vlan:1 ~mac:(mac i)) [ 1; 2; 3; 4 ]);
+        check Alcotest.(pair int int) "per-port counts" (1, 2)
+          (Mac_table.count_port t ~port:1, Mac_table.count_port t ~port:2);
+        Mac_table.flush_port t ~port:2;
+        check Alcotest.(pair int int) "after flush_port" (1, 0)
+          (Mac_table.count_port t ~port:1, Mac_table.count_port t ~port:2);
+        (* many refreshes of one entry leave the others evictable in order *)
+        for i = 6 to 100 do
+          Mac_table.learn t ~now:(Sim_time.of_ns i) ~vlan:1 ~mac:(mac 5) ~port:3
+        done;
+        Mac_table.learn t ~now:(Sim_time.of_ns 101) ~vlan:1 ~mac:(mac 6) ~port:3;
+        Mac_table.learn t ~now:(Sim_time.of_ns 102) ~vlan:1 ~mac:(mac 7) ~port:3;
+        check Alcotest.(list (option int)) "oldest first"
+          [ None; Some 3; Some 3; Some 3 ]
+          (List.map
+             (fun i -> Mac_table.lookup t ~now:(Sim_time.of_ns 102) ~vlan:1 ~mac:(mac i))
+             [ 3; 5; 6; 7 ]);
+        check Alcotest.int "entries" 3 (Mac_table.entry_count t);
+        Mac_table.flush t;
+        check Alcotest.int "flushed" 0 (Mac_table.count_port t ~port:3));
     tc "multicast sources not learned" (fun () ->
         let t = Mac_table.create () in
         Mac_table.learn t ~now:Sim_time.zero ~vlan:1 ~mac:Mac_addr.broadcast ~port:1;
@@ -142,6 +173,23 @@ let udp_pkt ?vlans ~from_mac ~to_mac () =
 
 let switch_tests =
   [
+    tc "a 100k-MAC flood stays O(1) per frame" (fun () ->
+        let engine = Engine.create () in
+        let sw = Legacy_switch.create engine ~name:"sw" ~ports:2 () in
+        (* port security makes every frame count the port's entries too *)
+        Legacy_switch.set_port_security sw ~port:0 ~max_macs:(Some 1_000_000);
+        let node = Legacy_switch.node sw in
+        let started = Sys.time () in
+        for i = 1 to 100_000 do
+          Node.deliver node ~port:0 (udp_pkt ~from_mac:(mac i) ~to_mac:(mac 0) ());
+          if i mod 1000 = 0 then Engine.run engine
+        done;
+        let cpu_s = Sys.time () -. started in
+        check Alcotest.int "table full" 8192
+          (Mac_table.entry_count (Legacy_switch.mac_table sw));
+        check Alcotest.int "every frame flooded" 100_000
+          (Stats.Counter.get (Legacy_switch.counters sw) "flood");
+        if cpu_s > 2.0 then Alcotest.failf "100k new MACs took %.2f s of CPU" cpu_s);
     tc "floods unknown destination, then forwards directly" (fun () ->
         let engine, sw, send, received = switch_rig ~ports:4 in
         send 0 (udp_pkt ~from_mac:(mac 1) ~to_mac:(mac 2) ());

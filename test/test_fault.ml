@@ -252,9 +252,7 @@ let fault_plan_tests =
           let plan =
             Mgmt.Fault_plan.create ~seed ~fail_probability:0.3 ()
           in
-          List.init 50 (fun i ->
-              Mgmt.Fault_plan.should_fail plan
-                ~op:(Printf.sprintf "op%d" i))
+          List.init 50 (fun _ -> Mgmt.Fault_plan.should_fail plan)
         in
         check Alcotest.(list bool) "same stream" (sequence 7) (sequence 7);
         check Alcotest.bool "different seed differs somewhere" true
@@ -263,7 +261,7 @@ let fault_plan_tests =
         let plan = Mgmt.Fault_plan.create ~seed:1 () in
         Mgmt.Fault_plan.fail_next plan 3;
         let results =
-          List.init 5 (fun _ -> Mgmt.Fault_plan.should_fail plan ~op:"x")
+          List.init 5 (fun _ -> Mgmt.Fault_plan.should_fail plan)
         in
         check
           Alcotest.(list bool)

@@ -330,13 +330,51 @@ let link_tests =
         Link.disconnect link;
         Node.transmit a ~port:0 test_packet;
         Engine.run engine;
-        check Alcotest.int "b got nothing" 0 (Stats.Counter.get (Node.counters b) "rx"));
+        check Alcotest.int "b got nothing" 0 (Node.rx_total b));
     tc "add_ports extends a node" (fun () ->
         let engine = Engine.create () in
         let n = Node.create engine ~name:"x" ~ports:2 in
         let first = Node.add_ports n 3 in
         check Alcotest.int "first new" 2 first;
         check Alcotest.int "total" 5 (Node.port_count n));
+    tc "typed port counters" (fun () ->
+        let _, a, _ = mk_pair () in
+        ignore (Node.add_ports a 1) (* the counters grow with the ports *);
+        Node.attach a ~port:1 ignore;
+        Node.transmit a ~port:1 test_packet;
+        Node.transmit a ~port:1 test_packet;
+        Node.transmit a ~port:0 test_packet (* unattached: a drop *);
+        Node.deliver a ~port:0 test_packet;
+        let w = Packet.wire_size test_packet in
+        check Alcotest.(list int) "port 0 rx/tx packets and bytes"
+          [ 1; w; 0; 0 ]
+          [ Node.rx_packets a ~port:0; Node.rx_bytes a ~port:0;
+            Node.tx_packets a ~port:0; Node.tx_bytes a ~port:0 ];
+        check Alcotest.(list int) "tx packets/bytes, port 1"
+          [ 2; 2 * w ] [ Node.tx_packets a ~port:1; Node.tx_bytes a ~port:1 ];
+        check Alcotest.(pair int int) "totals" (1, 2) (Node.rx_total a, Node.tx_total a);
+        check Alcotest.(list (pair string int)) "named for export"
+          [ ("rx", 1); ("tx", 2); ("rx.0", 1); ("rx_bytes.0", w); ("tx.1", 2);
+            ("tx_bytes.1", 2 * w) ]
+          (Node.traffic_counters a);
+        check Alcotest.(list (pair string int)) "drops stay named"
+          [ ("tx_drop_unattached", 1) ]
+          (Stats.Counter.to_list (Node.counters a));
+        check Alcotest.bool "bad port" true
+          (try ignore (Node.rx_packets a ~port:2); false
+           with Invalid_argument _ -> true));
+    tc "transmit and deliver allocate nothing" (fun () ->
+        let _, a, _ = mk_pair () in
+        Node.attach a ~port:0 ignore;
+        let once () =
+          Node.transmit a ~port:0 test_packet;
+          Node.deliver a ~port:0 test_packet
+        in
+        once ();
+        let before = Gc.minor_words () in
+        once ();
+        check Alcotest.int "minor words" 0
+          (int_of_float (Gc.minor_words () -. before)));
   ]
 
 (* ---- Hosts and traffic ---- *)
@@ -424,18 +462,21 @@ let host_tests =
         check Alcotest.int "all delivered" 1000 (Host.udp_received h2));
     tc "imix sizes are legal" (fun () ->
         let engine, h1, h2 = host_pair () in
+        let sizes = ref [] in
+        Host.on_receive h2 (fun p -> sizes := Packet.wire_size p :: !sizes);
         ignore
           (Traffic.udp_stream ~rng:(Rng.create 1) ~src:h1 ~dst_mac:(Host.mac h2)
              ~dst_ip:(Host.ip h2)
              ~stop:(Sim_time.of_ns (Sim_time.us 100))
              (Traffic.Cbr 1_000_000.0) Traffic.Imix ());
         Engine.run engine;
+        check Alcotest.int "every frame seen" (Host.received_count h2)
+          (List.length !sizes);
         List.iter
-          (fun (p : Packet.t) ->
-            let w = Packet.wire_size p in
+          (fun w ->
             check Alcotest.bool "legal imix size" true
               (List.mem w [ 64; 594; 1518 ]))
-          (Host.received h2));
+          !sizes);
   ]
 
 let capture_tests =

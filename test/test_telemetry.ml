@@ -374,10 +374,20 @@ let integration_tests =
     tc "publish_metrics surfaces component tallies" (fun () ->
         let engine = Simnet.Engine.create () in
         let deployment =
-          match Harmless.Deployment.build_harmless engine ~num_hosts:2 () with
+          match Harmless.Deployment.build_harmless engine ~num_hosts:3 () with
           | Ok d -> d
           | Error m -> failwith m
         in
+        let legacy, device, ss1, ss2 =
+          match deployment.Harmless.Deployment.kind with
+          | Harmless.Deployment.Harmless { legacy; device; prov; _ } ->
+              (legacy, device, prov.Harmless.Manager.ss1, prov.Harmless.Manager.ss2)
+          | _ -> Alcotest.fail "expected a HARMLESS deployment"
+        in
+        let module SS = Softswitch.Soft_switch in
+        let nodes = [ Ethswitch.Legacy_switch.node legacy; SS.node ss1; SS.node ss2 ] in
+        let cap = Simnet.Capture.create () in
+        List.iter (Simnet.Capture.attach cap) nodes;
         let ctrl = Sdnctl.Controller.create engine () in
         Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
         ignore
@@ -390,19 +400,21 @@ let integration_tests =
           ~dst_mac:(Harmless.Deployment.host_mac 1)
           ~dst_ip:(Harmless.Deployment.host_ip 1)
           ~seq:1;
+        let h1 = Harmless.Deployment.host deployment 1 in
+        ignore
+          (Simnet.Traffic.udp_stream ~rng:(Simnet.Rng.create 7)
+             ~src:(Harmless.Deployment.host deployment 0)
+             ~dst_mac:(Simnet.Host.mac h1) ~dst_ip:(Simnet.Host.ip h1)
+             ~stop:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 6))
+             (Simnet.Traffic.Cbr 20_000.0) Simnet.Traffic.Imix ());
         Simnet.Engine.run engine
           ~until:(Simnet.Sim_time.of_ns (Simnet.Sim_time.ms 50));
         let r = Registry.create () in
         Simnet.Engine.publish_metrics ~registry:r engine;
         Sdnctl.Controller.publish_metrics ~registry:r ctrl;
-        (match deployment.Harmless.Deployment.kind with
-        | Harmless.Deployment.Harmless { legacy; prov; _ } ->
-            Ethswitch.Legacy_switch.publish_metrics ~registry:r legacy;
-            Softswitch.Soft_switch.publish_metrics ~registry:r
-              prov.Harmless.Manager.ss1;
-            Softswitch.Soft_switch.publish_metrics ~registry:r
-              prov.Harmless.Manager.ss2
-        | _ -> Alcotest.fail "expected a HARMLESS deployment");
+        Ethswitch.Legacy_switch.publish_metrics ~registry:r legacy;
+        SS.publish_metrics ~registry:r ss1;
+        SS.publish_metrics ~registry:r ss2;
         let text = Registry.to_prometheus r in
         List.iter
           (fun needle ->
@@ -411,7 +423,89 @@ let integration_tests =
           [
             "sim_events_executed"; "controller_packet_ins";
             "ethswitch_rx"; "softswitch_packets";
-          ])
+          ];
+        (* Every port counter, wherever it is read, equals what a capture
+           on that port saw. *)
+        let seen node dir port =
+          let frames =
+            Simnet.Capture.filter cap (fun e ->
+                e.Simnet.Capture.node = Simnet.Node.name node
+                && e.Simnet.Capture.dir = dir && e.Simnet.Capture.port = port)
+          in
+          ( List.length frames,
+            List.fold_left
+              (fun acc e -> acc + Packet.wire_size e.Simnet.Capture.packet)
+              0 frames )
+        in
+        let total node dir =
+          List.length
+            (Simnet.Capture.filter cap (fun e ->
+                 e.Simnet.Capture.node = Simnet.Node.name node
+                 && e.Simnet.Capture.dir = dir))
+        in
+        let gauge name labels v =
+          Printf.sprintf "\n%s{%s} %d\n" name labels v
+        in
+        let expect_line line =
+          if not (contains ~needle:line text) then
+            Alcotest.failf "%S missing from metrics" line
+        in
+        List.iter
+          (fun sw ->
+            let node = SS.node sw in
+            let replies = ref [] in
+            SS.set_controller sw (fun m -> replies := m :: !replies);
+            SS.handle_message sw Openflow.Of_message.Port_stats_request;
+            (match !replies with
+            | [ Openflow.Of_message.Port_stats_reply stats ] ->
+                check Alcotest.int "one stat per port" (Simnet.Node.port_count node)
+                  (List.length stats);
+                List.iter
+                  (fun (s : Openflow.Of_message.port_stat) ->
+                    let p = s.Openflow.Of_message.port_no in
+                    check Alcotest.(pair int int) "port_stats rx" (seen node Simnet.Node.Rx p)
+                      (s.Openflow.Of_message.rx_packets, s.Openflow.Of_message.rx_bytes);
+                    check Alcotest.(pair int int) "port_stats tx" (seen node Simnet.Node.Tx p)
+                      (s.Openflow.Of_message.tx_packets, s.Openflow.Of_message.tx_bytes))
+                  stats
+            | _ -> Alcotest.fail "expected one port-stats reply");
+            let labels =
+              Printf.sprintf "dataplane=%S,switch=%S" (SS.dataplane_name sw) (SS.name sw)
+            in
+            expect_line
+              (gauge "softswitch_rx_packets" labels (total node Simnet.Node.Rx));
+            expect_line
+              (gauge "softswitch_tx_packets" labels (total node Simnet.Node.Tx)))
+          [ ss1; ss2 ];
+        let node = Ethswitch.Legacy_switch.node legacy in
+        let labels = Printf.sprintf "device=%S" (Ethswitch.Legacy_switch.name legacy) in
+        let agent = Mgmt.Device.snmp device in
+        let mib oid =
+          match Mgmt.Snmp.get agent ~community:"public" oid with
+          | Ok (Mgmt.Mib.Int n) -> n
+          | _ -> Alcotest.fail "MIB counter read"
+        in
+        expect_line (gauge "ethswitch_rx" labels (total node Simnet.Node.Rx));
+        expect_line (gauge "ethswitch_tx" labels (total node Simnet.Node.Tx));
+        for p = 0 to Simnet.Node.port_count node - 1 do
+          List.iter
+            (fun (dir, key, oid) ->
+              let packets, bytes = seen node dir p in
+              check Alcotest.int "ifInUcast/ifOutUcast" packets (mib (oid (p + 1)));
+              if packets = 0 then begin
+                if contains ~needle:(Printf.sprintf "\nethswitch_%s_%d{" key p) text then
+                  Alcotest.failf "gauge for idle port %s %d" key p
+              end
+              else begin
+                expect_line (gauge (Printf.sprintf "ethswitch_%s_%d" key p) labels packets);
+                expect_line
+                  (gauge (Printf.sprintf "ethswitch_%s_bytes_%d" key p) labels bytes)
+              end)
+            [
+              (Simnet.Node.Rx, "rx", Mgmt.Oid.Std.if_in_ucast);
+              (Simnet.Node.Tx, "tx", Mgmt.Oid.Std.if_out_ucast);
+            ]
+        done)
   ]
 
 let suite =
