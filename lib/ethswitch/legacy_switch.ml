@@ -24,13 +24,16 @@ type t = {
   mutable storm : storm_bucket option array;
   mutable max_macs : int option array;
   mutable mirror : int option;
+  mutable forwarded : int;
+  mutable flooded : int;
 }
 
 let node t = t.node
 let name t = t.name
 let port_count t = Array.length t.modes
 let mac_table t = t.mac_table
-let counters t = Node.counters t.node
+let forwarded t = t.forwarded
+let flooded t = t.flooded
 
 let check_port t port =
   if port < 0 || port >= Array.length t.modes then
@@ -87,7 +90,7 @@ let security_allows t ~in_port ~vlan ~mac ~now =
       ||
       match Mac_table.lookup t.mac_table ~now ~vlan ~mac with
       | Some p when p = in_port -> true
-      | Some _ | None -> Mac_table.count_port t.mac_table ~port:in_port < limit)
+      | Some _ | None -> Mac_table.count_port t.mac_table ~now ~port:in_port < limit)
 
 (* One token per allowed packet; bucket caps at a 100 ms burst. *)
 let storm_allows t ~port =
@@ -159,10 +162,9 @@ let egress t ~port ~vlan ~had_tag inner =
   | Some _ | None -> ()
 
 let forward t ~in_port (pkt : Packet.t) =
-  let c = Node.counters t.node in
   let mode = t.modes.(in_port) in
   match Port_config.classify_ingress mode ~tag_vid:(Packet.outer_vid pkt) with
-  | None -> Stats.Counter.incr c "drop_ingress_vlan"
+  | None -> Node.drop t.node Node.Drop_ingress_vlan
   | Some vlan ->
       let had_tag = Option.is_some (Packet.outer_vid pkt) in
       if Telemetry.Trace.enabled () then
@@ -180,33 +182,34 @@ let forward t ~in_port (pkt : Packet.t) =
       in
       let now = Engine.now t.engine in
       if not (security_allows t ~in_port ~vlan ~mac:pkt.Packet.src ~now) then
-        Stats.Counter.incr c "drop_port_security"
+        Node.drop t.node Node.Drop_port_security
       else begin
       Mac_table.learn t.mac_table ~now ~vlan ~mac:pkt.Packet.src ~port:in_port;
       let flood () =
-        Stats.Counter.incr c "flood";
+        t.flooded <- t.flooded + 1;
         for port = 0 to Array.length t.modes - 1 do
           if port <> in_port then egress t ~port ~vlan ~had_tag inner
         done
       in
       if not (Mac_addr.is_unicast pkt.Packet.dst) then begin
         if storm_allows t ~port:in_port then flood ()
-        else Stats.Counter.incr c "drop_storm"
+        else Node.drop t.node Node.Drop_storm
       end
       else
         match Mac_table.lookup t.mac_table ~now ~vlan ~mac:pkt.Packet.dst with
         | None -> flood ()
         | Some out_port when out_port = in_port ->
-            Stats.Counter.incr c "drop_same_port"
+            Node.drop t.node Node.Drop_same_port
         | Some out_port ->
-            Stats.Counter.incr c "fwd";
+            t.forwarded <- t.forwarded + 1;
             egress t ~port:out_port ~vlan ~had_tag inner
       end
 
 let publish_metrics ?registry ?(labels = []) t =
   let labels = ("device", t.name) :: labels in
   Telemetry.Registry.publish_ints ?registry ~prefix:"ethswitch" ~labels
-    (Stats.Counter.to_list (Node.counters t.node)
+    (Node.drop_counters t.node
+    @ List.filter (fun (_, n) -> n > 0) [ ("flood", t.flooded); ("fwd", t.forwarded) ]
     @ Node.traffic_counters t.node
     @ [ ("mac_table_entries", Mac_table.entry_count t.mac_table) ])
 
@@ -224,6 +227,8 @@ let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)
       storm = Array.make ports None;
       max_macs = Array.make ports None;
       mirror = None;
+      forwarded = 0;
+      flooded = 0;
     }
   in
   Node.set_handler node (fun _node ~in_port pkt ->

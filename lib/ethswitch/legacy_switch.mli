@@ -32,10 +32,13 @@ val set_port_mode : t -> port:int -> Port_config.mode -> unit
 val port_mode : t -> port:int -> Port_config.mode
 val mac_table : t -> Mac_table.t
 
-val counters : t -> Simnet.Stats.Counter.t
-(** Includes ["fwd"], ["flood"], ["drop_ingress_vlan"], ["drop_same_port"]
-    and the node's drop reasons.  Per-port frame counts are on {!node}
-    ({!Simnet.Node.rx_packets} and friends). *)
+val forwarded : t -> int
+(** Frames sent out of the one port the MAC table named. *)
+
+val flooded : t -> int
+(** Frames flooded: broadcast, multicast or an unknown destination.
+    Drops and per-port frame counts are on {!node}
+    ({!Simnet.Node.drops}, {!Simnet.Node.rx_packets} and friends). *)
 
 val vlans_in_use : t -> int list
 (** Sorted list of every VLAN some port is a member of. *)
@@ -44,7 +47,7 @@ val set_storm_control : t -> port:int -> pps:int option -> unit
 (** Cap broadcast/multicast ingress on a port to [pps] packets per second
     (token bucket with a 100 ms burst), or [None] to remove the cap —
     the usual low-end-switch protection against broadcast storms.
-    Violations count under ["drop_storm"].
+    Violations count under [Drop_storm].
     @raise Invalid_argument on a bad port or non-positive rate. *)
 
 val storm_control : t -> port:int -> int option
@@ -52,7 +55,7 @@ val storm_control : t -> port:int -> int option
 val set_port_security : t -> port:int -> max_macs:int option -> unit
 (** Limit how many source MACs may live behind a port (classic port
     security, violation action "protect": frames from addresses beyond
-    the limit are dropped and counted under ["drop_port_security"]).
+    the limit are dropped and counted under [Drop_port_security]).
     @raise Invalid_argument on a bad port or non-positive limit. *)
 
 val set_mirror : t -> dst:int option -> unit
@@ -66,7 +69,9 @@ val mirror : t -> int option
 val publish_metrics :
   ?registry:Telemetry.Registry.t -> ?labels:Telemetry.Registry.labels ->
   t -> unit
-(** Snapshot the switch's forwarding counters, its node's traffic
-    counters ({!Simnet.Node.traffic_counters}) and MAC-table occupancy
-    into gauges named [ethswitch_*].  Pull-based; nothing is recorded
-    until called. *)
+(** Snapshot the switch's non-zero drop reasons
+    ({!Simnet.Node.drop_counters}), {!forwarded} and {!flooded} (as
+    [ethswitch_fwd] and [ethswitch_flood], when non-zero), its node's
+    traffic counters ({!Simnet.Node.traffic_counters}) and MAC-table
+    occupancy into gauges named [ethswitch_*].  Pull-based; nothing is
+    recorded until called. *)

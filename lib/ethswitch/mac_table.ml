@@ -95,14 +95,28 @@ let push t key stamp =
   t.ring_stamps.(at) <- stamp;
   t.len <- t.len + 1
 
-let rec evict_oldest t =
+let pop t =
+  t.head <- (t.head + 1) mod Array.length t.ring_keys;
+  t.len <- t.len - 1
+
+(* Pop pairs off the head of the ring: stale pairs, and live entries
+   while they have aged out by [now] — or, with [~evict], exactly one live
+   entry whatever its age.  Pairs are in stamp order and [learned_at]
+   rises with the stamp, so the first live entry that has not expired
+   ends an aging sweep: amortised O(1). *)
+let rec sweep t ~now ~evict =
   if t.len > 0 then begin
     let k = t.ring_keys.(t.head) and s = t.ring_stamps.(t.head) in
-    t.head <- (t.head + 1) mod Array.length t.ring_keys;
-    t.len <- t.len - 1;
     match Itbl.find t.table k with
-    | entry when entry.stamp = s -> remove t k entry
-    | _ | (exception Not_found) -> evict_oldest t
+    | entry when entry.stamp = s ->
+        if evict || expired t ~now entry then begin
+          pop t;
+          remove t k entry;
+          if not evict then sweep t ~now ~evict
+        end
+    | _ | (exception Not_found) ->
+        pop t;
+        sweep t ~now ~evict
   end
 
 let learn t ~now ~vlan ~mac ~port =
@@ -119,7 +133,7 @@ let learn t ~now ~vlan ~mac ~port =
         entry.learned_at <- now;
         entry.stamp <- stamp
     | exception Not_found ->
-        if Itbl.length t.table >= t.capacity then evict_oldest t;
+        if Itbl.length t.table >= t.capacity then sweep t ~now ~evict:true;
         Itbl.add t.table key { port; learned_at = now; stamp };
         count t port 1);
     push t key stamp
@@ -138,7 +152,8 @@ let lookup t ~now ~vlan ~mac =
 
 let entry_count t = Itbl.length t.table
 
-let count_port t ~port =
+let count_port t ~now ~port =
+  sweep t ~now ~evict:false;
   if port >= 0 && port < Array.length t.per_port then t.per_port.(port) else 0
 
 let flush t =

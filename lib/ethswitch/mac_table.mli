@@ -2,8 +2,8 @@
     port where the address was last seen, with aging and a capacity
     limit (the least recently learned entry is evicted when full, as
     low-end switches do).  Learning, lookup, eviction and {!count_port}
-    are O(1), so a MAC flood past capacity costs no more per frame than
-    normal traffic. *)
+    are (amortised) O(1), so a MAC flood past capacity costs no more per
+    frame than normal traffic. *)
 
 type t
 
@@ -22,9 +22,9 @@ val lookup :
 
 val entry_count : t -> int
 
-val count_port : t -> port:int -> int
-(** Entries learned on one port (aged-out entries count until a lookup
-    removes them). *)
+val count_port : t -> now:Simnet.Sim_time.t -> port:int -> int
+(** Live entries learned on one port.  Entries aged out by [now] are
+    removed first, oldest first, at amortised O(1) cost. *)
 
 val flush : t -> unit
 val flush_port : t -> port:int -> unit

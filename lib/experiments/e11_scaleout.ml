@@ -83,8 +83,8 @@ let measure () =
     inter_ok = max 0 (total_replies - intra_pairs);
     intra_pairs;
     inter_pairs;
-    intra_p50_ns = Stats.Histogram.percentile h_intra 50.0;
-    inter_p50_ns = Stats.Histogram.percentile h_inter 50.0;
+    intra_p50_ns = Telemetry.Hdr.percentile h_intra 50.0;
+    inter_p50_ns = Telemetry.Hdr.percentile h_inter 50.0;
   }
 
 let run () =

@@ -38,18 +38,18 @@ let probe_load (deployment : Harmless.Deployment.t) ~label ~frame ~load =
   Common.run_for engine (measure + Sim_time.ms 5);
   let merged =
     Array.fold_left
-      (fun acc h -> Stats.Histogram.merge acc (Host.latency h))
-      (Stats.Histogram.create ())
+      (fun acc h -> Telemetry.Hdr.merge acc (Host.latency h))
+      (Telemetry.Hdr.create ())
       deployment.Harmless.Deployment.hosts
   in
   {
     deployment = label;
     frame;
     load;
-    p50_ns = Stats.Histogram.percentile merged 50.0;
-    p99_ns = Stats.Histogram.percentile merged 99.0;
-    mean_ns = Stats.Histogram.mean merged;
-    samples = Stats.Histogram.count merged;
+    p50_ns = Telemetry.Hdr.percentile merged 50.0;
+    p99_ns = Telemetry.Hdr.percentile merged 99.0;
+    mean_ns = Telemetry.Hdr.mean merged;
+    samples = Telemetry.Hdr.count merged;
   }
 
 let variants () =

@@ -68,13 +68,18 @@ let parse_span s =
   else
     let digits = String.sub s 0 num_len in
     let unit_ = String.sub s num_len (String.length s - num_len) in
-    match (float_of_string_opt digits, unit_) with
+    let scale =
+      List.assoc_opt unit_ [ ("ns", 1.0); ("us", 1e3); ("ms", 1e6); ("s", 1e9) ]
+    in
+    match (float_of_string_opt digits, scale) with
     | None, _ -> Error (Printf.sprintf "bad duration %S" s)
-    | Some v, "ns" -> Ok (int_of_float v)
-    | Some v, "us" -> Ok (int_of_float (v *. 1e3))
-    | Some v, "ms" -> Ok (int_of_float (v *. 1e6))
-    | Some v, "s" -> Ok (int_of_float (v *. 1e9))
-    | Some _, u -> Error (Printf.sprintf "bad duration unit %S (ns|us|ms|s)" u)
+    | Some _, None -> Error (Printf.sprintf "bad duration unit %S (ns|us|ms|s)" unit_)
+    | Some v, Some scale ->
+        (* [int_of_float] of a float past [max_int] is unspecified (it
+           gives 0 here), so a mistyped schedule would fire at t = 0. *)
+        let ns = v *. scale in
+        if ns < float_of_int max_int then Ok (int_of_float ns)
+        else Error (Printf.sprintf "duration %S out of range" s)
 
 let parse_degrade_args args =
   let rec go loss jitter = function

@@ -35,7 +35,8 @@ type event = { after : Sim_time.span; target : string; action : action }
 val pp_event : Format.formatter -> event -> unit
 
 val parse_span : string -> (Sim_time.span, string) result
-(** ["20ms"], ["500us"], ["1s"], ["100ns"]. *)
+(** ["20ms"], ["500us"], ["1s"], ["100ns"].  A duration too large for a
+    span is an [Error]. *)
 
 val parse_script : string -> (event list, string) result
 (** Parse the text format above.  Errors name the offending line. *)

@@ -16,8 +16,7 @@ type t = {
   mutable nxdomains : int;
   mutable next_dns_id : int;
   mutable arp_cache : (Ipv4_addr.t * Mac_addr.t) list;
-  latency : Stats.Histogram.t;
-  mutable user_rx : (Packet.t -> unit) list;
+  latency : Telemetry.Hdr.t;
 }
 
 let node t = t.node
@@ -42,7 +41,8 @@ let http_responses t = List.rev t.http_responses
 let echo_replies t = t.echo_replies
 let latency t = t.latency
 let arp_cache t = t.arp_cache
-let on_receive t f = t.user_rx <- t.user_rx @ [ f ]
+let on_receive t f =
+  Node.add_tap t.node (fun dir _ pkt -> match dir with Node.Rx -> f pkt | Node.Tx -> ())
 
 let learn_arp t ip mac =
   if not (List.exists (fun (i, _) -> Ipv4_addr.equal i ip) t.arp_cache) then
@@ -114,7 +114,7 @@ let handle_udp t (pkt : Packet.t) (ip_hdr : Ipv4.t) (dgram : Udp.t) =
   (match Probe.decode dgram.Udp.payload with
   | Some sent_at ->
       let delay = Sim_time.diff (Engine.now t.engine) sent_at in
-      if delay >= 0 then Stats.Histogram.record t.latency delay
+      if delay >= 0 then Telemetry.Hdr.record t.latency delay
   | None -> ());
   if List.mem dgram.Udp.dst_port t.udp_echo_ports then begin
     let echo =
@@ -164,7 +164,6 @@ let handle t pkt =
       ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
       ~component:t.name ~layer:Telemetry.Trace.Host ~stage:"rx" ~port:0
       ~cycles:0 (* endpoint stack cost is out of scope for the model *) pkt;
-  List.iter (fun f -> f pkt) t.user_rx;
   match pkt.Packet.l3 with
   | Packet.Arp arp -> handle_arp t pkt arp
   | Packet.Ip ip_hdr ->
@@ -201,8 +200,7 @@ let create engine ~name ~mac ~ip () =
       nxdomains = 0;
       next_dns_id = 1;
       arp_cache = [];
-      latency = Stats.Histogram.create ();
-      user_rx = [];
+      latency = Telemetry.Hdr.create ();
     }
   in
   Node.set_handler node (fun _node ~in_port:_ pkt -> handle t pkt);

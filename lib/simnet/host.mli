@@ -72,12 +72,13 @@ val http_responses : t -> (int * string) list
 val echo_replies : t -> int
 (** ICMP echo replies received. *)
 
-val latency : t -> Stats.Histogram.t
+val latency : t -> Telemetry.Hdr.t
 (** One-way latency of timestamped UDP probes addressed to this host. *)
 
 val arp_cache : t -> (Netpkt.Ipv4_addr.t * Netpkt.Mac_addr.t) list
 
 val on_receive : t -> (Netpkt.Packet.t -> unit) -> unit
 (** Extra user callback invoked on every delivered frame, before the
-    host's own protocol handling.  Frames delivered before the callback
-    is registered are not replayed. *)
+    host's own protocol handling: a receive-side {!Node.add_tap} on
+    {!node}.  Frames delivered before the callback is registered are not
+    replayed. *)

@@ -1,5 +1,42 @@
 type direction = Rx | Tx
 
+(* Declared in name order, so [drop_counters] comes out sorted. *)
+type drop =
+  | Drop_bad_out_port
+  | Drop_crashed
+  | Drop_disconnected_punt
+  | Drop_fail_secure
+  | Drop_ingress_vlan
+  | Drop_port_security
+  | Drop_rx_ring
+  | Drop_same_port
+  | Drop_storm
+  | Drop_table_miss
+  | Tx_drop_no_carrier
+  | Tx_drop_unattached
+
+let drop_index = function
+  | Drop_bad_out_port -> 0
+  | Drop_crashed -> 1
+  | Drop_disconnected_punt -> 2
+  | Drop_fail_secure -> 3
+  | Drop_ingress_vlan -> 4
+  | Drop_port_security -> 5
+  | Drop_rx_ring -> 6
+  | Drop_same_port -> 7
+  | Drop_storm -> 8
+  | Drop_table_miss -> 9
+  | Tx_drop_no_carrier -> 10
+  | Tx_drop_unattached -> 11
+
+let drop_names =
+  [|
+    "drop_bad_out_port"; "drop_crashed"; "drop_disconnected_punt";
+    "drop_fail_secure"; "drop_ingress_vlan"; "drop_port_security";
+    "drop_rx_ring"; "drop_same_port"; "drop_storm"; "drop_table_miss";
+    "tx_drop_no_carrier"; "tx_drop_unattached";
+  |]
+
 type t = {
   name : string;
   engine : Engine.t;
@@ -11,7 +48,7 @@ type t = {
   mutable rx_bytes : int array;
   mutable tx_bytes : int array;
   mutable handler : handler;
-  counters : Stats.Counter.t;
+  drops : int array; (* indexed by [drop_index] *)
   mutable taps : (direction -> int -> Netpkt.Packet.t -> unit) list;
   mutable attachment_watchers : (port:int -> up:bool -> unit) list;
 }
@@ -32,7 +69,7 @@ let create engine ~name ~ports =
     rx_bytes = Array.make ports 0;
     tx_bytes = Array.make ports 0;
     handler = no_op_handler;
-    counters = Stats.Counter.create ();
+    drops = Array.make (Array.length drop_names) 0;
     taps = [];
     attachment_watchers = [];
   }
@@ -68,12 +105,22 @@ let rec run_taps taps dir port pkt =
       tap dir port pkt;
       run_taps rest dir port pkt
 
+let drop t reason =
+  let i = drop_index reason in
+  t.drops.(i) <- t.drops.(i) + 1
+
+let drops t reason = t.drops.(drop_index reason)
+
+let drop_counters t =
+  List.filter_map
+    (fun i -> if t.drops.(i) = 0 then None else Some (drop_names.(i), t.drops.(i)))
+    (List.init (Array.length drop_names) Fun.id)
+
 let transmit t ~port pkt =
   check_port t port;
   match t.tx_fns.(port) with
-  | None -> Stats.Counter.incr t.counters "tx_drop_unattached"
-  | Some _ when not t.carrier_ok.(port) ->
-      Stats.Counter.incr t.counters "tx_drop_no_carrier"
+  | None -> drop t Tx_drop_unattached
+  | Some _ when not t.carrier_ok.(port) -> drop t Tx_drop_no_carrier
   | Some send ->
       t.tx_packets.(port) <- t.tx_packets.(port) + 1;
       t.tx_bytes.(port) <- t.tx_bytes.(port) + Netpkt.Packet.wire_size pkt;
@@ -147,7 +194,6 @@ let traffic_counters t =
   @ per_port "rx" t.rx_packets t.rx_bytes
   @ per_port "tx" t.tx_packets t.tx_bytes
 
-let counters t = t.counters
 let add_tap t tap = t.taps <- t.taps @ [ tap ]
 
 let on_attachment_change t f =

@@ -25,7 +25,7 @@ val set_handler : t -> handler -> unit
 
 val transmit : t -> port:int -> Netpkt.Packet.t -> unit
 (** Send a frame out of [port].  If nothing is attached the frame is
-    dropped and counted under ["tx_drop_unattached"].
+    dropped and counted under [Tx_drop_unattached].
     @raise Invalid_argument on a bad port number. *)
 
 val deliver : t -> port:int -> Netpkt.Packet.t -> unit
@@ -43,9 +43,9 @@ val set_carrier : t -> port:int -> bool -> unit
 (** Force the port's carrier signal (default up).  Dropping carrier on an
     attached port fires the {!on_attachment_change} watchers with
     [up = false] — the same signal a cable pull produces — and makes
-    {!transmit} drop frames (counted ["tx_drop_no_carrier"]).  Faults use
-    this to take a link down without tearing the attachment itself off,
-    so the link can come back later. *)
+    {!transmit} drop frames (counted under [Tx_drop_no_carrier]).  Faults
+    use this to take a link down without tearing the attachment itself
+    off, so the link can come back later. *)
 
 val carrier : t -> port:int -> bool
 (** A link is attached to [port] and its carrier is up. *)
@@ -73,11 +73,34 @@ val traffic_counters : t -> (string * int) list
     ["tx_bytes.<n>"] for each port [n] that received (transmitted) at
     least one frame.  Zero totals are left out. *)
 
-val counters : t -> Stats.Counter.t
-(** Rare events by name: drop reasons such as ["tx_drop_unattached"] and
-    ["tx_drop_no_carrier"], plus whatever the node's owner adds (a legacy
-    switch's ["fwd"]/["flood"]/["drop_*"], a soft switch's ["drop_*"]).
-    Per-frame traffic is not here; read it with the accessors above. *)
+(** {2 Drop ledger}
+
+    Every frame a node discards is counted once, under one reason; the
+    device built on the node counts its own reasons. *)
+
+type drop =
+  | Drop_bad_out_port  (** soft switch: output to a port it does not have *)
+  | Drop_crashed  (** soft switch: received while crashed *)
+  | Drop_disconnected_punt  (** soft switch: output to an absent controller *)
+  | Drop_fail_secure  (** soft switch: table miss while disconnected *)
+  | Drop_ingress_vlan  (** legacy switch: VLAN not allowed on the port *)
+  | Drop_port_security  (** legacy switch: source MAC over the port's limit *)
+  | Drop_rx_ring  (** soft switch: PMD receive ring full *)
+  | Drop_same_port  (** legacy switch: destination is behind the ingress port *)
+  | Drop_storm  (** legacy switch: broadcast over the storm-control rate *)
+  | Drop_table_miss  (** soft switch: table miss with drop-on-miss *)
+  | Tx_drop_no_carrier  (** {!transmit} on a port whose carrier is down *)
+  | Tx_drop_unattached  (** {!transmit} on a port with no link *)
+
+val drop : t -> drop -> unit
+(** Count one dropped frame.  Allocates nothing. *)
+
+val drops : t -> drop -> int
+
+val drop_counters : t -> (string * int) list
+(** The non-zero reasons for metrics export, sorted by name; a reason's
+    name is its constructor in lower case (["drop_storm"],
+    ["tx_drop_unattached"]). *)
 
 type direction = Rx | Tx
 

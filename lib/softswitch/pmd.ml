@@ -33,7 +33,6 @@ type t = {
   mutable next_free : Sim_time.t;
   mutable outstanding : int;
   mutable processed : int;
-  mutable dropped : int;
   mutable busy_ns : int;
 }
 
@@ -46,15 +45,11 @@ let create engine ?(config = default_config) () =
     next_free = Sim_time.zero;
     outstanding = 0;
     processed = 0;
-    dropped = 0;
     busy_ns = 0;
   }
 
 let submit t ~cycles k =
-  if t.outstanding >= t.cfg.rx_ring then begin
-    t.dropped <- t.dropped + 1;
-    false
-  end
+  if t.outstanding >= t.cfg.rx_ring then false
   else begin
     let now = Engine.now t.engine in
     let service = ns_of_cycles t.cfg (packet_service_cycles t.cfg ~dataplane_cycles:cycles) in
@@ -71,6 +66,5 @@ let submit t ~cycles k =
   end
 
 let processed t = t.processed
-let dropped t = t.dropped
 let busy_ns t = t.busy_ns
 let config t = t.cfg

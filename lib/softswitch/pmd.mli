@@ -32,11 +32,10 @@ val create : Simnet.Engine.t -> ?config:config -> unit -> t
 
 val submit : t -> cycles:int -> (unit -> unit) -> bool
 (** Enqueue a packet whose dataplane work costs [cycles]; the continuation
-    runs when service completes.  Returns [false] (and drops) if the RX
-    ring is full. *)
+    runs when service completes.  Returns [false] if the RX ring is
+    full: the packet is dropped, and the caller counts it. *)
 
 val processed : t -> int
-val dropped : t -> int
 val busy_ns : t -> int
 (** Total nanoseconds the server has been busy. *)
 

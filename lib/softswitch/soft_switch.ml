@@ -125,7 +125,7 @@ let resolve_outputs t ~in_port outputs =
             Node.transmit t.node ~port:p pkt
           end
           else if p = in_port then () (* OF requires In_port for hairpin *)
-          else Stats.Counter.incr (Node.counters t.node) "drop_bad_out_port"
+          else Node.drop t.node Node.Drop_bad_out_port
       | Pipeline.In_port pkt ->
           trace_tx t ~port:in_port ~detail:"in_port (hairpin)" pkt;
           Node.transmit t.node ~port:in_port pkt
@@ -143,7 +143,7 @@ let resolve_outputs t ~in_port outputs =
           done
       | Pipeline.Controller (_max_len, pkt) ->
           if not t.connected then
-            Stats.Counter.incr (Node.counters t.node) "drop_disconnected_punt"
+            Node.drop t.node Node.Drop_disconnected_punt
           else begin
             t.packet_ins <- t.packet_ins + 1;
             if Telemetry.Trace.enabled () then
@@ -184,7 +184,7 @@ let standalone_forward t ~in_port pkt =
 
 let handle_packet t ~in_port pkt =
   if not t.alive then
-    Stats.Counter.incr (Node.counters t.node) "drop_crashed"
+    Node.drop t.node Node.Drop_crashed
   else
   let now_ns = Sim_time.to_ns (Engine.now t.engine) in
   (* Sampled flow telemetry taps the receive path before the pipeline —
@@ -215,7 +215,7 @@ let handle_packet t ~in_port pkt =
     end;
     if result.Pipeline.table_miss then begin
       match t.miss with
-      | Drop_on_miss -> Stats.Counter.incr (Node.counters t.node) "drop_table_miss"
+      | Drop_on_miss -> Node.drop t.node Node.Drop_table_miss
       | Send_to_controller when t.connected ->
           t.packet_ins <- t.packet_ins + 1;
           t.controller
@@ -225,7 +225,7 @@ let handle_packet t ~in_port pkt =
           (* Connection interruption: the OpenFlow fail mode decides. *)
           match t.connection_mode with
           | Fail_secure ->
-              Stats.Counter.incr (Node.counters t.node) "drop_fail_secure"
+              Node.drop t.node Node.Drop_fail_secure
           | Fail_standalone -> standalone_forward t ~in_port pkt)
     end;
     resolve_outputs t ~in_port result.Pipeline.outputs
@@ -235,7 +235,7 @@ let handle_packet t ~in_port pkt =
       Telemetry.Trace.emit ~ts_ns:now_ns ~component:t.name
         ~layer:Telemetry.Trace.Switch ~stage:"drop" ~port:in_port ~cycles:0
         ~detail:"rx ring full" pkt;
-    Stats.Counter.incr (Node.counters t.node) "drop_rx_ring"
+    Node.drop t.node Node.Drop_rx_ring
   end
 
 let apply_flow_mod t (fm : Of_message.flow_mod) =
@@ -376,7 +376,7 @@ let stats t =
   t.dataplane.Dataplane.stats ()
   @ [
       ("pmd_processed", Pmd.processed t.pmd);
-      ("pmd_dropped", Pmd.dropped t.pmd);
+      ("pmd_dropped", Node.drops t.node Node.Drop_rx_ring);
       ("packet_ins", t.packet_ins);
       ("flow_mods", t.flow_mods);
       ("standalone_forwards", t.standalone_forwards);
@@ -390,6 +390,7 @@ let publish_metrics ?registry ?(labels = []) t =
   in
   Telemetry.Registry.publish_ints ?registry ~prefix:"softswitch" ~labels
     (stats t
+    @ Node.drop_counters t.node
     @ [
         ("flow_entries", Openflow.Pipeline.total_entries t.pipeline);
         ("pmd_busy_ns", Pmd.busy_ns t.pmd);

@@ -22,7 +22,7 @@ type connection_mode =
   | Fail_secure
       (** Connection interruption: keep installed flows (idle/hard
           timeouts still expire them) but drop packets that would punt to
-          the controller, counted as ["drop_fail_secure"]. *)
+          the controller, counted under [Simnet.Node.Drop_fail_secure]. *)
   | Fail_standalone
       (** Connection interruption: table misses fall back to local L2
           learning so intra-switch traffic keeps flowing.  The learned
@@ -77,8 +77,8 @@ val connected : t -> bool
 
 val crash : t -> unit
 (** Kill the switch process: all flow tables and learned state are wiped,
-    every packet is dropped (counted as ["drop_crashed"]) and the agent
-    answers no OpenFlow messages until {!restart}. *)
+    every packet is dropped (counted under [Simnet.Node.Drop_crashed]) and
+    the agent answers no OpenFlow messages until {!restart}. *)
 
 val restart : t -> unit
 (** Bring a crashed switch back up — empty tables, disconnected until the
@@ -107,15 +107,16 @@ val expire_flows : t -> unit
     1024 processed packets. *)
 
 val stats : t -> (string * int) list
-(** Dataplane stats plus ["pmd_processed"], ["pmd_dropped"],
-    ["packet_ins"], ["flow_mods"]. *)
+(** Dataplane stats plus ["pmd_processed"], ["pmd_dropped"] (the node's
+    [Drop_rx_ring] count), ["packet_ins"], ["flow_mods"]. *)
 
 val publish_metrics :
   ?registry:Telemetry.Registry.t -> ?labels:Telemetry.Registry.labels ->
   t -> unit
-(** Snapshot {!stats}, flow-table occupancy, PMD busy time and node
-    rx/tx totals into gauges named [softswitch_*], labelled with the
-    switch name and dataplane kind.  Pull-based. *)
+(** Snapshot {!stats}, the node's non-zero drop reasons
+    ({!Simnet.Node.drop_counters}), flow-table occupancy, PMD busy time
+    and node rx/tx totals into gauges named [softswitch_*], labelled with
+    the switch name and dataplane kind.  Pull-based. *)
 
 val pmd : t -> Pmd.t
 

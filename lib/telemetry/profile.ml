@@ -150,7 +150,7 @@ let publish ?(registry = Registry.default) ?(prefix = "harmless") t =
   let observe_all name ?labels samples =
     let h = Registry.Histogram.v ~registry ?labels name in
     for i = 0 to samples.len - 1 do
-      Registry.Histogram.observe h samples.data.(i)
+      Hdr.record h samples.data.(i)
     done
   in
   List.iter

@@ -2,7 +2,7 @@
     HDR-style histograms with Prometheus-text and JSON exposition.
 
     This generalizes the per-component tallies scattered through the
-    tree (per-node [Simnet.Stats] counters, soft-switch stats lists,
+    tree (per-node drop ledgers, soft-switch stats lists,
     controller counts) into one process-wide namespace.  Collection is
     pull-based — components expose [publish_metrics] snapshots — so the
     registry costs nothing on packet hot paths.
@@ -52,24 +52,14 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Log-bucketed value distributions (~6% relative error), the same
-    bucketing as [Simnet.Stats.Histogram].  Samples are non-negative
-    ints (nanoseconds or cycles by convention). *)
+(** Named, labelled {!Hdr} histograms: record with {!Hdr.record}, read
+    with {!Hdr.count}, {!Hdr.percentile} and the rest.  Samples are
+    non-negative ints (nanoseconds or cycles by convention). *)
 module Histogram : sig
   type reg := t
-  type t
+  type t = Hdr.t
 
   val v : ?registry:reg -> ?help:string -> ?labels:labels -> string -> t
-
-  val observe : t -> int -> unit
-  (** @raise Invalid_argument on a negative sample. *)
-
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-
-  val percentile : t -> float -> int
-  (** @raise Invalid_argument when empty or p outside (0, 100]. *)
 end
 
 val reset : t -> unit

@@ -67,10 +67,10 @@ let mac_table_tests =
           [ Some 2; None; Some 1; Some 2 ]
           (List.map (fun i -> Mac_table.lookup t ~now:at ~vlan:1 ~mac:(mac i)) [ 1; 2; 3; 4 ]);
         check Alcotest.(pair int int) "per-port counts" (1, 2)
-          (Mac_table.count_port t ~port:1, Mac_table.count_port t ~port:2);
+          (Mac_table.count_port t ~now:at ~port:1, Mac_table.count_port t ~now:at ~port:2);
         Mac_table.flush_port t ~port:2;
         check Alcotest.(pair int int) "after flush_port" (1, 0)
-          (Mac_table.count_port t ~port:1, Mac_table.count_port t ~port:2);
+          (Mac_table.count_port t ~now:at ~port:1, Mac_table.count_port t ~now:at ~port:2);
         (* many refreshes of one entry leave the others evictable in order *)
         for i = 6 to 100 do
           Mac_table.learn t ~now:(Sim_time.of_ns i) ~vlan:1 ~mac:(mac 5) ~port:3
@@ -84,7 +84,8 @@ let mac_table_tests =
              [ 3; 5; 6; 7 ]);
         check Alcotest.int "entries" 3 (Mac_table.entry_count t);
         Mac_table.flush t;
-        check Alcotest.int "flushed" 0 (Mac_table.count_port t ~port:3));
+        check Alcotest.int "flushed" 0
+          (Mac_table.count_port t ~now:(Sim_time.of_ns 102) ~port:3));
     tc "multicast sources not learned" (fun () ->
         let t = Mac_table.create () in
         Mac_table.learn t ~now:Sim_time.zero ~vlan:1 ~mac:Mac_addr.broadcast ~port:1;
@@ -188,7 +189,7 @@ let switch_tests =
         check Alcotest.int "table full" 8192
           (Mac_table.entry_count (Legacy_switch.mac_table sw));
         check Alcotest.int "every frame flooded" 100_000
-          (Stats.Counter.get (Legacy_switch.counters sw) "flood");
+          (Legacy_switch.flooded sw);
         if cpu_s > 2.0 then Alcotest.failf "100k new MACs took %.2f s of CPU" cpu_s);
     tc "floods unknown destination, then forwards directly" (fun () ->
         let engine, sw, send, received = switch_rig ~ports:4 in
@@ -205,7 +206,7 @@ let switch_tests =
         Engine.run engine;
         check Alcotest.int "direct" 2 (List.length received.(1));
         check Alcotest.int "fwd counter" 2
-          (Stats.Counter.get (Legacy_switch.counters sw) "fwd"));
+          (Legacy_switch.forwarded sw));
     tc "vlan isolation between access ports" (fun () ->
         let engine, sw, send, received = switch_rig ~ports:4 in
         Legacy_switch.set_port_mode sw ~port:0 (Port_config.Access 10);
@@ -248,7 +249,7 @@ let switch_tests =
         Engine.run engine;
         check Alcotest.int "dropped" 0 (List.length received.(1));
         check Alcotest.int "counted" 1
-          (Stats.Counter.get (Legacy_switch.counters sw) "drop_ingress_vlan"));
+          (Node.drops (Legacy_switch.node sw) Node.Drop_ingress_vlan));
     tc "tagged frame on access port with foreign vid dropped" (fun () ->
         let engine, sw, send, received = switch_rig ~ports:2 in
         Legacy_switch.set_port_mode sw ~port:0 (Port_config.Access 10);
@@ -266,7 +267,7 @@ let switch_tests =
         send 0 (udp_pkt ~from_mac:(mac 1) ~to_mac:(mac 2) ());
         Engine.run engine;
         check Alcotest.int "same-port filtered" 1
-          (Stats.Counter.get (Legacy_switch.counters sw) "drop_same_port");
+          (Node.drops (Legacy_switch.node sw) Node.Drop_same_port);
         check Alcotest.int "nothing reflected" 0 (List.length received.(0)));
     tc "reconfiguration flushes learned entries" (fun () ->
         let engine, sw, send, _received = switch_rig ~ports:2 in
@@ -297,9 +298,60 @@ let switch_tests =
         check Alcotest.int "ingress dropped" 1 (List.length received.(1)));
   ]
 
+(* ---- Metrics export ---- *)
+
+let metrics_tests =
+  [
+    tc "publish_metrics names the non-zero drop reasons and outcomes" (fun () ->
+        let engine = Engine.create () in
+        let sw = Legacy_switch.create engine ~name:"sw" ~ports:3 ~processing_delay:0 () in
+        let stub i =
+          let n = Node.create engine ~name:(Printf.sprintf "stub%d" i) ~ports:1 in
+          ignore (Link.connect (n, 0) (Legacy_switch.node sw, i));
+          n
+        in
+        let a = stub 0 and b = stub 1 (* port 2 stays unattached *) in
+        (* a one-token bucket: the first broadcast floods, the second is a
+           storm drop; the flood out of port 2 is an unattached transmit *)
+        Legacy_switch.set_storm_control sw ~port:0 ~pps:(Some 10);
+        Node.transmit a ~port:0 (udp_pkt ~from_mac:(mac 1) ~to_mac:Mac_addr.broadcast ());
+        Node.transmit a ~port:0 (udp_pkt ~from_mac:(mac 1) ~to_mac:Mac_addr.broadcast ());
+        Engine.run engine;
+        Node.transmit b ~port:0 (udp_pkt ~from_mac:(mac 2) ~to_mac:(mac 1) ());
+        Engine.run engine;
+        let r = Telemetry.Registry.create () in
+        Legacy_switch.publish_metrics ~registry:r sw;
+        let samples =
+          String.split_on_char '\n' (Telemetry.Registry.to_prometheus r)
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        let value name =
+          List.find_map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | [ series; v ] when series = name ^ "{device=\"sw\"}" -> Some v
+              | _ -> None)
+            samples
+        in
+        check Alcotest.(list (option string)) "drop, outcome and transmit gauges"
+          [ Some "1"; Some "1"; Some "1"; Some "1" ]
+          (List.map value
+             [ "ethswitch_drop_storm"; "ethswitch_flood"; "ethswitch_fwd";
+               "ethswitch_tx_drop_unattached" ]);
+        check Alcotest.(list string) "no zero-valued reason"
+          [ "ethswitch_drop_storm{device=\"sw\"} 1";
+            "ethswitch_tx_drop_unattached{device=\"sw\"} 1" ]
+          (List.filter
+             (fun l ->
+               let name = List.hd (String.split_on_char '{' l) in
+               List.mem "drop" (String.split_on_char '_' name))
+             samples));
+  ]
+
 let suite =
   [
     ("ethswitch.mac_table", mac_table_tests);
     ("ethswitch.port_config", port_config_tests);
     ("ethswitch.switch", switch_tests);
+    ("ethswitch.metrics", metrics_tests);
   ]

@@ -190,7 +190,9 @@ let script_tests =
           Alcotest.(result int string)
           "100ns" (Ok (Sim_time.ns 100)) (Fault.parse_span "100ns");
         check Alcotest.bool "garbage rejected" true
-          (Result.is_error (Fault.parse_span "fast")));
+          (Result.is_error (Fault.parse_span "fast"));
+        check Alcotest.bool "overflow rejected, not read as 0" true
+          (Result.is_error (Fault.parse_span "99999999999999999999ms")));
     tc "parse_script reads events, comments and degrade arguments" (fun () ->
         let script =
           "# a comment\n\
@@ -400,8 +402,7 @@ let two_hosts_on_switch mode =
   in
   (engine, sw, hosts)
 
-let drop_count sw name =
-  Stats.Counter.get (Node.counters (Softswitch.Soft_switch.node sw)) name
+let drop_count sw reason = Node.drops (Softswitch.Soft_switch.node sw) reason
 
 let fail_mode_tests =
   [
@@ -426,7 +427,7 @@ let fail_mode_tests =
         run_until engine 10;
         check Alcotest.int "no reply" 0 (Host.echo_replies hosts.(0));
         check Alcotest.bool "counted as fail-secure drops" true
-          (drop_count sw "drop_fail_secure" > 0));
+          (drop_count sw Node.Drop_fail_secure > 0));
     tc "crash wipes flow state; restart comes back empty" (fun () ->
         let engine, sw, hosts =
           two_hosts_on_switch Softswitch.Soft_switch.Fail_standalone
@@ -446,7 +447,7 @@ let fail_mode_tests =
           ~dst_ip:(Host.ip hosts.(1)) ~seq:1;
         run_until engine 10;
         check Alcotest.bool "drops while crashed" true
-          (drop_count sw "drop_crashed" > 0);
+          (drop_count sw Node.Drop_crashed > 0);
         Softswitch.Soft_switch.restart sw;
         check Alcotest.bool "alive again" true (Softswitch.Soft_switch.alive sw);
         check Alcotest.int "one crash counted" 1

@@ -114,7 +114,7 @@ let storm_tests =
         Engine.run engine;
         check Alcotest.bool "capped" true (!received <= 25);
         check Alcotest.bool "storm drops counted" true
-          (Stats.Counter.get (Legacy_switch.counters sw) "drop_storm" >= 975);
+          (Node.drops (Legacy_switch.node sw) Node.Drop_storm >= 975);
         (* unicast (to a learned mac) is not storm-limited *)
         let before = !received in
         Node.transmit b ~port:0

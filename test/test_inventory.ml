@@ -38,9 +38,10 @@ let security_tests =
         Engine.run engine;
         check Alcotest.int "3 delivered" 3 !received;
         check Alcotest.int "1 violation" 1
-          (Stats.Counter.get (Legacy_switch.counters sw) "drop_port_security");
+          (Node.drops (Legacy_switch.node sw) Node.Drop_port_security);
         check Alcotest.int "table holds only 2" 2
-          (Mac_table.count_port (Legacy_switch.mac_table sw) ~port:0));
+          (Mac_table.count_port (Legacy_switch.mac_table sw)
+             ~now:(Engine.now engine) ~port:0));
     tc "no limit means no drops" (fun () ->
         let engine, _, send, received = security_rig () in
         for i = 1 to 20 do send (mac i) done;
@@ -57,6 +58,21 @@ let security_tests =
         send (mac 2);
         Engine.run engine;
         check Alcotest.int "unblocked" 2 !received);
+    tc "an aged-out address frees its port-security slot" (fun () ->
+        let engine, sw, send, received = security_rig () in
+        Legacy_switch.set_port_security sw ~port:0 ~max_macs:(Some 1);
+        send (mac 1);
+        Engine.run engine;
+        (* mac 1 goes silent past the 300 s aging time; nothing looks it up *)
+        Engine.run engine ~until:(Sim_time.of_ns (Sim_time.s 301));
+        send (mac 2);
+        Engine.run engine;
+        check Alcotest.int "both forwarded" 2 !received;
+        check Alcotest.int "no violation" 0
+          (Node.drops (Legacy_switch.node sw) Node.Drop_port_security);
+        check Alcotest.int "slot taken by the new address" 1
+          (Mac_table.count_port (Legacy_switch.mac_table sw)
+             ~now:(Engine.now engine) ~port:0));
     tc "invalid limit rejected" (fun () ->
         let _, sw, _, _ = security_rig () in
         check Alcotest.bool "raises" true

@@ -278,10 +278,10 @@ let profile_tests =
         Profile.publish ~registry ~prefix:"t" p;
         let h name labels = Registry.Histogram.v ~registry ~labels name in
         check Alcotest.int "stage latency samples" 1
-          (Registry.Histogram.count
+          (Hdr.count
              (h "t_stage_latency_ns" [ ("stage", "legacy.ingress") ]));
         check Alcotest.int "e2e samples" 1
-          (Registry.Histogram.count
+          (Hdr.count
              (Registry.Histogram.v ~registry "t_e2e_latency_ns")));
   ]
 

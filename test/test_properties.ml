@@ -148,9 +148,9 @@ let boundary_tests =
         (match d.Harmless.Deployment.kind with
         | Harmless.Deployment.Harmless { legacy; _ } ->
             check Alcotest.int "dropped at legacy ingress" 1
-              (Stats.Counter.get
-                 (Ethswitch.Legacy_switch.counters legacy)
-                 "drop_ingress_vlan")
+              (Node.drops
+                 (Ethswitch.Legacy_switch.node legacy)
+                 Node.Drop_ingress_vlan)
         | _ -> assert false));
   ]
 

@@ -188,61 +188,55 @@ let rng_tests =
 let stats_tests =
   [
     tc "counter accumulates" (fun () ->
-        let c = Stats.Counter.create () in
-        Stats.Counter.incr c "a";
-        Stats.Counter.incr ~by:4 c "a";
-        Stats.Counter.incr c "b";
-        check Alcotest.int "a" 5 (Stats.Counter.get c "a");
-        check Alcotest.int "b" 1 (Stats.Counter.get c "b");
-        check Alcotest.int "absent" 0 (Stats.Counter.get c "zzz"));
-    tc "meter computes rates over a window" (fun () ->
-        let m = Stats.Meter.create () in
-        Stats.Meter.start_window m ~now:Sim_time.zero;
-        for _ = 1 to 1000 do
-          Stats.Meter.record m ~now:Sim_time.zero ~bytes:100
-        done;
-        let now = Sim_time.of_ns (Sim_time.ms 1) in
-        check (Alcotest.float 1.0) "pps" 1_000_000.0 (Stats.Meter.pps m ~now);
-        check (Alcotest.float 1.0) "bps" 800_000_000.0 (Stats.Meter.bps m ~now));
+        let n = Node.create (Engine.create ()) ~name:"n" ~ports:0 in
+        Node.drop n Node.Drop_storm;
+        Node.drop n Node.Drop_storm;
+        Node.drop n Node.Tx_drop_no_carrier;
+        check Alcotest.int "storm" 2 (Node.drops n Node.Drop_storm);
+        check Alcotest.int "no carrier" 1 (Node.drops n Node.Tx_drop_no_carrier);
+        check Alcotest.int "absent" 0 (Node.drops n Node.Drop_crashed);
+        check Alcotest.(list (pair string int)) "non-zero, by name"
+          [ ("drop_storm", 2); ("tx_drop_no_carrier", 1) ]
+          (Node.drop_counters n));
     tc "histogram exact below 64" (fun () ->
-        let h = Stats.Histogram.create () in
-        List.iter (Stats.Histogram.record h) [ 1; 2; 3; 4; 5 ];
-        check Alcotest.int "min" 1 (Stats.Histogram.min h);
-        check Alcotest.int "max" 5 (Stats.Histogram.max h);
-        check Alcotest.int "p50" 3 (Stats.Histogram.percentile h 50.0);
-        check Alcotest.int "p100" 5 (Stats.Histogram.percentile h 100.0));
+        let h = Telemetry.Hdr.create () in
+        List.iter (Telemetry.Hdr.record h) [ 1; 2; 3; 4; 5 ];
+        check Alcotest.int "min" 1 (Telemetry.Hdr.min h);
+        check Alcotest.int "max" 5 (Telemetry.Hdr.max h);
+        check Alcotest.int "p50" 3 (Telemetry.Hdr.percentile h 50.0);
+        check Alcotest.int "p100" 5 (Telemetry.Hdr.percentile h 100.0));
     tc "histogram p99 ~ right magnitude" (fun () ->
-        let h = Stats.Histogram.create () in
+        let h = Telemetry.Hdr.create () in
         for i = 1 to 1000 do
-          Stats.Histogram.record h (i * 100)
+          Telemetry.Hdr.record h (i * 100)
         done;
-        let p99 = Stats.Histogram.percentile h 99.0 in
+        let p99 = Telemetry.Hdr.percentile h 99.0 in
         check Alcotest.bool "within 7%" true
           (float_of_int (abs (p99 - 99_000)) /. 99_000.0 < 0.07));
     tc "histogram merge" (fun () ->
-        let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-        Stats.Histogram.record a 10;
-        Stats.Histogram.record b 1000;
-        let m = Stats.Histogram.merge a b in
-        check Alcotest.int "count" 2 (Stats.Histogram.count m);
-        check Alcotest.int "min" 10 (Stats.Histogram.min m);
-        check Alcotest.int "max" 1000 (Stats.Histogram.max m));
+        let a = Telemetry.Hdr.create () and b = Telemetry.Hdr.create () in
+        Telemetry.Hdr.record a 10;
+        Telemetry.Hdr.record b 1000;
+        let m = Telemetry.Hdr.merge a b in
+        check Alcotest.int "count" 2 (Telemetry.Hdr.count m);
+        check Alcotest.int "min" 10 (Telemetry.Hdr.min m);
+        check Alcotest.int "max" 1000 (Telemetry.Hdr.max m));
     tc "histogram empty percentile rejected" (fun () ->
-        let h = Stats.Histogram.create () in
+        let h = Telemetry.Hdr.create () in
         check Alcotest.bool "raises" true
-          (try ignore (Stats.Histogram.percentile h 50.0); false
+          (try ignore (Telemetry.Hdr.percentile h 50.0); false
            with Invalid_argument _ -> true));
     prop "histogram percentile within relative error"
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 300)
          (QCheck2.Gen.int_bound 1_000_000))
       ~print:(fun l -> string_of_int (List.length l))
       (fun samples ->
-        let h = Stats.Histogram.create () in
-        List.iter (Stats.Histogram.record h) samples;
+        let h = Telemetry.Hdr.create () in
+        List.iter (Telemetry.Hdr.record h) samples;
         let sorted = List.sort Int.compare samples in
         let n = List.length sorted in
         let exact = List.nth sorted ((n - 1) / 2) in
-        let approx = Stats.Histogram.percentile h 50.0 in
+        let approx = Telemetry.Hdr.percentile h 50.0 in
         (* log-bucketing gives ~6% relative precision *)
         abs (approx - exact) <= Stdlib.max 1 (exact / 10));
   ]
@@ -323,7 +317,7 @@ let link_tests =
         let _, a, _ = mk_pair () in
         Node.transmit a ~port:0 test_packet;
         check Alcotest.int "drop" 1
-          (Stats.Counter.get (Node.counters a) "tx_drop_unattached"));
+          (Node.drops a Node.Tx_drop_unattached));
     tc "disconnect stops delivery" (fun () ->
         let engine, a, b = mk_pair () in
         let link = Link.connect (a, 0) (b, 0) in
@@ -359,7 +353,7 @@ let link_tests =
           (Node.traffic_counters a);
         check Alcotest.(list (pair string int)) "drops stay named"
           [ ("tx_drop_unattached", 1) ]
-          (Stats.Counter.to_list (Node.counters a));
+          (Node.drop_counters a);
         check Alcotest.bool "bad port" true
           (try ignore (Node.rx_packets a ~port:2); false
            with Invalid_argument _ -> true));
@@ -375,6 +369,16 @@ let link_tests =
         once ();
         check Alcotest.int "minor words" 0
           (int_of_float (Gc.minor_words () -. before)));
+    tc "Node.drop allocates nothing" (fun () ->
+        let _, a, _ = mk_pair () in
+        Node.drop a Node.Drop_rx_ring;
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Node.drop a Node.Drop_rx_ring
+        done;
+        check Alcotest.int "minor words over 10k drops" 0
+          (int_of_float (Gc.minor_words () -. before));
+        check Alcotest.int "all counted" 10_001 (Node.drops a Node.Drop_rx_ring));
   ]
 
 (* ---- Hosts and traffic ---- *)
@@ -442,9 +446,9 @@ let host_tests =
           (Packet.udp ~dst:(Host.mac h2) ~src:(Host.mac h1) ~ip_src:(Host.ip h1)
              ~ip_dst:(Host.ip h2) ~src_port:1 ~dst_port:2 payload);
         Engine.run engine;
-        check Alcotest.int "one sample" 1 (Stats.Histogram.count (Host.latency h2));
+        check Alcotest.int "one sample" 1 (Telemetry.Hdr.count (Host.latency h2));
         check Alcotest.bool "latency > 0" true
-          (Stats.Histogram.min (Host.latency h2) > 0));
+          (Telemetry.Hdr.min (Host.latency h2) > 0));
     tc "probe round-trip" (fun () ->
         let t = Sim_time.of_ns 123_456_789 in
         check Alcotest.(option int) "decode" (Some 123_456_789)
@@ -460,6 +464,21 @@ let host_tests =
         Engine.run engine;
         check Alcotest.int "1000 packets in 1ms at 1Mpps" 1000 (Traffic.sent stream);
         check Alcotest.int "all delivered" 1000 (Host.udp_received h2));
+    tc "receive hooks run in registration order, before the host" (fun () ->
+        let engine, h1, h2 = host_pair () in
+        let calls = ref [] in
+        List.iter
+          (fun i ->
+            Host.on_receive h2 (fun _ ->
+                calls := (i, Host.udp_received h2) :: !calls))
+          [ 1; 2; 3 ];
+        Host.send h1
+          (Packet.udp ~dst:(Host.mac h2) ~src:(Host.mac h1) ~ip_src:(Host.ip h1)
+             ~ip_dst:(Host.ip h2) ~src_port:1 ~dst_port:2 "x");
+        Engine.run engine;
+        check Alcotest.(list (pair int int)) "order, udp not yet counted"
+          [ (1, 0); (2, 0); (3, 0) ] (List.rev !calls);
+        check Alcotest.int "then handled" 1 (Host.udp_received h2));
     tc "imix sizes are legal" (fun () ->
         let engine, h1, h2 = host_pair () in
         let sizes = ref [] in

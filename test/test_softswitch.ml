@@ -397,9 +397,16 @@ let pmd_tests =
           if Pmd.submit pmd ~cycles:100 (fun () -> ()) then incr accepted
         done;
         check Alcotest.int "4 accepted" 4 !accepted;
-        check Alcotest.int "6 dropped" 6 (Pmd.dropped pmd);
         Engine.run engine;
-        check Alcotest.int "processed" 4 (Pmd.processed pmd));
+        check Alcotest.int "processed" 4 (Pmd.processed pmd);
+        (* a switch counts each refused frame once, on its node's ledger *)
+        let sw = Soft_switch.create engine ~name:"s" ~ports:2 ~pmd:cfg () in
+        for _ = 1 to 10 do
+          Node.deliver (Soft_switch.node sw) ~port:0 (udp_pkt ())
+        done;
+        check Alcotest.(pair int int) "6 dropped, one counter" (6, 6)
+          ( Node.drops (Soft_switch.node sw) Node.Drop_rx_ring,
+            List.assoc "pmd_dropped" (Soft_switch.stats sw) ));
     tc "larger batches amortize overhead" (fun () ->
         let small = { Pmd.default_config with Pmd.batch_size = 1 } in
         let big = { Pmd.default_config with Pmd.batch_size = 64 } in
@@ -486,7 +493,14 @@ let agent_tests =
         Engine.run engine;
         check Alcotest.int "silent" 0 !pkt_ins2;
         check Alcotest.int "counted" 1
-          (Stats.Counter.get (Node.counters (Soft_switch.node sw2)) "drop_table_miss"));
+          (Node.drops (Soft_switch.node sw2) Node.Drop_table_miss);
+        let r = Telemetry.Registry.create () in
+        Soft_switch.publish_metrics ~registry:r sw2;
+        check Alcotest.(float 0.) "exported" 1.
+          (Telemetry.Registry.Gauge.value
+             (Telemetry.Registry.Gauge.v ~registry:r
+                ~labels:[ ("switch", "s2"); ("dataplane", Soft_switch.dataplane_name sw2) ]
+                "softswitch_drop_table_miss")));
     tc "packet_out executes actions" (fun () ->
         let engine = Engine.create () in
         let sw = Soft_switch.create engine ~name:"s" ~ports:2 () in

@@ -88,25 +88,25 @@ let registry_tests =
     tc "histogram exact below 64, ~6% above" (fun () ->
         let r = Registry.create () in
         let h = Registry.Histogram.v ~registry:r "lat" in
-        List.iter (Registry.Histogram.observe h) [ 1; 2; 3 ];
-        check Alcotest.int "count" 3 (Registry.Histogram.count h);
-        check (Alcotest.float 1e-9) "sum" 6.0 (Registry.Histogram.sum h);
-        check (Alcotest.float 1e-9) "mean" 2.0 (Registry.Histogram.mean h);
-        check Alcotest.int "p50" 2 (Registry.Histogram.percentile h 50.0);
-        check Alcotest.int "p99" 3 (Registry.Histogram.percentile h 99.0);
+        List.iter (Hdr.record h) [ 1; 2; 3 ];
+        check Alcotest.int "count" 3 (Hdr.count h);
+        check (Alcotest.float 1e-9) "sum" 6.0 (Hdr.sum h);
+        check (Alcotest.float 1e-9) "mean" 2.0 (Hdr.mean h);
+        check Alcotest.int "p50" 2 (Hdr.percentile h 50.0);
+        check Alcotest.int "p99" 3 (Hdr.percentile h 99.0);
         let big = Registry.Histogram.v ~registry:r "lat_big" in
-        for _ = 1 to 9 do Registry.Histogram.observe big 1000 done;
-        Registry.Histogram.observe big 2000;
-        let p50 = Registry.Histogram.percentile big 50.0 in
+        for _ = 1 to 9 do Hdr.record big 1000 done;
+        Hdr.record big 2000;
+        let p50 = Hdr.percentile big 50.0 in
         if p50 < 1000 || p50 > 1060 then
           Alcotest.failf "p50 %d outside 6%% of 1000" p50);
     tc "histogram rejects negatives and empty percentile" (fun () ->
         let r = Registry.create () in
         let h = Registry.Histogram.v ~registry:r "lat" in
-        (match Registry.Histogram.observe h (-1) with
+        (match Hdr.record h (-1) with
         | exception Invalid_argument _ -> ()
         | () -> Alcotest.fail "negative observe");
-        match Registry.Histogram.percentile h 50.0 with
+        match Hdr.percentile h 50.0 with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "empty percentile");
     tc "reset zeroes, registrations survive" (fun () ->
@@ -116,11 +116,11 @@ let registry_tests =
         let h = Registry.Histogram.v ~registry:r "h" in
         Registry.Counter.inc ~by:5 c;
         Registry.Gauge.set g 1.5;
-        Registry.Histogram.observe h 10;
+        Hdr.record h 10;
         Registry.reset r;
         check Alcotest.int "counter" 0 (Registry.Counter.value c);
         check (Alcotest.float 1e-9) "gauge" 0.0 (Registry.Gauge.value g);
-        check Alcotest.int "histogram" 0 (Registry.Histogram.count h);
+        check Alcotest.int "histogram" 0 (Hdr.count h);
         let text = Registry.to_prometheus r in
         List.iter
           (fun needle ->
@@ -152,7 +152,7 @@ let golden_registry () =
        "requests_total");
   Registry.Gauge.set (Registry.Gauge.v ~registry:r "queue_depth") 2.5;
   let h = Registry.Histogram.v ~registry:r "latency_ns" in
-  List.iter (Registry.Histogram.observe h) [ 1; 2; 3 ];
+  List.iter (Hdr.record h) [ 1; 2; 3 ];
   r
 
 let golden_tests =
