@@ -231,9 +231,11 @@ let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)
       flooded = 0;
     }
   in
+  let forward_later in_port pkt = forward t ~in_port pkt in
   Node.set_handler node (fun _node ~in_port pkt ->
       if t.processing_delay = 0 then forward t ~in_port pkt
       else
-        Engine.schedule_after engine t.processing_delay (fun () ->
-            forward t ~in_port pkt));
+        Engine.deliver_at engine
+          (Sim_time.add (Engine.now engine) t.processing_delay)
+          forward_later in_port pkt);
   t

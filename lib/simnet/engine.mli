@@ -2,8 +2,15 @@
 
     An engine owns the clock and the pending-event queue.  Everything in a
     simulation (links, switches, hosts, traffic sources, the controller
-    channel) schedules closures on the same engine, so a whole deployment
-    advances as one deterministic event sequence. *)
+    channel) schedules events on the same engine, so a whole deployment
+    advances as one deterministic event sequence.
+
+    An event is either a thunk ({!schedule_at} and friends: timers, the
+    controller channel, traffic sources) or a typed delivery
+    ({!deliver_at}: a frame handed to a sink on a port), which the
+    per-packet hops use.  Events run in (instant, scheduling order) order,
+    whatever their kind.  Scheduling and running a delivery allocate
+    nothing. *)
 
 type t
 
@@ -23,6 +30,13 @@ val schedule_every : t -> ?start:Sim_time.span -> Sim_time.span -> (unit -> bool
     [false] and calling {!schedule_after} — that is how adaptive pollers
     are built on top of this.
     @raise Invalid_argument if [period <= 0] or [start < 0]. *)
+
+val deliver_at :
+  t -> Sim_time.t -> (int -> Netpkt.Packet.t -> unit) -> int -> Netpkt.Packet.t -> unit
+(** [deliver_at t time sink port pkt] runs [sink port pkt] at [time].
+    Build [sink] once per link direction or device, not per frame: then
+    neither the call nor the event's dispatch allocates.
+    @raise Invalid_argument if the instant is in the past. *)
 
 val step : t -> bool
 (** Run the earliest pending event.  [false] if none was pending. *)

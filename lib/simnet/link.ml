@@ -45,7 +45,7 @@ type dir_stats = {
 type dir = {
   cfg : config;
   engine : Engine.t;
-  dst : Node.t;
+  deliver : int -> Netpkt.Packet.t -> unit;  (* the far node's [Node.deliver] *)
   dst_port : int;
   rng : Rng.t;
   mutable next_free : Sim_time.t;
@@ -108,9 +108,7 @@ let send dir pkt =
           if dir.jitter > 0 then Rng.int dir.rng (dir.jitter + 1) else 0
         in
         let arrival = Sim_time.add done_tx (dir.cfg.propagation + extra) in
-        let dst = dir.dst and dst_port = dir.dst_port in
-        Engine.schedule_at dir.engine arrival (fun () ->
-            Node.deliver dst ~port:dst_port pkt)
+        Engine.deliver_at dir.engine arrival dir.deliver dir.dst_port pkt
       end
     end
   end
@@ -123,7 +121,7 @@ let connect ?(a_to_b = gige) ?(b_to_a = gige) (node_a, port_a) (node_b, port_b) 
     {
       cfg;
       engine;
-      dst;
+      deliver = (fun port pkt -> Node.deliver dst ~port pkt);
       dst_port;
       rng = Rng.create cfg.impair_seed;
       next_free = Sim_time.zero;

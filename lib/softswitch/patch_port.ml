@@ -15,10 +15,11 @@ let connect (node_a, port_a) (node_b, port_b) =
   let t = { node_a; port_a; node_b; port_b; up = true } in
   (* Same-instant scheduling (rather than a direct call) keeps the event
      order deterministic and the stack bounded under switch loops. *)
-  Node.attach node_a ~port:port_a (fun pkt ->
-      if t.up then
-        Engine.schedule_after engine 0 (fun () -> Node.deliver node_b ~port:port_b pkt));
-  Node.attach node_b ~port:port_b (fun pkt ->
-      if t.up then
-        Engine.schedule_after engine 0 (fun () -> Node.deliver node_a ~port:port_a pkt));
+  let wire src src_port dst dst_port =
+    let deliver port pkt = Node.deliver dst ~port pkt in
+    Node.attach src ~port:src_port (fun pkt ->
+        if t.up then Engine.deliver_at engine (Engine.now engine) deliver dst_port pkt)
+  in
+  wire node_a port_a node_b port_b;
+  wire node_b port_b node_a port_a;
   t

@@ -90,7 +90,11 @@ let family t ~kind ~help name =
       t.order <- name :: t.order;
       fam
 
-let series fam ~labels ~(make : unit -> value) =
+(* The series of metric [name] with [labels], made by [make] on first
+   use. *)
+let series t ~kind ~help ~labels name (make : unit -> value) =
+  let labels = normalize_labels labels in
+  let fam = family t ~kind ~help name in
   match List.assoc_opt labels fam.series with
   | Some v -> v
   | None ->
@@ -102,9 +106,9 @@ module Counter = struct
   type nonrec t = int ref
 
   let v ?(registry = default) ?(help = "") ?(labels = []) name =
-    let labels = normalize_labels labels in
-    let fam = family registry ~kind:Counter_kind ~help name in
-    match series fam ~labels ~make:(fun () -> Counter_v (ref 0)) with
+    match
+      series registry ~kind:Counter_kind ~help ~labels name (fun () -> Counter_v (ref 0))
+    with
     | Counter_v r -> r
     | Gauge_v _ | Histogram_v _ -> assert false
 
@@ -119,9 +123,9 @@ module Gauge = struct
   type nonrec t = float ref
 
   let v ?(registry = default) ?(help = "") ?(labels = []) name =
-    let labels = normalize_labels labels in
-    let fam = family registry ~kind:Gauge_kind ~help name in
-    match series fam ~labels ~make:(fun () -> Gauge_v (ref 0.0)) with
+    match
+      series registry ~kind:Gauge_kind ~help ~labels name (fun () -> Gauge_v (ref 0.0))
+    with
     | Gauge_v r -> r
     | Counter_v _ | Histogram_v _ -> assert false
 
@@ -135,12 +139,12 @@ module Histogram = struct
   type nonrec t = Hdr.t
 
   let v ?(registry = default) ?(help = "") ?(labels = []) name =
-    let labels = normalize_labels labels in
-    let fam = family registry ~kind:Histogram_kind ~help name in
-    match series fam ~labels ~make:(fun () -> Histogram_v (Hdr.create ())) with
+    match
+      series registry ~kind:Histogram_kind ~help ~labels name (fun () ->
+          Histogram_v (Hdr.create ()))
+    with
     | Histogram_v h -> h
     | Counter_v _ | Gauge_v _ -> assert false
-
 end
 
 let reset t =
@@ -229,7 +233,7 @@ let to_prometheus t =
   Buffer.contents buf
 
 let to_json t =
-  let series_json kind (labels, v) =
+  let series_json (labels, v) =
     let labels_obj = Json.Obj (List.map (fun (k, s) -> (k, Json.Str s)) labels) in
     let value =
       match v with
@@ -249,7 +253,6 @@ let to_json t =
           in
           Json.Obj (base @ qs)
     in
-    ignore kind;
     Json.Obj [ ("labels", labels_obj); ("value", value) ]
   in
   let fam_json fam =
@@ -258,7 +261,7 @@ let to_json t =
         ("name", Json.Str fam.fam_name);
         ("type", Json.Str (kind_name fam.kind));
         ("help", Json.Str fam.help);
-        ("series", Json.Arr (List.map (series_json fam.kind) (sorted_series fam)));
+        ("series", Json.Arr (List.map series_json (sorted_series fam)));
       ]
   in
   Json.to_string (Json.Obj [ ("metrics", Json.Arr (List.map fam_json (sorted_families t))) ])

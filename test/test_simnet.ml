@@ -31,42 +31,132 @@ let time_tests =
 
 (* ---- Event queue ---- *)
 
+(* A frame built at run time, so that it lives on the heap and can die. *)
+let[@inline never] fresh_frame i =
+  Packet.make ~dst:(Mac_addr.make_local i) ~src:(Mac_addr.make_local 1)
+    (Packet.Raw (Ethertype.of_int 0x88b5, String.make 8 'x'))
+
+let test_frame = fresh_frame 1
+
+(* Schedule [log i] at each [times.(i)], as a thunk where [deliver.(i)] is
+   false and as a delivery on port [i] otherwise; return the pop order. *)
+let pop_order times deliver =
+  let e = Engine.create () in
+  let order = ref [] in
+  let sink port _ = order := port :: !order in
+  let pkt = fresh_frame 2 in
+  List.iteri
+    (fun i (t, d) ->
+      let at = Sim_time.of_ns t in
+      if d then Engine.deliver_at e at sink i pkt
+      else Engine.schedule_at e at (fun () -> order := i :: !order))
+    (List.combine times deliver);
+  Engine.run e;
+  List.rev !order
+
 let eq_tests =
   [
     tc "pops in time order" (fun () ->
-        let q = Event_queue.create () in
-        List.iter
-          (fun t -> Event_queue.push q (Sim_time.of_ns t) t)
-          [ 50; 10; 30; 20; 40 ];
-        let order = ref [] in
-        let rec drain () =
-          match Event_queue.pop q with
-          | Some (_, v) ->
-              order := v :: !order;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        check Alcotest.(list int) "sorted" [ 10; 20; 30; 40; 50 ] (List.rev !order));
+        let times = [ 50; 10; 30; 20; 40 ] in
+        let order = pop_order times (List.map (fun _ -> false) times) in
+        check Alcotest.(list int) "sorted" [ 10; 20; 30; 40; 50 ]
+          (List.map (List.nth times) order));
     tc "fifo among equal timestamps" (fun () ->
-        let q = Event_queue.create () in
-        List.iter (fun v -> Event_queue.push q (Sim_time.of_ns 7) v) [ 1; 2; 3; 4 ];
-        let out = List.init 4 (fun _ ->
-            match Event_queue.pop q with Some (_, v) -> v | None -> -1) in
-        check Alcotest.(list int) "fifo" [ 1; 2; 3; 4 ] out);
+        check Alcotest.(list int) "fifo" [ 0; 1; 2; 3 ]
+          (pop_order [ 7; 7; 7; 7 ] [ false; true; false; true ]));
     prop "qcheck: always non-decreasing pop order"
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 200)
          (QCheck2.Gen.int_bound 10_000))
       ~print:(fun l -> String.concat "," (List.map string_of_int l))
       (fun times ->
-        let q = Event_queue.create () in
-        List.iter (fun t -> Event_queue.push q (Sim_time.of_ns t) t) times;
-        let rec drain last =
-          match Event_queue.pop q with
-          | None -> true
-          | Some (t, _) -> Sim_time.to_ns t >= last && drain (Sim_time.to_ns t)
+        let e = Engine.create () in
+        let ok = ref true in
+        List.iter
+          (fun t ->
+            Engine.schedule_at e (Sim_time.of_ns t) (fun () ->
+                ok := !ok && Sim_time.to_ns (Engine.now e) = t))
+          times;
+        let last = ref 0 and monotone = ref true in
+        while Engine.step e do
+          let now = Sim_time.to_ns (Engine.now e) in
+          monotone := !monotone && now >= !last;
+          last := now
+        done;
+        !ok && !monotone);
+    prop "qcheck: thunks and deliveries pop in (time, seq) order"
+      QCheck2.Gen.(
+        list_size (int_range 1 200) (pair (int_bound 50) bool))
+      ~print:(fun l ->
+        String.concat ","
+          (List.map (fun (t, d) -> Printf.sprintf "%d%s" t (if d then "d" else "")) l))
+      (fun events ->
+        let times = List.map fst events in
+        let expected =
+          List.mapi (fun i t -> (t, i)) times
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map snd
         in
-        drain 0);
+        pop_order times (List.map snd events) = expected);
+    tc "scheduling and running a delivery allocate nothing" (fun () ->
+        let e = Engine.create () in
+        let total = ref 0 in
+        let sink port _ = total := !total + port in
+        let once () =
+          Engine.deliver_at e (Engine.now e) sink 1 test_frame;
+          ignore (Engine.step e)
+        in
+        once ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          once ()
+        done;
+        check Alcotest.int "minor words over 1k deliveries" 0
+          (int_of_float (Gc.minor_words () -. before));
+        check Alcotest.int "all delivered" 1_001 !total);
+    tc "run ~until ~max_events:1 allocates only its Some" (fun () ->
+        (* The call shape of a per-event traced loop: the caller boxes
+           [Some until] (2 words); the run itself allocates nothing. *)
+        let e = Engine.create () in
+        let until = Sim_time.of_ns (Sys.opaque_identity 1_000_000) in
+        let sink _ _ = () in
+        let once () =
+          Engine.deliver_at e (Engine.now e) sink 0 test_frame;
+          Engine.run e ~until ~max_events:1
+        in
+        once ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          once ()
+        done;
+        check Alcotest.int "minor words over 1k runs" 2_000
+          (int_of_float (Gc.minor_words () -. before));
+        check Alcotest.int "drained" 0 (Engine.pending e));
+    tc "a delivered frame is not pinned by the queue" (fun () ->
+        let e = Engine.create () in
+        let seen = Weak.create 1 in
+        let ran = ref false in
+        let sink _ _ = ran := true in
+        let[@inline never] schedule () =
+          let pkt = fresh_frame 3 in
+          Weak.set seen 0 (Some pkt);
+          Engine.deliver_at e (Sim_time.of_ns 10) sink 0 pkt
+        in
+        schedule ();
+        Engine.run e;
+        Gc.full_major ();
+        check Alcotest.bool "ran" true !ran;
+        check Alcotest.bool "collected" false (Weak.check seen 0);
+        (* The engine itself is still live here. *)
+        check Alcotest.int "drained" 0 (Engine.pending e));
+    tc "delivery in the past rejected" (fun () ->
+        let e = Engine.create () in
+        Engine.schedule_after e 100 (fun () -> ());
+        Engine.run e;
+        check Alcotest.bool "past" true
+          (try
+             Engine.deliver_at e (Sim_time.of_ns 50) (fun _ _ -> ()) 0 test_frame;
+             false
+           with Invalid_argument _ -> true));
   ]
 
 (* ---- Engine ---- *)
