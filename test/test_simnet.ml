@@ -113,24 +113,6 @@ let eq_tests =
         check Alcotest.int "minor words over 1k deliveries" 0
           (int_of_float (Gc.minor_words () -. before));
         check Alcotest.int "all delivered" 1_001 !total);
-    tc "run ~until ~max_events:1 allocates only its Some" (fun () ->
-        (* The call shape of a per-event traced loop: the caller boxes
-           [Some until] (2 words); the run itself allocates nothing. *)
-        let e = Engine.create () in
-        let until = Sim_time.of_ns (Sys.opaque_identity 1_000_000) in
-        let sink _ _ = () in
-        let once () =
-          Engine.deliver_at e (Engine.now e) sink 0 test_frame;
-          Engine.run e ~until ~max_events:1
-        in
-        once ();
-        let before = Gc.minor_words () in
-        for _ = 1 to 1_000 do
-          once ()
-        done;
-        check Alcotest.int "minor words over 1k runs" 2_000
-          (int_of_float (Gc.minor_words () -. before));
-        check Alcotest.int "drained" 0 (Engine.pending e));
     tc "a delivered frame is not pinned by the queue" (fun () ->
         let e = Engine.create () in
         let seen = Weak.create 1 in
