@@ -137,8 +137,11 @@ let pmd_tests =
                ~config:{ Softswitch.Pmd.default_config with Softswitch.Pmd.batch_size = batch }
                ()
            in
+           let complete () = Softswitch.Pmd.complete pmd in
            for _ = 1 to 256 do
-             ignore (Softswitch.Pmd.submit pmd ~cycles:120 (fun () -> ()))
+             let finish = Softswitch.Pmd.admit pmd ~cycles:120 in
+             if finish >= 0 then
+               Simnet.Engine.schedule_at engine (Simnet.Sim_time.of_ns finish) complete
            done;
            Simnet.Engine.run engine))
   in

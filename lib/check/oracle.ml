@@ -5,14 +5,73 @@ module FT = Openflow.Flow_table
 module A = Openflow.Of_action
 module M = Openflow.Of_match
 
-let classify pipeline ~table_id ~in_port fields =
+(* Spec-literal matching, read straight off the frame's own headers and
+   options rather than through {!Packet.Fields}: a witness independent of
+   the int encoding that Linear, the OVS upcall and the ESwitch residual
+   path share through {!Openflow.Of_match.matches}.  A test on a header
+   the frame lacks fails. *)
+let matches (m : M.t) ~in_port (pkt : Packet.t) =
+  let test opt holds = match opt with None -> true | Some x -> holds x in
+  let tag = match pkt.Packet.vlans with [] -> None | tag :: _ -> Some tag in
+  let ip = match pkt.Packet.l3 with Packet.Ip ip -> Some ip | _ -> None in
+  let ports =
+    match ip with
+    | Some { Ipv4.payload = Ipv4.Tcp seg; _ } -> Some (seg.Tcp.src_port, seg.Tcp.dst_port)
+    | Some { Ipv4.payload = Ipv4.Udp d; _ } -> Some (d.Udp.src_port, d.Udp.dst_port)
+    | Some _ | None -> None
+  in
+  let proto = function
+    | Ipv4.Tcp _ -> 6
+    | Ipv4.Udp _ -> 17
+    | Ipv4.Icmp _ -> 1
+    | Ipv4.Raw (p, _) -> p
+  in
+  let mac_test actual (t : M.mac_test) =
+    let a = Mac_addr.to_bytes actual
+    and v = Mac_addr.to_bytes t.M.value
+    and k = Mac_addr.to_bytes t.M.mask in
+    List.for_all
+      (fun i ->
+        Char.code a.[i] land Char.code k.[i] = Char.code v.[i] land Char.code k.[i])
+      [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let on_ip get expected =
+    match ip with Some ip -> get ip = expected | None -> false
+  in
+  test m.M.in_port (fun p -> p = in_port)
+  && test m.M.eth_dst (mac_test pkt.Packet.dst)
+  && test m.M.eth_src (mac_test pkt.Packet.src)
+  && test m.M.eth_type (fun ty -> ty = Ethertype.to_int (Packet.ethertype pkt))
+  && test m.M.vlan (fun v ->
+         match (v, tag) with
+         | M.Absent, None | M.Present, Some _ -> true
+         | M.Vid vid, Some tag -> tag.Vlan.vid = vid
+         | (M.Absent | M.Present | M.Vid _), _ -> false)
+  && test m.M.vlan_pcp (fun pcp ->
+         match tag with Some tag -> tag.Vlan.pcp = pcp | None -> false)
+  && test m.M.ip_src (fun prefix ->
+         match ip with
+         | Some ip -> Ipv4_addr.Prefix.mem ip.Ipv4.src prefix
+         | None -> false)
+  && test m.M.ip_dst (fun prefix ->
+         match ip with
+         | Some ip -> Ipv4_addr.Prefix.mem ip.Ipv4.dst prefix
+         | None -> false)
+  && test m.M.ip_proto (on_ip (fun ip -> proto ip.Ipv4.payload))
+  && test m.M.ip_tos (on_ip (fun ip -> ip.Ipv4.tos))
+  && test m.M.l4_src (fun p ->
+         match ports with Some (src, _) -> src = p | None -> false)
+  && test m.M.l4_dst (fun p ->
+         match ports with Some (_, dst) -> dst = p | None -> false)
+
+let classify pipeline ~table_id ~in_port pkt =
   (* Exhaustive scan; first entry of the highest matching priority wins
      (Flow_table keeps insertion order within a priority, and so does
      this fold: a later entry replaces the champion only when strictly
      better). *)
   List.fold_left
     (fun best (e : FE.t) ->
-      if not (M.matches e.FE.match_ ~in_port fields) then best
+      if not (matches e.FE.match_ ~in_port pkt) then best
       else
         match best with
         | Some (b : FE.t) when b.FE.priority >= e.FE.priority -> best
@@ -112,8 +171,7 @@ let execute pipeline ~now_ns ~in_port pkt =
   let rec walk table_id pkt =
     if table_id >= P.num_tables pipeline then finish pkt
     else
-      let fields = Packet.Fields.of_packet pkt in
-      match classify pipeline ~table_id ~in_port fields with
+      match classify pipeline ~table_id ~in_port pkt with
       | None ->
           (* A miss ends the walk but the action set accumulated so far
              still runs — same as the production executor. *)

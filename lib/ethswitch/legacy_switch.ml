@@ -132,8 +132,8 @@ let vlans_in_use t =
 let egress t ~port ~vlan ~had_tag inner =
   let sent =
     match Port_config.egress_encap t.modes.(port) ~vlan with
-    | None -> false
-    | Some `Untagged ->
+    | Port_config.Not_member -> false
+    | Port_config.Untagged ->
         if Telemetry.Trace.enabled () then
           Telemetry.Trace.emit
             ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
@@ -145,14 +145,14 @@ let egress t ~port ~vlan ~had_tag inner =
             inner;
         Node.transmit t.node ~port inner;
         true
-    | Some (`Tagged vid) ->
-        let tagged = Packet.push_vlan (Vlan.make vid) inner in
+    | Port_config.Tagged ->
+        let tagged = Packet.push_vlan (Vlan.make vlan) inner in
         if Telemetry.Trace.enabled () then
           Telemetry.Trace.emit
             ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
             ~component:t.name ~layer:Telemetry.Trace.Legacy ~stage:"tag_push"
             ~port ~cycles:tag_rewrite_cycles
-            ~detail:(Printf.sprintf "vid=%d" vid)
+            ~detail:(Printf.sprintf "vid=%d" vlan)
             tagged;
         Node.transmit t.node ~port tagged;
         true
@@ -161,49 +161,48 @@ let egress t ~port ~vlan ~had_tag inner =
   | Some span when sent && span <> port -> Node.transmit t.node ~port:span inner
   | Some _ | None -> ()
 
+let flood t ~in_port ~vlan ~had_tag inner =
+  t.flooded <- t.flooded + 1;
+  for port = 0 to Array.length t.modes - 1 do
+    if port <> in_port then egress t ~port ~vlan ~had_tag inner
+  done
+
 let forward t ~in_port (pkt : Packet.t) =
-  let mode = t.modes.(in_port) in
-  match Port_config.classify_ingress mode ~tag_vid:(Packet.outer_vid pkt) with
-  | None -> Node.drop t.node Node.Drop_ingress_vlan
-  | Some vlan ->
-      let had_tag = Option.is_some (Packet.outer_vid pkt) in
-      if Telemetry.Trace.enabled () then
-        Telemetry.Trace.emit
-          ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
-          ~component:t.name ~layer:Telemetry.Trace.Legacy ~stage:"ingress"
-          ~port:in_port ~cycles:ingress_cycles
-          ~detail:
-            (Printf.sprintf "vlan=%d %s" vlan
-               (if had_tag then "(tagged)" else "(access)"))
-          pkt;
-      (* Work with the frame stripped of its outer tag (if it had one). *)
-      let inner =
-        match Packet.pop_vlan pkt with Some (_, rest) -> rest | None -> pkt
-      in
-      let now = Engine.now t.engine in
-      if not (security_allows t ~in_port ~vlan ~mac:pkt.Packet.src ~now) then
-        Node.drop t.node Node.Drop_port_security
-      else begin
+  let tag_vid = match pkt.Packet.vlans with tag :: _ -> tag.Vlan.vid | [] -> -1 in
+  let vlan = Port_config.classify_ingress t.modes.(in_port) ~tag_vid in
+  if vlan < 0 then Node.drop t.node Node.Drop_ingress_vlan
+  else begin
+    let had_tag = tag_vid >= 0 in
+    if Telemetry.Trace.enabled () then
+      Telemetry.Trace.emit
+        ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
+        ~component:t.name ~layer:Telemetry.Trace.Legacy ~stage:"ingress"
+        ~port:in_port ~cycles:ingress_cycles
+        ~detail:
+          (Printf.sprintf "vlan=%d %s" vlan
+             (if had_tag then "(tagged)" else "(access)"))
+        pkt;
+    (* Work with the frame stripped of its outer tag (if it had one). *)
+    let inner = Packet.strip_vlan pkt in
+    let now = Engine.now t.engine in
+    if not (security_allows t ~in_port ~vlan ~mac:pkt.Packet.src ~now) then
+      Node.drop t.node Node.Drop_port_security
+    else begin
       Mac_table.learn t.mac_table ~now ~vlan ~mac:pkt.Packet.src ~port:in_port;
-      let flood () =
-        t.flooded <- t.flooded + 1;
-        for port = 0 to Array.length t.modes - 1 do
-          if port <> in_port then egress t ~port ~vlan ~had_tag inner
-        done
-      in
       if not (Mac_addr.is_unicast pkt.Packet.dst) then begin
-        if storm_allows t ~port:in_port then flood ()
+        if storm_allows t ~port:in_port then flood t ~in_port ~vlan ~had_tag inner
         else Node.drop t.node Node.Drop_storm
       end
       else
         match Mac_table.lookup t.mac_table ~now ~vlan ~mac:pkt.Packet.dst with
-        | None -> flood ()
+        | None -> flood t ~in_port ~vlan ~had_tag inner
         | Some out_port when out_port = in_port ->
             Node.drop t.node Node.Drop_same_port
         | Some out_port ->
             t.forwarded <- t.forwarded + 1;
             egress t ~port:out_port ~vlan ~had_tag inner
-      end
+    end
+  end
 
 let publish_metrics ?registry ?(labels = []) t =
   let labels = ("device", t.name) :: labels in

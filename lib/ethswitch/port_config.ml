@@ -10,22 +10,24 @@ let default = Access 1
 let allows allowed vid =
   match allowed with All -> true | Only vids -> List.mem vid vids
 
+type encap = Not_member | Untagged | Tagged
+
 let classify_ingress mode ~tag_vid =
-  match (mode, tag_vid) with
-  | Disabled, _ -> None
-  | Access pvid, None -> Some pvid
-  | Access pvid, Some vid -> if vid = pvid then Some pvid else None
-  | Trunk { native; _ }, None -> native
-  | Trunk { allowed; _ }, Some vid -> if allows allowed vid then Some vid else None
+  match mode with
+  | Disabled -> -1
+  | Access pvid -> if tag_vid < 0 || tag_vid = pvid then pvid else -1
+  | Trunk { native; allowed } ->
+      if tag_vid >= 0 then if allows allowed tag_vid then tag_vid else -1
+      else (match native with Some v -> v | None -> -1)
 
 let egress_encap mode ~vlan =
   match mode with
-  | Disabled -> None
-  | Access pvid -> if pvid = vlan then Some `Untagged else None
-  | Trunk { native; allowed } ->
-      if native = Some vlan then Some `Untagged
-      else if allows allowed vlan then Some (`Tagged vlan)
-      else None
+  | Disabled -> Not_member
+  | Access pvid -> if pvid = vlan then Untagged else Not_member
+  | Trunk { native; allowed } -> (
+      match native with
+      | Some v when v = vlan -> Untagged
+      | Some _ | None -> if allows allowed vlan then Tagged else Not_member)
 
 let pp fmt = function
   | Access pvid -> Format.fprintf fmt "access %d" pvid

@@ -14,11 +14,19 @@ type mode =
 val default : mode
 (** [Access 1] — factory default on essentially every switch. *)
 
-val classify_ingress : mode -> tag_vid:int option -> int option
-(** The VLAN a frame belongs to on ingress, or [None] to drop. *)
+val classify_ingress : mode -> tag_vid:int -> int
+(** The VLAN a frame belongs to on ingress, or [-1] to drop.  [tag_vid]
+    is the VID of the frame's outer tag, or [-1] for an untagged frame.
+    Allocates nothing. *)
 
-val egress_encap : mode -> vlan:int -> [ `Untagged | `Tagged of int ] option
-(** How (whether) a frame in [vlan] leaves through a port, or [None] if
-    the port is not a member. *)
+(** How a frame leaves through a port. *)
+type encap =
+  | Not_member  (** the port is not in the frame's VLAN: it does not leave *)
+  | Untagged
+  | Tagged      (** tagged with the frame's VLAN *)
+
+val egress_encap : mode -> vlan:int -> encap
+(** How (whether) a frame in [vlan] leaves through a port.  Allocates
+    nothing. *)
 
 val pp : Format.formatter -> mode -> unit

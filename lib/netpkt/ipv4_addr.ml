@@ -2,6 +2,8 @@ type t = int32
 
 let of_int32 n = n
 let to_int32 t = t
+let to_int t = Int32.to_int t land 0xffff_ffff
+let of_int n = Int32.of_int n
 let any = 0l
 let broadcast = 0xffffffffl
 let equal = Int32.equal
@@ -75,6 +77,10 @@ module Prefix = struct
   let length t = t.len
   let mask t = mask_of_len t.len
   let mem a t = Int32.equal (Int32.logand a (mask_of_len t.len)) t.base
+
+  let mem_int a t =
+    let mask = if t.len = 0 then 0 else (0xffff_ffff lsl (32 - t.len)) land 0xffff_ffff in
+    a land mask = to_int t.base
 
   let subsumes p q = p.len <= q.len && mem q.base p
 

@@ -12,6 +12,12 @@ val broadcast : t
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
 
+val to_int : t -> int
+(** The address as an unsigned 32-bit int; allocates nothing. *)
+
+val of_int : int -> t
+(** Inverse of {!to_int}: the low 32 bits of the int. *)
+
 val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is [a.b.c.d]. Each octet must be in [0, 255].
     @raise Invalid_argument otherwise. *)
@@ -62,6 +68,9 @@ module Prefix : sig
 
   val mem : addr -> t -> bool
   (** [mem a p] is true iff [a] lies inside [p]. *)
+
+  val mem_int : int -> t -> bool
+  (** [mem] on an address given as {!to_int}; allocates nothing. *)
 
   val subsumes : t -> t -> bool
   (** [subsumes p q] is true iff every address of [q] is in [p]. *)

@@ -48,6 +48,7 @@ let to_int t =
   lor String.get_uint16_be t 4
 
 let to_int64 t = Int64.of_int (to_int t)
+let of_int n = of_int64 (Int64.of_int n)
 
 (* 0x02 first octet: locally administered, unicast. *)
 let make_local i =

@@ -40,6 +40,9 @@ val to_int : t -> int
 (** The address as a non-negative 48-bit int, big-endian; allocates
     nothing. *)
 
+val of_int : int -> t
+(** Inverse of {!to_int}: the low 48 bits of the int. *)
+
 val make_local : int -> t
 (** [make_local i] is a deterministic locally-administered unicast address
     derived from [i]; distinct [i] in [0, 2^32) give distinct addresses. *)

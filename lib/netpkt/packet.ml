@@ -25,6 +25,9 @@ let pop_vlan t =
   | [] -> None
   | tag :: rest -> Some (tag, { t with vlans = rest })
 
+let strip_vlan t =
+  match t.vlans with [] -> t | _ :: rest -> { t with vlans = rest }
+
 let outer_vid t =
   match t.vlans with [] -> None | tag :: _ -> Some tag.Vlan.vid
 
@@ -113,45 +116,28 @@ module Fields = struct
   type packet = t
 
   type t = {
-    eth_dst : Mac_addr.t;
-    eth_src : Mac_addr.t;
+    eth_dst : int;
+    eth_src : int;
     eth_type : int;
-    vlan_vid : int option;
-    vlan_pcp : int option;
-    ip_src : Ipv4_addr.t option;
-    ip_dst : Ipv4_addr.t option;
-    ip_proto : int option;
-    ip_tos : int option;
-    l4_src : int option;
-    l4_dst : int option;
+    vlan_vid : int;
+    vlan_pcp : int;
+    ip_src : int;
+    ip_dst : int;
+    ip_proto : int;
+    ip_tos : int;
+    l4_src : int;
+    l4_dst : int;
   }
 
-  let of_packet (p : packet) =
-    let vlan_vid, vlan_pcp =
-      match p.vlans with
-      | [] -> (None, None)
-      | tag :: _ -> (Some tag.Vlan.vid, Some tag.Vlan.pcp)
-    in
-    let ip_src, ip_dst, ip_proto, ip_tos, l4_src, l4_dst =
-      match p.l3 with
-      | Ip ip ->
-          let l4s, l4d =
-            match ip.Ipv4.payload with
-            | Ipv4.Tcp seg -> (Some seg.Tcp.src_port, Some seg.Tcp.dst_port)
-            | Ipv4.Udp dgram -> (Some dgram.Udp.src_port, Some dgram.Udp.dst_port)
-            | Ipv4.Icmp _ | Ipv4.Raw _ -> (None, None)
-          in
-          ( Some ip.Ipv4.src,
-            Some ip.Ipv4.dst,
-            Some (Ipv4.protocol_number ip.Ipv4.payload),
-            Some ip.Ipv4.tos,
-            l4s,
-            l4d )
-      | Arp _ | Raw _ -> (None, None, None, None, None, None)
-    in
+  let absent = -1
+
+  (* One record and nothing else: every branch hands plain ints to [make]. *)
+  let make (p : packet) ~ip_src ~ip_dst ~ip_proto ~ip_tos ~l4_src ~l4_dst =
+    let vlan_vid = match p.vlans with [] -> absent | tag :: _ -> tag.Vlan.vid in
+    let vlan_pcp = match p.vlans with [] -> absent | tag :: _ -> tag.Vlan.pcp in
     {
-      eth_dst = p.dst;
-      eth_src = p.src;
+      eth_dst = Mac_addr.to_int p.dst;
+      eth_src = Mac_addr.to_int p.src;
       eth_type = Ethertype.to_int (ethertype p);
       vlan_vid;
       vlan_pcp;
@@ -163,31 +149,25 @@ module Fields = struct
       l4_dst;
     }
 
-  let equal a b =
-    Mac_addr.equal a.eth_dst b.eth_dst
-    && Mac_addr.equal a.eth_src b.eth_src
-    && a.eth_type = b.eth_type && a.vlan_vid = b.vlan_vid
-    && a.vlan_pcp = b.vlan_pcp
-    && Option.equal Ipv4_addr.equal a.ip_src b.ip_src
-    && Option.equal Ipv4_addr.equal a.ip_dst b.ip_dst
-    && a.ip_proto = b.ip_proto && a.ip_tos = b.ip_tos && a.l4_src = b.l4_src
-    && a.l4_dst = b.l4_dst
-
-  let hash = Hashtbl.hash
-
-  let pp_opt pp_v fmt = function
-    | None -> Format.pp_print_string fmt "*"
-    | Some v -> pp_v fmt v
-
-  let pp fmt t =
-    Format.fprintf fmt
-      "{dst=%a src=%a ety=0x%04x vid=%a ip=%a>%a proto=%a l4=%a>%a}"
-      Mac_addr.pp t.eth_dst Mac_addr.pp t.eth_src t.eth_type
-      (pp_opt Format.pp_print_int) t.vlan_vid
-      (pp_opt Ipv4_addr.pp) t.ip_src (pp_opt Ipv4_addr.pp) t.ip_dst
-      (pp_opt Format.pp_print_int) t.ip_proto
-      (pp_opt Format.pp_print_int) t.l4_src
-      (pp_opt Format.pp_print_int) t.l4_dst
+  let of_packet (p : packet) =
+    match p.l3 with
+    | Ip ip -> (
+        let ip_src = Ipv4_addr.to_int ip.Ipv4.src
+        and ip_dst = Ipv4_addr.to_int ip.Ipv4.dst
+        and ip_proto = Ipv4.protocol_number ip.Ipv4.payload
+        and ip_tos = ip.Ipv4.tos in
+        match ip.Ipv4.payload with
+        | Ipv4.Tcp seg ->
+            make p ~ip_src ~ip_dst ~ip_proto ~ip_tos ~l4_src:seg.Tcp.src_port
+              ~l4_dst:seg.Tcp.dst_port
+        | Ipv4.Udp dgram ->
+            make p ~ip_src ~ip_dst ~ip_proto ~ip_tos ~l4_src:dgram.Udp.src_port
+              ~l4_dst:dgram.Udp.dst_port
+        | Ipv4.Icmp _ | Ipv4.Raw _ ->
+            make p ~ip_src ~ip_dst ~ip_proto ~ip_tos ~l4_src:absent ~l4_dst:absent)
+    | Arp _ | Raw _ ->
+        make p ~ip_src:absent ~ip_dst:absent ~ip_proto:absent ~ip_tos:absent
+          ~l4_src:absent ~l4_dst:absent
 end
 
 (* Splitmix64-style finalizer over native 63-bit ints: deterministic
@@ -204,8 +184,8 @@ let mix63 ~seed x =
   x land max_int
 
 let hash_flow_parts ~seed ~ety ~proto ~src ~dst ~sport ~dport =
-  let a = Int32.to_int (Ipv4_addr.to_int32 src) land 0xFFFFFFFF in
-  let b = Int32.to_int (Ipv4_addr.to_int32 dst) land 0xFFFFFFFF in
+  let a = Ipv4_addr.to_int src in
+  let b = Ipv4_addr.to_int dst in
   let c =
     ((ety land 0xFFFF) lsl 41)
     lor ((proto + 1) lsl 32)

@@ -26,6 +26,11 @@ val push_vlan : Vlan.t -> t -> t
 val pop_vlan : t -> (Vlan.t * t) option
 (** Remove the outermost tag; [None] if untagged. *)
 
+val strip_vlan : t -> t
+(** The frame without its outermost tag; an untagged frame is returned
+    as it is (physically).  Allocates one record on a tagged frame and
+    nothing on an untagged one. *)
+
 val outer_vid : t -> Vlan.vid option
 (** VLAN id of the outermost tag, if any. *)
 
@@ -50,28 +55,36 @@ val decode : string -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Flattened header-field view used by flow matching and caches. *)
+(** Flattened header-field view used by flow matching and caches.
+
+    Every field is a plain int, so a view is one 12-word block: MACs as
+    48-bit ints ({!Mac_addr.to_int}), IPv4 addresses as unsigned 32-bit
+    ints ({!Ipv4_addr.to_int}), every other field as its value.  A field
+    the frame lacks holds {!absent}.  A real value is never negative, so
+    [absent] never equals one; a test of a negative value must still fail
+    on an absent field, which is the tester's job. *)
 module Fields : sig
   type packet := t
 
   type t = {
-    eth_dst : Mac_addr.t;
-    eth_src : Mac_addr.t;
-    eth_type : int;              (** inner EtherType *)
-    vlan_vid : int option;       (** outermost tag *)
-    vlan_pcp : int option;
-    ip_src : Ipv4_addr.t option;
-    ip_dst : Ipv4_addr.t option;
-    ip_proto : int option;
-    ip_tos : int option;
-    l4_src : int option;
-    l4_dst : int option;
+    eth_dst : int;
+    eth_src : int;
+    eth_type : int;   (** inner EtherType *)
+    vlan_vid : int;   (** outermost tag *)
+    vlan_pcp : int;
+    ip_src : int;
+    ip_dst : int;
+    ip_proto : int;
+    ip_tos : int;
+    l4_src : int;     (** TCP/UDP ports only *)
+    l4_dst : int;
   }
 
+  val absent : int
+  (** [-1]: the value of a field the frame does not carry. *)
+
   val of_packet : packet -> t
-  val equal : t -> t -> bool
-  val hash : t -> int
-  val pp : Format.formatter -> t -> unit
+  (** Allocates the record and nothing else. *)
 end
 
 (** Canonical 5-tuple flow identity used by the sampled-flow telemetry

@@ -32,12 +32,14 @@ let map_l4 pkt ~tcp ~udp =
       | Ipv4.Udp dgram -> { ip with Ipv4.payload = Ipv4.Udp (udp dgram) }
       | Ipv4.Icmp _ | Ipv4.Raw _ -> ip)
 
+(* Tags are immutable, so every pushed tag can be this one. *)
+let vid0 = Vlan.make 0
+
 let apply_rewrite action pkt =
   match action with
   | Output _ | Group _ | Drop -> pkt
-  | Push_vlan -> Packet.push_vlan (Vlan.make 0) pkt
-  | Pop_vlan -> (
-      match Packet.pop_vlan pkt with Some (_, rest) -> rest | None -> pkt)
+  | Push_vlan -> Packet.push_vlan vid0 pkt
+  | Pop_vlan -> Packet.strip_vlan pkt
   | Set_vlan_vid vid -> (
       match pkt.Packet.vlans with
       | [] -> pkt

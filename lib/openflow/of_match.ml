@@ -51,50 +51,48 @@ let ip_tos v t = { t with ip_tos = Some v }
 let l4_src p t = { t with l4_src = Some p }
 let l4_dst p t = { t with l4_dst = Some p }
 
-let mac_masked mac mask =
-  Int64.logand (Mac_addr.to_int64 mac) (Mac_addr.to_int64 mask)
-
+(* Match-time tests read the int fields of {!Packet.Fields}: no closure,
+   option or boxed int per test.  A tested value equals the field only
+   when the field is present, so a negative test value still fails on an
+   absent field. *)
 let mac_test_matches test mac =
-  Int64.equal (mac_masked mac test.mask) (mac_masked test.value test.mask)
-
-let opt_test test = function
+  match test with
   | None -> true
-  | Some expected -> test expected
+  | Some { value; mask } ->
+      let m = Mac_addr.to_int mask in
+      mac land m = Mac_addr.to_int value land m
 
-let field_eq actual = function
+let int_test_matches test actual =
+  match test with
   | None -> true
-  | Some expected -> ( match actual with Some v -> v = expected | None -> false)
+  | Some expected -> actual = expected && actual <> Packet.Fields.absent
+
+let prefix_test_matches test actual =
+  match test with
+  | None -> true
+  | Some prefix ->
+      actual <> Packet.Fields.absent && Ipv4_addr.Prefix.mem_int actual prefix
+
+let vlan_test_matches test vid =
+  match test with
+  | None -> true
+  | Some Absent -> vid = Packet.Fields.absent
+  | Some Present -> vid <> Packet.Fields.absent
+  | Some (Vid expected) -> vid = expected && vid <> Packet.Fields.absent
 
 let matches t ~in_port:port (f : Packet.Fields.t) =
-  opt_test (fun p -> p = port) t.in_port
-  && opt_test (fun test -> mac_test_matches test f.Packet.Fields.eth_dst) t.eth_dst
-  && opt_test (fun test -> mac_test_matches test f.Packet.Fields.eth_src) t.eth_src
-  && opt_test (fun ty -> ty = f.Packet.Fields.eth_type) t.eth_type
-  && opt_test
-       (fun v ->
-         match (v, f.Packet.Fields.vlan_vid) with
-         | Absent, None -> true
-         | Present, Some _ -> true
-         | Vid expected, Some actual -> expected = actual
-         | Absent, Some _ | Present, None | Vid _, None -> false)
-       t.vlan
-  && field_eq f.Packet.Fields.vlan_pcp t.vlan_pcp
-  && opt_test
-       (fun prefix ->
-         match f.Packet.Fields.ip_src with
-         | Some ip -> Ipv4_addr.Prefix.mem ip prefix
-         | None -> false)
-       t.ip_src
-  && opt_test
-       (fun prefix ->
-         match f.Packet.Fields.ip_dst with
-         | Some ip -> Ipv4_addr.Prefix.mem ip prefix
-         | None -> false)
-       t.ip_dst
-  && field_eq f.Packet.Fields.ip_proto t.ip_proto
-  && field_eq f.Packet.Fields.ip_tos t.ip_tos
-  && field_eq f.Packet.Fields.l4_src t.l4_src
-  && field_eq f.Packet.Fields.l4_dst t.l4_dst
+  (match t.in_port with None -> true | Some p -> p = port)
+  && mac_test_matches t.eth_dst f.Packet.Fields.eth_dst
+  && mac_test_matches t.eth_src f.Packet.Fields.eth_src
+  && (match t.eth_type with None -> true | Some ty -> ty = f.Packet.Fields.eth_type)
+  && vlan_test_matches t.vlan f.Packet.Fields.vlan_vid
+  && int_test_matches t.vlan_pcp f.Packet.Fields.vlan_pcp
+  && prefix_test_matches t.ip_src f.Packet.Fields.ip_src
+  && prefix_test_matches t.ip_dst f.Packet.Fields.ip_dst
+  && int_test_matches t.ip_proto f.Packet.Fields.ip_proto
+  && int_test_matches t.ip_tos f.Packet.Fields.ip_tos
+  && int_test_matches t.l4_src f.Packet.Fields.l4_src
+  && int_test_matches t.l4_dst f.Packet.Fields.l4_dst
 
 let matches_packet t ~in_port pkt =
   matches t ~in_port (Packet.Fields.of_packet pkt)
@@ -110,9 +108,9 @@ let sub_opt field_subsumes a b =
 
 let mac_subsumes a b =
   (* a's constrained bits must be constrained identically in b. *)
-  let am = Mac_addr.to_int64 a.mask and bm = Mac_addr.to_int64 b.mask in
-  Int64.equal (Int64.logand am bm) am
-  && Int64.equal (mac_masked a.value a.mask) (mac_masked b.value a.mask)
+  let am = Mac_addr.to_int a.mask and bm = Mac_addr.to_int b.mask in
+  am land bm = am
+  && Mac_addr.to_int a.value land am = Mac_addr.to_int b.value land am
 
 let vlan_subsumes a b =
   match (a, b) with

@@ -39,10 +39,20 @@ let table t i =
 let groups t = t.group_table
 let meters t = t.meter_table
 
+(* The hash of the option 5-tuple the fields once held, rebuilt here so
+   a flow keeps the bucket it has always had (select groups, and the
+   load-balancer rows of E6 and E11, depend on it). *)
 let flow_hash (f : Packet.Fields.t) =
-  Hashtbl.hash (f.Packet.Fields.ip_src, f.Packet.Fields.ip_dst,
-                f.Packet.Fields.ip_proto, f.Packet.Fields.l4_src,
-                f.Packet.Fields.l4_dst)
+  let int v = if v = Packet.Fields.absent then None else Some v in
+  let ip v =
+    if v = Packet.Fields.absent then None else Some (Ipv4_addr.of_int v)
+  in
+  Hashtbl.hash
+    ( ip f.Packet.Fields.ip_src,
+      ip f.Packet.Fields.ip_dst,
+      int f.Packet.Fields.ip_proto,
+      int f.Packet.Fields.l4_src,
+      int f.Packet.Fields.l4_dst )
 
 (* One pipeline execution's state.  [rewrites]/[final] are the deferred
    "action set": at most one action per kind, outputs last.  A new
@@ -137,41 +147,51 @@ let finish ex pkt =
   | None -> ()
   | Some final -> ignore (run_action ex [] pkt final)
 
-let rec walk ex table_id pkt =
+(* [fields] is the view of [seen], the last packet a table was given:
+   a table visit extracts fields again only when a rewrite has built a
+   new packet since. *)
+let rec walk ex table_id pkt seen fields =
   if table_id >= Array.length ex.pipe.tables then finish ex pkt
   else
-    match ex.lookup table_id ~in_port:ex.in_port (Packet.Fields.of_packet pkt) with
+    let fields = if pkt != seen then Packet.Fields.of_packet pkt else fields in
+    match ex.lookup table_id ~in_port:ex.in_port fields with
     | None ->
         ex.miss <- true;
         finish ex pkt
     | Some entry ->
         Flow_entry.touch entry ~now_ns:ex.now_ns ~bytes:(Packet.size pkt);
         ex.matched <- entry :: ex.matched;
-        run_instructions ex table_id pkt (-1) entry.Flow_entry.instructions
+        run_instructions ex table_id pkt (-1) pkt fields
+          entry.Flow_entry.instructions
 
 (* [goto] is the last [Goto_table] seen, [-1] for none.  A metered-out
    packet stops here: no later instruction, table or action set runs. *)
-and run_instructions ex table_id pkt goto = function
-  | [] -> if goto > table_id then walk ex goto pkt else finish ex pkt
+and run_instructions ex table_id pkt goto seen fields = function
+  | [] -> if goto > table_id then walk ex goto pkt seen fields else finish ex pkt
   | instruction :: rest -> (
       match instruction with
       | Flow_entry.Apply_actions actions ->
-          run_instructions ex table_id (run_actions ex [] pkt actions) goto rest
+          run_instructions ex table_id (run_actions ex [] pkt actions) goto seen
+            fields rest
       | Flow_entry.Write_actions actions ->
           write_actions ex actions;
-          run_instructions ex table_id pkt goto rest
+          run_instructions ex table_id pkt goto seen fields rest
       | Flow_entry.Clear_actions ->
           ex.rewrites <- [];
           ex.final <- None;
-          run_instructions ex table_id pkt goto rest
-      | Flow_entry.Goto_table n -> run_instructions ex table_id pkt n rest
+          run_instructions ex table_id pkt goto seen fields rest
+      | Flow_entry.Goto_table n -> run_instructions ex table_id pkt n seen fields rest
       | Flow_entry.Meter id -> (
           match
             Meter_table.apply ex.pipe.meter_table ~id ~now_ns:ex.now_ns
               ~bytes:(Packet.size pkt)
           with
-          | `Pass -> run_instructions ex table_id pkt goto rest
+          | `Pass -> run_instructions ex table_id pkt goto seen fields rest
           | `Drop -> ()))
+
+(* Most passes emit one output and match one entry per table visited:
+   a list of at most one element is its own reverse. *)
+let rev = function ([] | [ _ ]) as l -> l | l -> List.rev l
 
 let execute_with t ~lookup ~now_ns ~in_port pkt =
   let ex =
@@ -187,8 +207,8 @@ let execute_with t ~lookup ~now_ns ~in_port pkt =
       final = None;
     }
   in
-  walk ex 0 pkt;
-  { outputs = List.rev ex.outputs; table_miss = ex.miss; matched = List.rev ex.matched }
+  walk ex 0 pkt pkt (Packet.Fields.of_packet pkt);
+  { outputs = rev ex.outputs; table_miss = ex.miss; matched = rev ex.matched }
 
 let execute t ~now_ns ~in_port pkt =
   let lookup table_id ~in_port fields =

@@ -38,7 +38,9 @@ val meters : t -> Meter_table.t
 
 val flow_hash : Netpkt.Packet.Fields.t -> int
 (** The hash [Select] groups use — a function of the 5-tuple only, so a
-    flow's packets always pick the same bucket. *)
+    flow's packets always pick the same bucket.  Its values predate the
+    int-valued fields and are kept: it boxes the 5-tuple as options
+    before hashing, so it allocates. *)
 
 val execute : t -> now_ns:int -> in_port:int -> Netpkt.Packet.t -> result
 (** Flow-entry counters of matched entries are updated. *)
@@ -56,10 +58,11 @@ val execute_with :
     supplying their own classification.
 
     Beyond what [lookup] allocates, a call allocates only its result
-    (the outputs and matched lists included), the rewritten packets, the
-    {!Netpkt.Packet.Fields.t} each visited table is given and one state
-    record; [Group] actions add their loop guard and flow hash.  The
-    instruction walk builds no closures or refs. *)
+    (the outputs and matched lists included), the rewritten packets, one
+    state record and one {!Netpkt.Packet.Fields.t} per pass; a table
+    given a packet that a rewrite rebuilt gets a fresh one.  [Group]
+    actions add their loop guard and flow hash.  The instruction walk
+    builds no closures or refs. *)
 
 val total_entries : t -> int
 val version : t -> int

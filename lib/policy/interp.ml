@@ -54,18 +54,24 @@ let find_mod mods f =
     (fun (f', v) -> if compare_field f f' = 0 then Some v else None)
     mods
 
-let base_value ~in_port (fl : Packet.Fields.t) = function
+let base_value ~in_port (fl : Packet.Fields.t) =
+  let int v = if v = Packet.Fields.absent then None else Some (Int v) in
+  let ip v =
+    if v = Packet.Fields.absent then None
+    else Some (Ip (Netpkt.Ipv4_addr.of_int v))
+  in
+  function
   | Loc -> Some (At (Phys in_port))
   | Eth_type -> Some (Int fl.eth_type)
-  | Vlan_vid -> Option.map (fun v -> Int v) fl.vlan_vid
-  | Eth_src -> Some (Mac fl.eth_src)
-  | Eth_dst -> Some (Mac fl.eth_dst)
-  | Ip_proto -> Option.map (fun v -> Int v) fl.ip_proto
-  | Ip_src -> Option.map (fun v -> Ip v) fl.ip_src
-  | Ip_dst -> Option.map (fun v -> Ip v) fl.ip_dst
-  | Ip_tos -> Option.map (fun v -> Int v) fl.ip_tos
-  | L4_src -> Option.map (fun v -> Int v) fl.l4_src
-  | L4_dst -> Option.map (fun v -> Int v) fl.l4_dst
+  | Vlan_vid -> int fl.vlan_vid
+  | Eth_src -> Some (Mac (Netpkt.Mac_addr.of_int fl.eth_src))
+  | Eth_dst -> Some (Mac (Netpkt.Mac_addr.of_int fl.eth_dst))
+  | Ip_proto -> int fl.ip_proto
+  | Ip_src -> ip fl.ip_src
+  | Ip_dst -> ip fl.ip_dst
+  | Ip_tos -> int fl.ip_tos
+  | L4_src -> int fl.l4_src
+  | L4_dst -> int fl.l4_dst
 
 let value_of ~base st f =
   match find_mod st.mods f with Some v -> Some v | None -> base f

@@ -17,14 +17,12 @@ let b_l4_src = 1024
 let b_l4_dst = 2048
 let residual = -1
 
-(* Key components are plain ints: MACs as 48-bit ints, IPv4 addresses as
-   unsigned 32-bit ints, every other field as its value.  Real values are
-   never negative (rules testing a negative value go to the residual), so
-   the two sentinels cannot equal one. *)
-let untested = -1
-let absent = -2
-
-let ip_int ip = Int32.to_int (Ipv4_addr.to_int32 ip) land 0xffff_ffff
+(* Key components are {!Packet.Fields} ints: MACs as 48-bit ints, IPv4
+   addresses as unsigned 32-bit ints, every other field as its value.
+   Real values are never negative (rules testing a negative value go to
+   the residual), so [untested], which is [Fields.absent], cannot equal
+   one: a tested field the packet lacks matches no key. *)
+let untested = Packet.Fields.absent
 
 (* Set alongside the field bits by any test that is not an exact
    full-field test of a non-negative value. *)
@@ -90,7 +88,7 @@ let cand_of order (entry : Flow_entry.t) =
     | None -> untested
   in
   let ip = function
-    | Some p -> ip_int (Ipv4_addr.Prefix.base p)
+    | Some p -> Ipv4_addr.to_int (Ipv4_addr.Prefix.base p)
     | None -> untested
   in
   {
@@ -126,57 +124,41 @@ let hash_cand c =
     c.c_vlan_pcp c.c_ip_src c.c_ip_dst c.c_ip_proto c.c_ip_tos c.c_l4_src
     c.c_l4_dst
 
-(* A packet's components as a template [sig_] sees them: [untested] for
-   fields outside the template, [absent] for tested fields the packet
-   lacks.  A packet whose fields match a candidate hashes like it. *)
-let int_comp sig_ bit = function
-  | Some v -> if sig_ land bit <> 0 then v else untested
-  | None -> if sig_ land bit <> 0 then absent else untested
-
-let ip_comp sig_ bit = function
-  | Some a -> if sig_ land bit <> 0 then ip_int a else untested
-  | None -> if sig_ land bit <> 0 then absent else untested
-
-let mac_comp sig_ bit m = if sig_ land bit <> 0 then Mac_addr.to_int m else untested
+(* A packet's component as a template [sig_] sees it: [untested] for a
+   field outside the template.  A packet whose fields match a candidate
+   hashes like it. *)
+let comp sig_ bit v = if sig_ land bit <> 0 then v else untested
 
 let hash_fields sig_ ~in_port (f : Packet.Fields.t) =
   hash12
-    (if sig_ land b_in_port <> 0 then in_port else untested)
-    (mac_comp sig_ b_eth_dst f.Packet.Fields.eth_dst)
-    (mac_comp sig_ b_eth_src f.Packet.Fields.eth_src)
-    (if sig_ land b_eth_type <> 0 then f.Packet.Fields.eth_type else untested)
-    (int_comp sig_ b_vlan_vid f.Packet.Fields.vlan_vid)
-    (int_comp sig_ b_vlan_pcp f.Packet.Fields.vlan_pcp)
-    (ip_comp sig_ b_ip_src f.Packet.Fields.ip_src)
-    (ip_comp sig_ b_ip_dst f.Packet.Fields.ip_dst)
-    (int_comp sig_ b_ip_proto f.Packet.Fields.ip_proto)
-    (int_comp sig_ b_ip_tos f.Packet.Fields.ip_tos)
-    (int_comp sig_ b_l4_src f.Packet.Fields.l4_src)
-    (int_comp sig_ b_l4_dst f.Packet.Fields.l4_dst)
-
-let int_matches expected = function
-  | Some v -> v = expected
-  | None -> false
-
-let ip_matches expected = function
-  | Some a -> ip_int a = expected
-  | None -> false
+    (comp sig_ b_in_port in_port)
+    (comp sig_ b_eth_dst f.Packet.Fields.eth_dst)
+    (comp sig_ b_eth_src f.Packet.Fields.eth_src)
+    (comp sig_ b_eth_type f.Packet.Fields.eth_type)
+    (comp sig_ b_vlan_vid f.Packet.Fields.vlan_vid)
+    (comp sig_ b_vlan_pcp f.Packet.Fields.vlan_pcp)
+    (comp sig_ b_ip_src f.Packet.Fields.ip_src)
+    (comp sig_ b_ip_dst f.Packet.Fields.ip_dst)
+    (comp sig_ b_ip_proto f.Packet.Fields.ip_proto)
+    (comp sig_ b_ip_tos f.Packet.Fields.ip_tos)
+    (comp sig_ b_l4_src f.Packet.Fields.l4_src)
+    (comp sig_ b_l4_dst f.Packet.Fields.l4_dst)
 
 (* Field-wise hit check: every component the candidate tests equals the
    packet's. *)
 let key_matches c ~in_port (f : Packet.Fields.t) =
   (c.c_in_port = untested || c.c_in_port = in_port)
-  && (c.c_eth_dst = untested || c.c_eth_dst = Mac_addr.to_int f.Packet.Fields.eth_dst)
-  && (c.c_eth_src = untested || c.c_eth_src = Mac_addr.to_int f.Packet.Fields.eth_src)
+  && (c.c_eth_dst = untested || c.c_eth_dst = f.Packet.Fields.eth_dst)
+  && (c.c_eth_src = untested || c.c_eth_src = f.Packet.Fields.eth_src)
   && (c.c_eth_type = untested || c.c_eth_type = f.Packet.Fields.eth_type)
-  && (c.c_vlan_vid = untested || int_matches c.c_vlan_vid f.Packet.Fields.vlan_vid)
-  && (c.c_vlan_pcp = untested || int_matches c.c_vlan_pcp f.Packet.Fields.vlan_pcp)
-  && (c.c_ip_src = untested || ip_matches c.c_ip_src f.Packet.Fields.ip_src)
-  && (c.c_ip_dst = untested || ip_matches c.c_ip_dst f.Packet.Fields.ip_dst)
-  && (c.c_ip_proto = untested || int_matches c.c_ip_proto f.Packet.Fields.ip_proto)
-  && (c.c_ip_tos = untested || int_matches c.c_ip_tos f.Packet.Fields.ip_tos)
-  && (c.c_l4_src = untested || int_matches c.c_l4_src f.Packet.Fields.l4_src)
-  && (c.c_l4_dst = untested || int_matches c.c_l4_dst f.Packet.Fields.l4_dst)
+  && (c.c_vlan_vid = untested || c.c_vlan_vid = f.Packet.Fields.vlan_vid)
+  && (c.c_vlan_pcp = untested || c.c_vlan_pcp = f.Packet.Fields.vlan_pcp)
+  && (c.c_ip_src = untested || c.c_ip_src = f.Packet.Fields.ip_src)
+  && (c.c_ip_dst = untested || c.c_ip_dst = f.Packet.Fields.ip_dst)
+  && (c.c_ip_proto = untested || c.c_ip_proto = f.Packet.Fields.ip_proto)
+  && (c.c_ip_tos = untested || c.c_ip_tos = f.Packet.Fields.ip_tos)
+  && (c.c_l4_src = untested || c.c_l4_src = f.Packet.Fields.l4_src)
+  && (c.c_l4_dst = untested || c.c_l4_dst = f.Packet.Fields.l4_dst)
 
 (* A template's entries hashed into a power-of-two bucket array.  Two
    distinct keys of one template never match the same packet, and equal

@@ -9,11 +9,12 @@
     power-of-two bucket array.  The few entries with prefixes, masks or
     presence-tests fall into a residual list.  A lookup probes each
     template once (one int mix over the packet's fields, straight from
-    {!Netpkt.Packet.Fields.t}, then a field-wise compare; a tested field
-    the packet lacks hashes as [-2], which no key holds) plus the
-    residual, and keeps the highest-priority candidate.  Apart from
-    residual matching, a lookup allocates nothing: a hit returns the
-    [Some entry] built at compile time.  Since real OpenFlow programs use
+    {!Netpkt.Packet.Fields.t}, then a field-wise int compare; a tested
+    field the packet lacks reads [-1], which no tested key holds) plus
+    the residual, and keeps the highest-priority candidate.  A lookup
+    allocates nothing: a hit returns the [Some entry] built at compile
+    time, and residual matching ({!Openflow.Of_match.matches}) builds no
+    boxes.  Since real OpenFlow programs use
     a handful of rule shapes, the per-packet cost is near-constant in the
     number of rules — the property experiment E5 reproduces.
 

@@ -76,25 +76,29 @@ let mask_of_pipeline pipeline =
   done;
   !mask
 
+(* Fields outside the mask read [Fields.absent]; an IP address keeps the
+   top [len] bits of its unsigned 32-bit int. *)
+let keep m v = if m then v else Packet.Fields.absent
+
+let ip_masked len v =
+  if len > 0 && v <> Packet.Fields.absent then
+    v land ((0xffff_ffff lsl (32 - len)) land 0xffff_ffff)
+  else Packet.Fields.absent
+
 let project mask ~in_port (f : Packet.Fields.t) =
-  let ip_masked len = function
-    | Some ip when len > 0 ->
-        Some (Ipv4_addr.Prefix.base (Ipv4_addr.Prefix.make ip len))
-    | Some _ | None -> None
-  in
   ( (if mask.m_in_port then in_port else -1),
     {
-      Packet.Fields.eth_dst = (if mask.m_eth_dst then f.Packet.Fields.eth_dst else Mac_addr.zero);
-      eth_src = (if mask.m_eth_src then f.Packet.Fields.eth_src else Mac_addr.zero);
-      eth_type = (if mask.m_eth_type then f.Packet.Fields.eth_type else 0);
-      vlan_vid = (if mask.m_vlan then f.Packet.Fields.vlan_vid else None);
-      vlan_pcp = (if mask.m_vlan_pcp then f.Packet.Fields.vlan_pcp else None);
+      Packet.Fields.eth_dst = keep mask.m_eth_dst f.Packet.Fields.eth_dst;
+      eth_src = keep mask.m_eth_src f.Packet.Fields.eth_src;
+      eth_type = keep mask.m_eth_type f.Packet.Fields.eth_type;
+      vlan_vid = keep mask.m_vlan f.Packet.Fields.vlan_vid;
+      vlan_pcp = keep mask.m_vlan_pcp f.Packet.Fields.vlan_pcp;
       ip_src = ip_masked mask.m_ip_src_len f.Packet.Fields.ip_src;
       ip_dst = ip_masked mask.m_ip_dst_len f.Packet.Fields.ip_dst;
-      ip_proto = (if mask.m_ip_proto then f.Packet.Fields.ip_proto else None);
-      ip_tos = (if mask.m_ip_tos then f.Packet.Fields.ip_tos else None);
-      l4_src = (if mask.m_l4_src then f.Packet.Fields.l4_src else None);
-      l4_dst = (if mask.m_l4_dst then f.Packet.Fields.l4_dst else None);
+      ip_proto = keep mask.m_ip_proto f.Packet.Fields.ip_proto;
+      ip_tos = keep mask.m_ip_tos f.Packet.Fields.ip_tos;
+      l4_src = keep mask.m_l4_src f.Packet.Fields.l4_src;
+      l4_dst = keep mask.m_l4_dst f.Packet.Fields.l4_dst;
     } )
 
 (* A cached classification: the chain of entries the slow path matched,
@@ -106,9 +110,8 @@ let replay pipeline cached ~now_ns ~in_port pkt =
   Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt
 
 (* Megaflow keys hashed over every field: [Hashtbl.hash] stops after 10
-   meaningful values, which leaves [ip_dst] (behind unmasked [None]s) and
-   the L4 ports out of the hash and chains every E5 megaflow together.
-   The projected key holds 12 values plus a block per [Some]. *)
+   meaningful values, which would leave the L4 ports out of the hash and
+   chain every E5 megaflow together.  The projected key holds 12 ints. *)
 module Megaflow = Hashtbl.Make (struct
   type t = int * Packet.Fields.t
 

@@ -48,8 +48,8 @@ let create engine ?(config = default_config) () =
     busy_ns = 0;
   }
 
-let submit t ~cycles k =
-  if t.outstanding >= t.cfg.rx_ring then false
+let admit t ~cycles =
+  if t.outstanding >= t.cfg.rx_ring then -1
   else begin
     let now = Engine.now t.engine in
     let service = ns_of_cycles t.cfg (packet_service_cycles t.cfg ~dataplane_cycles:cycles) in
@@ -58,12 +58,12 @@ let submit t ~cycles k =
     t.next_free <- finish;
     t.outstanding <- t.outstanding + 1;
     t.busy_ns <- t.busy_ns + service;
-    Engine.schedule_at t.engine finish (fun () ->
-        t.outstanding <- t.outstanding - 1;
-        t.processed <- t.processed + 1;
-        k ());
-    true
+    Sim_time.to_ns finish
   end
+
+let complete t =
+  t.outstanding <- t.outstanding - 1;
+  t.processed <- t.processed + 1
 
 let processed t = t.processed
 let busy_ns t = t.busy_ns

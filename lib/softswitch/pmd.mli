@@ -30,10 +30,16 @@ type t
 
 val create : Simnet.Engine.t -> ?config:config -> unit -> t
 
-val submit : t -> cycles:int -> (unit -> unit) -> bool
-(** Enqueue a packet whose dataplane work costs [cycles]; the continuation
-    runs when service completes.  Returns [false] if the RX ring is
-    full: the packet is dropped, and the caller counts it. *)
+val admit : t -> cycles:int -> int
+(** Enqueue a packet whose dataplane work costs [cycles] and return the
+    instant, in ns, its service completes; the caller schedules its own
+    completion there, and that completion calls {!complete} first.
+    Returns [-1] if the RX ring is full: the packet is dropped, and the
+    caller counts it.  Allocates nothing. *)
+
+val complete : t -> unit
+(** One admitted packet's service has completed: it leaves the RX ring
+    and counts as processed. *)
 
 val processed : t -> int
 val busy_ns : t -> int

@@ -208,6 +208,7 @@ let handle_packet t ~in_port pkt =
            (if result.Pipeline.table_miss then " table_miss" else ""))
       pkt;
   let complete () =
+    Pmd.complete t.pmd;
     t.since_expiry <- t.since_expiry + 1;
     if t.since_expiry >= 1024 then begin
       t.since_expiry <- 0;
@@ -230,7 +231,9 @@ let handle_packet t ~in_port pkt =
     end;
     resolve_outputs t ~in_port result.Pipeline.outputs
   in
-  if not (Pmd.submit t.pmd ~cycles complete) then begin
+  let finish_ns = Pmd.admit t.pmd ~cycles in
+  if finish_ns >= 0 then Engine.schedule_at t.engine (Sim_time.of_ns finish_ns) complete
+  else begin
     if Telemetry.Trace.enabled () then
       Telemetry.Trace.emit ~ts_ns:now_ns ~component:t.name
         ~layer:Telemetry.Trace.Switch ~stage:"drop" ~port:in_port ~cycles:0

@@ -266,11 +266,99 @@ let transparency_tests =
               (r.Check.Transparency_oracle.host_frames > 0));
   ]
 
+(* ---- the oracle's match witnesses the int field encoding ---- *)
+
+(* Headers drawn from small pools, so that tests hit as often as they
+   miss: VID 0, PCP 0, port 0 and protocol 0 included, and frames that
+   lack the headers a match tests. *)
+let witness_packet_gen =
+  let open QCheck2.Gen in
+  let ip = Ipv4_addr.of_string in
+  let mac = map Mac_addr.make_local (int_bound 2) in
+  let addr = oneofl [ ip "10.0.0.1"; ip "10.0.0.2"; ip "192.168.1.200"; ip "0.0.0.0" ] in
+  let port = oneofl [ 0; 80; 443 ] in
+  let tag = map2 (fun vid pcp -> Vlan.make ~pcp vid) (oneofl [ 0; 1; 101 ]) (oneofl [ 0; 3 ]) in
+  let l4 =
+    oneof
+      [
+        map2 (fun sp dp -> Ipv4.Udp (Udp.make ~src_port:sp ~dst_port:dp "u")) port port;
+        map2 (fun sp dp -> Ipv4.Tcp (Tcp.make ~src_port:sp ~dst_port:dp "t")) port port;
+        return (Ipv4.Icmp (Icmp.echo_request ~id:1 ~seq:2 ()));
+        map (fun proto -> Ipv4.Raw (proto, "r")) (oneofl [ 0; 47 ]);
+      ]
+  in
+  let l3 =
+    oneof
+      [
+        map3
+          (fun (src, dst) tos l4 -> Packet.Ip (Ipv4.make ~tos ~src ~dst l4))
+          (pair addr addr) (oneofl [ 0; 4 ]) l4;
+        map3
+          (fun sha spa tpa -> Packet.Arp (Arp.request ~sha ~spa ~tpa))
+          mac addr addr;
+        return (Packet.Raw (Ethertype.Unknown 0x88b5, "raw"));
+      ]
+  in
+  map3
+    (fun (dst, src) vlans l3 -> Packet.make ~vlans ~dst ~src l3)
+    (pair mac mac) (list_size (int_bound 2) tag) l3
+
+let witness_match_gen =
+  let open QCheck2.Gen in
+  let module M = Openflow.Of_match in
+  let opt g = oneof [ return None; map Option.some g ] in
+  let mac_test =
+    map2
+      (fun value mask -> { M.value = Mac_addr.make_local value; mask })
+      (int_bound 2)
+      (oneofl
+         [ Mac_addr.broadcast; Mac_addr.of_string "ff:ff:ff:00:00:00"; Mac_addr.zero ])
+  in
+  let prefix =
+    map Ipv4_addr.Prefix.of_string
+      (oneofl [ "10.0.0.0/8"; "10.0.0.1/32"; "0.0.0.0/0"; "192.168.1.200/32"; "192.168.0.0/16" ])
+  in
+  let port = oneofl [ 0; 80; 443; -1 ] in
+  let vlan =
+    oneof
+      [ oneofl [ M.Absent; M.Present ]; map (fun v -> M.Vid v) (oneofl [ 0; 1; 101; -1 ]) ]
+  in
+  let* in_port = opt (oneofl [ 0; 1; -1 ]) in
+  let* eth_dst = opt mac_test in
+  let* eth_src = opt mac_test in
+  let* eth_type = opt (oneofl [ 0x0800; 0x0806; 0x88b5; -1 ]) in
+  let* vlan = opt vlan in
+  let* vlan_pcp = opt (oneofl [ 0; 3; -1 ]) in
+  let* ip_src = opt prefix in
+  let* ip_dst = opt prefix in
+  let* ip_proto = opt (oneofl [ 0; 1; 6; 17; 47; -1 ]) in
+  let* ip_tos = opt (oneofl [ 0; 4; -1 ]) in
+  let* l4_src = opt port in
+  let+ l4_dst = opt port in
+  {
+    M.in_port; eth_dst; eth_src; eth_type; vlan; vlan_pcp; ip_src; ip_dst;
+    ip_proto; ip_tos; l4_src; l4_dst;
+  }
+
+let witness_tests =
+  [
+    prop "Of_match.matches on Fields agrees with the oracle's packet match"
+      ~count:2000
+      QCheck2.Gen.(triple witness_match_gen witness_packet_gen (int_bound 1))
+      ~print:(fun (m, pkt, in_port) ->
+        Format.asprintf "%a on port %d: %a" Openflow.Of_match.pp m in_port
+          Packet.pp pkt)
+      (fun (m, pkt, in_port) ->
+        Openflow.Of_match.matches m ~in_port (Packet.Fields.of_packet pkt)
+        = Check.Oracle.matches m ~in_port pkt);
+  ]
+
 let suite =
   [
     ("check.corpus", corpus_tests);
     ("check.group-loop", group_loop_tests);
     ("check.differential", diff_tests);
+    ("check.oracle-match", witness_tests);
     ("check.codec-fuzz", codec_tests);
     ("check.transparency", transparency_tests);
   ]

@@ -107,46 +107,46 @@ let port_config_tests =
   [
     tc "access ingress classification" (fun () ->
         let m = Port_config.Access 5 in
-        check Alcotest.(option int) "untagged" (Some 5)
-          (Port_config.classify_ingress m ~tag_vid:None);
-        check Alcotest.(option int) "matching tag" (Some 5)
-          (Port_config.classify_ingress m ~tag_vid:(Some 5));
-        check Alcotest.(option int) "foreign tag dropped" None
-          (Port_config.classify_ingress m ~tag_vid:(Some 6)));
+        check Alcotest.int "untagged" 5
+          (Port_config.classify_ingress m ~tag_vid:(-1));
+        check Alcotest.int "matching tag" 5
+          (Port_config.classify_ingress m ~tag_vid:5);
+        check Alcotest.int "foreign tag dropped" (-1)
+          (Port_config.classify_ingress m ~tag_vid:6));
     tc "trunk ingress classification" (fun () ->
         let m =
           Port_config.Trunk { native = Some 1; allowed = Port_config.Only [ 10; 20 ] }
         in
-        check Alcotest.(option int) "untagged -> native" (Some 1)
-          (Port_config.classify_ingress m ~tag_vid:None);
-        check Alcotest.(option int) "allowed" (Some 10)
-          (Port_config.classify_ingress m ~tag_vid:(Some 10));
-        check Alcotest.(option int) "not allowed" None
-          (Port_config.classify_ingress m ~tag_vid:(Some 30)));
+        check Alcotest.int "untagged -> native" 1
+          (Port_config.classify_ingress m ~tag_vid:(-1));
+        check Alcotest.int "allowed" 10
+          (Port_config.classify_ingress m ~tag_vid:10);
+        check Alcotest.int "not allowed" (-1)
+          (Port_config.classify_ingress m ~tag_vid:30));
     tc "trunk without native drops untagged" (fun () ->
         let m = Port_config.Trunk { native = None; allowed = Port_config.All } in
-        check Alcotest.(option int) "dropped" None
-          (Port_config.classify_ingress m ~tag_vid:None));
+        check Alcotest.int "dropped" (-1)
+          (Port_config.classify_ingress m ~tag_vid:(-1)));
     tc "egress encapsulation" (fun () ->
         let access = Port_config.Access 5 in
         let trunk =
           Port_config.Trunk { native = Some 1; allowed = Port_config.Only [ 10 ] }
         in
         check Alcotest.bool "access member untagged" true
-          (Port_config.egress_encap access ~vlan:5 = Some `Untagged);
+          (Port_config.egress_encap access ~vlan:5 = Port_config.Untagged);
         check Alcotest.bool "access non-member" true
-          (Port_config.egress_encap access ~vlan:6 = None);
+          (Port_config.egress_encap access ~vlan:6 = Port_config.Not_member);
         check Alcotest.bool "trunk tags" true
-          (Port_config.egress_encap trunk ~vlan:10 = Some (`Tagged 10));
+          (Port_config.egress_encap trunk ~vlan:10 = Port_config.Tagged);
         check Alcotest.bool "trunk native untagged" true
-          (Port_config.egress_encap trunk ~vlan:1 = Some `Untagged);
+          (Port_config.egress_encap trunk ~vlan:1 = Port_config.Untagged);
         check Alcotest.bool "trunk non-member" true
-          (Port_config.egress_encap trunk ~vlan:99 = None));
+          (Port_config.egress_encap trunk ~vlan:99 = Port_config.Not_member));
     tc "disabled port is inert" (fun () ->
-        check Alcotest.(option int) "ingress" None
-          (Port_config.classify_ingress Port_config.Disabled ~tag_vid:None);
+        check Alcotest.int "ingress" (-1)
+          (Port_config.classify_ingress Port_config.Disabled ~tag_vid:(-1));
         check Alcotest.bool "egress" true
-          (Port_config.egress_encap Port_config.Disabled ~vlan:1 = None));
+          (Port_config.egress_encap Port_config.Disabled ~vlan:1 = Port_config.Not_member));
   ]
 
 (* ---- The switch dataplane ---- *)
@@ -174,6 +174,32 @@ let udp_pkt ?vlans ~from_mac ~to_mac () =
 
 let switch_tests =
   [
+    tc "forwarding a tagged frame to an access port allocates at most 7 words"
+      (fun () ->
+        let engine = Engine.create () in
+        let sw =
+          Legacy_switch.create engine ~name:"sw" ~ports:2
+            ~processing_delay:0 ()
+        in
+        Legacy_switch.set_port_mode sw ~port:0
+          (Port_config.Trunk { native = None; allowed = Port_config.All });
+        Legacy_switch.set_port_mode sw ~port:1 (Port_config.Access 10);
+        let node = Legacy_switch.node sw in
+        (* learn the destination on the access port *)
+        Node.deliver node ~port:1 (udp_pkt ~from_mac:(mac 2) ~to_mac:(mac 1) ());
+        let tagged =
+          udp_pkt ~vlans:[ Vlan.make 10 ] ~from_mac:(mac 1) ~to_mac:(mac 2) ()
+        in
+        Node.deliver node ~port:0 tagged;
+        check Alcotest.int "forwarded" 1 (Legacy_switch.forwarded sw);
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          Node.deliver node ~port:0 tagged
+        done;
+        let words = int_of_float (Gc.minor_words () -. before) / 1_000 in
+        check Alcotest.int "all forwarded" 1_001 (Legacy_switch.forwarded sw);
+        if words > 7 then
+          Alcotest.failf "%d minor words per forwarded frame (bound 7)" words);
     tc "a 100k-MAC flood stays O(1) per frame" (fun () ->
         let engine = Engine.create () in
         let sw = Legacy_switch.create engine ~name:"sw" ~ports:2 () in

@@ -287,11 +287,24 @@ let packet_tests =
         in
         let f = Packet.Fields.of_packet pkt in
         check Alcotest.int "ethertype" 0x0800 f.Packet.Fields.eth_type;
-        check Alcotest.(option int) "vid" (Some 7) f.Packet.Fields.vlan_vid;
-        check Alcotest.(option int) "pcp" (Some 3) f.Packet.Fields.vlan_pcp;
-        check Alcotest.(option int) "proto" (Some 6) f.Packet.Fields.ip_proto;
-        check Alcotest.(option int) "sport" (Some 1111) f.Packet.Fields.l4_src;
-        check Alcotest.(option int) "dport" (Some 80) f.Packet.Fields.l4_dst);
+        check Alcotest.int "vid" 7 f.Packet.Fields.vlan_vid;
+        check Alcotest.int "pcp" 3 f.Packet.Fields.vlan_pcp;
+        check Alcotest.int "proto" 6 f.Packet.Fields.ip_proto;
+        check Alcotest.int "sport" 1111 f.Packet.Fields.l4_src;
+        check Alcotest.int "dport" 80 f.Packet.Fields.l4_dst);
+    tc "fields of a tagged udp frame allocate exactly 12 words" (fun () ->
+        let pkt =
+          Packet.udp ~vlans:[ Vlan.make ~pcp:3 7 ] ~dst:(Mac_addr.make_local 1)
+            ~src:(Mac_addr.make_local 2) ~ip_src:src ~ip_dst:dst ~src_port:1111
+            ~dst_port:80 "x"
+        in
+        ignore (Sys.opaque_identity (Packet.Fields.of_packet pkt));
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Packet.Fields.of_packet pkt))
+        done;
+        check Alcotest.int "minor words per call" 12
+          (int_of_float (Gc.minor_words () -. before) / 1_000));
     tc "fields extraction for arp has no ip fields" (fun () ->
         let pkt =
           Packet.arp_request ~src_mac:(Mac_addr.make_local 2) ~src_ip:src
@@ -299,7 +312,7 @@ let packet_tests =
         in
         let f = Packet.Fields.of_packet pkt in
         check Alcotest.int "ethertype" 0x0806 f.Packet.Fields.eth_type;
-        check Alcotest.bool "no ip" true (f.Packet.Fields.ip_src = None));
+        check Alcotest.bool "no ip" true (f.Packet.Fields.ip_src = Packet.Fields.absent));
     tc "decode truncated frame fails" (fun () ->
         check Alcotest.bool "truncated" true
           (try ignore (Packet.decode "\x01\x02\x03"); false

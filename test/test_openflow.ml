@@ -74,6 +74,23 @@ let match_tests =
         check Alcotest.bool "hit" true (matches m ~in_port:0 (udp_pkt ()));
         check Alcotest.bool "miss" false
           (matches m ~in_port:0 (udp_pkt ~dport:443 ())));
+    tc "matches allocates nothing" (fun () ->
+        let m =
+          Of_match.(
+            any |> in_port 1
+            |> eth_dst ~mask:(Mac_addr.of_string "ff:ff:ff:00:00:00") (mac 2)
+            |> eth_type 0x0800 |> vid 101 |> vlan_pcp 0
+            |> ip_src (prefix "10.0.0.0/8") |> ip_dst (prefix "10.0.0.2/32")
+            |> ip_proto 17 |> ip_tos 0 |> l4_src 1000 |> l4_dst 80)
+        in
+        let f = Packet.Fields.of_packet (udp_pkt ~vlans:[ Vlan.make 101 ] ()) in
+        check Alcotest.bool "hit" true (Of_match.matches m ~in_port:1 f);
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Of_match.matches m ~in_port:1 f))
+        done;
+        check Alcotest.int "minor words per call" 0
+          (int_of_float (Gc.minor_words () -. before) / 1_000));
     tc "wildcard_count" (fun () ->
         check Alcotest.int "any" 12 (Of_match.wildcard_count Of_match.any);
         check Alcotest.int "one" 11
@@ -132,7 +149,7 @@ let action_tests =
     tc "l4 rewrite on udp and tcp" (fun () ->
         let u = Of_action.apply_rewrite (Of_action.Set_l4_dst 8080) (udp_pkt ()) in
         (match (Packet.Fields.of_packet u).Packet.Fields.l4_dst with
-        | Some 8080 -> ()
+        | 8080 -> ()
         | _ -> Alcotest.fail "udp port not rewritten");
         let t =
           Packet.tcp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
@@ -140,7 +157,7 @@ let action_tests =
         in
         let t = Of_action.apply_rewrite (Of_action.Set_l4_src 9999) t in
         match (Packet.Fields.of_packet t).Packet.Fields.l4_src with
-        | Some 9999 -> ()
+        | 9999 -> ()
         | _ -> Alcotest.fail "tcp port not rewritten");
     tc "l4 rewrite on arp is a no-op" (fun () ->
         let arp =
@@ -487,6 +504,27 @@ let pipeline_tests =
         let f1 = Packet.Fields.of_packet base in
         let f2 = Packet.Fields.of_packet { base with Packet.dst = mac 77 } in
         check Alcotest.int "same hash" (Pipeline.flow_hash f1) (Pipeline.flow_hash f2));
+    tc "flow_hash unchanged by int fields" (fun () ->
+        (* Values from the option-valued fields: a select group keeps
+           sending each flow to the bucket it always had. *)
+        let hash pkt = Pipeline.flow_hash (Packet.Fields.of_packet pkt) in
+        let tcp =
+          Packet.tcp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+            ~ip_dst:(ip "10.0.1.9") ~src_port:40000 ~dst_port:80 "x"
+        and udp =
+          Packet.udp ~vlans:[ Vlan.make ~pcp:5 101 ] ~dst:(mac 2) ~src:(mac 1)
+            ~ip_src:(ip "192.168.7.200") ~ip_dst:(ip "10.0.0.2") ~src_port:1000
+            ~dst_port:53 "q"
+        and icmp =
+          Packet.icmp_echo ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+            ~ip_dst:(ip "10.0.0.2") ~id:7 ~seq:1
+        and arp =
+          Packet.arp_request ~src_mac:(mac 1) ~src_ip:(ip "10.0.0.1")
+            ~target_ip:(ip "10.0.0.2")
+        in
+        check Alcotest.(list int) "tcp, udp, icmp, arp"
+          [ 415235156; 522655097; 286306633; 174912459 ]
+          (List.map hash [ tcp; udp; icmp; arp ]));
   ]
 
 let suite =

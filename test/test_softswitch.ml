@@ -183,6 +183,13 @@ let eswitch_tests =
       ~in_port:(Harmless.Translator.patch_port_of_logical 3) (frame host3)
       ~port:Harmless.Translator.trunk_port;
     bounded "ss2 l2 lookup" ss2 ~in_port:0 (frame host3) ~port:3;
+    tc "an untagged udp pass allocates at most 38 words" (fun () ->
+        (* the fields view (12), the walk state (10), the result (4), its
+           one output (6), its one matched entry (3) and the (result,
+           cycles) pair (3) *)
+        let words = words_per_process ss2 ~in_port:0 (frame host3) in
+        if words > 38. then
+          Alcotest.failf "%.1f minor words per process (bound 38)" words);
     tc "l4_dst-keyed rules agree with linear on every port" (fun () ->
         let mk () =
           let p = Pipeline.create ~num_tables:1 () in
@@ -356,6 +363,16 @@ let cache_tests =
 
 (* ---- PMD ---- *)
 
+(* What a switch does with an admitted packet: schedule its completion
+   at the returned instant, and call [Pmd.complete] there first. *)
+let pmd_submit engine pmd ~cycles k =
+  let finish = Pmd.admit pmd ~cycles in
+  if finish >= 0 then
+    Engine.schedule_at engine (Sim_time.of_ns finish) (fun () ->
+        Pmd.complete pmd;
+        k ());
+  finish >= 0
+
 let pmd_tests =
   [
     tc "service time matches the cycle model" (fun () ->
@@ -364,7 +381,7 @@ let pmd_tests =
         let pmd = Pmd.create engine ~config:cfg () in
         let done_at = ref (-1) in
         ignore
-          (Pmd.submit pmd ~cycles:1000 (fun () ->
+          (pmd_submit engine pmd ~cycles:1000 (fun () ->
                done_at := Sim_time.to_ns (Engine.now engine)));
         Engine.run engine;
         let expected =
@@ -378,7 +395,7 @@ let pmd_tests =
         let completions = ref [] in
         for _ = 1 to 3 do
           ignore
-            (Pmd.submit pmd ~cycles:1000 (fun () ->
+            (pmd_submit engine pmd ~cycles:1000 (fun () ->
                  completions := Sim_time.to_ns (Engine.now engine) :: !completions))
         done;
         Engine.run engine;
@@ -394,7 +411,7 @@ let pmd_tests =
         let pmd = Pmd.create engine ~config:cfg () in
         let accepted = ref 0 in
         for _ = 1 to 10 do
-          if Pmd.submit pmd ~cycles:100 (fun () -> ()) then incr accepted
+          if pmd_submit engine pmd ~cycles:100 (fun () -> ()) then incr accepted
         done;
         check Alcotest.int "4 accepted" 4 !accepted;
         Engine.run engine;
