@@ -10,7 +10,10 @@
                        slot: the micro companion of e2e zipf-imix-ovs.
                        lookup/eswitch-l4-1000 keys 1000 rules on l4_dst
                        alone, so it prices how well ESwitch hashes the
-                       last key components
+                       last key components.  lookup/eswitch-update-1000
+                       re-adds one of E5's 1000 rules (a fresh entry,
+                       as L2 learning sends) and classifies one packet:
+                       the flow-mod plus ESwitch's incremental sync
    - translator/*   -> the SS_1 split ablation (DESIGN section 5)
    - pmd/batch-*    -> PMD batching ablation
    - e2e/*          -> E2/E3 companions: a full ping through HARMLESS
@@ -75,6 +78,31 @@ let lookup_tests =
         Netpkt.Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
           ~ip_dst:(ip "10.0.0.2") ~src_port:5000 ~dst_port:(1000 + i) "0123456789")
   in
+  let update_eswitch =
+    let p = E5.build_pipeline 1000 in
+    let table = Openflow.Pipeline.table p 0 in
+    let dp = Softswitch.Eswitch.create p in
+    let packets = E5.workload ~rng:(Simnet.Rng.create 5) ~num_rules:1000 ~skew:0.0 ~count:1024 in
+    Array.iter (fun pkt -> ignore (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 pkt)) packets;
+    let i = ref 0 in
+    Test.make ~name:"eswitch-update-1000"
+      (Staged.stage (fun () ->
+           let rule = !i mod 1000 in
+           Openflow.Flow_table.add table ~now_ns:0
+             (Openflow.Flow_entry.make ~priority:2000
+                ~match_:
+                  Openflow.Of_match.(
+                    any |> eth_type 0x0800
+                    |> ip_dst
+                         (Netpkt.Ipv4_addr.Prefix.make
+                            (Netpkt.Ipv4_addr.of_octets 10 1 (rule / 256) (rule mod 256))
+                            32))
+                [ Openflow.Flow_entry.Apply_actions [ Openflow.Of_action.output (rule mod 16) ] ]);
+           ignore
+             (dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0
+                packets.(!i mod Array.length packets));
+           incr i))
+  in
   Test.make_grouped ~name:"lookup"
     (List.concat_map
        (fun rules ->
@@ -89,6 +117,7 @@ let lookup_tests =
           (Softswitch.Ovs_like.create (E5.build_pipeline 1000))
           churn_packets;
         bench "eswitch-l4-1000" l4_eswitch l4_packets;
+        update_eswitch;
       ])
 
 (* ---- translator/* : SS_1 in both directions ---- *)

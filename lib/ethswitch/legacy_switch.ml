@@ -19,6 +19,7 @@ type t = {
   engine : Engine.t;
   name : string;
   modes : Port_config.mode array;
+  tags : Vlan.t array array; (* shared egress tags: 64 rows of 64 VIDs *)
   mac_table : Mac_table.t;
   processing_delay : Sim_time.span;
   mutable storm : storm_bucket option array;
@@ -88,9 +89,8 @@ let security_allows t ~in_port ~vlan ~mac ~now =
   | Some limit -> (
       (not (Netpkt.Mac_addr.is_unicast mac))
       ||
-      match Mac_table.lookup t.mac_table ~now ~vlan ~mac with
-      | Some p when p = in_port -> true
-      | Some _ | None -> Mac_table.count_port t.mac_table ~now ~port:in_port < limit)
+      Mac_table.lookup t.mac_table ~now ~vlan ~mac = in_port
+      || Mac_table.count_port t.mac_table ~now ~port:in_port < limit)
 
 (* One token per allowed packet; bucket caps at a 100 ms burst. *)
 let storm_allows t ~port =
@@ -124,6 +124,16 @@ let vlans_in_use t =
   in
   Iset.elements (Array.fold_left add_mode Iset.empty t.modes)
 
+(* Tags are immutable, so every frame this switch tags with one VID
+   shares one tag.  A row of 64 is built the first time one of its VIDs
+   leaves tagged (a trunk allowing every VLAN carries VIDs no port
+   configuration names), so a switch holds rows only for VIDs in use. *)
+let tag t vid =
+  let row = vid lsr 6 in
+  if Array.length t.tags.(row) = 0 then
+    t.tags.(row) <- Array.init 64 (fun i -> Vlan.make ((row lsl 6) lor i));
+  t.tags.(row).(vid land 63)
+
 (* Send [inner] (the frame without its outer customer tag) out of [port],
    encapsulated for that port's membership of [vlan].  A configured SPAN
    port additionally gets an untagged copy of everything that egresses.
@@ -146,7 +156,7 @@ let egress t ~port ~vlan ~had_tag inner =
         Node.transmit t.node ~port inner;
         true
     | Port_config.Tagged ->
-        let tagged = Packet.push_vlan (Vlan.make vlan) inner in
+        let tagged = Packet.push_vlan (tag t vlan) inner in
         if Telemetry.Trace.enabled () then
           Telemetry.Trace.emit
             ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
@@ -194,13 +204,13 @@ let forward t ~in_port (pkt : Packet.t) =
         else Node.drop t.node Node.Drop_storm
       end
       else
-        match Mac_table.lookup t.mac_table ~now ~vlan ~mac:pkt.Packet.dst with
-        | None -> flood t ~in_port ~vlan ~had_tag inner
-        | Some out_port when out_port = in_port ->
-            Node.drop t.node Node.Drop_same_port
-        | Some out_port ->
-            t.forwarded <- t.forwarded + 1;
-            egress t ~port:out_port ~vlan ~had_tag inner
+        let out_port = Mac_table.lookup t.mac_table ~now ~vlan ~mac:pkt.Packet.dst in
+        if out_port < 0 then flood t ~in_port ~vlan ~had_tag inner
+        else if out_port = in_port then Node.drop t.node Node.Drop_same_port
+        else begin
+          t.forwarded <- t.forwarded + 1;
+          egress t ~port:out_port ~vlan ~had_tag inner
+        end
     end
   end
 
@@ -221,6 +231,7 @@ let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)
       engine;
       name;
       modes = Array.make ports Port_config.default;
+      tags = Array.make 64 [||];
       mac_table = Mac_table.create ~capacity:mac_table_capacity ~aging:mac_aging ();
       processing_delay;
       storm = Array.make ports None;

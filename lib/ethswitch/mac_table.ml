@@ -145,10 +145,10 @@ let lookup t ~now ~vlan ~mac =
   | entry ->
       if expired t ~now entry then begin
         remove t key entry;
-        None
+        -1
       end
-      else Some entry.port
-  | exception Not_found -> None
+      else entry.port
+  | exception Not_found -> -1
 
 let entry_count t = Itbl.length t.table
 

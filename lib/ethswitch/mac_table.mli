@@ -16,9 +16,9 @@ val learn :
     @raise Invalid_argument if [port < 0]. *)
 
 val lookup :
-  t -> now:Simnet.Sim_time.t -> vlan:int -> mac:Netpkt.Mac_addr.t -> int option
-(** The port for (vlan, mac), unless unknown or aged out (expired entries
-    are removed on the fly). *)
+  t -> now:Simnet.Sim_time.t -> vlan:int -> mac:Netpkt.Mac_addr.t -> int
+(** The port for (vlan, mac), or [-1] if unknown or aged out (expired
+    entries are removed on the fly).  Allocates nothing. *)
 
 val entry_count : t -> int
 

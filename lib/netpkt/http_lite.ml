@@ -32,16 +32,17 @@ let render_response r =
   Printf.sprintf "HTTP/1.1 %d %s%s%s%s%s" r.status r.reason crlf
     (render_headers r.resp_headers) crlf r.resp_body
 
+(* The first blank line (CRLF CRLF), found by comparing chars in place. *)
 let split_head_body s =
-  let marker = crlf ^ crlf in
+  let n = String.length s in
   let rec find i =
-    if i + 4 > String.length s then None
-    else if String.sub s i 4 = marker then Some i
+    if i + 4 > n then -1
+    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+    then i
     else find (i + 1)
   in
-  match find 0 with
-  | None -> None
-  | Some i -> Some (String.sub s 0 i, String.sub s (i + 4) (String.length s - i - 4))
+  let i = find 0 in
+  if i < 0 then None else Some (String.sub s 0 i, String.sub s (i + 4) (n - i - 4))
 
 let parse_header_line line =
   match String.index_opt line ':' with

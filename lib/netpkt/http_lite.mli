@@ -30,6 +30,10 @@ val parse_request : string -> request option
 val render_response : response -> string
 val parse_response : string -> response option
 
+val split_head_body : string -> (string * string) option
+(** The head and body around the first blank line (CRLF CRLF), or [None]
+    if there is none.  A bare LF LF is not a blank line. *)
+
 val host_of_payload : string -> string option
 (** Sniff the [Host] header out of a raw TCP payload, if it parses as an
     HTTP request — what the Parental Control app does with packet-ins. *)

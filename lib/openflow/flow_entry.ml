@@ -16,6 +16,7 @@ type t = {
   mutable bytes : int;
   mutable installed_at_ns : int;
   mutable last_used_ns : int;
+  mutable seq : int;
 }
 
 let make ?(priority = 1000) ?(cookie = 0L) ?idle_timeout_s ?hard_timeout_s
@@ -31,6 +32,7 @@ let make ?(priority = 1000) ?(cookie = 0L) ?idle_timeout_s ?hard_timeout_s
     bytes = 0;
     installed_at_ns = 0;
     last_used_ns = 0;
+    seq = 0;
   }
 
 let touch t ~now_ns ~bytes =

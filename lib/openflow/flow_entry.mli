@@ -26,6 +26,11 @@ type t = {
   mutable bytes : int;
   mutable installed_at_ns : int;
   mutable last_used_ns : int;
+  mutable seq : int;
+      (** the table's add sequence number, stamped by {!Flow_table.add}
+          (0 until then); a [{ e with ... }] copy keeps it.  Within one
+          table, (priority descending, [seq] ascending) is the table's
+          order. *)
 }
 
 val make :

@@ -1,35 +1,47 @@
 type t = {
   mutable entries : Flow_entry.t list; (* priority-descending, stable *)
+  mutable size : int;
   max_entries : int;
   mutable version : int;
+  mutable next_seq : int;
 }
 
 exception Table_full
 
 let create ?(max_entries = 100_000) () =
   if max_entries <= 0 then invalid_arg "Flow_table.create: max_entries <= 0";
-  { entries = []; max_entries; version = 0 }
+  { entries = []; size = 0; max_entries; version = 0; next_seq = 0 }
 
 let bump t = t.version <- t.version + 1
 
-(* Insert preserving priority-descending order; FIFO among equal
-   priorities so lookup ties are stable. *)
-let rec insert entry = function
-  | [] -> [ entry ]
-  | e :: rest as all ->
-      if e.Flow_entry.priority < entry.Flow_entry.priority then entry :: all
-      else e :: insert entry rest
-
+(* One walk drops the entry [entry] replaces and inserts [entry] after
+   every entry of its priority or higher (FIFO among equal priorities, so
+   lookup ties are stable).  An entry it replaces has the same priority,
+   so it lies before that point: the list past it is shared, not copied. *)
 let add t ~now_ns entry =
-  let replacing e =
-    e.Flow_entry.priority = entry.Flow_entry.priority
-    && Of_match.is_exact_overlap e.Flow_entry.match_ entry.Flow_entry.match_
+  let priority = entry.Flow_entry.priority in
+  let replaced = ref 0 in
+  let rec walk = function
+    | [] -> [ entry ]
+    | e :: rest as all ->
+        if e.Flow_entry.priority < priority then entry :: all
+        else if
+          e.Flow_entry.priority = priority
+          && Of_match.is_exact_overlap e.Flow_entry.match_ entry.Flow_entry.match_
+        then begin
+          incr replaced;
+          walk rest
+        end
+        else e :: walk rest
   in
-  let remaining = List.filter (fun e -> not (replacing e)) t.entries in
-  if List.length remaining >= t.max_entries then raise Table_full;
+  let entries = walk t.entries in
+  if t.size - !replaced >= t.max_entries then raise Table_full;
   entry.Flow_entry.installed_at_ns <- now_ns;
   entry.Flow_entry.last_used_ns <- now_ns;
-  t.entries <- insert entry remaining;
+  entry.Flow_entry.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.entries <- entries;
+  t.size <- t.size - !replaced + 1;
   bump t
 
 let selected ~strict match_ ~priority e =
@@ -70,15 +82,26 @@ let delete t ~strict ?out_port match_ ~priority =
     selected ~strict match_ ~priority e
     && match out_port with None -> true | Some p -> outputs_to_port p e
   in
-  let before = List.length t.entries in
-  t.entries <- List.filter (fun e -> not (doomed e)) t.entries;
-  let removed = before - List.length t.entries in
-  if removed > 0 then bump t;
-  removed
+  let removed = ref 0 in
+  t.entries <-
+    List.filter
+      (fun e ->
+        if doomed e then begin
+          incr removed;
+          false
+        end
+        else true)
+      t.entries;
+  if !removed > 0 then begin
+    t.size <- t.size - !removed;
+    bump t
+  end;
+  !removed
 
 let clear t =
   if t.entries <> [] then begin
     t.entries <- [];
+    t.size <- 0;
     bump t
   end
 
@@ -102,11 +125,12 @@ let expire t ~now_ns =
   in
   if expired <> [] then begin
     t.entries <- live;
+    t.size <- t.size - List.length expired;
     bump t
   end;
   expired
 
-let size t = List.length t.entries
+let size t = t.size
 let entries t = t.entries
 let version t = t.version
 

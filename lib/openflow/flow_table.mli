@@ -10,14 +10,23 @@ exception Table_full
 
 val add : t -> now_ns:int -> Flow_entry.t -> unit
 (** Insert an entry.  An existing entry with identical match and priority
-    is replaced (counters reset), per OFPFC_ADD.
+    is replaced (counters reset), per OFPFC_ADD.  The entry is stamped
+    with this table's next add sequence number ([Flow_entry.seq], one
+    higher than any earlier stamp of this table), so the table's order is
+    (priority descending, [seq] ascending).  Re-adding an entry already
+    in the table moves it to the end of its priority run with a new
+    stamp.  An entry belongs to one table: adding it to a second one
+    re-stamps it there.  One walk copies only the list up to the insert
+    point.
     @raise Table_full when at capacity and not replacing. *)
 
 val modify : t -> strict:bool -> Of_match.t -> priority:int ->
   Flow_entry.instruction list -> int
 (** Replace the instructions of matching entries (strict: same match and
     priority; non-strict: every entry whose match is subsumed).  Counters
-    are preserved.  Returns the number of entries changed. *)
+    and add sequence numbers are preserved: a changed entry is a new
+    record with its predecessor's [seq], in its predecessor's place.
+    Returns the number of entries changed. *)
 
 val delete : t -> strict:bool -> ?out_port:int -> Of_match.t -> priority:int -> int
 (** Remove matching entries (same strictness rules); [out_port] further
@@ -42,8 +51,10 @@ val expire : t -> now_ns:int -> Flow_entry.t list
 (** Remove and return entries whose idle/hard timeout has passed. *)
 
 val size : t -> int
+(** O(1). *)
+
 val entries : t -> Flow_entry.t list
-(** Priority-descending. *)
+(** Priority-descending, then [seq]-ascending. *)
 
 val version : t -> int
 (** Increments on every mutation — lets caches detect staleness. *)

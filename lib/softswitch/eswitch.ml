@@ -61,8 +61,17 @@ let signature (m : Of_match.t) =
   in
   if sig_ land inexact <> 0 then residual else sig_
 
-(* One exact entry of a template.  [hit] is the [Some entry] a lookup
-   returns, built once at compile time so a hit allocates nothing. *)
+(* An entry's place in its table: (priority descending, add sequence
+   number ascending) is exactly the table's list order. *)
+let[@inline] precedes (prio : int) (seq : int) prio' seq' =
+  prio > prio' || (prio = prio' && seq < seq')
+
+let before (a : Flow_entry.t) (b : Flow_entry.t) =
+  precedes a.Flow_entry.priority a.Flow_entry.seq b.Flow_entry.priority b.Flow_entry.seq
+
+(* One exact entry of a template, keyed by the entry's place in its table
+   as of the sync that inserted it.  [hit] is the [Some entry] a lookup
+   returns, built once at sync time so a hit allocates nothing. *)
 type cand = {
   c_in_port : int;
   c_eth_dst : int;
@@ -76,36 +85,40 @@ type cand = {
   c_ip_tos : int;
   c_l4_src : int;
   c_l4_dst : int;
-  order : int;
+  prio : int;
+  seq : int;
   hit : Flow_entry.t option;
 }
 
-let cand_of order (entry : Flow_entry.t) =
+let int_c = function Some v -> v | None -> untested
+
+let mac_c = function
+  | Some mt -> Mac_addr.to_int mt.Of_match.value
+  | None -> untested
+
+let ip_c = function
+  | Some p -> Ipv4_addr.to_int (Ipv4_addr.Prefix.base p)
+  | None -> untested
+
+let vid_c = function Some (Of_match.Vid v) -> v | _ -> untested
+
+let cand_of (entry : Flow_entry.t) =
   let m = entry.Flow_entry.match_ in
-  let int = function Some v -> v | None -> untested in
-  let mac = function
-    | Some mt -> Mac_addr.to_int mt.Of_match.value
-    | None -> untested
-  in
-  let ip = function
-    | Some p -> Ipv4_addr.to_int (Ipv4_addr.Prefix.base p)
-    | None -> untested
-  in
   {
-    c_in_port = int m.Of_match.in_port;
-    c_eth_dst = mac m.Of_match.eth_dst;
-    c_eth_src = mac m.Of_match.eth_src;
-    c_eth_type = int m.Of_match.eth_type;
-    c_vlan_vid =
-      (match m.Of_match.vlan with Some (Of_match.Vid v) -> v | _ -> untested);
-    c_vlan_pcp = int m.Of_match.vlan_pcp;
-    c_ip_src = ip m.Of_match.ip_src;
-    c_ip_dst = ip m.Of_match.ip_dst;
-    c_ip_proto = int m.Of_match.ip_proto;
-    c_ip_tos = int m.Of_match.ip_tos;
-    c_l4_src = int m.Of_match.l4_src;
-    c_l4_dst = int m.Of_match.l4_dst;
-    order;
+    c_in_port = int_c m.Of_match.in_port;
+    c_eth_dst = mac_c m.Of_match.eth_dst;
+    c_eth_src = mac_c m.Of_match.eth_src;
+    c_eth_type = int_c m.Of_match.eth_type;
+    c_vlan_vid = vid_c m.Of_match.vlan;
+    c_vlan_pcp = int_c m.Of_match.vlan_pcp;
+    c_ip_src = ip_c m.Of_match.ip_src;
+    c_ip_dst = ip_c m.Of_match.ip_dst;
+    c_ip_proto = int_c m.Of_match.ip_proto;
+    c_ip_tos = int_c m.Of_match.ip_tos;
+    c_l4_src = int_c m.Of_match.l4_src;
+    c_l4_dst = int_c m.Of_match.l4_dst;
+    prio = entry.Flow_entry.priority;
+    seq = entry.Flow_entry.seq;
     hit = Some entry;
   }
 
@@ -123,6 +136,15 @@ let hash_cand c =
   hash12 c.c_in_port c.c_eth_dst c.c_eth_src c.c_eth_type c.c_vlan_vid
     c.c_vlan_pcp c.c_ip_src c.c_ip_dst c.c_ip_proto c.c_ip_tos c.c_l4_src
     c.c_l4_dst
+
+(* [hash_cand (cand_of entry)] without building the candidate. *)
+let hash_match (m : Of_match.t) =
+  hash12 (int_c m.Of_match.in_port) (mac_c m.Of_match.eth_dst)
+    (mac_c m.Of_match.eth_src) (int_c m.Of_match.eth_type)
+    (vid_c m.Of_match.vlan) (int_c m.Of_match.vlan_pcp)
+    (ip_c m.Of_match.ip_src) (ip_c m.Of_match.ip_dst)
+    (int_c m.Of_match.ip_proto) (int_c m.Of_match.ip_tos)
+    (int_c m.Of_match.l4_src) (int_c m.Of_match.l4_dst)
 
 (* A packet's component as a template [sig_] sees it: [untested] for a
    field outside the template.  A packet whose fields match a candidate
@@ -161,117 +183,235 @@ let key_matches c ~in_port (f : Packet.Fields.t) =
   && (c.c_l4_dst = untested || c.c_l4_dst = f.Packet.Fields.l4_dst)
 
 (* A template's entries hashed into a power-of-two bucket array.  Two
-   distinct keys of one template never match the same packet, and equal
-   keys sit in table order, so a probe's first hit is the best one. *)
+   distinct keys of one template never match the same packet, and each
+   bucket is kept in table order, so a probe's first hit is the best one. *)
 type template = {
   sig_ : int;
   mutable size : int;
   mutable buckets : cand list array;
 }
 
-type res = { r_order : int; r_match : Of_match.t; r_hit : Flow_entry.t option }
-
-type compiled_table = {
-  templates : template array;
-  residual : res array; (* table order: best-first *)
+type res = {
+  r_prio : int;
+  r_seq : int;
+  r_match : Of_match.t;
+  r_hit : Flow_entry.t option;
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+(* One table as ESwitch last saw it.  [entries] is the table's entry list
+   at that sync (shared with the table, not copied), [max_seq] the
+   highest add sequence number among all entries synced so far: an entry
+   of [entries] stamped above it has been re-added since. *)
+type compiled_table = {
+  mutable version : int;
+  mutable entries : Flow_entry.t list;
+  mutable max_seq : int;
+  mutable templates : template array;
+  mutable residual : res array;
+  mutable residual_dirty : bool;
+}
 
-(* Two passes over the entries: the first finds each entry's signature and
-   counts each template's entries, so the second can size every bucket
-   array once and fill it. *)
-let compile_table table =
-  let entries = Flow_table.entries table in
-  let sigs = Array.make (Flow_table.size table) residual in
-  let by_sig : (int, template) Hashtbl.t = Hashtbl.create 8 in
-  let residuals = ref 0 in
-  List.iteri
-    (fun i entry ->
-      let sig_ = signature entry.Flow_entry.match_ in
-      sigs.(i) <- sig_;
-      if sig_ = residual then incr residuals
-      else
-        match Hashtbl.find_opt by_sig sig_ with
-        | Some t -> t.size <- t.size + 1
-        | None -> Hashtbl.replace by_sig sig_ { sig_; size = 1; buckets = [||] })
-    entries;
-  let templates = Array.of_seq (Hashtbl.to_seq_values by_sig) in
-  Array.iter (fun t -> t.buckets <- Array.make (pow2_at_least t.size 1) []) templates;
-  let residual_arr =
-    Array.make !residuals { r_order = max_int; r_match = Of_match.any; r_hit = None }
+let empty_table () =
+  {
+    version = -1;
+    entries = [];
+    max_seq = -1;
+    templates = [||];
+    residual = [||];
+    residual_dirty = false;
+  }
+
+let find_template ct sig_ =
+  let rec go i =
+    if i = Array.length ct.templates then -1
+    else if ct.templates.(i).sig_ = sig_ then i
+    else go (i + 1)
   in
-  let next_residual = ref 0 in
-  List.iteri
-    (fun order entry ->
-      let sig_ = sigs.(order) in
-      if sig_ = residual then begin
-        residual_arr.(!next_residual) <-
-          { r_order = order; r_match = entry.Flow_entry.match_; r_hit = Some entry };
-        incr next_residual
-      end
-      else
-        let t = Hashtbl.find by_sig sig_ in
-        let c = cand_of order entry in
-        let b = hash_cand c land (Array.length t.buckets - 1) in
-        t.buckets.(b) <- t.buckets.(b) @ [ c ])
-    entries;
-  { templates; residual = residual_arr }
+  go 0
 
-(* Per-dataplane state.  [best_order]/[best] are the lookup's scratch:
-   the best candidate so far, reset per lookup. *)
+let bucket t hash = hash land (Array.length t.buckets - 1)
+
+(* Buckets stay in table order: a candidate goes after every one that
+   precedes it. *)
+let rec insert_cand c = function
+  | [] -> [ c ]
+  | c' :: rest as all ->
+      if precedes c.prio c.seq c'.prio c'.seq then c :: all
+      else c' :: insert_cand c rest
+
+let rec remove_cand entry = function
+  | [] -> []
+  | c :: rest -> (
+      match c.hit with
+      | Some e when e == entry -> rest
+      | Some _ | None -> c :: remove_cand entry rest)
+
+let grow t =
+  let old = t.buckets in
+  t.buckets <- Array.make (2 * Array.length old) [];
+  Array.iter
+    (List.iter (fun c ->
+         let b = bucket t (hash_cand c) in
+         t.buckets.(b) <- insert_cand c t.buckets.(b)))
+    old
+
+let depart ct (entry : Flow_entry.t) =
+  let sig_ = signature entry.Flow_entry.match_ in
+  if sig_ = residual then ct.residual_dirty <- true
+  else begin
+    let t = ct.templates.(find_template ct sig_) in
+    let b = bucket t (hash_match entry.Flow_entry.match_) in
+    t.buckets.(b) <- remove_cand entry t.buckets.(b);
+    t.size <- t.size - 1
+  end
+
+let arrive ct (entry : Flow_entry.t) =
+  if entry.Flow_entry.seq > ct.max_seq then ct.max_seq <- entry.Flow_entry.seq;
+  let sig_ = signature entry.Flow_entry.match_ in
+  if sig_ = residual then ct.residual_dirty <- true
+  else begin
+    let i = find_template ct sig_ in
+    let t =
+      if i >= 0 then ct.templates.(i)
+      else begin
+        let t = { sig_; size = 0; buckets = [| [] |] } in
+        ct.templates <- Array.append ct.templates [| t |];
+        t
+      end
+    in
+    t.size <- t.size + 1;
+    if t.size > Array.length t.buckets then grow t;
+    let c = cand_of entry in
+    let b = bucket t (hash_cand c) in
+    t.buckets.(b) <- insert_cand c t.buckets.(b)
+  end
+
+(* One merge walk over the entries as last synced ([old]) and as they are
+   now ([cur]), both in table order.  An entry in both lists, physically,
+   is unchanged; an old entry stamped above [restamped_above] was re-added
+   since and sits elsewhere in [cur].  The walk stops where the two lists
+   share their tail. *)
+let rec diff ct ~restamped_above old cur =
+  if old != cur then
+    match (old, cur) with
+    | [], [] -> ()
+    | o :: old', _ when o.Flow_entry.seq > restamped_above ->
+        depart ct o;
+        diff ct ~restamped_above old' cur
+    | o :: old', [] ->
+        depart ct o;
+        diff ct ~restamped_above old' cur
+    | [], n :: cur' ->
+        arrive ct n;
+        diff ct ~restamped_above old cur'
+    | o :: old', n :: cur' ->
+        if o == n then diff ct ~restamped_above old' cur'
+        else if before o n then begin
+          depart ct o;
+          diff ct ~restamped_above old' cur
+        end
+        else if before n o then begin
+          arrive ct n;
+          diff ct ~restamped_above old cur'
+        end
+        else begin
+          (* a modified entry: a new record with the same place *)
+          depart ct o;
+          arrive ct n;
+          diff ct ~restamped_above old' cur'
+        end
+
+let rebuild_residual ct entries =
+  let rs =
+    List.filter_map
+      (fun (e : Flow_entry.t) ->
+        if signature e.Flow_entry.match_ = residual then
+          Some
+            {
+              r_prio = e.Flow_entry.priority;
+              r_seq = e.Flow_entry.seq;
+              r_match = e.Flow_entry.match_;
+              r_hit = Some e;
+            }
+        else None)
+      entries
+  in
+  ct.residual <- Array.of_list rs;
+  ct.residual_dirty <- false
+
+(* Bring [ct] up to date with [table] at a cost in the entries that
+   changed.  The first sync runs from the empty table. *)
+let sync ct table =
+  let v = Flow_table.version table in
+  if v <> ct.version then begin
+    let cur = Flow_table.entries table in
+    diff ct ~restamped_above:ct.max_seq ct.entries cur;
+    ct.version <- v;
+    ct.entries <- cur;
+    if Array.exists (fun t -> t.size = 0) ct.templates then
+      ct.templates <-
+        Array.of_seq (Seq.filter (fun t -> t.size > 0) (Array.to_seq ct.templates));
+    if ct.residual_dirty then rebuild_residual ct cur
+  end
+
+(* Per-dataplane state.  [best_prio]/[best_seq]/[best] are the lookup's
+   scratch: the best candidate so far, reset per lookup. *)
 type state = {
-  mutable compiled : compiled_table array;
+  compiled : compiled_table array;
   mutable seen_version : int;
   mutable recompiles : int;
   mutable packets : int;
   mutable probes : int;
   mutable residual_scans : int;
-  mutable best_order : int;
+  mutable best_prio : int;
+  mutable best_seq : int;
   mutable best : Flow_entry.t option;
 }
 
-let consider st order hit =
-  if order < st.best_order then begin
-    st.best_order <- order;
+let consider st prio seq hit =
+  if precedes prio seq st.best_prio st.best_seq then begin
+    st.best_prio <- prio;
+    st.best_seq <- seq;
     st.best <- hit
   end
 
 let rec probe_bucket st ~in_port fields = function
   | [] -> ()
   | c :: rest ->
-      if key_matches c ~in_port fields then consider st c.order c.hit
+      if key_matches c ~in_port fields then consider st c.prio c.seq c.hit
       else probe_bucket st ~in_port fields rest
 
 let lookup st table_id ~in_port fields =
   let ct = st.compiled.(table_id) in
-  st.best_order <- max_int;
+  st.best_prio <- min_int;
+  st.best_seq <- max_int;
   st.best <- None;
   let templates = ct.templates in
   for i = 0 to Array.length templates - 1 do
     let t = templates.(i) in
     st.probes <- st.probes + 1;
     probe_bucket st ~in_port fields
-      t.buckets.(hash_fields t.sig_ ~in_port fields land (Array.length t.buckets - 1))
+      t.buckets.(bucket t (hash_fields t.sig_ ~in_port fields))
   done;
   let residual = ct.residual in
   for i = 0 to Array.length residual - 1 do
     let r = residual.(i) in
     st.residual_scans <- st.residual_scans + 1;
-    if Of_match.matches r.r_match ~in_port fields then consider st r.r_order r.r_hit
+    if Of_match.matches r.r_match ~in_port fields then consider st r.r_prio r.r_seq r.r_hit
   done;
   st.best
 
 let create pipeline =
   let st =
     {
-      compiled = [||];
+      compiled = Array.init (Pipeline.num_tables pipeline) (fun _ -> empty_table ());
       seen_version = -1;
       recompiles = 0;
       packets = 0;
       probes = 0;
       residual_scans = 0;
-      best_order = max_int;
+      best_prio = min_int;
+      best_seq = max_int;
       best = None;
     }
   in
@@ -280,9 +420,7 @@ let create pipeline =
     let v = Pipeline.version pipeline in
     if v <> st.seen_version then begin
       st.seen_version <- v;
-      st.compiled <-
-        Array.init (Pipeline.num_tables pipeline) (fun i ->
-            compile_table (Pipeline.table pipeline i));
+      Array.iteri (fun i ct -> sync ct (Pipeline.table pipeline i)) st.compiled;
       st.recompiles <- st.recompiles + 1
     end;
     st.packets <- st.packets + 1;

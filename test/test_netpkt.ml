@@ -239,6 +239,51 @@ let http_tests =
     tc "incomplete request rejected" (fun () ->
         check Alcotest.bool "no blank line" true
           (Http_lite.parse_request "GET / HTTP/1.1\r\nHost: x\r\n" = None));
+    tc "split_head_body finds the first blank line" (fun () ->
+        let split = Alcotest.(option (pair string string)) in
+        check split "at offset 0" (Some ("", "body")) (Http_lite.split_head_body "\r\n\r\nbody");
+        check split "at the very end" (Some ("HTTP/1.1 200 OK", ""))
+          (Http_lite.split_head_body "HTTP/1.1 200 OK\r\n\r\n");
+        check split "first of two" (Some ("a", "b\r\n\r\nc"))
+          (Http_lite.split_head_body "a\r\n\r\nb\r\n\r\nc");
+        check split "missing" None (Http_lite.split_head_body "HTTP/1.1 200 OK\r\n");
+        check split "too short" None (Http_lite.split_head_body "\r\n\r");
+        check split "bare LF LF" None (Http_lite.split_head_body "HTTP/1.1 200 OK\n\nbody");
+        check Alcotest.bool "bare LF LF response rejected" true
+          (Http_lite.parse_response "HTTP/1.1 200 OK\n\nbody" = None));
+    prop "split_head_body agrees with a substring scan"
+      QCheck2.Gen.(string_size ~gen:(oneofl [ '\r'; '\n'; 'a' ]) (int_bound 12))
+      ~print:String.escaped
+      (fun s ->
+        let marker = "\r\n\r\n" in
+        let rec find i =
+          if i + 4 > String.length s then None
+          else if String.sub s i 4 = marker then Some i
+          else find (i + 1)
+        in
+        let reference =
+          Option.map
+            (fun i -> (String.sub s 0 i, String.sub s (i + 4) (String.length s - i - 4)))
+            (find 0)
+        in
+        Http_lite.split_head_body s = reference);
+    tc "parsing a 40-byte response allocates at most 83 words" (fun () ->
+        (* the head and body substrings, the split lines, the status
+           line's words and the record.  Scanning for the blank line
+           allocates nothing; with a String.sub per offset this parse
+           took 145 words. *)
+        let raw = "HTTP/1.1 200 OK\r\nServer: sim\r\n\r\nhello, w" in
+        check Alcotest.int "40 bytes" 40 (String.length raw);
+        (match Http_lite.parse_response raw with
+        | Some r -> check Alcotest.string "body" "hello, w" r.Http_lite.resp_body
+        | None -> Alcotest.fail "did not parse");
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Http_lite.parse_response raw))
+        done;
+        let words = int_of_float (Gc.minor_words () -. before) / 1_000 in
+        if words > 83 then
+          Alcotest.failf "%d minor words per parse (bound 83)" words);
   ]
 
 (* ---- Frames ---- *)

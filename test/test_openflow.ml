@@ -299,6 +299,139 @@ let flow_table_tests =
         check Alcotest.bool "bumped" true (v1 > v0);
         ignore (Flow_table.lookup t ~in_port:0 (Packet.Fields.of_packet (udp_pkt ())));
         check Alcotest.int "lookup no bump" v1 (Flow_table.version t));
+    tc "add stamps sequence numbers and shares the list past its insert point"
+      (fun () ->
+        let t = Flow_table.create () in
+        let low = entry ~priority:1 Of_match.any [] in
+        let a = entry Of_match.(any |> eth_type 0x0800) [] in
+        let b = entry Of_match.(any |> eth_type 0x0806) [] in
+        List.iter (Flow_table.add t ~now_ns:0) [ low; a; b ];
+        check Alcotest.(list int) "stamps" [ 1; 2; 0 ]
+          (List.map (fun e -> e.Flow_entry.seq) (Flow_table.entries t));
+        let tail = List.tl (List.tl (Flow_table.entries t)) in
+        (* re-adding [a] itself moves it behind [b] with a fresh stamp *)
+        Flow_table.add t ~now_ns:0 a;
+        check Alcotest.(list int) "moved" [ 2; 3; 0 ]
+          (List.map (fun e -> e.Flow_entry.seq) (Flow_table.entries t));
+        check Alcotest.bool "lower priorities shared" true
+          (List.tl (List.tl (Flow_table.entries t)) == tail);
+        ignore
+          (Flow_table.modify t ~strict:true Of_match.(any |> eth_type 0x0800) ~priority:1000
+             [ Flow_entry.Apply_actions [ Of_action.output 3 ] ]);
+        check Alcotest.(list int) "modify keeps stamps" [ 2; 3; 0 ]
+          (List.map (fun e -> e.Flow_entry.seq) (Flow_table.entries t)));
+  ]
+
+(* Flow-table edits from small pools, against a model of [add] written
+   as its specification: drop what the entry replaces, check capacity,
+   insert after every entry of its priority or higher. *)
+type ft_op = Ft_add of int * int | Ft_readd of int | Ft_delete of int * int | Ft_clear
+
+let ft_matches =
+  [|
+    Of_match.any;
+    Of_match.(any |> eth_type 0x0800);
+    Of_match.(any |> eth_type 0x0806);
+    Of_match.(any |> in_port 1);
+  |]
+
+let ft_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (6, map2 (fun m p -> Ft_add (m, p)) (int_bound 3) (int_bound 2));
+      (2, map (fun k -> Ft_readd k) (int_bound 9));
+      (2, map2 (fun m p -> Ft_delete (m, p)) (int_bound 3) (int_bound 2));
+      (1, pure Ft_clear);
+    ]
+
+let show_ft_op = function
+  | Ft_add (m, p) -> Printf.sprintf "add m%d p%d" m p
+  | Ft_readd k -> Printf.sprintf "readd #%d" k
+  | Ft_delete (m, p) -> Printf.sprintf "delete m%d p%d" m p
+  | Ft_clear -> "clear"
+
+let model_add ~max_entries entries (e : Flow_entry.t) =
+  let remaining =
+    List.filter
+      (fun (x : Flow_entry.t) ->
+        not
+          (x.Flow_entry.priority = e.Flow_entry.priority
+          && Of_match.is_exact_overlap x.Flow_entry.match_ e.Flow_entry.match_))
+      entries
+  in
+  if List.length remaining >= max_entries then None
+  else
+    let rec insert = function
+      | [] -> [ e ]
+      | (x : Flow_entry.t) :: rest as all ->
+          if x.Flow_entry.priority < e.Flow_entry.priority then e :: all
+          else x :: insert rest
+    in
+    Some (insert remaining)
+
+let rec table_ordered = function
+  | (a : Flow_entry.t) :: ((b : Flow_entry.t) :: _ as rest) ->
+      (a.Flow_entry.priority > b.Flow_entry.priority
+      || (a.Flow_entry.priority = b.Flow_entry.priority
+         && a.Flow_entry.seq < b.Flow_entry.seq))
+      && table_ordered rest
+  | [ _ ] | [] -> true
+
+let flow_table_model_tests =
+  [
+    prop "add agrees with its model; size and (priority, seq) order hold" ~count:500
+      QCheck2.Gen.(list_size (int_range 1 40) ft_op_gen)
+      ~print:(fun ops -> String.concat "; " (List.map show_ft_op ops))
+      (fun ops ->
+        let max_entries = 5 in
+        let t = Flow_table.create ~max_entries () in
+        let model = ref [] in
+        let add e =
+          let expected = model_add ~max_entries !model e in
+          let full =
+            try
+              Flow_table.add t ~now_ns:0 e;
+              false
+            with Flow_table.Table_full -> true
+          in
+          match expected with
+          | None -> full
+          | Some entries ->
+              model := entries;
+              not full
+        in
+        List.for_all
+          (fun op ->
+            let ok =
+              match op with
+              | Ft_add (m, p) -> add (entry ~priority:p ft_matches.(m) [])
+              | Ft_readd k -> (
+                  match !model with
+                  | [] -> true
+                  | entries -> add (List.nth entries (k mod List.length entries)))
+              | Ft_delete (m, p) ->
+                  ignore (Flow_table.delete t ~strict:true ft_matches.(m) ~priority:p);
+                  model :=
+                    List.filter
+                      (fun (x : Flow_entry.t) ->
+                        not
+                          (x.Flow_entry.priority = p
+                          && Of_match.is_exact_overlap x.Flow_entry.match_ ft_matches.(m)))
+                      !model;
+                  true
+              | Ft_clear ->
+                  Flow_table.clear t;
+                  model := [];
+                  true
+            in
+            let entries = Flow_table.entries t in
+            ok
+            && List.length entries = List.length !model
+            && List.for_all2 ( == ) entries !model
+            && Flow_table.size t = List.length entries
+            && table_ordered entries)
+          ops);
   ]
 
 (* ---- Groups ---- *)
@@ -532,6 +665,7 @@ let suite =
     ("openflow.match", match_tests);
     ("openflow.action", action_tests);
     ("openflow.flow_table", flow_table_tests);
+    ("openflow.flow_table_model", flow_table_model_tests);
     ("openflow.group", group_tests);
     ("openflow.pipeline", pipeline_tests);
   ]

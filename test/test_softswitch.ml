@@ -652,11 +652,222 @@ let random_equivalence_tests =
              (List.mapi (fun i pkt -> (i, pkt)) packets)));
   ]
 
+(* ---- ESwitch's incremental sync against a fresh compile ---- *)
+
+(* Flow-table edits over one or two tables, drawn from small pools so that
+   adds replace, priorities tie and modifies and deletes select. *)
+type table_op =
+  | Add of int * int * int * int * int option  (* table, match, priority, instr, hard timeout *)
+  | Readd of int * int  (* table, index of an installed entry, re-added physically *)
+  | Modify of int * bool * int * int * int  (* table, strict, match, priority, instr *)
+  | Delete of int * bool * int option * int * int  (* table, strict, out_port, match, priority *)
+  | Expire of int  (* advance the clock that many seconds, then expire *)
+  | Clear of int
+
+let sync_matches =
+  [|
+    Of_match.(any |> eth_dst (mac 1));
+    Of_match.(any |> eth_dst (mac 2));
+    Of_match.(any |> eth_type 0x0800 |> ip_dst (prefix "10.0.0.2/32"));
+    Of_match.(any |> eth_type 0x0800 |> ip_dst (prefix "10.0.0.0/24"));
+    Of_match.(any |> in_port 1);
+    Of_match.(any |> eth_type 0x0800 |> ip_proto 17 |> l4_dst 80);
+    Of_match.any;
+    Of_match.(any |> eth_dst (mac 1) |> in_port 0);
+  |]
+
+let sync_priorities = [| 1; 5; 10 |]
+
+let sync_instructions ~table =
+  [|
+    [ Flow_entry.Apply_actions [ Of_action.output 1 ] ];
+    [ Flow_entry.Apply_actions [ Of_action.output 2 ] ];
+    [ Flow_entry.Apply_actions [ Of_action.Drop ] ];
+    (if table = 0 then [ Flow_entry.Goto_table 1 ]
+     else [ Flow_entry.Apply_actions [ Of_action.output 3 ] ]);
+  |]
+
+let show_table_op = function
+  | Add (t, m, p, i, h) ->
+      Printf.sprintf "add t%d m%d p%d i%d%s" t m p i
+        (match h with Some s -> Printf.sprintf " hard=%ds" s | None -> "")
+  | Readd (t, k) -> Printf.sprintf "readd t%d #%d" t k
+  | Modify (t, strict, m, p, i) ->
+      Printf.sprintf "modify%s t%d m%d p%d i%d" (if strict then "-strict" else "") t m p i
+  | Delete (t, strict, o, m, p) ->
+      Printf.sprintf "delete%s t%d m%d p%d%s" (if strict then "-strict" else "") t m p
+        (match o with Some o -> Printf.sprintf " out=%d" o | None -> "")
+  | Expire s -> Printf.sprintf "expire +%ds" s
+  | Clear t -> Printf.sprintf "clear t%d" t
+
+let table_op_gen =
+  let open QCheck2.Gen in
+  let tbl = int_bound 1 and m = int_bound (Array.length sync_matches - 1) in
+  let prio = int_bound (Array.length sync_priorities - 1) and instr = int_bound 3 in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun (t, m) (p, i) h -> Add (t, m, p, i, h))
+          (pair tbl m) (pair prio instr)
+          (frequency [ (3, pure None); (1, map Option.some (int_range 1 3)) ]) );
+      (3, map2 (fun t k -> Readd (t, k)) tbl (int_bound 20));
+      ( 2,
+        map3
+          (fun (t, strict) (m, p) i -> Modify (t, strict, m, p, i))
+          (pair tbl bool) (pair m prio) instr );
+      ( 2,
+        map3
+          (fun (t, strict) (m, p) o -> Delete (t, strict, o, m, p))
+          (pair tbl bool) (pair m prio)
+          (opt (int_range 1 2)) );
+      (1, map (fun s -> Expire s) (int_range 1 3));
+      (1, map (fun t -> Clear t) tbl);
+    ]
+
+(* Packets that the pools' matches hit and miss: destination MAC, IPv4
+   destination, L4 destination port, ARP or not, ingress port. *)
+let sync_packet_gen =
+  let open QCheck2.Gen in
+  map3
+    (fun (d, ipd) (port, arp) in_port ->
+      let pkt =
+        if arp then
+          Packet.arp_request ~src_mac:(mac 9) ~src_ip:(ip "10.0.0.9")
+            ~target_ip:(ip "10.0.0.2")
+        else
+          Packet.udp ~dst:(mac d) ~src:(mac 9) ~ip_src:(ip "10.0.0.9")
+            ~ip_dst:(ip [| "10.0.0.2"; "10.0.0.7"; "10.0.1.1" |].(ipd))
+            ~src_port:1000 ~dst_port:port "x"
+      in
+      (in_port, pkt))
+    (pair (int_range 1 3) (int_bound 2))
+    (pair (oneofl [ 80; 81 ]) (frequency [ (5, pure false); (1, pure true) ]))
+    (int_bound 2)
+
+let apply_table_op p ~now = function
+  | Add (t, m, pr, i, hard_timeout_s) ->
+      let t = t mod Pipeline.num_tables p in
+      Flow_table.add (Pipeline.table p t) ~now_ns:!now
+        (Flow_entry.make ~priority:sync_priorities.(pr) ?hard_timeout_s
+           ~match_:sync_matches.(m) (sync_instructions ~table:t).(i))
+  | Readd (t, k) -> (
+      let table = Pipeline.table p (t mod Pipeline.num_tables p) in
+      match Flow_table.entries table with
+      | [] -> ()
+      | entries ->
+          Flow_table.add table ~now_ns:!now
+            (List.nth entries (k mod List.length entries)))
+  | Modify (t, strict, m, pr, i) ->
+      let t = t mod Pipeline.num_tables p in
+      ignore
+        (Flow_table.modify (Pipeline.table p t) ~strict sync_matches.(m)
+           ~priority:sync_priorities.(pr) (sync_instructions ~table:t).(i))
+  | Delete (t, strict, out_port, m, pr) ->
+      ignore
+        (Flow_table.delete
+           (Pipeline.table p (t mod Pipeline.num_tables p))
+           ~strict ?out_port sync_matches.(m) ~priority:sync_priorities.(pr))
+  | Expire s ->
+      now := !now + (s * 1_000_000_000);
+      for t = 0 to Pipeline.num_tables p - 1 do
+        ignore (Flow_table.expire (Pipeline.table p t) ~now_ns:!now)
+      done
+  | Clear t -> Flow_table.clear (Pipeline.table p (t mod Pipeline.num_tables p))
+
+let sync_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:
+           "qcheck: a long-lived eswitch agrees with a fresh one and with \
+            linear after every edit"
+         ~count:300
+         ~print:(fun (tables, ops, _) ->
+           Printf.sprintf "%d table(s): %s" tables
+             (String.concat "; " (List.map show_table_op ops)))
+         QCheck2.Gen.(
+           triple (int_range 1 2)
+             (list_size (int_range 1 30) table_op_gen)
+             (list_size (int_range 1 8) sync_packet_gen))
+         (fun (tables, ops, packets) ->
+           let p = Pipeline.create ~num_tables:tables () in
+           let long = Eswitch.create p and linear = Linear.create p in
+           let now = ref 0 in
+           let run (dp : Dataplane.t) in_port pkt =
+             let r, cycles = dp.Dataplane.process ~now_ns:!now ~in_port pkt in
+             (Check.Differential.render_result r, cycles)
+           in
+           let templates (dp : Dataplane.t) =
+             List.assoc "templates" (dp.Dataplane.stats ())
+           in
+           List.iteri
+             (fun step op ->
+               apply_table_op p ~now op;
+               let fresh = Eswitch.create p in
+               List.iter
+                 (fun (in_port, pkt) ->
+                   let l, l_cycles = run long in_port pkt in
+                   let f, f_cycles = run fresh in_port pkt in
+                   let lin, _ = run linear in_port pkt in
+                   if l <> f || l <> lin then
+                     QCheck2.Test.fail_reportf
+                       "step %d (%s): long-lived %s, fresh %s, linear %s" step
+                       (show_table_op op) l f lin;
+                   if l_cycles <> f_cycles then
+                     QCheck2.Test.fail_reportf "step %d: cycles %d vs fresh %d" step
+                       l_cycles f_cycles;
+                   if templates long <> templates fresh then
+                     QCheck2.Test.fail_reportf "step %d: %d templates vs fresh %d" step
+                       (templates long) (templates fresh))
+                 packets)
+             ops;
+           true));
+    tc "re-adding an exact rule to a 1000-rule table costs at most 64 words" (fun () ->
+        let p = Experiments_lib.E5_dataplane.build_pipeline 1000 in
+        let table = Pipeline.table p 0 in
+        let dp = Eswitch.create p in
+        let pkt =
+          Packet.udp ~dst:(mac 2) ~src:(mac 1) ~ip_src:(ip "10.0.0.1")
+            ~ip_dst:(ip "10.1.1.244") ~src_port:1000 ~dst_port:80 "x"
+        in
+        let plain = words_per_process dp ~in_port:0 pkt in
+        (* what L2 learning does: a fresh entry with an installed rule's
+           match and priority *)
+        let readd i =
+          let rule = 300 + i in
+          Flow_table.add table ~now_ns:0
+            (Flow_entry.make ~priority:2000
+               ~match_:
+                 Of_match.(
+                   any |> eth_type 0x0800
+                   |> ip_dst
+                        (Ipv4_addr.Prefix.make
+                           (Ipv4_addr.of_octets 10 1 (rule / 256) (rule mod 256))
+                           32))
+               [ Flow_entry.Apply_actions [ Of_action.output (rule mod 16) ] ])
+        in
+        let n = 100 and words = ref 0. in
+        let recompiles () = List.assoc "recompiles" (dp.Dataplane.stats ()) in
+        let before_syncs = recompiles () in
+        for i = 1 to n do
+          readd i;
+          let before = Gc.minor_words () in
+          ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt);
+          words := !words +. (Gc.minor_words () -. before)
+        done;
+        check Alcotest.int "one sync per re-add" n (recompiles () - before_syncs);
+        let per_sync = (!words /. float_of_int n) -. plain in
+        if per_sync > 64. then
+          Alcotest.failf "%.1f minor words per re-add sync (bound 64)" per_sync);
+  ]
+
 let suite =
   [
     ("softswitch.equivalence", equivalence_tests);
     ("softswitch.random_equivalence", random_equivalence_tests);
     ("softswitch.eswitch", eswitch_tests);
+    ("softswitch.eswitch_sync", sync_tests);
     ("softswitch.caches", cache_tests);
     ("softswitch.pmd", pmd_tests);
     ("softswitch.agent", agent_tests);
