@@ -529,7 +529,9 @@ let policy_tests =
   let mk_lookup (name, create) =
     let pipeline = Openflow.Pipeline.create ~num_tables:1 () in
     let dp = create pipeline in
-    List.iter (Check.Differential.apply_message pipeline ~now_ns:0) compiled_msgs;
+    List.iter
+      (fun msg -> ignore (Openflow.Pipeline.apply pipeline ~now_ns:0 msg))
+      compiled_msgs;
     let packets =
       [|
         (* metered subscriber band (meter + eth_dst product rules) *)

@@ -635,47 +635,67 @@ let flows_cmd =
 
 (* ---- fuzz ---- *)
 
+(* Shared by [fuzz] and [policy check].  [replay_repro] answers whether
+   the repro still fails. *)
+let replay_repro ~load ~pp path =
+  match load ~path with
+  | Error e ->
+      Printf.printf "%s: parse error: %s\n" path e;
+      true
+  | Ok None ->
+      Printf.printf "%s: no divergence (bug is fixed)\n" path;
+      false
+  | Ok (Some d) ->
+      Format.printf "%s reproduces:@.%a@." path pp d;
+      true
+
+(* Print each divergence and save it as [<dir>/<prefix><n>.repro]. *)
+let repro_saver ~dir ~prefix ~pp ~save =
+  let saved = ref 0 in
+  fun d ->
+    Format.printf "@.%a@." pp d;
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
+    let path = Filename.concat dir (Printf.sprintf "%s%d.repro" prefix !saved) in
+    incr saved;
+    save ~path d;
+    Printf.printf "repro written to %s\n" path
+
+(* Run a seed loop and print its report line; true if anything diverged. *)
+let report_run label run =
+  let t0 = Unix.gettimeofday () in
+  let (r : _ Check.Fuzz.report) = run () in
+  let dt = Unix.gettimeofday () -. t0 in
+  Printf.printf
+    "%-10s %d cases, %d packet comparisons, %d divergences (%.0f cases/s)\n"
+    label r.cases r.packets
+    (List.length r.divergences)
+    (float_of_int r.cases /. Float.max 1e-9 dt);
+  r.divergences <> []
+
 let run_fuzz cases seed repro_dir replay =
   let failed = ref false in
   (match replay with
-  | Some path -> (
+  | Some path ->
       (* replay a pinned repro instead of random generation *)
-      match Check.Differential.load ~path with
-      | Error e ->
-          Printf.printf "%s: parse error: %s\n" path e;
-          failed := true
-      | Ok None -> Printf.printf "%s: no divergence (bug is fixed)\n" path
-      | Ok (Some d) ->
-          Format.printf "%s reproduces:@.%a@." path
-            Check.Differential.pp_divergence d;
-          failed := true)
+      failed :=
+        replay_repro ~load:Check.Differential.load
+          ~pp:Check.Differential.pp_divergence path
   | None ->
       (* differential: every backend against the oracle *)
-      let saved = ref 0 in
-      let on_divergence (d : Check.Differential.divergence) =
-        Format.printf "@.%a@." Check.Differential.pp_divergence d;
-        (try Unix.mkdir repro_dir 0o755 with Unix.Unix_error _ -> ());
-        let path =
-          Filename.concat repro_dir (Printf.sprintf "divergence_%d.repro" !saved)
-        in
-        incr saved;
-        Check.Differential.save ~path
-          ~comment:
-            (Printf.sprintf "backend %s diverged at step %d" d.backend
-               d.step_index)
-          d.scenario;
-        Printf.printf "repro written to %s\n" path
+      let on_divergence =
+        repro_saver ~dir:repro_dir ~prefix:"divergence_"
+          ~pp:Check.Differential.pp_divergence
+          ~save:(fun ~path (d : Check.Differential.divergence) ->
+            Check.Differential.save ~path
+              ~comment:
+                (Printf.sprintf "backend %s diverged at step %d" d.backend
+                   d.step_index)
+              d.scenario)
       in
-      let t0 = Unix.gettimeofday () in
-      let r = Check.Differential.run ~on_divergence ~seed ~cases () in
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "differential: %d cases, %d packet comparisons, %d divergences \
-         (%.0f cases/s)\n"
-        r.Check.Differential.cases r.packets
-        (List.length r.divergences)
-        (float_of_int r.Check.Differential.cases /. Float.max 1e-9 dt);
-      if r.Check.Differential.divergences <> [] then failed := true;
+      if
+        report_run "differential:" (fun () ->
+            Check.Differential.run ~on_divergence ~seed ~cases ())
+      then failed := true;
       (* codec: parse totality + re-encode fixpoint *)
       let t0 = Unix.gettimeofday () in
       let c = Check.Codec_fuzz.run ~seed ~cases:(4 * cases) in
@@ -754,16 +774,10 @@ let run_policy_compile spec_name =
 let run_policy_check cases seed repro_dir replay only =
   let failed = ref false in
   (match replay with
-  | Some path -> (
-      match Check.Policy_equiv.load ~path with
-      | Error e ->
-          Printf.printf "%s: parse error: %s\n" path e;
-          failed := true
-      | Ok None -> Printf.printf "%s: no divergence (bug is fixed)\n" path
-      | Ok (Some d) ->
-          Format.printf "%s reproduces:@.%a@." path
-            Check.Policy_equiv.pp_divergence d;
-          failed := true)
+  | Some path ->
+      failed :=
+        replay_repro ~load:Check.Policy_equiv.load
+          ~pp:Check.Policy_equiv.pp_divergence path
   | None ->
       let specs =
         match only with
@@ -775,34 +789,20 @@ let run_policy_check cases seed repro_dir replay only =
                 Printf.eprintf "policy check: unknown spec %S\n" name;
                 exit 2)
       in
-      let saved = ref 0 in
+      let on_divergence =
+        repro_saver ~dir:repro_dir ~prefix:"policy_divergence_"
+          ~pp:Check.Policy_equiv.pp_divergence
+          ~save:(fun ~path (d : Check.Policy_equiv.divergence) ->
+            Check.Policy_equiv.save ~path
+              ~comment:(Printf.sprintf "%s diverged at step %d" d.impl d.step_index)
+              d.case)
+      in
       List.iter
         (fun spec ->
-          let on_divergence (d : Check.Policy_equiv.divergence) =
-            Format.printf "@.%a@." Check.Policy_equiv.pp_divergence d;
-            (try Unix.mkdir repro_dir 0o755 with Unix.Unix_error _ -> ());
-            let path =
-              Filename.concat repro_dir
-                (Printf.sprintf "policy_divergence_%d.repro" !saved)
-            in
-            incr saved;
-            Check.Policy_equiv.save ~path
-              ~comment:
-                (Printf.sprintf "%s diverged at step %d" d.impl d.step_index)
-              d.case;
-            Printf.printf "repro written to %s\n" path
-          in
-          let t0 = Unix.gettimeofday () in
-          let r = Check.Policy_equiv.run ~on_divergence ~spec ~seed ~cases () in
-          let dt = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "%-10s %d cases, %d packet comparisons, %d divergences (%.0f \
-             cases/s)\n"
-            spec.Check.Policy_equiv.spec_name r.Check.Policy_equiv.cases
-            r.packets
-            (List.length r.divergences)
-            (float_of_int r.Check.Policy_equiv.cases /. Float.max 1e-9 dt);
-          if r.Check.Policy_equiv.divergences <> [] then failed := true)
+          if
+            report_run spec.Check.Policy_equiv.spec_name (fun () ->
+                Check.Policy_equiv.run ~on_divergence ~spec ~seed ~cases ())
+          then failed := true)
         specs);
   if !failed then exit 1
 

@@ -1,7 +1,6 @@
 open Netpkt
 module P = Openflow.Pipeline
 module FE = Openflow.Flow_entry
-module FT = Openflow.Flow_table
 module A = Openflow.Of_action
 module M = Openflow.Of_match
 module Msg_ = Openflow.Of_message
@@ -54,126 +53,34 @@ let render_result (r : P.result) =
     r.P.table_miss
     (String.concat " " (List.map render_entry r.P.matched))
 
-(* ---- replaying control-plane messages, soft-switch style ---- *)
-
-let apply_msg pipeline ~now_ns (msg : Msg_.t) =
-  match msg with
-  | Msg_.Flow_mod fm ->
-      if fm.Msg_.table_id < 0 || fm.Msg_.table_id >= P.num_tables pipeline
-      then ()
-      else begin
-        let table = P.table pipeline fm.Msg_.table_id in
-        match fm.Msg_.command with
-        | Msg_.Add -> (
-            let entry =
-              FE.make ~priority:fm.Msg_.priority ~cookie:fm.Msg_.cookie
-                ?idle_timeout_s:fm.Msg_.idle_timeout_s
-                ?hard_timeout_s:fm.Msg_.hard_timeout_s
-                ~match_:fm.Msg_.match_ fm.Msg_.instructions
-            in
-            try FT.add table ~now_ns entry with FT.Table_full -> ())
-        | Msg_.Modify { strict } ->
-            ignore
-              (FT.modify table ~strict fm.Msg_.match_
-                 ~priority:fm.Msg_.priority fm.Msg_.instructions)
-        | Msg_.Delete { strict } ->
-            ignore
-              (FT.delete table ~strict ?out_port:fm.Msg_.out_port
-                 fm.Msg_.match_ ~priority:fm.Msg_.priority)
-      end
-  | Msg_.Group_mod gm -> (
-      let groups = P.groups pipeline in
-      match gm with
-      | Msg_.Add_group { id; gtype; buckets } -> (
-          try Openflow.Group_table.add groups ~id gtype buckets
-          with Invalid_argument _ -> ())
-      | Msg_.Modify_group { id; gtype; buckets } -> (
-          try Openflow.Group_table.modify groups ~id gtype buckets
-          with Not_found | Invalid_argument _ -> ())
-      | Msg_.Delete_group { id } -> Openflow.Group_table.remove groups ~id)
-  | Msg_.Meter_mod mm -> (
-      let meters = P.meters pipeline in
-      match mm with
-      | Msg_.Add_meter { id; band } -> (
-          try Openflow.Meter_table.add meters ~id band
-          with Invalid_argument _ -> ())
-      | Msg_.Modify_meter { id; band } -> (
-          try Openflow.Meter_table.modify meters ~id band
-          with Not_found -> ())
-      | Msg_.Delete_meter { id } -> Openflow.Meter_table.remove meters ~id)
-  | _ -> ()
-
-let apply_message = apply_msg
-
-let expire_all pipeline ~now_ns =
-  for i = 0 to P.num_tables pipeline - 1 do
-    ignore (FT.expire (P.table pipeline i) ~now_ns)
-  done
-
 (* ---- running a scenario across every implementation ---- *)
 
-type runner = {
-  rname : string;
-  pipeline : P.t;
-  process : now_ns:int -> in_port:int -> Packet.t -> P.result;
-}
-
-let make_runners sc =
-  let oracle =
-    let pipeline = P.create ~num_tables:sc.tables () in
-    { rname = "oracle"; pipeline; process = Oracle.execute pipeline }
-  in
-  let backends =
-    List.map
-      (fun (name, create) ->
-        let pipeline = P.create ~num_tables:sc.tables () in
-        let dp = create pipeline in
-        {
-          rname = name;
-          pipeline;
-          process =
-            (fun ~now_ns ~in_port pkt ->
-              fst (dp.Softswitch.Dataplane.process ~now_ns ~in_port pkt));
-        })
-      Softswitch.Backends.all
-  in
-  (oracle, backends)
-
 let run_scenario sc =
-  let oracle, backends = make_runners sc in
-  let all = oracle :: backends in
-  let divergence = ref None in
-  List.iteri
-    (fun i step ->
-      if !divergence = None then
-        match step with
-        | Msg { now_ns; msg } ->
-            List.iter (fun r -> apply_msg r.pipeline ~now_ns msg) all
-        | Expire { now_ns } ->
-            List.iter (fun r -> expire_all r.pipeline ~now_ns) all
-        | Packet { now_ns; in_port; pkt } ->
-            let expected =
-              render_result (oracle.process ~now_ns ~in_port pkt)
-            in
-            List.iter
-              (fun r ->
-                if !divergence = None then
-                  let actual =
-                    render_result (r.process ~now_ns ~in_port pkt)
-                  in
-                  if actual <> expected then
-                    divergence :=
-                      Some
-                        {
-                          backend = r.rname;
-                          step_index = i;
-                          expected;
-                          actual;
-                          scenario = sc;
-                        })
-              backends)
-    sc.steps;
-  !divergence
+  let impls = Fuzz.implementations ~num_tables:sc.tables in
+  let process (_, _, dp) ~now_ns ~in_port pkt =
+    render_result (fst (dp.Softswitch.Dataplane.process ~now_ns ~in_port pkt))
+  in
+  let oracle = List.hd impls and backends = List.tl impls in
+  let rec go i = function
+    | [] -> None
+    | Msg { now_ns; msg } :: rest ->
+        List.iter (fun (_, pipeline, _) -> ignore (P.apply pipeline ~now_ns msg)) impls;
+        go (i + 1) rest
+    | Expire { now_ns } :: rest ->
+        List.iter (fun (_, pipeline, _) -> P.expire pipeline ~now_ns) impls;
+        go (i + 1) rest
+    | Packet { now_ns; in_port; pkt } :: rest -> (
+        let expected = process oracle ~now_ns ~in_port pkt in
+        let diverges ((backend, _, _) as impl) =
+          let actual = process impl ~now_ns ~in_port pkt in
+          if actual = expected then None
+          else Some { backend; step_index = i; expected; actual; scenario = sc }
+        in
+        match List.find_map diverges backends with
+        | Some d -> Some d
+        | None -> go (i + 1) rest)
+  in
+  go 0 sc.steps
 
 (* ---- generation ---- *)
 
@@ -401,62 +308,29 @@ let gen_scenario rng =
   done;
   { tables; ports; steps = List.rev !steps }
 
-(* ---- shrinking: greedy step removal to a fixpoint ---- *)
+(* ---- the harness ---- *)
 
-let drop_nth l n = List.filteri (fun i _ -> i <> n) l
-
-let shrink sc0 d0 =
-  let best_sc = ref d0.scenario in
-  let best_d = ref d0 in
-  ignore sc0;
-  let improved = ref true in
-  while !improved do
-    improved := false;
-    let n = List.length !best_sc.steps in
-    (* Try dropping from the end first: later steps are more often
-       dead weight once the diverging packet is early. *)
-    let i = ref (n - 1) in
-    while !i >= 0 do
-      let candidate = { !best_sc with steps = drop_nth !best_sc.steps !i } in
-      (match run_scenario candidate with
-      | Some d ->
-          best_sc := candidate;
-          best_d := d;
-          improved := true
-      | None -> ());
-      decr i
-    done
-  done;
-  !best_d
-
-let check_case ~seed =
-  let rng = Rng.create seed in
-  let sc = gen_scenario rng in
+let check sc =
   match run_scenario sc with
   | None -> None
-  | Some d -> Some (shrink sc d)
+  | Some d ->
+      Some (Fuzz.shrink (fun steps -> run_scenario { sc with steps }) sc.steps d)
 
-type report = { cases : int; packets : int; divergences : divergence list }
+let check_case ~seed = check (gen_scenario (Rng.create seed))
+
+type 'd report = 'd Fuzz.report = {
+  cases : int;
+  packets : int;
+  divergences : 'd list;
+}
 
 let count_packets sc =
   List.length (List.filter (function Packet _ -> true | _ -> false) sc.steps)
 
-let run ?(on_divergence = fun _ -> ()) ~seed ~cases () =
-  let packets = ref 0 in
-  let divergences = ref [] in
-  for i = 0 to cases - 1 do
-    let rng = Rng.create (seed + i) in
-    let sc = gen_scenario rng in
-    packets := !packets + count_packets sc;
-    if List.length !divergences < 5 then
-      match run_scenario sc with
-      | None -> ()
-      | Some d ->
-          let d = shrink sc d in
-          divergences := d :: !divergences;
-          on_divergence d
-  done;
-  { cases; packets = !packets; divergences = List.rev !divergences }
+let run ?on_divergence ~seed ~cases () =
+  Fuzz.run ?on_divergence
+    ~gen:(fun seed -> gen_scenario (Rng.create seed))
+    ~packets:count_packets ~check ~seed ~cases ()
 
 (* ---- repro files ---- *)
 
@@ -470,86 +344,46 @@ let to_string sc =
           Printf.bprintf b "msg %d %s\n" now_ns
             (Hex.encode (Openflow.Of_codec.encode msg))
       | Expire { now_ns } -> Printf.bprintf b "expire %d\n" now_ns
-      | Packet { now_ns; in_port; pkt } ->
-          Printf.bprintf b "packet %d %d %s\n" now_ns in_port
-            (Hex.encode (Packet.encode pkt)))
+      | Packet { now_ns; in_port; pkt } -> Fuzz.add_packet b ~now_ns ~in_port pkt)
     sc.steps;
   Buffer.contents b
 
 let of_string text =
   let ( let* ) = Result.bind in
-  let int_of s ~what =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad %s %S" what s)
-  in
-  let parse_line (sc, steps) line =
-    match
-      String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-    with
-    | [] -> Ok (sc, steps)
-    | tok :: _ when tok.[0] = '#' -> Ok (sc, steps)
+  let directive (sc, steps) = function
     | [ "tables"; n ] ->
-        let* n = int_of n ~what:"table count" in
-        Ok ({ sc with tables = n }, steps)
+        Some
+          (let* n = Fuzz.int_of n ~what:"table count" in
+           Ok ({ sc with tables = n }, steps))
     | [ "ports"; n ] ->
-        let* n = int_of n ~what:"port count" in
-        Ok ({ sc with ports = n }, steps)
+        Some
+          (let* n = Fuzz.int_of n ~what:"port count" in
+           Ok ({ sc with ports = n }, steps))
     | [ "msg"; now; hex ] ->
-        let* now_ns = int_of now ~what:"timestamp" in
-        let* bytes = Hex.decode hex in
-        let* msg, _xid =
-          Openflow.Of_codec.decode_result bytes
-          |> Result.map_error (fun e -> "bad flow-mod frame: " ^ e)
-        in
-        Ok (sc, Msg { now_ns; msg } :: steps)
+        Some
+          (let* now_ns = Fuzz.int_of now ~what:"timestamp" in
+           let* bytes = Hex.decode hex in
+           let* msg, _xid =
+             Openflow.Of_codec.decode_result bytes
+             |> Result.map_error (fun e -> "bad flow-mod frame: " ^ e)
+           in
+           Ok (sc, Msg { now_ns; msg } :: steps))
     | [ "expire"; now ] ->
-        let* now_ns = int_of now ~what:"timestamp" in
-        Ok (sc, Expire { now_ns } :: steps)
-    | [ "packet"; now; port; hex ] ->
-        let* now_ns = int_of now ~what:"timestamp" in
-        let* in_port = int_of port ~what:"port" in
-        let* bytes = Hex.decode hex in
-        let* pkt =
-          match Packet.decode bytes with
-          | pkt -> Ok pkt
-          | exception (Wire.Truncated _ | Wire.Malformed _) ->
-              Error "bad packet bytes"
-        in
-        Ok (sc, Packet { now_ns; in_port; pkt } :: steps)
-    | tok :: _ -> Error (Printf.sprintf "unknown directive %S" tok)
+        Some
+          (let* now_ns = Fuzz.int_of now ~what:"timestamp" in
+           Ok (sc, Expire { now_ns } :: steps))
+    | _ -> None
   in
-  let lines = String.split_on_char '\n' text in
-  let rec go n acc = function
-    | [] -> Ok acc
-    | line :: rest -> (
-        match parse_line acc line with
-        | Ok acc -> go (n + 1) acc rest
-        | Error e -> Error (Printf.sprintf "line %d: %s" n e))
+  let packet (sc, steps) ~now_ns ~in_port pkt =
+    (sc, Packet { now_ns; in_port; pkt } :: steps)
   in
-  let* sc, steps = go 1 ({ tables = 4; ports = 4; steps = [] }, []) lines in
+  let* sc, steps =
+    Fuzz.parse ~directive ~packet ({ tables = 4; ports = 4; steps = [] }, []) text
+  in
   Ok { sc with steps = List.rev steps }
 
-let save ~path ?comment sc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (match comment with
-      | Some c ->
-          String.split_on_char '\n' c
-          |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n"))
-      | None -> ());
-      output_string oc (to_string sc))
-
-let load ~path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Result.map run_scenario (of_string text)
+let save ~path ?comment sc = Fuzz.save ~path ?comment (to_string sc)
+let load ~path = Fuzz.load ~path ~of_string ~run:run_scenario
 
 let pp_divergence fmt d =
   Format.fprintf fmt

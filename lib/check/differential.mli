@@ -8,8 +8,8 @@
     normalized forwarding result of every packet step.  The first
     disagreement is a {e divergence}.
 
-    Divergences shrink greedily (steps are removed while the divergence
-    persists) and serialize to a text repro file — flow mods as OpenFlow
+    Divergences shrink greedily ({!Fuzz.shrink}: steps are removed while
+    the divergence persists) and serialize to a text repro file — flow mods as OpenFlow
     frame hex, packets as frame hex — that {!load} replays verbatim, so
     a fuzzer finding becomes a pinned regression the moment it is
     committed.  Generation is seeded: the same seed always yields the
@@ -18,12 +18,13 @@
 type step =
   | Msg of { now_ns : int; msg : Openflow.Of_message.t }
       (** Apply a [Flow_mod]/[Group_mod]/[Meter_mod] to every pipeline
-          with soft-switch semantics (bad table ids, table-full, and
-          duplicate/unknown group or meter ids are ignored, identically
-          everywhere).  Other message types are no-ops. *)
+          through {!Openflow.Pipeline.apply}, the soft switch's own
+          control path.  A message it rejects (bad table id, table full,
+          duplicate/unknown group or meter id) leaves every pipeline
+          unchanged alike.  Other message types are no-ops. *)
   | Expire of { now_ns : int }
-      (** Sweep idle/hard timeouts on every table, as the switch's
-          periodic sweeper would. *)
+      (** Sweep idle/hard timeouts on every table with
+          {!Openflow.Pipeline.expire}, the switch's periodic sweep. *)
   | Packet of { now_ns : int; in_port : int; pkt : Netpkt.Packet.t }
       (** Process a packet and compare results across implementations. *)
 
@@ -37,13 +38,8 @@ type divergence = {
   scenario : scenario;  (** shrunk by the time it is reported *)
 }
 
-val apply_message :
-  Openflow.Pipeline.t -> now_ns:int -> Openflow.Of_message.t -> unit
-(** Apply one control-plane message to a pipeline with soft-switch
-    semantics (exactly as a [Msg] step does): bad table ids, table-full
-    and unknown/duplicate group or meter ids are silently ignored;
-    non-mod messages are no-ops.  Shared with {!Policy_equiv}, which
-    installs compiled and hand-written rule sets through it. *)
+val render_output : Openflow.Pipeline.output -> string
+(** One output with its packet's bytes as hex, e.g. ["port:2:0200…"]. *)
 
 val render_result : Openflow.Pipeline.result -> string
 (** The normalized form results are compared under: outputs with packet
@@ -79,21 +75,19 @@ val run_scenario : scenario -> divergence option
 (** Replay on fresh pipelines; [None] = all implementations agreed on
     every packet. *)
 
-val shrink : scenario -> divergence -> divergence
-(** Greedy step removal while any divergence persists; fixpoint. *)
-
 val check_case : seed:int -> divergence option
-(** Generate (from the seed alone), run, and shrink. *)
+(** Generate (from the seed alone), run, and shrink with {!Fuzz.shrink}. *)
 
-type report = {
+type 'd report = 'd Fuzz.report = {
   cases : int;         (** scenarios run *)
   packets : int;       (** packet comparisons performed *)
-  divergences : divergence list;  (** shrunk, at most 5 reported *)
+  divergences : 'd list;  (** shrunk, at most 5 reported *)
 }
 
 val run :
-  ?on_divergence:(divergence -> unit) -> seed:int -> cases:int -> unit -> report
-(** Run [cases] seeded cases ([seed], [seed+1], ...). *)
+  ?on_divergence:(divergence -> unit) ->
+  seed:int -> cases:int -> unit -> divergence report
+(** Run [cases] seeded cases ([seed], [seed+1], ...) through {!Fuzz.run}. *)
 
 val to_string : scenario -> string
 (** The repro text format:

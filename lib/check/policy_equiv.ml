@@ -154,14 +154,9 @@ let find_spec name =
 (* ---- normalization ---- *)
 
 let normalize ~in_port outputs =
-  let render_packet pkt = Hex.encode (Packet.encode pkt) in
   let render = function
-    | P.Port (p, pkt) -> Printf.sprintf "port:%d:%s" p (render_packet pkt)
-    | P.In_port pkt -> Printf.sprintf "port:%d:%s" in_port (render_packet pkt)
-    | P.Flood pkt -> "flood:" ^ render_packet pkt
-    | P.All_ports pkt -> "all:" ^ render_packet pkt
-    | P.Controller (n, pkt) ->
-        Printf.sprintf "ctrl:%d:%s" n (render_packet pkt)
+    | P.In_port pkt -> Differential.render_output (P.Port (in_port, pkt))
+    | out -> Differential.render_output out
   in
   "["
   ^ String.concat " "
@@ -170,61 +165,45 @@ let normalize ~in_port outputs =
 
 (* ---- running a case across every implementation ---- *)
 
-type runner = { rname : string; process : step -> P.output list }
-
-let oracle_runner name tables msgs =
-  let pipeline = P.create ~num_tables:tables () in
-  List.iter (Differential.apply_message pipeline ~now_ns:0) msgs;
-  { rname = name;
-    process =
-      (fun s ->
-        (Oracle.execute pipeline ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
-          .P.outputs) }
-
-let backend_runners msgs =
-  List.map
-    (fun (name, create) ->
-      let pipeline = P.create ~num_tables:1 () in
-      let dp = create pipeline in
-      List.iter (Differential.apply_message pipeline ~now_ns:0) msgs;
-      { rname = "compiled:" ^ name;
-        process =
-          (fun s ->
-            (fst
-               (dp.Softswitch.Dataplane.process ~now_ns:s.now_ns
-                  ~in_port:s.in_port s.pkt))
-              .P.outputs) })
-    Softswitch.Backends.all
-
 let run_case case =
   let sp = case.spec in
   let interp = Policy.Interp.create sp.policy in
-  let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in
-  let runners =
-    oracle_runner "hand:oracle" sp.hand_tables sp.hand_messages
-    :: oracle_runner "compiled:oracle" 1 compiled_msgs
-    :: backend_runners compiled_msgs
+  let install pipeline msgs =
+    List.iter (fun msg -> ignore (P.apply pipeline ~now_ns:0 msg)) msgs
   in
-  let divergence = ref None in
-  List.iteri
-    (fun i s ->
-      if !divergence = None then begin
+  let hand =
+    let pipeline = P.create ~num_tables:sp.hand_tables () in
+    install pipeline sp.hand_messages;
+    ("hand:oracle", Oracle.dataplane pipeline)
+  in
+  let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in
+  let compiled =
+    List.map
+      (fun (name, pipeline, dp) ->
+        install pipeline compiled_msgs;
+        ("compiled:" ^ name, dp))
+      (Fuzz.implementations ~num_tables:1)
+  in
+  let rec go i = function
+    | [] -> None
+    | s :: rest -> (
         let expected =
           normalize ~in_port:s.in_port
             (Policy.Interp.run interp ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
         in
-        List.iter
-          (fun r ->
-            if !divergence = None then
-              let actual = normalize ~in_port:s.in_port (r.process s) in
-              if actual <> expected then
-                divergence :=
-                  Some
-                    { impl = r.rname; step_index = i; expected; actual; case })
-          runners
-      end)
-    case.steps;
-  !divergence
+        let diverges (impl, dp) =
+          let result, _ =
+            dp.Softswitch.Dataplane.process ~now_ns:s.now_ns ~in_port:s.in_port s.pkt
+          in
+          let actual = normalize ~in_port:s.in_port result.P.outputs in
+          if actual = expected then None
+          else Some { impl; step_index = i; expected; actual; case }
+        in
+        match List.find_map diverges (hand :: compiled) with
+        | Some d -> Some d
+        | None -> go (i + 1) rest)
+  in
+  go 0 case.steps
 
 (* ---- generation ---- *)
 
@@ -268,52 +247,27 @@ let gen_case sp ~seed =
   in
   { spec = sp; steps }
 
-(* ---- shrinking: greedy step removal to a fixpoint ---- *)
+(* ---- the harness ---- *)
 
-let drop_nth l n = List.filteri (fun i _ -> i <> n) l
-
-let shrink d0 =
-  let best = ref d0 in
-  let improved = ref true in
-  while !improved do
-    improved := false;
-    let case = !best.case in
-    let n = List.length case.steps in
-    let i = ref (n - 1) in
-    while !i >= 0 do
-      let candidate = { case with steps = drop_nth case.steps !i } in
-      (match run_case candidate with
-      | Some d ->
-          best := d;
-          improved := true
-      | None -> ());
-      decr i
-    done
-  done;
-  !best
-
-let check_case sp ~seed =
-  match run_case (gen_case sp ~seed) with
+let check case =
+  match run_case case with
   | None -> None
-  | Some d -> Some (shrink d)
+  | Some d ->
+      Some (Fuzz.shrink (fun steps -> run_case { case with steps }) case.steps d)
 
-type report = { cases : int; packets : int; divergences : divergence list }
+let check_case sp ~seed = check (gen_case sp ~seed)
 
-let run ?(on_divergence = fun _ -> ()) ~spec ~seed ~cases () =
-  let packets = ref 0 in
-  let divergences = ref [] in
-  for i = 0 to cases - 1 do
-    let case = gen_case spec ~seed:(seed + i) in
-    packets := !packets + List.length case.steps;
-    if List.length !divergences < 5 then
-      match run_case case with
-      | None -> ()
-      | Some d ->
-          let d = shrink d in
-          divergences := d :: !divergences;
-          on_divergence d
-  done;
-  { cases; packets = !packets; divergences = List.rev !divergences }
+type 'd report = 'd Fuzz.report = {
+  cases : int;
+  packets : int;
+  divergences : 'd list;
+}
+
+let run ?on_divergence ~spec ~seed ~cases () =
+  Fuzz.run ?on_divergence
+    ~gen:(fun seed -> gen_case spec ~seed)
+    ~packets:(fun case -> List.length case.steps)
+    ~check ~seed ~cases ()
 
 (* ---- repro files ---- *)
 
@@ -322,73 +276,29 @@ let to_string case =
   Buffer.add_string b "# harmless policy-equiv repro v1\n";
   Printf.bprintf b "spec %s\n" case.spec.spec_name;
   List.iter
-    (fun s ->
-      Printf.bprintf b "packet %d %d %s\n" s.now_ns s.in_port
-        (Hex.encode (Packet.encode s.pkt)))
+    (fun s -> Fuzz.add_packet b ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
     case.steps;
   Buffer.contents b
 
 let of_string text =
-  let ( let* ) = Result.bind in
-  let int_of s ~what =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad %s %S" what s)
+  let directive (_, steps) = function
+    | [ "spec"; name ] ->
+        Some
+          (match find_spec name with
+          | Some sp -> Ok (Some sp, steps)
+          | None -> Error (Printf.sprintf "unknown spec %S" name))
+    | _ -> None
   in
-  let parse_line (sp, steps) line =
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [] -> Ok (sp, steps)
-    | tok :: _ when tok.[0] = '#' -> Ok (sp, steps)
-    | [ "spec"; name ] -> (
-        match find_spec name with
-        | Some sp -> Ok (Some sp, steps)
-        | None -> Error (Printf.sprintf "unknown spec %S" name))
-    | [ "packet"; now; port; hex ] ->
-        let* now_ns = int_of now ~what:"timestamp" in
-        let* in_port = int_of port ~what:"port" in
-        let* bytes = Hex.decode hex in
-        let* pkt =
-          match Packet.decode bytes with
-          | pkt -> Ok pkt
-          | exception (Wire.Truncated _ | Wire.Malformed _) ->
-              Error "bad packet bytes"
-        in
-        Ok (sp, { now_ns; in_port; pkt } :: steps)
-    | tok :: _ -> Error (Printf.sprintf "unknown directive %S" tok)
+  let packet (sp, steps) ~now_ns ~in_port pkt =
+    (sp, { now_ns; in_port; pkt } :: steps)
   in
-  let lines = String.split_on_char '\n' text in
-  let rec go n acc = function
-    | [] -> Ok acc
-    | line :: rest -> (
-        match parse_line acc line with
-        | Ok acc -> go (n + 1) acc rest
-        | Error e -> Error (Printf.sprintf "line %d: %s" n e))
-  in
-  let* sp, steps = go 1 (None, []) lines in
-  match sp with
-  | None -> Error "no spec directive"
-  | Some sp -> Ok { spec = sp; steps = List.rev steps }
+  match Fuzz.parse ~directive ~packet (None, []) text with
+  | Error e -> Error e
+  | Ok (None, _) -> Error "no spec directive"
+  | Ok (Some sp, steps) -> Ok { spec = sp; steps = List.rev steps }
 
-let save ~path ?comment case =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      (match comment with
-      | Some c ->
-          String.split_on_char '\n' c
-          |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n"))
-      | None -> ());
-      output_string oc (to_string case))
-
-let load ~path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Result.map run_case (of_string text)
+let save ~path ?comment case = Fuzz.save ~path ?comment (to_string case)
+let load ~path = Fuzz.load ~path ~of_string ~run:run_case
 
 let pp_divergence fmt d =
   Format.fprintf fmt

@@ -74,22 +74,20 @@ val gen_case : spec -> seed:int -> case
     advancing timestamps that occasionally jump far enough to refill
     meter buckets. *)
 
-val shrink : divergence -> divergence
-(** Greedy packet-step removal while any divergence persists; fixpoint. *)
-
 val check_case : spec -> seed:int -> divergence option
-(** Generate (from the seed alone), run, and shrink. *)
+(** Generate (from the seed alone), run, and shrink with {!Fuzz.shrink}. *)
 
-type report = {
+type 'd report = 'd Fuzz.report = {
   cases : int;  (** cases run *)
   packets : int;  (** packet comparisons performed *)
-  divergences : divergence list;  (** shrunk, at most 5 reported *)
+  divergences : 'd list;  (** shrunk, at most 5 reported *)
 }
 
 val run :
   ?on_divergence:(divergence -> unit) ->
-  spec:spec -> seed:int -> cases:int -> unit -> report
-(** Run [cases] seeded cases ([seed], [seed+1], ...) against one spec. *)
+  spec:spec -> seed:int -> cases:int -> unit -> divergence report
+(** Run [cases] seeded cases ([seed], [seed+1], ...) against one spec,
+    through {!Fuzz.run}. *)
 
 (** {1 Repro files} *)
 

@@ -1,7 +1,5 @@
 open Netpkt
 module P = Openflow.Pipeline
-module FE = Openflow.Flow_entry
-module FT = Openflow.Flow_table
 module Rng = Simnet.Rng
 module Fault = Simnet.Fault
 module Port_map = Harmless.Port_map
@@ -14,16 +12,6 @@ type violation = { context : string; detail : string }
 let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.context v.detail
 
 (* ---- the pure hairpin check ---- *)
-
-let pipeline_of_rules map =
-  let pipe = P.create ~num_tables:1 () in
-  List.iter
-    (fun (fm : Openflow.Of_message.flow_mod) ->
-      FT.add (P.table pipe fm.table_id) ~now_ns:0
-        (FE.make ~priority:fm.priority ~cookie:fm.cookie ~match_:fm.match_
-           fm.instructions))
-    (Translator.rules map);
-  pipe
 
 let gen_port_map rng =
   let n = 1 + Rng.int rng 6 in
@@ -70,15 +58,12 @@ let check_hairpin ~seed =
     if List.length !violations < 32 then
       violations := { context; detail } :: !violations
   in
-  let impls =
-    ("oracle", fun p -> Oracle.dataplane p)
-    :: List.map
-         (fun (name, mk) -> (name, mk))
-         Softswitch.Backends.all
-  in
   List.iter
-    (fun (impl, mk) ->
-      let dp = mk (pipeline_of_rules map) in
+    (fun (impl, pipeline, dp) ->
+      List.iter
+        (fun fm ->
+          ignore (P.apply pipeline ~now_ns:0 (Openflow.Of_message.Flow_mod fm)))
+        (Translator.rules map);
       let process ~in_port pkt =
         fst (dp.Softswitch.Dataplane.process ~now_ns:1000 ~in_port pkt)
       in
@@ -160,7 +145,7 @@ let check_hairpin ~seed =
             (Packet.push_vlan (Vlan.make unknown_vid) base);
           check_drop "untagged-trunk" base)
         bases)
-    impls;
+    (Fuzz.implementations ~num_tables:1);
   List.rev !violations
 
 (* ---- the end-to-end check under faults ---- *)

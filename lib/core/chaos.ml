@@ -233,23 +233,23 @@ let mgmt_retries_total () =
           (Telemetry.Registry.Counter.v ~labels:[ ("op", op) ] "retries_total"))
     0 retry_ops
 
-let answered t = Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 t.hosts
+let answered hosts = Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 hosts
 
 (* Deterministic probe traffic: cycle through every ordered host pair so
    fresh (never-communicated) pairs keep appearing — those are the ones
    that need the controller, or its fail-standalone substitute. *)
-let ping_pair t k =
-  let n = Array.length t.hosts in
+let ping_ordered_pair hosts k ~seq =
+  let n = Array.length hosts in
   let pairs = n * (n - 1) in
   let idx = k mod pairs in
   let src = idx / (n - 1) in
   let rest = idx mod (n - 1) in
   let dst = if rest >= src then rest + 1 else rest in
+  Host.ping hosts.(src) ~dst_mac:(Host.mac hosts.(dst)) ~dst_ip:(Host.ip hosts.(dst)) ~seq
+
+let ping_pair (t : rig) k =
   t.pings_sent <- t.pings_sent + 1;
-  Host.ping t.hosts.(src)
-    ~dst_mac:(Host.mac t.hosts.(dst))
-    ~dst_ip:(Host.ip t.hosts.(dst))
-    ~seq:t.pings_sent
+  ping_ordered_pair t.hosts k ~seq:t.pings_sent
 
 let run_recorded t ~recorder ~script ~duration ~ping_interval =
   let ( let* ) = Result.bind in
@@ -275,7 +275,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
       (Telemetry.Alert.Series answered_series)
       (Telemetry.Alert.Rate_below
          { per_second = 1.0; window = Sim_time.ms 3 });
-    let answered_before = answered t in
+    let answered_before = answered t.hosts in
     let stop = Sim_time.add (Engine.now t.engine) duration in
     (* Evaluate only during the storm: after it, probes stop by design,
        so a liveness rule would "breach" on the silence. *)
@@ -284,7 +284,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
       if Sim_time.( <= ) now stop then begin
         let now_ns = Sim_time.to_ns now in
         Telemetry.Timeseries.record answered_series ~ts_ns:now_ns
-          (float_of_int (answered t));
+          (float_of_int (answered t.hosts));
         Telemetry.Alert.eval alerts ~now_ns
       end;
       Sim_time.( < ) now stop
@@ -299,10 +299,10 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     traffic 0 ();
     Engine.run t.engine ~until:stop;
     let pings_sent = t.pings_sent in
-    let pings_answered = answered t - answered_before in
+    let pings_answered = answered t.hosts - answered_before in
     (* Recovery probe: after the storm, one ping per ordered pair, then a
        grace period.  All answered = the deployment healed. *)
-    let probe_before = answered t in
+    let probe_before = answered t.hosts in
     let n = Array.length t.hosts in
     let probe_pairs = n * (n - 1) in
     (* Only the recovery probe's hops feed the report's per-stage
@@ -314,7 +314,7 @@ let run_recorded t ~recorder ~script ~duration ~ping_interval =
     Engine.run t.engine
       ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 20));
     let probe_traces = Telemetry.Trace.traces ~since:probe_start recorder in
-    let probe_answered = answered t - probe_before in
+    let probe_answered = answered t.hosts - probe_before in
     let stage_slis =
       let view =
         Trace_view.make

@@ -54,6 +54,24 @@ val ss2 : rig -> Softswitch.Soft_switch.t
 val ss1 : rig -> Softswitch.Soft_switch.t
 val port_map : rig -> Port_map.t
 
+(** {1 Pieces shared with {!Migration_rig}} *)
+
+val default_channel_config : Sdnctl.Channel.config
+(** The fast channel of {!build}'s default: 2 ms keepalive, 5 ms echo
+    timeout, 1–16 ms reconnect backoff. *)
+
+val link_handler :
+  Simnet.Link.t -> Simnet.Fault.action -> (unit, string) result
+(** A link's fault target: [down], [up] (which also clears any
+    degradation) and [degrade loss=… jitter=…]. *)
+
+val answered : Simnet.Host.t array -> int
+(** Echo replies the hosts have received, in total. *)
+
+val ping_ordered_pair : Simnet.Host.t array -> int -> seq:int -> unit
+(** Ping the [k]th ordered host pair (cycling through all [n (n - 1)] of
+    them) with sequence number [seq]. *)
+
 (** What a chaos run did and how the deployment fared. *)
 type report = {
   duration : Simnet.Sim_time.span;

@@ -102,17 +102,8 @@ let demo ?(num_hosts = 4) ?(poll_period = Sim_time.ms 10) () =
     }
 
 let ping_pair t k =
-  let n = Deployment.num_hosts t.deployment in
-  let pairs = n * (n - 1) in
-  let idx = k mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
   t.pings <- t.pings + 1;
-  Host.ping
-    (Deployment.host t.deployment src)
-    ~dst_mac:(Deployment.host_mac dst) ~dst_ip:(Deployment.host_ip dst)
-    ~seq:t.pings
+  Chaos.ping_ordered_pair t.deployment.Deployment.hosts k ~seq:t.pings
 
 let advance t span =
   if span < 0 then invalid_arg "Dashboard.advance: negative span";

@@ -34,21 +34,12 @@ let wal t = t.wal_
 let controller t = t.ctrl
 let device t i = t.switches.(i).dev
 
-let fast_channel =
-  {
-    Sdnctl.Channel.default_config with
-    keepalive_interval = Some (Sim_time.ms 2);
-    echo_timeout = Sim_time.ms 5;
-    reconnect_base = Sim_time.ms 1;
-    reconnect_max = Sim_time.ms 16;
-  }
-
 let build ?(num_switches = 3) ?(num_hosts = 2) ~seed () =
   if num_switches < 1 then Error "migration rig: need at least 1 switch"
   else if num_hosts < 2 then Error "migration rig: need at least 2 hosts"
   else begin
     let engine = Engine.create () in
-    let ctrl = Sdnctl.Controller.create engine ~channel_config:fast_channel () in
+    let ctrl = Sdnctl.Controller.create engine ~channel_config:Chaos.default_channel_config () in
     Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
     let vendors =
       [| Mgmt.Device.Cisco_like; Mgmt.Device.Arista_like; Mgmt.Device.Juniper_like |]
@@ -117,22 +108,11 @@ let build ?(num_switches = 3) ?(num_hosts = 2) ~seed () =
 (* Probe traffic                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let answered sw =
-  Array.fold_left (fun acc h -> acc + Host.echo_replies h) 0 sw.hosts
-
 (* Cycle the ordered host pairs of one switch, like the chaos rig. *)
 let ping_next sw =
-  let n = Array.length sw.hosts in
-  let pairs = n * (n - 1) in
-  let idx = sw.pings mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
-  sw.pings <- sw.pings + 1;
-  Host.ping sw.hosts.(src)
-    ~dst_mac:(Host.mac sw.hosts.(dst))
-    ~dst_ip:(Host.ip sw.hosts.(dst))
-    ~seq:sw.pings
+  let k = sw.pings in
+  sw.pings <- k + 1;
+  Chaos.ping_ordered_pair sw.hosts k ~seq:sw.pings
 
 let probe_all ?(grace = Sim_time.ms 25) t =
   (* Drain in-flight traffic first — a probe the canary gate sent just
@@ -141,7 +121,7 @@ let probe_all ?(grace = Sim_time.ms 25) t =
   Engine.run t.engine
     ~until:(Sim_time.add (Engine.now t.engine) (Sim_time.ms 2));
   let before =
-    Array.map (fun sw -> answered sw) t.switches
+    Array.map (fun sw -> Chaos.answered sw.hosts) t.switches
   in
   let sent = ref 0 in
   Array.iter
@@ -155,30 +135,13 @@ let probe_all ?(grace = Sim_time.ms 25) t =
   Engine.run t.engine ~until:(Sim_time.add (Engine.now t.engine) grace);
   let got = ref 0 in
   Array.iteri
-    (fun i sw -> got := !got + (answered sw - before.(i)))
+    (fun i sw -> got := !got + (Chaos.answered sw.hosts - before.(i)))
     t.switches;
   !got = !sent
 
 (* ------------------------------------------------------------------ *)
 (* Hooks and gates                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let link_handler link action =
-  match (action : Fault.action) with
-  | Fault.Down ->
-      Link.set_up link false;
-      Ok ()
-  | Fault.Up ->
-      Link.set_up link true;
-      Link.set_impairments ~loss:0.0 ~jitter:0 link;
-      Ok ()
-  | Fault.Degrade { loss; jitter } -> (
-      try
-        Link.set_impairments ~loss ~jitter link;
-        Ok ()
-      with Invalid_argument msg -> Error msg)
-  | Fault.Flaky _ | Fault.Crash | Fault.Restart ->
-      Error "links only support down/up/degrade"
 
 (* Make-before-break "make": the whole sandwich comes up before the
    device config flips — SS_2 in fail-standalone so the dataplane works
@@ -209,7 +172,7 @@ let shadow_hook t sw map =
   in
   let target = "trunk:" ^ sw.name in
   if not (List.mem target (Fault.targets t.inj)) then
-    Fault.register t.inj ~target (link_handler trunk);
+    Fault.register t.inj ~target (Chaos.link_handler trunk);
   Soft_switch.set_connection_mode ss2 Soft_switch.Fail_standalone;
   let dpid = Sdnctl.Controller.attach_switch t.ctrl ss2 in
   let poller =
@@ -248,7 +211,7 @@ let gate ?(wrap_probe = fun p -> p) t sw =
   let probe () =
     let now_ns = Sim_time.to_ns (Engine.now t.engine) in
     Telemetry.Timeseries.record sw.answered_series ~ts_ns:now_ns
-      (float_of_int (answered sw));
+      (float_of_int (Chaos.answered sw.hosts));
     ping_next sw
   in
   Migration.slo_gate ~alerts:sw.alerts ~probe:(wrap_probe probe) ()

@@ -12,18 +12,6 @@ type report = {
   pings : int;
 }
 
-(* Same pair-cycling order as the chaos and dashboard probes. *)
-let ping_pair deployment ~seq k =
-  let n = Deployment.num_hosts deployment in
-  let pairs = n * (n - 1) in
-  let idx = k mod pairs in
-  let src = idx / (n - 1) in
-  let rest = idx mod (n - 1) in
-  let dst = if rest >= src then rest + 1 else rest in
-  Host.ping
-    (Deployment.host deployment src)
-    ~dst_mac:(Deployment.host_mac dst) ~dst_ip:(Deployment.host_ip dst) ~seq
-
 (* Only complete fast-path host-to-host walks enter the profile:
    warm-up floods and controller-detoured packets have a different
    stage structure and would break the homogeneous-workload invariant
@@ -57,7 +45,7 @@ let profile_deployment ~pings deployment =
   let seq = ref 0 in
   let ping k =
     incr seq;
-    ping_pair deployment ~seq:!seq k
+    Chaos.ping_ordered_pair deployment.Deployment.hosts k ~seq:!seq
   in
   let step k =
     ping k;

@@ -216,6 +216,85 @@ let execute t ~now_ns ~in_port pkt =
   in
   execute_with t ~lookup ~now_ns ~in_port pkt
 
+let no_lookup _ ~in_port:_ _ = None
+
+let execute_actions t ~now_ns ~in_port actions pkt =
+  let ex =
+    {
+      pipe = t;
+      lookup = no_lookup;
+      now_ns;
+      in_port;
+      outputs = [];
+      matched = [];
+      miss = false;
+      rewrites = [];
+      final = None;
+    }
+  in
+  ignore (run_actions ex [] pkt actions);
+  rev ex.outputs
+
+(* The table calls raise on bad input; a controller gets the reason. *)
+let apply t ~now_ns (msg : Of_message.t) =
+  match msg with
+  | Of_message.Flow_mod fm -> (
+      if fm.Of_message.table_id < 0 || fm.Of_message.table_id >= Array.length t.tables
+      then Error "flow-mod: bad table id"
+      else
+        let table = t.tables.(fm.Of_message.table_id) in
+        match fm.Of_message.command with
+        | Of_message.Add -> (
+            let entry =
+              Flow_entry.make ~priority:fm.Of_message.priority
+                ~cookie:fm.Of_message.cookie
+                ?idle_timeout_s:fm.Of_message.idle_timeout_s
+                ?hard_timeout_s:fm.Of_message.hard_timeout_s
+                ~match_:fm.Of_message.match_ fm.Of_message.instructions
+            in
+            match Flow_table.add table ~now_ns entry with
+            | () -> Ok ()
+            | exception Flow_table.Table_full -> Error "flow-mod: table full")
+        | Of_message.Modify { strict } ->
+            ignore
+              (Flow_table.modify table ~strict fm.Of_message.match_
+                 ~priority:fm.Of_message.priority fm.Of_message.instructions);
+            Ok ()
+        | Of_message.Delete { strict } ->
+            ignore
+              (Flow_table.delete table ~strict ?out_port:fm.Of_message.out_port
+                 fm.Of_message.match_ ~priority:fm.Of_message.priority);
+            Ok ())
+  | Of_message.Group_mod gm -> (
+      match
+        match gm with
+        | Of_message.Add_group { id; gtype; buckets } ->
+            Group_table.add t.group_table ~id gtype buckets
+        | Of_message.Modify_group { id; gtype; buckets } ->
+            Group_table.modify t.group_table ~id gtype buckets
+        | Of_message.Delete_group { id } -> Group_table.remove t.group_table ~id
+      with
+      | () -> Ok ()
+      | exception Invalid_argument msg -> Error msg
+      | exception Not_found -> Error "group-mod: unknown group")
+  | Of_message.Meter_mod mm -> (
+      match
+        match mm with
+        | Of_message.Add_meter { id; band } -> Meter_table.add t.meter_table ~id band
+        | Of_message.Modify_meter { id; band } ->
+            Meter_table.modify t.meter_table ~id band
+        | Of_message.Delete_meter { id } -> Meter_table.remove t.meter_table ~id
+      with
+      | () -> Ok ()
+      | exception Invalid_argument msg -> Error msg
+      | exception Not_found -> Error "meter-mod: unknown meter")
+  | _ -> Ok ()
+
+let expire t ~now_ns =
+  for i = 0 to Array.length t.tables - 1 do
+    ignore (Flow_table.expire t.tables.(i) ~now_ns)
+  done
+
 let total_entries t =
   Array.fold_left (fun acc tbl -> acc + Flow_table.size tbl) 0 t.tables
 

@@ -64,6 +64,28 @@ val execute_with :
     actions add their loop guard and flow hash.  The instruction walk
     builds no closures or refs. *)
 
+val execute_actions :
+  t -> now_ns:int -> in_port:int -> Of_action.t list -> Netpkt.Packet.t ->
+  output list
+(** Run an explicit action list, as an [Apply_actions] instruction does:
+    rewrites in order, outputs as they appear, [Group] actions through
+    the group table.  No table is consulted.  This is a packet-out. *)
+
+val apply : t -> now_ns:int -> Of_message.t -> (unit, string) Stdlib.result
+(** Apply a controller's [Flow_mod], [Group_mod] or [Meter_mod]; other
+    messages are [Ok ()] no-ops.  This is the one place a message
+    mutates the tables.  Bad input leaves the pipeline unchanged and
+    comes back as [Error] with the reason a switch sends the controller:
+    ["flow-mod: bad table id"], ["flow-mod: table full"],
+    ["group-mod: unknown group"], ["meter-mod: unknown meter"], or the
+    table's own [Invalid_argument] text (a duplicate id, an [Indirect]
+    group without exactly one bucket, a non-positive meter band).
+    [Modify]/[Delete] flow-mods that match nothing are [Ok ()]. *)
+
+val expire : t -> now_ns:int -> unit
+(** Remove every entry of every table whose idle or hard timeout has
+    passed at [now_ns]. *)
+
 val total_entries : t -> int
 val version : t -> int
 (** Sum of table versions — changes whenever any table changes. *)

@@ -354,8 +354,6 @@ let sync ct table =
     if ct.residual_dirty then rebuild_residual ct cur
   end
 
-(* Per-dataplane state.  [best_prio]/[best_seq]/[best] are the lookup's
-   scratch: the best candidate so far, reset per lookup. *)
 type state = {
   compiled : compiled_table array;
   mutable seen_version : int;
@@ -363,43 +361,44 @@ type state = {
   mutable packets : int;
   mutable probes : int;
   mutable residual_scans : int;
-  mutable best_prio : int;
-  mutable best_seq : int;
-  mutable best : Flow_entry.t option;
 }
 
-let consider st prio seq hit =
-  if precedes prio seq st.best_prio st.best_seq then begin
-    st.best_prio <- prio;
-    st.best_seq <- seq;
-    st.best <- hit
+(* The best candidate so far travels as the arguments [prio], [seq] and
+   [best], starting from (min_int, max_int, None), so a lookup stores
+   nothing.  A bucket's first hit is its best, so the probe moves on to
+   the next template from there. *)
+let rec probe_templates st templates i ~in_port fields residual prio seq best =
+  if i = Array.length templates then
+    scan_residual st residual 0 ~in_port fields prio seq best
+  else begin
+    let t = templates.(i) in
+    st.probes <- st.probes + 1;
+    probe_bucket st templates i ~in_port fields residual prio seq best
+      t.buckets.(bucket t (hash_fields t.sig_ ~in_port fields))
   end
 
-let rec probe_bucket st ~in_port fields = function
-  | [] -> ()
+and probe_bucket st templates i ~in_port fields residual prio seq best = function
+  | [] -> probe_templates st templates (i + 1) ~in_port fields residual prio seq best
   | c :: rest ->
-      if key_matches c ~in_port fields then consider st c.prio c.seq c.hit
-      else probe_bucket st ~in_port fields rest
+      if not (key_matches c ~in_port fields) then
+        probe_bucket st templates i ~in_port fields residual prio seq best rest
+      else if precedes c.prio c.seq prio seq then
+        probe_templates st templates (i + 1) ~in_port fields residual c.prio c.seq c.hit
+      else probe_templates st templates (i + 1) ~in_port fields residual prio seq best
+
+and scan_residual st residual i ~in_port fields prio seq best =
+  if i = Array.length residual then best
+  else begin
+    let r = residual.(i) in
+    st.residual_scans <- st.residual_scans + 1;
+    if precedes r.r_prio r.r_seq prio seq && Of_match.matches r.r_match ~in_port fields
+    then scan_residual st residual (i + 1) ~in_port fields r.r_prio r.r_seq r.r_hit
+    else scan_residual st residual (i + 1) ~in_port fields prio seq best
+  end
 
 let lookup st table_id ~in_port fields =
   let ct = st.compiled.(table_id) in
-  st.best_prio <- min_int;
-  st.best_seq <- max_int;
-  st.best <- None;
-  let templates = ct.templates in
-  for i = 0 to Array.length templates - 1 do
-    let t = templates.(i) in
-    st.probes <- st.probes + 1;
-    probe_bucket st ~in_port fields
-      t.buckets.(bucket t (hash_fields t.sig_ ~in_port fields))
-  done;
-  let residual = ct.residual in
-  for i = 0 to Array.length residual - 1 do
-    let r = residual.(i) in
-    st.residual_scans <- st.residual_scans + 1;
-    if Of_match.matches r.r_match ~in_port fields then consider st r.r_prio r.r_seq r.r_hit
-  done;
-  st.best
+  probe_templates st ct.templates 0 ~in_port fields ct.residual min_int max_int None
 
 let create pipeline =
   let st =
@@ -410,9 +409,6 @@ let create pipeline =
       packets = 0;
       probes = 0;
       residual_scans = 0;
-      best_prio = min_int;
-      best_seq = max_int;
-      best = None;
     }
   in
   let lookup table_id ~in_port fields = lookup st table_id ~in_port fields in

@@ -102,10 +102,7 @@ let hardware_dataplane pipeline =
 let set_flowrec t fr = t.flowrec <- fr
 
 let expire_flows t =
-  let now_ns = Sim_time.to_ns (Engine.now t.engine) in
-  for i = 0 to Pipeline.num_tables t.pipeline - 1 do
-    ignore (Flow_table.expire (Pipeline.table t.pipeline i) ~now_ns)
-  done
+  Pipeline.expire t.pipeline ~now_ns:(Sim_time.to_ns (Engine.now t.engine))
 
 let trace_tx t ~port ~detail pkt =
   if Telemetry.Trace.enabled () then
@@ -241,82 +238,34 @@ let handle_packet t ~in_port pkt =
     Node.drop t.node Node.Drop_rx_ring
   end
 
-let apply_flow_mod t (fm : Of_message.flow_mod) =
-  let now_ns = Sim_time.to_ns (Engine.now t.engine) in
-  if fm.Of_message.table_id < 0 || fm.Of_message.table_id >= Pipeline.num_tables t.pipeline
-  then t.controller (Of_message.Error "flow-mod: bad table id")
-  else begin
-    let table = Pipeline.table t.pipeline fm.Of_message.table_id in
-    t.flow_mods <- t.flow_mods + 1;
-    match fm.Of_message.command with
-    | Of_message.Add -> (
-        let entry =
-          Flow_entry.make ~priority:fm.Of_message.priority
-            ~cookie:fm.Of_message.cookie
-            ?idle_timeout_s:fm.Of_message.idle_timeout_s
-            ?hard_timeout_s:fm.Of_message.hard_timeout_s
-            ~match_:fm.Of_message.match_ fm.Of_message.instructions
-        in
-        try Flow_table.add table ~now_ns entry
-        with Flow_table.Table_full -> t.controller (Of_message.Error "flow-mod: table full"))
-    | Of_message.Modify { strict } ->
-        ignore
-          (Flow_table.modify table ~strict fm.Of_message.match_
-             ~priority:fm.Of_message.priority fm.Of_message.instructions)
-    | Of_message.Delete { strict } ->
-        ignore
-          (Flow_table.delete table ~strict ?out_port:fm.Of_message.out_port
-             fm.Of_message.match_ ~priority:fm.Of_message.priority)
-  end
+(* [flow_mods] counts the flow-mods addressed to a table this switch has,
+   whether or not the table took the entry. *)
+let apply_mod t msg =
+  (match msg with
+  | Of_message.Flow_mod fm
+    when fm.Of_message.table_id >= 0
+         && fm.Of_message.table_id < Pipeline.num_tables t.pipeline ->
+      t.flow_mods <- t.flow_mods + 1
+  | _ -> ());
+  match Pipeline.apply t.pipeline ~now_ns:(Sim_time.to_ns (Engine.now t.engine)) msg with
+  | Ok () -> ()
+  | Error e -> t.controller (Of_message.Error e)
 
-let apply_meter_mod t mm =
-  let meters = Pipeline.meters t.pipeline in
-  match mm with
-  | Of_message.Add_meter { id; band } -> (
-      try Meter_table.add meters ~id band
-      with Invalid_argument msg -> t.controller (Of_message.Error msg))
-  | Of_message.Modify_meter { id; band } -> (
-      try Meter_table.modify meters ~id band
-      with Not_found -> t.controller (Of_message.Error "meter-mod: unknown meter"))
-  | Of_message.Delete_meter { id } -> Meter_table.remove meters ~id
-
-let apply_group_mod t gm =
-  let groups = Pipeline.groups t.pipeline in
-  match gm with
-  | Of_message.Add_group { id; gtype; buckets } -> (
-      try Group_table.add groups ~id gtype buckets
-      with Invalid_argument msg -> t.controller (Of_message.Error msg))
-  | Of_message.Modify_group { id; gtype; buckets } -> (
-      try Group_table.modify groups ~id gtype buckets
-      with Not_found -> t.controller (Of_message.Error "group-mod: unknown group"))
-  | Of_message.Delete_group { id } -> Group_table.remove groups ~id
-
+(* An [IN_PORT] output needs a port of this switch to go back out of. *)
 let apply_packet_out t ~in_port actions pkt =
-  (* Packet-outs execute an explicit action list: rewrites in order,
-     outputs as they appear. *)
   let in_port = match in_port with Some p -> p | None -> -1 in
-  let result =
-    let outputs = ref [] in
-    let pkt = ref pkt in
-    List.iter
-      (fun action ->
-        match action with
-        | Of_action.Output (Of_action.Physical p) ->
-            outputs := Pipeline.Port (p, !pkt) :: !outputs
-        | Of_action.Output Of_action.In_port ->
-            outputs := Pipeline.In_port !pkt :: !outputs
-        | Of_action.Output Of_action.Flood -> outputs := Pipeline.Flood !pkt :: !outputs
-        | Of_action.Output Of_action.All -> outputs := Pipeline.All_ports !pkt :: !outputs
-        | Of_action.Output (Of_action.Controller n) ->
-            outputs := Pipeline.Controller (n, !pkt) :: !outputs
-        | Of_action.Group _ | Of_action.Drop -> ()
-        | rewrite -> pkt := Of_action.apply_rewrite rewrite !pkt)
-      actions;
-    { Pipeline.outputs = List.rev !outputs; table_miss = false; matched = [] }
+  let outputs =
+    Pipeline.execute_actions t.pipeline
+      ~now_ns:(Sim_time.to_ns (Engine.now t.engine))
+      ~in_port actions pkt
   in
-  resolve_outputs t ~in_port result.Pipeline.outputs
+  if
+    (in_port < 0 || in_port >= Node.port_count t.node)
+    && List.exists (function Pipeline.In_port _ -> true | _ -> false) outputs
+  then t.controller (Of_message.Error "packet-out: bad in_port")
+  else resolve_outputs t ~in_port outputs
 
-let flow_stats t table_filter =
+let flow_stats_reply t table_filter =
   let stat_of table_id e =
     {
       Of_message.stat_table_id = table_id;
@@ -326,14 +275,16 @@ let flow_stats t table_filter =
       stat_bytes = e.Flow_entry.bytes;
     }
   in
-  let tables =
-    match table_filter with
-    | Some id -> [ id ]
-    | None -> List.init (Pipeline.num_tables t.pipeline) Fun.id
+  let stats_of id =
+    List.map (stat_of id) (Flow_table.entries (Pipeline.table t.pipeline id))
   in
-  List.concat_map
-    (fun id -> List.map (stat_of id) (Flow_table.entries (Pipeline.table t.pipeline id)))
-    tables
+  match table_filter with
+  | None ->
+      Of_message.Flow_stats_reply
+        (List.concat_map stats_of (List.init (Pipeline.num_tables t.pipeline) Fun.id))
+  | Some id when id >= 0 && id < Pipeline.num_tables t.pipeline ->
+      Of_message.Flow_stats_reply (stats_of id)
+  | Some _ -> Of_message.Error "flow-stats: bad table id"
 
 let port_stats t =
   let n = t.node in
@@ -360,13 +311,12 @@ let handle_message t msg =
              num_ports = Node.port_count t.node;
              num_tables = Pipeline.num_tables t.pipeline;
            })
-  | Of_message.Flow_mod fm -> apply_flow_mod t fm
-  | Of_message.Group_mod gm -> apply_group_mod t gm
-  | Of_message.Meter_mod mm -> apply_meter_mod t mm
+  | Of_message.Flow_mod _ | Of_message.Group_mod _ | Of_message.Meter_mod _ ->
+      apply_mod t msg
   | Of_message.Packet_out { in_port; actions; packet } ->
       apply_packet_out t ~in_port actions packet
   | Of_message.Flow_stats_request { table_id } ->
-      t.controller (Of_message.Flow_stats_reply (flow_stats t table_id))
+      t.controller (flow_stats_reply t table_id)
   | Of_message.Port_stats_request ->
       t.controller (Of_message.Port_stats_reply (port_stats t))
   | Of_message.Barrier_request n -> t.controller (Of_message.Barrier_reply n)

@@ -92,8 +92,13 @@ val standalone_forwards : t -> int
     [Fail_standalone]. *)
 
 val handle_message : t -> Openflow.Of_message.t -> unit
-(** Deliver a controller→switch message to the agent.  Errors (e.g. table
-    full) come back as [Error] messages on the controller callback. *)
+(** Deliver a controller→switch message to the agent.  Flow, group and
+    meter mods go through {!Openflow.Pipeline.apply}; bad input (a full
+    table, an unknown group, a [Flow_stats_request] for a table the
+    switch lacks, a packet-out whose [IN_PORT] output names no port of
+    the switch, …) comes back as one [Error] message on the controller
+    callback and never raises.  A packet-out's actions run through
+    {!Openflow.Pipeline.execute_actions}, [Group] actions included. *)
 
 val set_flowrec : t -> Flowrec.t option -> unit
 (** Attach (or detach, with [None]) a sampled flow recorder.  When

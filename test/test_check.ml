@@ -26,6 +26,17 @@ let read_hex_corpus path =
    with End_of_file -> close_in ic);
   List.rev !frames
 
+(* Every pinned repro under corpus/: [policy_*.repro] are Policy_equiv
+   cases, the rest Differential scenarios.  Pinning one is adding the
+   file. *)
+let corpus_repros ~policy =
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".repro"
+         && String.starts_with ~prefix:"policy_" f = policy)
+  |> List.sort String.compare
+  |> List.map (Filename.concat "corpus")
+
 let corpus_tests =
   [
     tc "valid corpus replays clean" (fun () ->
@@ -48,6 +59,8 @@ let corpus_tests =
         check Alcotest.int "all rejected" r.Check.Codec_fuzz.cases
           r.Check.Codec_fuzz.rejected);
     tc "pinned repros replay without divergence" (fun () ->
+        let paths = corpus_repros ~policy:false in
+        check Alcotest.bool "has repros" true (List.length paths >= 3);
         List.iter
           (fun path ->
             match D.load ~path with
@@ -55,11 +68,61 @@ let corpus_tests =
             | Ok (Some d) ->
                 Alcotest.failf "%s reproduces: %a" path D.pp_divergence d
             | Error e -> Alcotest.failf "%s failed to parse: %s" path e)
-          [
-            "corpus/group_loop.repro";
-            "corpus/scenario_1234.repro";
-            "corpus/eswitch_ip_sentinel.repro";
-          ]);
+          paths);
+  ]
+
+(* ---- the shared harness ---- *)
+
+(* [sub] occurs in [l] in order, not necessarily contiguously. *)
+let rec subsequence sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: sub', y :: l' -> if x = y then subsequence sub' l' else subsequence sub l'
+
+let harness_tests =
+  let shrink_to target steps =
+    let run l = if subsequence target l then Some l else None in
+    let d = Check.Fuzz.shrink run steps steps in
+    (d, run)
+  in
+  let one_minimal run d =
+    List.for_all (fun i -> run (List.filteri (fun j _ -> j <> i) d) = None)
+      (List.init (List.length d) Fun.id)
+  in
+  [
+    tc "shrink keeps step order and is 1-minimal" (fun () ->
+        let d, run = shrink_to [ 5; 2; 5 ] [ 9; 2; 5; 1; 2; 8; 5; 2; 7 ] in
+        check Alcotest.(list int) "shrunk" [ 5; 2; 5 ] d;
+        check Alcotest.bool "1-minimal" true (one_minimal run d));
+    prop "shrink finds exactly the divergent subsequence" ~count:200
+      QCheck2.Gen.(
+        let* target = list_size (int_bound 4) (int_bound 5) in
+        let* noise = list_size (int_bound 30) (int_bound 5) in
+        let+ picks = list_size (int_bound 34) bool in
+        (* [target] spread through [noise] in order *)
+        let rec interleave picks t n =
+          match (picks, t, n) with
+          | _, [], n -> n
+          | _, t, [] -> t
+          | [], t, n -> t @ n
+          | p :: ps, x :: t', y :: n' ->
+              if p then x :: interleave ps t' n else y :: interleave ps t n'
+        in
+        (target, interleave picks target noise))
+      ~print:(fun (t, l) ->
+        Printf.sprintf "target [%s] in [%s]"
+          (String.concat ";" (List.map string_of_int t))
+          (String.concat ";" (List.map string_of_int l)))
+      (fun (target, steps) ->
+        let d, run = shrink_to target steps in
+        d = target && one_minimal run d);
+    tc "generated scenario for seed 1 is pinned" (fun () ->
+        (* A change here changes every seed's case stream: fuzz reports
+           and repros stop matching earlier runs. *)
+        check Alcotest.string "digest" "dd2f1fd321c146fd8f83d80a962db56f"
+          (Digest.to_hex
+             (Digest.string (D.to_string (D.gen_scenario (Simnet.Rng.create 1))))));
   ]
 
 (* ---- pinned regression: group chaining loops ---- *)
@@ -356,6 +419,7 @@ let witness_tests =
 let suite =
   [
     ("check.corpus", corpus_tests);
+    ("check.harness", harness_tests);
     ("check.group-loop", group_loop_tests);
     ("check.differential", diff_tests);
     ("check.oracle-match", witness_tests);

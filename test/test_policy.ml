@@ -495,7 +495,13 @@ let harness_tests =
             | Ok (Some d) ->
                 Alcotest.failf "%s reproduces: %a" path PE.pp_divergence d
             | Ok None -> ())
-          [ "corpus/policy_gateway.repro"; "corpus/policy_ratelimit.repro" ]);
+          (let paths = Test_check.corpus_repros ~policy:true in
+           check Alcotest.bool "has repros" true (List.length paths >= 2);
+           paths));
+    tc "generated gateway case for seed 1 is pinned" (fun () ->
+        let sp = Option.get (PE.find_spec "gateway") in
+        check Alcotest.string "digest" "5da214e9e4c6b8101a2d708f9fba7456"
+          (Digest.to_hex (Digest.string (PE.to_string (PE.gen_case sp ~seed:1)))));
     tc "report accounting" (fun () ->
         let sp = Option.get (PE.find_spec "parental") in
         let r = PE.run ~spec:sp ~seed:9 ~cases:10 () in

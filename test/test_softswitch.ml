@@ -140,7 +140,7 @@ let eswitch_tests =
     let p = Pipeline.create ~num_tables:1 () in
     List.iter
       (fun fm ->
-        Check.Differential.apply_message p ~now_ns:0 (Of_message.Flow_mod fm))
+        ignore (Pipeline.apply p ~now_ns:0 (Of_message.Flow_mod fm)))
       (Harmless.Translator.rules map);
     Eswitch.create p
   in
@@ -536,6 +536,95 @@ let agent_tests =
         match !got with
         | [ pkt ] -> check Alcotest.bool "rewritten" true (Mac_addr.equal pkt.Packet.dst (mac 7))
         | _ -> Alcotest.fail "expected one packet");
+    tc "packet_out runs a group action" (fun () ->
+        let engine = Engine.create () in
+        let sw = Soft_switch.create engine ~name:"s" ~ports:3 () in
+        let got = Array.make 3 0 in
+        for p = 1 to 2 do
+          let stub = Node.create engine ~name:(Printf.sprintf "stub%d" p) ~ports:1 in
+          ignore (Link.connect (stub, 0) (Soft_switch.node sw, p));
+          Node.set_handler stub (fun _ ~in_port:_ _ -> got.(p) <- got.(p) + 1)
+        done;
+        Soft_switch.handle_message sw
+          (Of_message.Group_mod
+             (Of_message.Add_group
+                {
+                  id = 1;
+                  gtype = Group_table.All;
+                  buckets =
+                    [
+                      { Group_table.weight = 1; actions = [ Of_action.output 1 ] };
+                      { Group_table.weight = 1; actions = [ Of_action.output 2 ] };
+                    ];
+                }));
+        Soft_switch.handle_message sw
+          (Of_message.Packet_out
+             { in_port = None; actions = [ Of_action.Group 1 ]; packet = udp_pkt () });
+        Engine.run engine;
+        check Alcotest.(list int) "one copy per bucket" [ 0; 1; 1 ] (Array.to_list got));
+    tc "bad controller input gets an error reply; the switch still forwards"
+      (fun () ->
+        let engine = Engine.create () in
+        let sw = Soft_switch.create engine ~name:"s" ~ports:2 () in
+        let stub = Node.create engine ~name:"stub" ~ports:1 in
+        ignore (Link.connect (stub, 0) (Soft_switch.node sw, 0));
+        let got = ref 0 in
+        Node.set_handler stub (fun _ ~in_port:_ _ -> incr got);
+        let errors = ref [] in
+        Soft_switch.set_controller sw (function
+          | Of_message.Error e -> errors := e :: !errors
+          | _ -> ());
+        let bucket = { Group_table.weight = 1; actions = [ Of_action.output 1 ] } in
+        let band = { Meter_table.rate_kbps = 100; burst_kb = 10 } in
+        List.iter (Soft_switch.handle_message sw)
+          [
+            Of_message.Group_mod
+              (Of_message.Add_group { id = 1; gtype = Group_table.Indirect; buckets = [ bucket ] });
+            Of_message.Meter_mod (Of_message.Add_meter { id = 1; band });
+            Of_message.Flow_mod
+              (Of_message.add_flow ~match_:Of_match.any
+                 [ Flow_entry.Apply_actions [ Of_action.Output Of_action.In_port ] ]);
+          ];
+        check Alcotest.(list string) "valid input: no error" [] !errors;
+        let send msg =
+          let before = List.length !errors in
+          (match Soft_switch.handle_message sw msg with
+          | () -> ()
+          | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e));
+          check Alcotest.int "one error reply" (before + 1) (List.length !errors)
+        in
+        send
+          (Of_message.Group_mod
+             (Of_message.Modify_group
+                { id = 1; gtype = Group_table.Indirect; buckets = [ bucket; bucket ] }));
+        send
+          (Of_message.Meter_mod
+             (Of_message.Modify_meter { id = 1; band = { band with rate_kbps = 0 } }));
+        send (Of_message.Flow_stats_request { table_id = Some 99 });
+        send (Of_message.Flow_stats_request { table_id = Some (-1) });
+        List.iter
+          (fun in_port ->
+            send
+              (Of_message.Packet_out
+                 {
+                   in_port;
+                   actions = [ Of_action.Output Of_action.In_port ];
+                   packet = udp_pkt ();
+                 }))
+          [ None; Some 2 ];
+        check Alcotest.(list string) "reasons"
+          [
+            "packet-out: bad in_port";
+            "packet-out: bad in_port";
+            "flow-stats: bad table id";
+            "flow-stats: bad table id";
+            "Meter_table: rate and burst must be positive";
+            "Group_table: indirect group needs exactly one bucket";
+          ]
+          !errors;
+        Node.transmit stub ~port:0 (udp_pkt ());
+        Engine.run engine;
+        check Alcotest.int "still forwards" 1 !got);
     tc "features and stats replies" (fun () ->
         let engine = Engine.create () in
         let sw = Soft_switch.create engine ~name:"s" ~ports:3 () in
