@@ -7,8 +7,8 @@
     {!Telemetry.Timeseries} ring buffers (cumulative per-flow
     byte/packet counters, cumulative per-port byte counters, and the
     control-channel round-trip time as a gauge).  Everything downstream
-    — the traffic {!Monitor} matrix, {!Top_talkers} byte rankings, the
-    [harmlessctl top] dashboard, SLO alert rules — reads these series
+    — the traffic {!Monitor} matrix, the [harmlessctl top] dashboard,
+    SLO alert rules — reads these series
     instead of keeping its own books.
 
     When the channel is disconnected, or a round completes without any

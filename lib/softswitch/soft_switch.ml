@@ -1,5 +1,6 @@
 open Simnet
 open Openflow
+module Mac_table = Ethswitch.Mac_table
 
 (* Modelled per-stage costs (CPU cycles) reported by this switch's Trace
    hops for work the PMD batch model does not already cover; the
@@ -37,7 +38,7 @@ type t = {
   mutable alive : bool;
   mutable connection_mode : connection_mode;
   (* Local L2 learning used only while disconnected in Fail_standalone. *)
-  local_macs : (Netpkt.Mac_addr.t, int) Hashtbl.t;
+  local_macs : Mac_table.t;
   mutable standalone_forwards : int;
   mutable crashes : int;
 }
@@ -67,7 +68,7 @@ let set_connected t up =
     t.connected <- up;
     (* Reconnected: the controller owns forwarding again, so forget what
        standalone learning picked up while it was away. *)
-    if up then Hashtbl.reset t.local_macs
+    if up then Mac_table.flush t.local_macs
   end
 
 let crash t =
@@ -75,7 +76,7 @@ let crash t =
     t.alive <- false;
     t.connected <- false;
     t.crashes <- t.crashes + 1;
-    Hashtbl.reset t.local_macs;
+    Mac_table.flush t.local_macs;
     (* Soft state dies with the process: every flow table empties. *)
     for i = 0 to Pipeline.num_tables t.pipeline - 1 do
       Flow_table.clear (Pipeline.table t.pipeline i)
@@ -159,10 +160,10 @@ let resolve_outputs t ~in_port outputs =
    switch so local traffic keeps flowing until the controller returns. *)
 let standalone_forward t ~in_port pkt =
   t.standalone_forwards <- t.standalone_forwards + 1;
-  Hashtbl.replace t.local_macs pkt.Netpkt.Packet.src in_port;
+  let now = Engine.now t.engine in
+  Mac_table.learn t.local_macs ~now ~vlan:0 ~mac:pkt.Netpkt.Packet.src ~port:in_port;
   if Telemetry.Trace.enabled () then
-    Telemetry.Trace.emit
-      ~ts_ns:(Sim_time.to_ns (Engine.now t.engine))
+    Telemetry.Trace.emit ~ts_ns:(Sim_time.to_ns now)
       ~component:t.name ~layer:Telemetry.Trace.Switch ~stage:"standalone"
       ~port:in_port ~cycles:standalone_cycles
       ~detail:"local L2 forwarding (controller unreachable)" pkt;
@@ -171,13 +172,13 @@ let standalone_forward t ~in_port pkt =
       if p <> in_port then Node.transmit t.node ~port:p pkt
     done
   in
-  if Netpkt.Mac_addr.is_unicast pkt.Netpkt.Packet.dst then
-    match Hashtbl.find_opt t.local_macs pkt.Netpkt.Packet.dst with
-    | Some out_port when out_port <> in_port ->
-        Node.transmit t.node ~port:out_port pkt
-    | Some _ -> ()
-    | None -> flood ()
-  else flood ()
+  let out_port =
+    if Netpkt.Mac_addr.is_unicast pkt.Netpkt.Packet.dst then
+      Mac_table.lookup t.local_macs ~now ~vlan:0 ~mac:pkt.Netpkt.Packet.dst
+    else -1
+  in
+  if out_port < 0 then flood ()
+  else if out_port <> in_port then Node.transmit t.node ~port:out_port pkt
 
 let handle_packet t ~in_port pkt =
   if not t.alive then
@@ -392,7 +393,7 @@ let create engine ~name ~ports ?(dataplane = Eswitch) ?(pmd = Pmd.default_config
       connected = true;
       alive = true;
       connection_mode = Fail_secure;
-      local_macs = Hashtbl.create 64;
+      local_macs = Mac_table.create ();
       standalone_forwards = 0;
       crashes = 0;
     }

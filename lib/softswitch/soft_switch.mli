@@ -26,7 +26,10 @@ type connection_mode =
   | Fail_standalone
       (** Connection interruption: table misses fall back to local L2
           learning so intra-switch traffic keeps flowing.  The learned
-          table is forgotten when the controller reconnects. *)
+          table is the legacy switch's {!Ethswitch.Mac_table}: bounded
+          at 8192 entries (oldest evicted first) and aged after 300 s.
+          It is forgotten when the controller reconnects and on a
+          crash. *)
 
 type t
 

@@ -106,6 +106,53 @@ let l2_tests =
         check Alcotest.int "delivered in hardware" 3 (List.length received.(1));
         check Alcotest.bool "flows installed" true
           (Flow_table.size (Pipeline.table (Softswitch.Soft_switch.pipeline sw) 0) >= 2));
+    tc "follows a moved host and forgets an aged one" (fun () ->
+        let engine, sw, ctrl, dpid, _, received = rig ~ports:3 [] in
+        (* Called directly, so this app never saw the switch come up. *)
+        let app = Sdnctl.L2_learning.create ~idle_timeout_s:10 () in
+        let packet_in ~in_port src dst =
+          ignore
+            (app.Sdnctl.Controller.packet_in ctrl dpid ~in_port
+               Of_message.No_match (udp_between src dst))
+        in
+        let settle () =
+          Engine.run engine ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 5))
+        in
+        let rule_for m =
+          List.filter_map
+            (fun (e : Flow_entry.t) ->
+              match e.Flow_entry.match_.Of_match.eth_dst with
+              | Some { Of_match.value; _ } when Mac_addr.equal value m ->
+                  Some e.Flow_entry.instructions
+              | _ -> None)
+            (Flow_table.entries (Pipeline.table (Softswitch.Soft_switch.pipeline sw) 0))
+        in
+        packet_in ~in_port:0 0 1;
+        packet_in ~in_port:1 1 0;
+        settle ();
+        check Alcotest.bool "rule to host 0's first port" true
+          (rule_for (mac 1)
+          = [ [ Flow_entry.Apply_actions [ Of_action.output 0 ] ] ]);
+        (* host 0 moves to port 2 *)
+        packet_in ~in_port:2 0 1;
+        let on_0 = List.length received.(0) and on_2 = List.length received.(2) in
+        packet_in ~in_port:1 1 0;
+        settle ();
+        check Alcotest.bool "rule follows the move" true
+          (rule_for (mac 1)
+          = [ [ Flow_entry.Apply_actions [ Of_action.output 2 ] ] ]);
+        check Alcotest.int "nothing to the old port" on_0 (List.length received.(0));
+        check Alcotest.int "unicast to the new port" (on_2 + 1)
+          (List.length received.(2));
+        (* host 0 stays silent past the idle timeout: it is forgotten *)
+        Engine.run engine
+          ~until:(Sim_time.add (Engine.now engine) (Sim_time.s 11));
+        let on_0 = List.length received.(0) and on_2 = List.length received.(2) in
+        packet_in ~in_port:1 1 0;
+        settle ();
+        check Alcotest.int "aged destination floods to port 0" (on_0 + 1)
+          (List.length received.(0));
+        check Alcotest.int "and to port 2" (on_2 + 1) (List.length received.(2)));
   ]
 
 let lb_tests =

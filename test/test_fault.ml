@@ -428,6 +428,48 @@ let fail_mode_tests =
         check Alcotest.int "no reply" 0 (Host.echo_replies hosts.(0));
         check Alcotest.bool "counted as fail-secure drops" true
           (drop_count sw Node.Drop_fail_secure > 0));
+    tc "fail-standalone learning is bounded: a 100k-MAC flood evicts the oldest"
+      (fun () ->
+        let engine = Engine.create () in
+        let sw =
+          Softswitch.Soft_switch.create engine ~name:"edge" ~ports:3
+            ~miss:Softswitch.Soft_switch.Send_to_controller ()
+        in
+        Softswitch.Soft_switch.set_connection_mode sw
+          Softswitch.Soft_switch.Fail_standalone;
+        Softswitch.Soft_switch.set_connected sw false;
+        let received = Array.make 3 0 in
+        for i = 0 to 2 do
+          let n = Node.create engine ~name:(Printf.sprintf "h%d" i) ~ports:1 in
+          Node.set_handler n (fun _ ~in_port:_ _ -> received.(i) <- received.(i) + 1);
+          ignore (Link.connect (n, 0) (Softswitch.Soft_switch.node sw, i))
+        done;
+        let mac = Netpkt.Mac_addr.make_local in
+        let frame ~src ~dst =
+          Netpkt.Packet.udp ~dst:(mac dst) ~src:(mac src)
+            ~ip_src:(Netpkt.Ipv4_addr.of_octets 10 0 0 1)
+            ~ip_dst:(Netpkt.Ipv4_addr.of_octets 10 0 0 2)
+            ~src_port:1 ~dst_port:2 "x"
+        in
+        let node = Softswitch.Soft_switch.node sw in
+        let started = Sys.time () in
+        for i = 1 to 100_000 do
+          Node.deliver node ~port:0 (frame ~src:i ~dst:0);
+          if i mod 1000 = 0 then Engine.run engine
+        done;
+        let cpu_s = Sys.time () -. started in
+        check Alcotest.int "every frame flooded" 100_000 received.(2);
+        (* the first source fell out of the 8192-entry table: flood *)
+        Node.deliver node ~port:1 (frame ~src:200_000 ~dst:1);
+        Engine.run engine;
+        check Alcotest.int "evicted source floods to port 0" 1 received.(0);
+        check Alcotest.int "evicted source floods to port 2" 100_001 received.(2);
+        (* the last source is still known: unicast to port 0 only *)
+        Node.deliver node ~port:1 (frame ~src:200_000 ~dst:100_000);
+        Engine.run engine;
+        check Alcotest.int "known source unicast" 2 received.(0);
+        check Alcotest.int "port 2 untouched" 100_001 received.(2);
+        if cpu_s > 2.0 then Alcotest.failf "100k new MACs took %.2f s of CPU" cpu_s);
     tc "crash wipes flow state; restart comes back empty" (fun () ->
         let engine, sw, hosts =
           two_hosts_on_switch Softswitch.Soft_switch.Fail_standalone

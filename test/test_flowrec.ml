@@ -257,13 +257,36 @@ let rig_tests =
 
 (* ---- agreement with the exact control plane ---- *)
 
+(* The exact reference: sources by cumulative bytes in the poller's
+   latest flow stats, every flow matching a /32 [ip_src] attributing its
+   byte counter to that source.  Ties break on address order, so ranks
+   never depend on hash-table iteration order. *)
+let byte_ranking poller =
+  let module OM = Openflow.Of_message in
+  let module Prefix = Netpkt.Ipv4_addr.Prefix in
+  let totals = Hashtbl.create 8 in
+  List.iter
+    (fun (s : OM.flow_stat) ->
+      match s.OM.stat_match.Openflow.Of_match.ip_src with
+      | Some prefix when Prefix.length prefix = 32 ->
+          let src = Prefix.base prefix in
+          let sum = Option.value (Hashtbl.find_opt totals src) ~default:0 in
+          Hashtbl.replace totals src (sum + s.OM.stat_bytes)
+      | Some _ | None -> ())
+    (Sdnctl.Stats_poller.latest_flows poller);
+  Hashtbl.fold (fun src b l -> (src, b) :: l) totals []
+  |> List.sort (fun (ia, a) (ib, b) ->
+         match Int.compare b a with
+         | 0 -> Netpkt.Ipv4_addr.compare ia ib
+         | c -> c)
+
 let agreement_tests =
   [
     tc "sampled top-k ranks sources like the polled byte ranking" (fun () ->
-        (* The test_poller byte-ranking scenario, with a rate-1 flow
-           recorder watching the same OpenFlow switch: aggregating the
-           top-k UDP flows by source must rank host 0 over host 1,
-           exactly as the polled flow counters do. *)
+        (* Two hosts talking 7:3 through an OpenFlow switch, with a
+           rate-1 flow recorder watching it: aggregating the top-k UDP
+           flows by source must rank host 0 over host 1, exactly as the
+           polled flow counters do. *)
         let engine = Engine.create () in
         let d =
           match Harmless.Deployment.build_harmless engine ~num_hosts:3 () with
@@ -308,14 +331,15 @@ let agreement_tests =
           ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 10));
         FC.merge_now fc;
         (* exact side *)
-        let tt = Sdnctl.Top_talkers.create () in
-        (match Sdnctl.Monitor.poller mon dpid with
-        | Some p -> Sdnctl.Top_talkers.attach_poller tt p
-        | None -> Alcotest.fail "monitor has no poller after polling");
+        let poller =
+          match Sdnctl.Monitor.poller mon dpid with
+          | Some p -> p
+          | None -> Alcotest.fail "monitor has no poller after polling"
+        in
         let exact_rank =
           List.map
             (fun (a, _) -> Netpkt.Ipv4_addr.to_string a)
-            (Sdnctl.Top_talkers.byte_ranking tt)
+            (byte_ranking poller)
         in
         (* sampled side: sum the top-k's dport-9 flows by source *)
         let bytes_of src =

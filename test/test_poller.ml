@@ -1,7 +1,7 @@
 (* The monitoring plane end to end: the stats poller feeding series
-   from a live deployment, backoff under a channel outage, exact byte
-   rankings for top-talkers, SLO breach windows in chaos reports, and
-   the determinism of the harmlessctl dashboard frames. *)
+   from a live deployment, backoff under a channel outage, SLO breach
+   windows in chaos reports, and the determinism of the harmlessctl
+   dashboard frames. *)
 
 open Simnet
 
@@ -118,64 +118,6 @@ let poller_tests =
           (Sdnctl.Stats_poller.consecutive_failures p);
         check Alcotest.int "recovery: base period" period
           (Sdnctl.Stats_poller.current_delay p));
-    tc "top-talkers byte ranking comes from polled flow counters" (fun () ->
-        let engine = Engine.create () in
-        let d =
-          match Harmless.Deployment.build_harmless engine ~num_hosts:3 () with
-          | Ok d -> d
-          | Error m -> failwith m
-        in
-        let pairs =
-          [
-            (Harmless.Deployment.host_ip 0, Harmless.Deployment.host_ip 2);
-            (Harmless.Deployment.host_ip 1, Harmless.Deployment.host_ip 2);
-          ]
-        in
-        let mon = Sdnctl.Monitor.create ~pairs () in
-        let ctrl = Sdnctl.Controller.create engine () in
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Monitor.app mon);
-        Sdnctl.Controller.add_app ctrl (Sdnctl.Rate_limiter.table1_l2 ~num_hosts:3);
-        let dpid =
-          Sdnctl.Controller.attach_switch ctrl
-            (Harmless.Deployment.controller_switch d)
-        in
-        Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 5));
-        let send src n =
-          let h = Harmless.Deployment.host d src in
-          for i = 1 to n do
-            Host.send h
-              (Netpkt.Packet.udp
-                 ~dst:(Harmless.Deployment.host_mac 2)
-                 ~src:(Host.mac h) ~ip_src:(Host.ip h)
-                 ~ip_dst:(Harmless.Deployment.host_ip 2)
-                 ~src_port:(1000 + i) ~dst_port:9 "talk")
-          done
-        in
-        send 0 7;
-        send 1 3;
-        Engine.run engine
-          ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 20));
-        Sdnctl.Monitor.poll mon ctrl;
-        Engine.run engine
-          ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 10));
-        let tt = Sdnctl.Top_talkers.create () in
-        check (Alcotest.list Alcotest.string) "empty before attach" []
-          (List.map
-             (fun (a, _) -> Netpkt.Ipv4_addr.to_string a)
-             (Sdnctl.Top_talkers.byte_ranking tt));
-        (match Sdnctl.Monitor.poller mon dpid with
-        | Some p -> Sdnctl.Top_talkers.attach_poller tt p
-        | None -> Alcotest.fail "monitor has no poller after polling");
-        (match Sdnctl.Top_talkers.byte_ranking tt with
-        | [ (a0, b0); (a1, b1) ] ->
-            check Alcotest.string "heaviest source first"
-              (Netpkt.Ipv4_addr.to_string (Harmless.Deployment.host_ip 0))
-              (Netpkt.Ipv4_addr.to_string a0);
-            check Alcotest.string "lighter source second"
-              (Netpkt.Ipv4_addr.to_string (Harmless.Deployment.host_ip 1))
-              (Netpkt.Ipv4_addr.to_string a1);
-            check Alcotest.bool "byte order" true (b0 > b1 && b1 > 0)
-        | l -> Alcotest.failf "ranking shape: %d entries" (List.length l)));
   ]
 
 (* ---- SLO windows in chaos reports ---- *)
