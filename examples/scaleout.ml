@@ -22,15 +22,17 @@ let () =
   in
   (match deployment.Harmless.Deployment.kind with
   | Harmless.Deployment.Scaled { scale; _ } ->
+      let server = scale.Harmless.Scaleout.server in
       Printf.printf "provisioned %d translators feeding one %d-port SS_2\n"
-        (Array.length scale.Harmless.Scaleout.ss1s)
+        (Array.length server.Harmless.Server.ss1s)
         (Harmless.Scaleout.total_ports scale);
       Array.iteri
         (fun m map ->
+          let offset = server.Harmless.Server.offsets.(m) in
           Printf.printf "  member %d: %s (SS_2 ports %d..%d)\n" m
             (Format.asprintf "%a" Harmless.Port_map.pp map)
-            scale.Harmless.Scaleout.offsets.(m)
-            (scale.Harmless.Scaleout.offsets.(m) + Harmless.Port_map.size map - 1))
+            offset
+            (offset + Harmless.Port_map.size map - 1))
         scale.Harmless.Scaleout.port_maps
   | _ -> assert false);
 

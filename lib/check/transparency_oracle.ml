@@ -216,6 +216,9 @@ let run ?(num_hosts = 3) ?(fault_count = 5)
           and patch_frames = ref 0
           and host_frames = ref 0 in
           let ss1_name = SS.name ss1 in
+          let first_patch =
+            Simnet.Node.port_count (SS.node ss1) - Port_map.size map
+          in
           List.iter
             (fun (e : Simnet.Capture.entry) ->
               let pkt = e.packet in
@@ -225,9 +228,9 @@ let run ?(num_hosts = 3) ?(fault_count = 5)
                   e.port
               in
               if e.node = ss1_name then
-                if e.port <= 1 then begin
-                  (* NICs 0 and 1 are the primary and backup trunks: every
-                     frame carries exactly one tag, with a managed VLAN. *)
+                if e.port < first_patch then begin
+                  (* The trunk NICs: every frame carries exactly one tag,
+                     with a managed VLAN. *)
                   incr trunk_frames;
                   match pkt.Packet.vlans with
                   | [ tag ] when List.mem tag.Vlan.vid vids -> ()

@@ -79,30 +79,11 @@ let build engine ?(num_hosts = 3) ?(seed = 42)
     (* The fault plan goes live only after provisioning: the baseline
        bring-up is clean, the chaos run is not. *)
     Mgmt.Device.set_fault_plan device (Some fault_plan);
-    let hosts =
-      Array.init n (fun i ->
-          let h =
-            Host.create engine
-              ~name:(Printf.sprintf "h%d" i)
-              ~mac:(Deployment.host_mac i) ~ip:(Deployment.host_ip i) ()
-          in
-          h)
+    let hosts, host_links =
+      Deployment.attach_hosts engine ~host_link:Link.gige
+        [| Legacy_switch.node legacy |] ~per_node:n
     in
-    let host_links =
-      Array.mapi
-        (fun i h -> Link.connect (Host.node h, 0) (Legacy_switch.node legacy, i))
-        hosts
-    in
-    let primary_link =
-      Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-        (Legacy_switch.node legacy, n)
-        (Soft_switch.node (Failover.ss1 fo), 0)
-    in
-    let backup_link =
-      Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-        (Legacy_switch.node legacy, n + 1)
-        (Soft_switch.node (Failover.ss1 fo), 1)
-    in
+    let primary_link, backup_link = Failover.connect_trunks fo in
     let ctrl = Sdnctl.Controller.create engine ~channel_config:channel () in
     Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
     let ss2 = Failover.ss2 fo in
@@ -176,11 +157,7 @@ let build engine ?(num_hosts = 3) ?(seed = 42)
       (switch_handler (Failover.ss1 fo) ~restarted:(fun () ->
            (* SS_1 is statically programmed by the manager, not the
               controller, so a restart re-pushes the translator rules. *)
-           let trunk_port =
-             match Failover.active fo with `Primary -> 0 | `Backup -> 1
-           in
-           Translator.reinstall ~trunk_port ~patch_base:Failover.patch_base
-             (Failover.ss1 fo) (Failover.port_map fo)));
+           Failover.reinstall_translator fo));
     reg ~target:"switch:ss2"
       (switch_handler ss2 ~restarted:(fun () ->
            (* The controller's channel keepalive notices the outage and

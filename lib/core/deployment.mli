@@ -41,6 +41,16 @@ and kind =
 val host_ip : int -> Netpkt.Ipv4_addr.t
 val host_mac : int -> Netpkt.Mac_addr.t
 
+val attach_hosts :
+  Simnet.Engine.t ->
+  host_link:Simnet.Link.config ->
+  Simnet.Node.t array ->
+  per_node:int ->
+  Simnet.Host.t array * Simnet.Link.t array
+(** [per_node] hosts on each of [nodes]: host [i] is ["h<i>"] with
+    {!host_mac}/{!host_ip}, linked by [host_link] to port
+    [i mod per_node] of [nodes.(i / per_node)]. *)
+
 val build_legacy_only :
   Simnet.Engine.t ->
   num_hosts:int ->

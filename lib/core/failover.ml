@@ -1,7 +1,8 @@
 open Simnet
 open Softswitch
 
-let patch_base = 2
+(* SS_1's trunk NICs: the primary is port 0, the backup port 1. *)
+let nic = function `Primary -> 0 | `Backup -> 1
 
 type watchdog_status =
   | Idle
@@ -53,7 +54,7 @@ let event t ?level ?detail name =
     ?detail ~stream:"failover" name
 
 let provision engine ~device ~primary_trunk ~backup_trunk ~access_ports
-    ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd () =
+    ?base_vid ?dataplane ?pmd () =
   if primary_trunk = backup_trunk then Error "failover: trunks must differ"
   else if List.mem backup_trunk access_ports then
     Error "failover: backup trunk cannot be a managed access port"
@@ -64,34 +65,19 @@ let provision engine ~device ~primary_trunk ~backup_trunk ~access_ports
     with
     | Error _ as e -> e
     | Ok (map, _report) ->
-        let n = Port_map.size map in
         let host = Mgmt.Device.hostname device in
-        let ss1 =
-          Soft_switch.create engine
-            ~name:(host ^ "-ss1")
-            ~ports:(patch_base + n)
-            ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+        let server =
+          Server.build engine ?dataplane ?pmd ~nics:2 ~ss2:(host ^ "-ss2")
+            [ (host, map) ]
         in
-        let ss2 =
-          Soft_switch.create engine
-            ~name:(host ^ "-ss2")
-            ~ports:n ~dataplane ?pmd ~miss:Soft_switch.Send_to_controller ()
-        in
-        for i = 0 to n - 1 do
-          ignore
-            (Patch_port.connect
-               (Soft_switch.node ss1, patch_base + i)
-               (Soft_switch.node ss2, i))
-        done;
-        Translator.install ~trunk_port:0 ~patch_base ss1 map;
         Ok
           {
             engine;
             device;
             primary_trunk;
             backup_trunk;
-            ss1;
-            ss2;
+            ss1 = server.Server.ss1s.(0);
+            ss2 = server.Server.ss2;
             map;
             active = `Primary;
             failovers = 0;
@@ -102,51 +88,62 @@ let provision engine ~device ~primary_trunk ~backup_trunk ~access_ports
             last_error = None;
           }
 
-let reconfigure t ~trunk ~shut =
-  Manager.configure_device ~device:t.device ~trunk_port:trunk
-    ~access_ports:(Port_map.access_ports t.map)
-    ~base_vid:(Port_map.base_vid t.map) ~disabled_ports:[ shut ] ()
+let legacy_port t = function
+  | `Primary -> t.primary_trunk
+  | `Backup -> t.backup_trunk
 
-let activate_backup t =
-  match t.active with
-  | `Backup -> Ok ()
-  | `Primary -> (
-      match reconfigure t ~trunk:t.backup_trunk ~shut:t.primary_trunk with
-      | Error _ as e -> e
-      | Ok _ ->
-          (* Repoint SS_1's hairpin at the backup NIC (port 1). *)
-          Translator.reinstall ~trunk_port:1 ~patch_base t.ss1 t.map;
-          t.active <- `Backup;
-          t.failovers <- t.failovers + 1;
-          count_failover ~direction:"to_backup";
-          if Telemetry.Trace.enabled () then
-            event t ~level:Telemetry.Trace.Warn
-              ~detail:(Mgmt.Device.hostname t.device ^ " to_backup")
-              "failover";
-          Ok ())
+let connect_trunks t =
+  let legacy = Ethswitch.Legacy_switch.node (Mgmt.Device.switch t.device) in
+  let trunk side =
+    Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
+      (legacy, legacy_port t side)
+      (Soft_switch.node t.ss1, nic side)
+  in
+  (* Primary first: a tuple's evaluation order is unspecified. *)
+  let primary = trunk `Primary in
+  (primary, trunk `Backup)
 
-let activate_primary t =
-  match t.active with
-  | `Primary -> Ok ()
-  | `Backup -> (
-      match reconfigure t ~trunk:t.primary_trunk ~shut:t.backup_trunk with
-      | Error _ as e -> e
-      | Ok _ ->
-          Translator.reinstall ~trunk_port:0 ~patch_base t.ss1 t.map;
-          t.active <- `Primary;
-          t.failbacks <- t.failbacks + 1;
-          count_failover ~direction:"to_primary";
-          if Telemetry.Trace.enabled () then
-            event t
-              ~detail:(Mgmt.Device.hostname t.device ^ " to_primary")
-              "failback";
-          Ok ())
+let reinstall_translator t =
+  Translator.reinstall ~trunk_port:(nic t.active) t.ss1 t.map
 
-(* The health probe: carrier on SS_1's trunk NIC.  Port 0 is the primary
-   trunk, port 1 the backup. *)
-let trunk_healthy t = function
-  | `Primary -> Node.carrier (Soft_switch.node t.ss1) ~port:0
-  | `Backup -> Node.carrier (Soft_switch.node t.ss1) ~port:1
+(* Bring [side]'s trunk up and shut the other one, on the device and in
+   SS_1.  Idempotent once [side] is active. *)
+let switch_to t side =
+  if t.active = side then Ok ()
+  else
+    match
+      Manager.configure_device ~device:t.device
+        ~trunk_port:(legacy_port t side)
+        ~access_ports:(Port_map.access_ports t.map)
+        ~base_vid:(Port_map.base_vid t.map)
+        ~disabled_ports:[ legacy_port t t.active ] ()
+    with
+    | Error _ as e -> e
+    | Ok _ ->
+        t.active <- side;
+        reinstall_translator t;
+        let level, name, direction =
+          match side with
+          | `Backup ->
+              t.failovers <- t.failovers + 1;
+              (Some Telemetry.Trace.Warn, "failover", "to_backup")
+          | `Primary ->
+              t.failbacks <- t.failbacks + 1;
+              (None, "failback", "to_primary")
+        in
+        count_failover ~direction;
+        if Telemetry.Trace.enabled () then
+          event t ?level
+            ~detail:(Mgmt.Device.hostname t.device ^ " " ^ direction)
+            name;
+        Ok ()
+
+let activate_backup t = switch_to t `Backup
+let activate_primary t = switch_to t `Primary
+
+(* The health probe: carrier on SS_1's trunk NIC. *)
+let trunk_healthy t trunk =
+  Node.carrier (Soft_switch.node t.ss1) ~port:(nic trunk)
 
 let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
     ?on_failure t ~period =
@@ -166,17 +163,16 @@ let start_watchdog ?(policy = Mgmt.Retry.default) ?(failback = false)
   let rec schedule_tick () = Engine.schedule_after t.engine period tick
   and activate target =
     t.status <- Activating;
-    let name, f =
+    let op =
       match target with
-      | `Backup -> ("backup", fun () -> activate_backup t)
-      | `Primary -> ("primary", fun () -> activate_primary t)
+      | `Backup -> "failover.activate_backup"
+      | `Primary -> "failover.activate_primary"
     in
-    Mgmt.Retry.run_async t.engine ~policy
-      ~op:(Printf.sprintf "failover.activate_%s" name)
+    Mgmt.Retry.run_async t.engine ~policy ~op
       ~on_retry:(fun ~attempt:_ ~delay:_ msg ->
         t.activation_retries <- t.activation_retries + 1;
         t.last_error <- Some msg)
-      f
+      (fun () -> switch_to t target)
       ~on_done:(fun result ->
         if t.generation = gen then
           match result with

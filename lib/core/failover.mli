@@ -10,13 +10,10 @@
 
     Hosts keep their VLAN mapping; the controller and SS_2 never notice.
 
-    SS_1 port conventions here: port 0 = primary trunk NIC, port 1 =
-    backup trunk NIC, patch ports from 2. *)
+    SS_1 is {!Server.build}'s layout with two trunk NICs: port 0 faces
+    the primary trunk, port 1 the backup, patch ports from 2. *)
 
 type t
-
-val patch_base : int
-(** 2 — first SS_1 patch port in the redundant layout. *)
 
 val provision :
   Simnet.Engine.t ->
@@ -29,9 +26,12 @@ val provision :
   ?pmd:Softswitch.Pmd.config ->
   unit ->
   (t, string) result
-(** Like {!Manager.provision} but with a standby trunk.  The caller
-    connects two links: legacy [primary_trunk] ↔ SS_1 port 0 and legacy
-    [backup_trunk] ↔ SS_1 port 1. *)
+(** Like {!Manager.provision} but with a standby trunk, cabled by
+    {!connect_trunks}. *)
+
+val connect_trunks : t -> Simnet.Link.t * Simnet.Link.t
+(** Link the device's [primary_trunk] and [backup_trunk] ports to SS_1's
+    two trunk NICs at 10 G; returns (primary, backup). *)
 
 val ss1 : t -> Softswitch.Soft_switch.t
 val ss2 : t -> Softswitch.Soft_switch.t
@@ -44,6 +44,10 @@ val activate_backup : t -> (unit, string) result
 val activate_primary : t -> (unit, string) result
 (** Fail back: reactivate the primary trunk and shut the backup
     (idempotent once on primary). *)
+
+val reinstall_translator : t -> unit
+(** Re-push SS_1's translator rules for the {!active} trunk's NIC: both
+    activations call this, and so does a restart of SS_1. *)
 
 (** The watchdog's lifecycle, observable via {!watchdog_status}. *)
 type watchdog_status =

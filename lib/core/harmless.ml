@@ -4,6 +4,8 @@
     Reading order:
     - {!Port_map}: the access-port ↔ VLAN bijection underlying the trick;
     - {!Translator}: the SS_1 flow program (tag → patch port and back);
+    - {!Server}: the one builder of the software side — SS_1
+      translators patched into a shared SS_2;
     - {!Manager}: the automation that configures a real (simulated)
       device through SNMP/NAPALM and stands the software side up;
     - {!Deployment}: turn-key single-switch topologies, plus legacy-only
@@ -35,6 +37,7 @@
 
 module Port_map = Port_map
 module Translator = Translator
+module Server = Server
 module Manager = Manager
 module Deployment = Deployment
 module Scaleout = Scaleout

@@ -12,7 +12,6 @@ type provisioned = {
   ss1 : Soft_switch.t;
   ss2 : Soft_switch.t;
   port_map : Port_map.t;
-  patches : Patch_port.t array;
   report : report;
 }
 
@@ -186,43 +185,29 @@ let configure_device ~device ~trunk_port ~access_ports ?base_vid
   in
   Ok (map, { facts; config_diff = diff; steps = List.rev !steps })
 
-let provision engine ~device ~trunk_port ~access_ports ?base_vid
-    ?(dataplane = Soft_switch.Eswitch) ?pmd ?retry () =
+let provision engine ~device ~trunk_port ~access_ports ?base_vid ?dataplane
+    ?pmd ?retry () =
   let* map, report =
     configure_device ~device ~trunk_port ~access_ports ?base_vid ?retry ()
   in
   (* Bring up the software side. *)
   let n = Port_map.size map in
   let host = report.facts.Napalm.hostname in
-  let ss1 =
-    Soft_switch.create engine
-      ~name:(host ^ "-ss1")
-      ~ports:(Translator.required_ports map)
-      ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
+  let server =
+    Server.build engine ?dataplane ?pmd ~nics:1 ~ss2:(host ^ "-ss2")
+      [ (host, map) ]
   in
-  let ss2 =
-    Soft_switch.create engine
-      ~name:(host ^ "-ss2")
-      ~ports:n ~dataplane ?pmd ~miss:Soft_switch.Send_to_controller ()
-  in
-  let patches =
-    Array.init n (fun i ->
-        Patch_port.connect
-          (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-          (Soft_switch.node ss2, i))
-  in
-  Translator.install ss1 map;
+  let ss1 = server.Server.ss1s.(0) in
   let step =
     Printf.sprintf
       "instantiated SS_1 (%d ports) and SS_2 (%d ports), %d translator rules"
-      (Translator.required_ports map) n (2 * n)
+      (Simnet.Node.port_count (Soft_switch.node ss1)) n (2 * n)
   in
   Ok
     {
       ss1;
-      ss2;
+      ss2 = server.Server.ss2;
       port_map = map;
-      patches;
       report = { report with steps = report.steps @ [ step ] };
     }
 

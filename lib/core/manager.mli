@@ -11,8 +11,8 @@
       port, the trunk carrying exactly those VLANs — renders it in the
       device's own NOS dialect, stages it as a candidate and commits it;
     + verifies the result out-of-band over SNMP (dot1qPvid walk);
-    + instantiates SS_1 and SS_2 connected by patch ports and installs
-      the translator rules into SS_1.
+    + instantiates SS_1 and SS_2 with {!Server.build}, which patches them
+      together and installs the translator rules into SS_1.
 
     The returned SS_2 is a plain OpenFlow switch from the controller's
     point of view: its port [i] {e is} the [i]-th managed access port. *)
@@ -27,7 +27,6 @@ type provisioned = {
   ss1 : Softswitch.Soft_switch.t;
   ss2 : Softswitch.Soft_switch.t;
   port_map : Port_map.t;
-  patches : Softswitch.Patch_port.t array;
   report : report;
 }
 
@@ -59,8 +58,8 @@ val configure_device :
   (Port_map.t * report, string) result
 (** Steps 1–4 of {!provision} only: discover, compute the mapping,
     commit the tagging configuration and verify it over SNMP — without
-    creating any software switches.  {!Scaleout} uses this to share one
-    SS_2 across several devices; {!Failover} uses [disabled_ports] to
+    creating any software switches.  {!Scaleout} and {!Failover} call
+    this and then {!Server.build}; {!Failover} uses [disabled_ports] to
     keep the standby trunk shut.  Ports in [disabled_ports] are forced to
     [Disabled] in the candidate.
 

@@ -13,8 +13,6 @@ type sw = {
   answered_series : Telemetry.Timeseries.t;
   alerts : Telemetry.Alert.t;
   mutable trunk_link : Link.t option;
-  mutable ss1 : Soft_switch.t option;
-  mutable ss2 : Soft_switch.t option;
   mutable poller : Sdnctl.Stats_poller.t option;
   mutable pings : int;
 }
@@ -86,8 +84,6 @@ let build ?(num_switches = 3) ?(num_hosts = 2) ~seed () =
             answered_series;
             alerts;
             trunk_link = None;
-            ss1 = None;
-            ss2 = None;
             poller = None;
             pings = 0;
           })
@@ -149,22 +145,10 @@ let probe_all ?(grace = Sim_time.ms 25) t =
    absorbs that). *)
 let shadow_hook t sw map =
   let n = Array.length sw.hosts in
-  let ss1 =
-    Soft_switch.create t.engine ~name:(sw.name ^ "-ss1")
-      ~ports:(Translator.required_ports map)
-      ~miss:Soft_switch.Drop_on_miss ()
+  let server =
+    Server.build t.engine ~nics:1 ~ss2:(sw.name ^ "-ss2") [ (sw.name, map) ]
   in
-  let ss2 =
-    Soft_switch.create t.engine ~name:(sw.name ^ "-ss2") ~ports:n
-      ~miss:Soft_switch.Send_to_controller ()
-  in
-  for i = 0 to n - 1 do
-    ignore
-      (Patch_port.connect
-         (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-         (Soft_switch.node ss2, i))
-  done;
-  Translator.install ss1 map;
+  let ss1 = server.Server.ss1s.(0) and ss2 = server.Server.ss2 in
   let trunk =
     Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
       (Legacy_switch.node sw.legacy, n)
@@ -179,8 +163,6 @@ let shadow_hook t sw map =
     Sdnctl.Stats_poller.create ~period:(Sim_time.ms 1) t.ctrl dpid
   in
   Sdnctl.Stats_poller.start poller;
-  sw.ss1 <- Some ss1;
-  sw.ss2 <- Some ss2;
   sw.trunk_link <- Some trunk;
   sw.poller <- Some poller;
   Ok ()

@@ -1,5 +1,3 @@
-open Softswitch
-
 type member = {
   device : Mgmt.Device.t;
   trunk_port : int;
@@ -7,15 +5,12 @@ type member = {
 }
 
 type t = {
-  ss1s : Soft_switch.t array;
-  ss2 : Soft_switch.t;
+  server : Server.t;
   port_maps : Port_map.t array;
-  offsets : int array;
   reports : Manager.report array;
 }
 
-let provision engine ~members ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd
-    () =
+let provision engine ~members ?base_vid ?dataplane ?pmd () =
   if members = [] then Error "Scaleout.provision: no members"
   else begin
     (* Configure every device; undo the ones already done on failure. *)
@@ -42,46 +37,23 @@ let provision engine ~members ?base_vid ?(dataplane = Soft_switch.Eswitch) ?pmd
         let reports =
           Array.of_list (List.map (fun (_, (_, report)) -> report) configured)
         in
-        let sizes = Array.map Port_map.size port_maps in
-        let offsets = Array.make (Array.length sizes) 0 in
-        for m = 1 to Array.length sizes - 1 do
-          offsets.(m) <- offsets.(m - 1) + sizes.(m - 1)
-        done;
-        let total = Array.fold_left ( + ) 0 sizes in
-        let ss2 =
-          Soft_switch.create engine ~name:"scaleout-ss2" ~ports:total ~dataplane
-            ?pmd ~miss:Soft_switch.Send_to_controller ()
-        in
-        let ss1s =
-          Array.of_list
-            (List.mapi
-               (fun m (member, (map, _)) ->
-                 let ss1 =
-                   Soft_switch.create engine
-                     ~name:(Mgmt.Device.hostname member.device ^ "-ss1")
-                     ~ports:(Translator.required_ports map)
-                     ~dataplane ?pmd ~miss:Soft_switch.Drop_on_miss ()
-                 in
-                 Translator.install ss1 map;
-                 for i = 0 to Port_map.size map - 1 do
-                   ignore
-                     (Patch_port.connect
-                        (Soft_switch.node ss1, Translator.patch_port_of_logical i)
-                        (Soft_switch.node ss2, offsets.(m) + i))
-                 done;
-                 ss1)
+        let server =
+          Server.build engine ?dataplane ?pmd ~nics:1 ~ss2:"scaleout-ss2"
+            (List.map
+               (fun (m, (map, _)) -> (Mgmt.Device.hostname m.device, map))
                configured)
         in
-        Ok { ss1s; ss2; port_maps; offsets; reports }
+        Ok { server; port_maps; reports }
   end
 
-let total_ports t = Simnet.Node.port_count (Soft_switch.node t.ss2)
+let total_ports t =
+  Simnet.Node.port_count (Softswitch.Soft_switch.node t.server.Server.ss2)
 
 let ss2_port t ~member ~access_port =
   if member < 0 || member >= Array.length t.port_maps then None
   else
     Option.map
-      (fun logical -> t.offsets.(member) + logical)
+      (fun logical -> t.server.Server.offsets.(member) + logical)
       (Port_map.logical_of_access_port t.port_maps.(member) access_port)
 
 let member_of_ss2_port t port =
@@ -89,11 +61,11 @@ let member_of_ss2_port t port =
   let rec find m =
     if m >= n then None
     else
-      let size = Port_map.size t.port_maps.(m) in
-      if port >= t.offsets.(m) && port < t.offsets.(m) + size then
+      let offset = t.server.Server.offsets.(m) in
+      if port >= offset && port < offset + Port_map.size t.port_maps.(m) then
         Option.map
           (fun access -> (m, access))
-          (Port_map.access_port_of_logical t.port_maps.(m) (port - t.offsets.(m)))
+          (Port_map.access_port_of_logical t.port_maps.(m) (port - offset))
       else find (m + 1)
   in
   if port < 0 then None else find 0

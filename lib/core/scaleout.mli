@@ -4,7 +4,8 @@
 
     Each member switch gets its own trunk and its own SS_1 translator
     (VLAN ids are local to a trunk, so the same 101.. range is reused per
-    member), but all translators patch into a {e single} shared SS_2.
+    member), but all translators patch into a {e single} shared SS_2 —
+    {!Server.build} with one member per switch.
     The controller therefore sees one big OpenFlow switch whose port
     space is the concatenation of every member's managed access ports —
     cross-switch forwarding falls out of ordinary OpenFlow rules, with
@@ -17,13 +18,10 @@ type member = {
 }
 
 type t = {
-  ss1s : Softswitch.Soft_switch.t array;  (** one per member, same order *)
-  ss2 : Softswitch.Soft_switch.t;         (** the shared main OF switch *)
+  server : Server.t;
+      (** one SS_1 per member, same order, and the shared SS_2; member
+          [m]'s logical port [i] is SS_2 port [server.offsets.(m) + i] *)
   port_maps : Port_map.t array;
-  offsets : int array;
-      (** [offsets.(m)] is the SS_2 port of member [m]'s first managed
-          port; member [m]'s logical port [i] is SS_2 port
-          [offsets.(m) + i] *)
   reports : Manager.report array;
 }
 
@@ -39,7 +37,7 @@ val provision :
     workflow as {!Manager.provision}); any failure aborts the whole
     operation with the already-configured members rolled back.
     The caller connects each trunk:
-    [(legacy_m, trunk_port_m)] ↔ [(ss1s.(m), Translator.trunk_port)]. *)
+    [(legacy_m, trunk_port_m)] ↔ [(server.ss1s.(m), Translator.trunk_port)]. *)
 
 val total_ports : t -> int
 (** SS_2's port count = total managed access ports. *)

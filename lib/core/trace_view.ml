@@ -23,6 +23,19 @@ let make ?(legacy_trunk = []) ?(ss1 = []) ?(ss2 = [])
     ?(ss1_trunk = Translator.trunk_port) () =
   { legacy_trunk; ss1; ss2; ss1_trunk }
 
+(* Each legacy switch's trunk is its last port. *)
+let of_server legacies ss1s ss2 =
+  let names f a = Array.to_list (Array.map f a) in
+  {
+    legacy_trunk =
+      names
+        (fun l -> Ethswitch.Legacy_switch.(name l, port_count l - 1))
+        legacies;
+    ss1 = names Soft_switch.name ss1s;
+    ss2 = [ Soft_switch.name ss2 ];
+    ss1_trunk = Translator.trunk_port;
+  }
+
 let of_deployment (d : Deployment.t) =
   match d.Deployment.kind with
   | Deployment.Legacy_only { legacy; _ } ->
@@ -34,30 +47,10 @@ let of_deployment (d : Deployment.t) =
   | Deployment.Plain_openflow { switch } ->
       { plain with ss2 = [ Soft_switch.name switch ] }
   | Deployment.Harmless { legacy; prov; _ } ->
-      {
-        legacy_trunk =
-          [
-            ( Ethswitch.Legacy_switch.name legacy,
-              Ethswitch.Legacy_switch.port_count legacy - 1 );
-          ];
-        ss1 = [ Soft_switch.name prov.Manager.ss1 ];
-        ss2 = [ Soft_switch.name prov.Manager.ss2 ];
-        ss1_trunk = Translator.trunk_port;
-      }
+      of_server [| legacy |] [| prov.Manager.ss1 |] prov.Manager.ss2
   | Deployment.Scaled { legacies; scale; _ } ->
-      {
-        legacy_trunk =
-          Array.to_list
-            (Array.map
-               (fun legacy ->
-                 ( Ethswitch.Legacy_switch.name legacy,
-                   Ethswitch.Legacy_switch.port_count legacy - 1 ))
-               legacies);
-        ss1 =
-          Array.to_list (Array.map Soft_switch.name scale.Scaleout.ss1s);
-        ss2 = [ Soft_switch.name scale.Scaleout.ss2 ];
-        ss1_trunk = Translator.trunk_port;
-      }
+      let server = scale.Scaleout.server in
+      of_server legacies server.Server.ss1s server.Server.ss2
 
 (* Canonical step names of the HARMLESS walk; the integration tests
    assert their order. *)

@@ -2,9 +2,8 @@ open Openflow
 
 let trunk_port = 0
 let patch_port_of_logical i = 1 + i
-let required_ports map = 1 + Port_map.size map
 
-let rules ?(trunk_port = trunk_port) ?(patch_base = 1) map =
+let program ~trunk_port ~patch_base map =
   List.concat_map
     (fun i ->
       let v =
@@ -35,8 +34,14 @@ let rules ?(trunk_port = trunk_port) ?(patch_base = 1) map =
       [ from_trunk; to_trunk ])
     (List.init (Port_map.size map) Fun.id)
 
-let install ?trunk_port ?patch_base ss1 map =
-  let rules = rules ?trunk_port ?patch_base map in
+let rules map = program ~trunk_port ~patch_base:1 map
+
+let install ?(trunk_port = trunk_port) ss1 map =
+  (* The patch ports are SS_1's last [size map] ports. *)
+  let patch_base =
+    Simnet.Node.port_count (Softswitch.Soft_switch.node ss1) - Port_map.size map
+  in
+  let rules = program ~trunk_port ~patch_base map in
   (* Control-path event: account installed translation rules in the
      process-wide registry so a metrics snapshot shows how much state
      the transparency trick costs. *)
@@ -49,7 +54,7 @@ let install ?trunk_port ?patch_base ss1 map =
     (fun fm -> Softswitch.Soft_switch.handle_message ss1 (Of_message.Flow_mod fm))
     rules
 
-let reinstall ?trunk_port ?patch_base ss1 map =
+let reinstall ?trunk_port ss1 map =
   Softswitch.Soft_switch.handle_message ss1
     (Of_message.Flow_mod (Of_message.delete_flow Of_match.any));
-  install ?trunk_port ?patch_base ss1 map
+  install ?trunk_port ss1 map

@@ -27,6 +27,8 @@ let warm_legacy deployment =
     deployment.Harmless.Deployment.hosts;
   Engine.run engine ~until:(Sim_time.add (Engine.now engine) (Sim_time.ms 2))
 
+let built = function Ok x -> x | Error msg -> failwith msg
+
 let run_for engine span =
   Engine.run engine ~until:(Sim_time.add (Engine.now engine) span)
 

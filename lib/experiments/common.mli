@@ -11,6 +11,9 @@ val warm_legacy : Harmless.Deployment.t -> unit
 (** Make every host broadcast one ARP so legacy MAC tables are populated
     before measurement. *)
 
+val built : ('a, string) result -> 'a
+(** A builder's result, or [Failure] with its error message. *)
+
 val run_for : Simnet.Engine.t -> Simnet.Sim_time.span -> unit
 (** Advance the simulation by a span from now. *)
 

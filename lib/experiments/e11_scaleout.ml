@@ -22,11 +22,8 @@ type result = {
 let measure () =
   let engine = Engine.create () in
   let deployment =
-    match
-      Harmless.Deployment.build_scaleout engine ~num_switches ~hosts_per_switch ()
-    with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built
+      (Harmless.Deployment.build_scaleout engine ~num_switches ~hosts_per_switch ())
   in
   ignore
     (Common.attach_with_apps deployment

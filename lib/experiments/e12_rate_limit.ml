@@ -18,9 +18,7 @@ type result = {
 let measure_run () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts:3 () with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts:3 ())
   in
   ignore
     (Common.attach_with_apps deployment

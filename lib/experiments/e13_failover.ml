@@ -24,33 +24,15 @@ let measure ~watchdog_ms () =
   let legacy = Legacy_switch.create engine ~name:"resilient" ~ports:4 () in
   let device = Mgmt.Device.create ~switch:legacy ~vendor:Mgmt.Device.Cisco_like () in
   let fo =
-    match
-      Harmless.Failover.provision engine ~device ~primary_trunk:2 ~backup_trunk:3
-        ~access_ports:[ 0; 1 ] ()
-    with
-    | Ok f -> f
-    | Error m -> failwith m
+    Common.built
+      (Harmless.Failover.provision engine ~device ~primary_trunk:2
+         ~backup_trunk:3 ~access_ports:[ 0; 1 ] ())
   in
-  let hosts =
-    Array.init 2 (fun i ->
-        let h =
-          Host.create engine
-            ~name:(Printf.sprintf "h%d" i)
-            ~mac:(Harmless.Deployment.host_mac i)
-            ~ip:(Harmless.Deployment.host_ip i) ()
-        in
-        ignore (Link.connect (Host.node h, 0) (Legacy_switch.node legacy, i));
-        h)
+  let hosts, _ =
+    Harmless.Deployment.attach_hosts engine ~host_link:Link.gige
+      [| Legacy_switch.node legacy |] ~per_node:2
   in
-  let primary =
-    Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-      (Legacy_switch.node legacy, 2)
-      (Softswitch.Soft_switch.node (Harmless.Failover.ss1 fo), 0)
-  in
-  ignore
-    (Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-       (Legacy_switch.node legacy, 3)
-       (Softswitch.Soft_switch.node (Harmless.Failover.ss1 fo), 1));
+  let primary, _ = Harmless.Failover.connect_trunks fo in
   let ctrl = Sdnctl.Controller.create engine () in
   Sdnctl.Controller.add_app ctrl (Common.proactive_l2 ~num_hosts:2);
   ignore (Sdnctl.Controller.attach_switch ctrl (Harmless.Failover.ss2 fo));

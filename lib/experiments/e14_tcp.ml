@@ -21,9 +21,8 @@ let measure ~loss () =
   let engine = Engine.create () in
   let host_link = Link.config ~loss ~impair_seed:41 () in
   let d =
-    match Harmless.Deployment.build_harmless engine ~num_hosts:2 ~host_link () with
-    | Ok d -> d
-    | Error m -> failwith m
+    Common.built
+      (Harmless.Deployment.build_harmless engine ~num_hosts:2 ~host_link ())
   in
   ignore
     (Common.attach_with_apps d [ Common.proactive_l2 ~num_hosts:2 ]);

@@ -14,9 +14,7 @@ let measure_span = Sim_time.ms 20
 let measure ~hosts () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts:hosts () with
-    | Ok d -> d
-    | Error m -> failwith m
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts:hosts ())
   in
   ignore
     (Common.attach_with_apps deployment [ Common.proactive_l2 ~num_hosts:hosts ]);

@@ -13,9 +13,7 @@ type check = { step : string; expected : string; observed : string; ok : bool }
 let run_checks () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts:4 () with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts:4 ())
   in
   let legacy, ss1, ss2 =
     match deployment.Harmless.Deployment.kind with

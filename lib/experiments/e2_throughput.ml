@@ -98,12 +98,12 @@ let build_cots () =
 
 let build_harmless ?(extra_apps = []) dataplane () =
   let engine = Engine.create () in
-  match Harmless.Deployment.build_harmless engine ~num_hosts ~dataplane () with
-  | Ok d ->
-      ignore
-        (Common.attach_with_apps d (extra_apps @ [ Common.proactive_l2 ~num_hosts ]));
-      d
-  | Error msg -> failwith msg
+  let d =
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts ~dataplane ())
+  in
+  ignore
+    (Common.attach_with_apps d (extra_apps @ [ Common.proactive_l2 ~num_hosts ]));
+  d
 
 let variants =
   [

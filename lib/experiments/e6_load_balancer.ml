@@ -23,9 +23,7 @@ type result = {
 let measure () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts () with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts ())
   in
   let lb_app =
     Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:client

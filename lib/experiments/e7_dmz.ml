@@ -22,9 +22,7 @@ type result = {
 let measure () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts () with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts ())
   in
   let policy =
     {

@@ -29,9 +29,7 @@ let fetch_and_wait engine deployment ~user ~server ~host ~port =
 let measure () =
   let engine = Engine.create () in
   let deployment =
-    match Harmless.Deployment.build_harmless engine ~num_hosts () with
-    | Ok d -> d
-    | Error msg -> failwith msg
+    Common.built (Harmless.Deployment.build_harmless engine ~num_hosts ())
   in
   let sites =
     [

@@ -84,9 +84,7 @@ let scenarios =
 let rows () =
   List.map
     (fun (name, scenario) ->
-      match Harmless.Transparency.run scenario with
-      | Ok v -> (name, v)
-      | Error msg -> failwith msg)
+      (name, Common.built (Harmless.Transparency.run scenario)))
     scenarios
 
 let run () =

@@ -18,27 +18,11 @@ let rig () =
     | Ok f -> f
     | Error m -> failwith m
   in
-  let hosts =
-    Array.init 2 (fun i ->
-        let h =
-          Host.create engine
-            ~name:(Printf.sprintf "h%d" i)
-            ~mac:(Harmless.Deployment.host_mac i)
-            ~ip:(Harmless.Deployment.host_ip i) ()
-        in
-        ignore (Link.connect (Host.node h, 0) (Legacy_switch.node legacy, i));
-        h)
+  let hosts, _ =
+    Harmless.Deployment.attach_hosts engine ~host_link:Link.gige
+      [| Legacy_switch.node legacy |] ~per_node:2
   in
-  let primary =
-    Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-      (Legacy_switch.node legacy, 2)
-      (Softswitch.Soft_switch.node (Harmless.Failover.ss1 fo), 0)
-  in
-  let _backup =
-    Link.connect ~a_to_b:Link.ten_gige ~b_to_a:Link.ten_gige
-      (Legacy_switch.node legacy, 3)
-      (Softswitch.Soft_switch.node (Harmless.Failover.ss1 fo), 1)
-  in
+  let primary, _ = Harmless.Failover.connect_trunks fo in
   let ctrl = Sdnctl.Controller.create engine () in
   Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
   ignore (Sdnctl.Controller.attach_switch ctrl (Harmless.Failover.ss2 fo));
@@ -83,7 +67,11 @@ let failover_tests =
         check Alcotest.bool "primary shut" true
           (Legacy_switch.port_mode legacy ~port:2 = Port_config.Disabled);
         check Alcotest.bool "after" true (ping_works engine hosts);
-        check Alcotest.int "one failover" 1 (Harmless.Failover.failovers fo));
+        check Alcotest.int "one failover" 1 (Harmless.Failover.failovers fo);
+        (* SS_1's backup NIC is port 1: every VLAN now hairpins there. *)
+        Hairpin.check engine ~ss1:(Harmless.Failover.ss1 fo) ~nic:1
+          ~ss2:(Harmless.Failover.ss2 fo) ~offset:0
+          (Harmless.Failover.port_map fo));
     tc "watchdog fails over automatically" (fun () ->
         let engine, _, fo, hosts, primary = rig () in
         Harmless.Failover.start_watchdog fo ~period:(Sim_time.ms 10);

@@ -39,8 +39,24 @@ let unit_tests =
               (Harmless.Scaleout.member_of_ss2_port scale 0);
             check Alcotest.(option (pair int int)) "out of range" None
               (Harmless.Scaleout.member_of_ss2_port scale 8);
+            let server = scale.Harmless.Scaleout.server in
             check Alcotest.int "one ss1 per member" 2
-              (Array.length scale.Harmless.Scaleout.ss1s));
+              (Array.length server.Harmless.Server.ss1s);
+            check Alcotest.(array int) "offsets are prefix sums" [| 0; 3 |]
+              server.Harmless.Server.offsets;
+            (* Frame by frame: cable a stand-in for each trunk, then walk
+               every VLAN of both members through SS_1 and SS_2. *)
+            Array.iteri
+              (fun m ss1 ->
+                let wire =
+                  Node.create engine ~name:(Printf.sprintf "wire%d" m) ~ports:1
+                in
+                ignore
+                  (Link.connect (wire, 0) (Softswitch.Soft_switch.node ss1, 0));
+                Hairpin.check engine ~ss1 ~nic:0 ~ss2:server.Harmless.Server.ss2
+                  ~offset:[| 0; 3 |].(m)
+                  scale.Harmless.Scaleout.port_maps.(m))
+              server.Harmless.Server.ss1s);
     tc "vlan ranges are reused per member" (fun () ->
         let engine = Engine.create () in
         let _, d0 = member engine ~name:"m0" ~ports:3 in
