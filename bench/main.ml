@@ -125,11 +125,8 @@ let lookup_tests =
 let translator_tests =
   let engine = Simnet.Engine.create () in
   let map = Harmless.Port_map.make ~access_ports:[ 0; 1; 2; 3 ] () in
-  let ss1 =
-    Softswitch.Soft_switch.create engine ~name:"b-ss1" ~ports:5
-      ~miss:Softswitch.Soft_switch.Drop_on_miss ()
-  in
-  Harmless.Translator.install ss1 map;
+  let server = Harmless.Server.build engine ~nics:1 ~ss2:"b-ss2" [ ("b", map) ] in
+  let ss1 = server.Harmless.Server.ss1s.(0) in
   let tagged =
     Netpkt.Packet.udp
       ~vlans:[ Netpkt.Vlan.make 102 ]
@@ -304,15 +301,8 @@ let ablation_tests =
   let engine = Simnet.Engine.create () in
   let map = Harmless.Port_map.make ~access_ports:[ 0; 1; 2; 3 ] () in
   (* Split: SS_1 (translator) + SS_2 (eth_dst forwarding). *)
-  let ss1 =
-    Softswitch.Soft_switch.create engine ~name:"ab-ss1" ~ports:5
-      ~miss:Softswitch.Soft_switch.Drop_on_miss ()
-  in
-  Harmless.Translator.install ss1 map;
-  let ss2 =
-    Softswitch.Soft_switch.create engine ~name:"ab-ss2" ~ports:4
-      ~miss:Softswitch.Soft_switch.Drop_on_miss ()
-  in
+  let server = Harmless.Server.build engine ~nics:1 ~ss2:"ab-ss2" [ ("ab", map) ] in
+  let ss1 = server.Harmless.Server.ss1s.(0) and ss2 = server.Harmless.Server.ss2 in
   for i = 0 to 3 do
     Softswitch.Soft_switch.handle_message ss2
       (Openflow.Of_message.Flow_mod

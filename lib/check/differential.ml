@@ -58,7 +58,7 @@ let render_result (r : P.result) =
 let run_scenario sc =
   let impls = Fuzz.implementations ~num_tables:sc.tables in
   let process (_, _, dp) ~now_ns ~in_port pkt =
-    render_result (fst (dp.Softswitch.Dataplane.process ~now_ns ~in_port pkt))
+    render_result (dp.Softswitch.Dataplane.process ~now_ns ~in_port pkt)
   in
   let oracle = List.hd impls and backends = List.tl impls in
   let rec go i = function

@@ -211,17 +211,13 @@ let execute pipeline ~now_ns ~in_port pkt =
             | Some _ | None -> finish !pkt
   in
   walk 0 pkt;
-  {
-    P.outputs = List.rev !outputs;
-    table_miss = !miss;
-    matched = List.rev !matched;
-  }
+  P.make_result ~outputs:(List.rev !outputs) ~table_miss:!miss
+    ~matched:(List.rev !matched)
 
 let dataplane pipeline =
   {
     Softswitch.Dataplane.name = "oracle";
-    process =
-      (fun ~now_ns ~in_port pkt -> (execute pipeline ~now_ns ~in_port pkt, 0));
+    process = execute pipeline;
     stats = (fun () -> []);
     tier = (fun () -> "oracle");
   }

@@ -192,7 +192,7 @@ let run_case case =
             (Policy.Interp.run interp ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
         in
         let diverges (impl, dp) =
-          let result, _ =
+          let result =
             dp.Softswitch.Dataplane.process ~now_ns:s.now_ns ~in_port:s.in_port s.pkt
           in
           let actual = normalize ~in_port:s.in_port result.P.outputs in

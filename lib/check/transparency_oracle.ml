@@ -65,7 +65,7 @@ let check_hairpin ~seed =
           ignore (P.apply pipeline ~now_ns:0 (Openflow.Of_message.Flow_mod fm)))
         (Translator.rules map);
       let process ~in_port pkt =
-        fst (dp.Softswitch.Dataplane.process ~now_ns:1000 ~in_port pkt)
+        dp.Softswitch.Dataplane.process ~now_ns:1000 ~in_port pkt
       in
       let ctx what i = Format.sprintf "%s/%s/logical-%d" impl what i in
       List.iteri

@@ -75,8 +75,8 @@ let measure ~rules ~skew =
       let total = ref 0 in
       Array.iter
         (fun pkt ->
-          let _result, cycles = dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
-          total := !total + cycles)
+          let result = dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
+          total := !total + result.Pipeline.cycles)
         packets;
       let avg = float_of_int !total /. float_of_int (Array.length packets) in
       let per_packet =

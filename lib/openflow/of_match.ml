@@ -133,7 +133,48 @@ let subsumes a b =
   && sub_opt ( = ) a.l4_src b.l4_src
   && sub_opt ( = ) a.l4_dst b.l4_dst
 
-let equal a b = a = b
+(* Field by field with monomorphic tests: a flow-mod compares its match
+   against every entry of its priority run, and polymorphic [=] costs
+   several times as much there.  Each test is [=] on its field. *)
+let int_eq (a : int option) b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x = y
+  | None, Some _ | Some _, None -> false
+
+let mac_eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Mac_addr.equal x.value y.value && Mac_addr.equal x.mask y.mask
+  | None, Some _ | Some _, None -> false
+
+let vlan_eq a b =
+  match (a, b) with
+  | None, None | Some Absent, Some Absent | Some Present, Some Present -> true
+  | Some (Vid x), Some (Vid y) -> x = y
+  | _ -> false
+
+let prefix_eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Ipv4_addr.Prefix.equal x y
+  | None, Some _ | Some _, None -> false
+
+let equal a b =
+  a == b
+  || int_eq a.in_port b.in_port
+     && mac_eq a.eth_dst b.eth_dst
+     && mac_eq a.eth_src b.eth_src
+     && int_eq a.eth_type b.eth_type
+     && vlan_eq a.vlan b.vlan
+     && int_eq a.vlan_pcp b.vlan_pcp
+     && prefix_eq a.ip_src b.ip_src
+     && prefix_eq a.ip_dst b.ip_dst
+     && int_eq a.ip_proto b.ip_proto
+     && int_eq a.ip_tos b.ip_tos
+     && int_eq a.l4_src b.l4_src
+     && int_eq a.l4_dst b.l4_dst
+
 let is_exact_overlap = equal
 let compare = Stdlib.compare
 let hash = Hashtbl.hash

@@ -61,13 +61,15 @@ val subsumes : t -> t -> bool
     wrong [true]). *)
 
 val is_exact_overlap : t -> t -> bool
-(** Structural equality — what OpenFlow uses to decide whether a
-    flow-mod replaces an existing entry of equal priority. *)
+(** {!equal} — what OpenFlow uses to decide whether a flow-mod replaces
+    an existing entry of equal priority. *)
 
 val wildcard_count : t -> int
 (** Number of absent tests (12 = match-all). *)
 
 val equal : t -> t -> bool
+(** Structural equality, compared field by field; allocates nothing. *)
+
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

@@ -7,11 +7,19 @@ type output =
   | All_ports of Packet.t
   | Controller of int * Packet.t
 
+(* The accumulator of one pass: the walk conses outputs and matched
+   entries onto it newest first and reverses them when the pass ends. *)
 type result = {
-  outputs : output list;
-  table_miss : bool;
-  matched : Flow_entry.t list;
+  mutable outputs : output list;
+  mutable matched : Flow_entry.t list;
+  mutable table_miss : bool;
+  mutable cycles : int;
 }
+
+let make_result ~outputs ~table_miss ~matched =
+  { outputs; matched; table_miss; cycles = 0 }
+
+let set_cycles r cycles = r.cycles <- cycles
 
 type t = {
   tables : Flow_table.t array;
@@ -54,21 +62,6 @@ let flow_hash (f : Packet.Fields.t) =
       int f.Packet.Fields.l4_src,
       int f.Packet.Fields.l4_dst )
 
-(* One pipeline execution's state.  [rewrites]/[final] are the deferred
-   "action set": at most one action per kind, outputs last.  A new
-   rewrite replaces any of its kind; the output/group is kept apart. *)
-type exec = {
-  pipe : t;
-  lookup : int -> in_port:int -> Packet.Fields.t -> Flow_entry.t option;
-  now_ns : int;
-  in_port : int;
-  mutable outputs : output list; (* reverse order *)
-  mutable matched : Flow_entry.t list; (* reverse order *)
-  mutable miss : bool;
-  mutable rewrites : Of_action.t list; (* reverse order *)
-  mutable final : Of_action.t option; (* Output or Group *)
-}
-
 let same_kind a b =
   match (a, b) with
   | Of_action.Set_vlan_vid _, Of_action.Set_vlan_vid _
@@ -84,131 +77,147 @@ let same_kind a b =
   | Of_action.Pop_vlan, Of_action.Pop_vlan -> true
   | _ -> false
 
-let rec write_actions ex = function
-  | [] -> ()
-  | action :: rest ->
-      (match action with
-      | Of_action.Output _ | Of_action.Group _ -> ex.final <- Some action
-      | Of_action.Drop ->
-          ex.rewrites <- [];
-          ex.final <- None
-      | _ ->
-          ex.rewrites <-
-            action :: List.filter (fun a -> not (same_kind a action)) ex.rewrites);
-      write_actions ex rest
+let rec drop_kind action = function
+  | [] -> []
+  | a :: rest ->
+      if same_kind a action then drop_kind action rest
+      else a :: drop_kind action rest
 
-let emit ex out = ex.outputs <- out :: ex.outputs
+let emit r out = r.outputs <- out :: r.outputs
 
 (* [entered] lists the groups being executed.  It guards against group
    chaining loops (a bucket whose actions reference a group already being
    executed, e.g. a group pointing at itself).  OpenFlow forbids such
    chains; a switch fed one anyway must not diverge, so the cyclic
    reference is a no-op. *)
-let rec run_action ex entered pkt action =
+let rec run_action pipe r entered pkt action =
   match action with
   | Of_action.Output target ->
       (match target with
-      | Of_action.Physical p -> emit ex (Port (p, pkt))
-      | Of_action.In_port -> emit ex (In_port pkt)
-      | Of_action.Flood -> emit ex (Flood pkt)
-      | Of_action.All -> emit ex (All_ports pkt)
-      | Of_action.Controller n -> emit ex (Controller (n, pkt)));
+      | Of_action.Physical p -> emit r (Port (p, pkt))
+      | Of_action.In_port -> emit r (In_port pkt)
+      | Of_action.Flood -> emit r (Flood pkt)
+      | Of_action.All -> emit r (All_ports pkt)
+      | Of_action.Controller n -> emit r (Controller (n, pkt)));
       pkt
   | Of_action.Group gid ->
       (if not (List.mem gid entered) then
          let hash = flow_hash (Packet.Fields.of_packet pkt) in
          match
-           Group_table.select_buckets ex.pipe.group_table ~id:gid ~flow_hash:hash
+           Group_table.select_buckets pipe.group_table ~id:gid ~flow_hash:hash
          with
-         | buckets -> run_buckets ex (gid :: entered) pkt buckets
+         | buckets -> run_buckets pipe r (gid :: entered) pkt buckets
          | exception Not_found -> ());
       pkt
   | Of_action.Drop -> pkt
   | _ -> Of_action.apply_rewrite action pkt
 
-and run_actions ex entered pkt = function
+and run_actions pipe r entered pkt = function
   | [] -> pkt
-  | action :: rest -> run_actions ex entered (run_action ex entered pkt action) rest
+  | action :: rest ->
+      run_actions pipe r entered (run_action pipe r entered pkt action) rest
 
-and run_buckets ex entered pkt = function
+and run_buckets pipe r entered pkt = function
   | [] -> ()
   | b :: rest ->
-      ignore (run_actions ex entered pkt b.Group_table.actions);
-      run_buckets ex entered pkt rest
+      ignore (run_actions pipe r entered pkt b.Group_table.actions);
+      run_buckets pipe r entered pkt rest
 
 (* Oldest rewrite first: the list is newest-first. *)
 let rec apply_rewrites pkt = function
   | [] -> pkt
   | action :: older -> Of_action.apply_rewrite action (apply_rewrites pkt older)
 
-let finish ex pkt =
-  let pkt = apply_rewrites pkt ex.rewrites in
-  match ex.final with
-  | None -> ()
-  | Some final -> ignore (run_action ex [] pkt final)
+(* The action set travels as two arguments: [rewrites], newest first and
+   at most one per kind, and [final], the [Output] or [Group] that runs
+   last, or [Drop] for none. *)
+let finish pipe r pkt rewrites final =
+  let pkt = apply_rewrites pkt rewrites in
+  match final with
+  | Of_action.Drop -> ()
+  | _ -> ignore (run_action pipe r [] pkt final)
 
 (* [fields] is the view of [seen], the last packet a table was given:
    a table visit extracts fields again only when a rewrite has built a
    new packet since. *)
-let rec walk ex table_id pkt seen fields =
-  if table_id >= Array.length ex.pipe.tables then finish ex pkt
+let rec walk pipe lookup now_ns in_port r table_id pkt seen fields rewrites final =
+  if table_id >= Array.length pipe.tables then finish pipe r pkt rewrites final
   else
     let fields = if pkt != seen then Packet.Fields.of_packet pkt else fields in
-    match ex.lookup table_id ~in_port:ex.in_port fields with
+    match lookup table_id ~in_port fields with
     | None ->
-        ex.miss <- true;
-        finish ex pkt
+        r.table_miss <- true;
+        finish pipe r pkt rewrites final
     | Some entry ->
-        Flow_entry.touch entry ~now_ns:ex.now_ns ~bytes:(Packet.size pkt);
-        ex.matched <- entry :: ex.matched;
-        run_instructions ex table_id pkt (-1) pkt fields
-          entry.Flow_entry.instructions
+        Flow_entry.touch entry ~now_ns ~bytes:(Packet.size pkt);
+        r.matched <- entry :: r.matched;
+        run_instructions pipe lookup now_ns in_port r table_id pkt (-1) pkt fields
+          rewrites final entry.Flow_entry.instructions
 
 (* [goto] is the last [Goto_table] seen, [-1] for none.  A metered-out
    packet stops here: no later instruction, table or action set runs. *)
-and run_instructions ex table_id pkt goto seen fields = function
-  | [] -> if goto > table_id then walk ex goto pkt seen fields else finish ex pkt
+and run_instructions pipe lookup now_ns in_port r table_id pkt goto seen fields
+    rewrites final = function
+  | [] ->
+      if goto > table_id then
+        walk pipe lookup now_ns in_port r goto pkt seen fields rewrites final
+      else finish pipe r pkt rewrites final
   | instruction :: rest -> (
       match instruction with
       | Flow_entry.Apply_actions actions ->
-          run_instructions ex table_id (run_actions ex [] pkt actions) goto seen
-            fields rest
+          run_instructions pipe lookup now_ns in_port r table_id
+            (run_actions pipe r [] pkt actions)
+            goto seen fields rewrites final rest
       | Flow_entry.Write_actions actions ->
-          write_actions ex actions;
-          run_instructions ex table_id pkt goto seen fields rest
+          write_actions pipe lookup now_ns in_port r table_id pkt goto seen fields
+            rewrites final rest actions
       | Flow_entry.Clear_actions ->
-          ex.rewrites <- [];
-          ex.final <- None;
-          run_instructions ex table_id pkt goto seen fields rest
-      | Flow_entry.Goto_table n -> run_instructions ex table_id pkt n seen fields rest
+          run_instructions pipe lookup now_ns in_port r table_id pkt goto seen
+            fields [] Of_action.Drop rest
+      | Flow_entry.Goto_table n ->
+          run_instructions pipe lookup now_ns in_port r table_id pkt n seen fields
+            rewrites final rest
       | Flow_entry.Meter id -> (
           match
-            Meter_table.apply ex.pipe.meter_table ~id ~now_ns:ex.now_ns
-              ~bytes:(Packet.size pkt)
+            Meter_table.apply pipe.meter_table ~id ~now_ns ~bytes:(Packet.size pkt)
           with
-          | `Pass -> run_instructions ex table_id pkt goto seen fields rest
+          | `Pass ->
+              run_instructions pipe lookup now_ns in_port r table_id pkt goto seen
+                fields rewrites final rest
           | `Drop -> ()))
 
+(* Merges [actions] into the action set, then goes on with [rest]: a new
+   rewrite replaces any of its kind, and [Drop] empties the set. *)
+and write_actions pipe lookup now_ns in_port r table_id pkt goto seen fields
+    rewrites final rest = function
+  | [] ->
+      run_instructions pipe lookup now_ns in_port r table_id pkt goto seen fields
+        rewrites final rest
+  | action :: more -> (
+      match action with
+      | Of_action.Output _ | Of_action.Group _ ->
+          write_actions pipe lookup now_ns in_port r table_id pkt goto seen fields
+            rewrites action rest more
+      | Of_action.Drop ->
+          write_actions pipe lookup now_ns in_port r table_id pkt goto seen fields
+            [] Of_action.Drop rest more
+      | _ ->
+          write_actions pipe lookup now_ns in_port r table_id pkt goto seen fields
+            (action :: drop_kind action rewrites)
+            final rest more)
+
 (* Most passes emit one output and match one entry per table visited:
-   a list of at most one element is its own reverse. *)
-let rev = function ([] | [ _ ]) as l -> l | l -> List.rev l
+   a list of at most one element is its own reverse and stays put. *)
+let put_in_order r =
+  (match r.outputs with [] | [ _ ] -> () | l -> r.outputs <- List.rev l);
+  match r.matched with [] | [ _ ] -> () | l -> r.matched <- List.rev l
 
 let execute_with t ~lookup ~now_ns ~in_port pkt =
-  let ex =
-    {
-      pipe = t;
-      lookup;
-      now_ns;
-      in_port;
-      outputs = [];
-      matched = [];
-      miss = false;
-      rewrites = [];
-      final = None;
-    }
-  in
-  walk ex 0 pkt pkt (Packet.Fields.of_packet pkt);
-  { outputs = rev ex.outputs; table_miss = ex.miss; matched = rev ex.matched }
+  let r = { outputs = []; matched = []; table_miss = false; cycles = 0 } in
+  walk t lookup now_ns in_port r 0 pkt pkt (Packet.Fields.of_packet pkt) []
+    Of_action.Drop;
+  put_in_order r;
+  r
 
 let execute t ~now_ns ~in_port pkt =
   let lookup table_id ~in_port fields =
@@ -216,24 +225,11 @@ let execute t ~now_ns ~in_port pkt =
   in
   execute_with t ~lookup ~now_ns ~in_port pkt
 
-let no_lookup _ ~in_port:_ _ = None
-
-let execute_actions t ~now_ns ~in_port actions pkt =
-  let ex =
-    {
-      pipe = t;
-      lookup = no_lookup;
-      now_ns;
-      in_port;
-      outputs = [];
-      matched = [];
-      miss = false;
-      rewrites = [];
-      final = None;
-    }
-  in
-  ignore (run_actions ex [] pkt actions);
-  rev ex.outputs
+let execute_actions t actions pkt =
+  let r = { outputs = []; matched = []; table_miss = false; cycles = 0 } in
+  ignore (run_actions t r [] pkt actions);
+  put_in_order r;
+  r.outputs
 
 (* The table calls raise on bad input; a controller gets the reason. *)
 let apply t ~now_ns (msg : Of_message.t) =

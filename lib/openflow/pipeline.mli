@@ -17,11 +17,25 @@ type output =
   | All_ports of Netpkt.Packet.t        (** every port including the ingress *)
   | Controller of int * Netpkt.Packet.t (** truncation length (0 = full) *)
 
-type result = {
-  outputs : output list;   (** in emission order *)
-  table_miss : bool;       (** true iff the walk hit a table with no match *)
-  matched : Flow_entry.t list;  (** entries hit, per table, in order *)
+type result = private {
+  mutable outputs : output list;  (** in emission order *)
+  mutable matched : Flow_entry.t list;  (** entries hit, per table, in order *)
+  mutable table_miss : bool;  (** true iff the walk hit a table with no match *)
+  mutable cycles : int;
+      (** the pass's modelled CPU cycles, as the dataplane that ran it
+          set them with {!set_cycles}; 0 until then *)
 }
+(** One pass's outcome.  The pass builds it up in place, so outside this
+    module it is read-only. *)
+
+val make_result :
+  outputs:output list -> table_miss:bool -> matched:Flow_entry.t list -> result
+(** A result built by another executor (the conformance oracle), at 0
+    cycles. *)
+
+val set_cycles : result -> int -> unit
+(** Charge the pass's modelled cycles.  A dataplane calls this once,
+    after the pass and before it hands the result on. *)
 
 type t
 
@@ -57,19 +71,21 @@ val execute_with :
     specialized matchers — reuse the instruction-execution semantics while
     supplying their own classification.
 
-    Beyond what [lookup] allocates, a call allocates only its result
-    (the outputs and matched lists included), the rewritten packets, one
-    state record and one {!Netpkt.Packet.Fields.t} per pass; a table
-    given a packet that a rewrite rebuilt gets a fresh one.  [Group]
-    actions add their loop guard and flow hash.  The instruction walk
-    builds no closures or refs. *)
+    Beyond what [lookup] allocates, a pass allocates its one result
+    block (5 words), a cons cell per matched entry (3), an output and
+    its cons cell per emission (5 or 6), the rewritten packets, and one
+    {!Netpkt.Packet.Fields.t} view (12); a table given a packet that a
+    rewrite rebuilt gets a fresh view.  Everything else the walk needs
+    (the pipeline, [lookup], the clock, the ingress port and the
+    deferred action set) travels as arguments, so there is no state
+    record and no closure or ref.  [Write_actions] conses one cell per
+    kept rewrite; [Group] actions add their loop guard and flow hash. *)
 
-val execute_actions :
-  t -> now_ns:int -> in_port:int -> Of_action.t list -> Netpkt.Packet.t ->
-  output list
+val execute_actions : t -> Of_action.t list -> Netpkt.Packet.t -> output list
 (** Run an explicit action list, as an [Apply_actions] instruction does:
     rewrites in order, outputs as they appear, [Group] actions through
-    the group table.  No table is consulted.  This is a packet-out. *)
+    the group table.  No table is consulted, so no clock or ingress port
+    is needed: [In_port] outputs stay symbolic.  This is a packet-out. *)
 
 val apply : t -> now_ns:int -> Of_message.t -> (unit, string) Stdlib.result
 (** Apply a controller's [Flow_mod], [Group_mod] or [Meter_mod]; other

@@ -44,9 +44,18 @@ let arp_cache t = t.arp_cache
 let on_receive t f =
   Node.add_tap t.node (fun dir _ pkt -> match dir with Node.Rx -> f pkt | Node.Tx -> ())
 
+(* The MAC cached for [ip], or [broadcast] for none: a plain scan, so a
+   received frame builds no closure. *)
+let rec cached_mac ip = function
+  | [] -> Mac_addr.broadcast
+  | (i, m) :: rest -> if Ipv4_addr.equal i ip then m else cached_mac ip rest
+
+let rec arp_cached ip = function
+  | [] -> false
+  | (i, _) :: rest -> Ipv4_addr.equal i ip || arp_cached ip rest
+
 let learn_arp t ip mac =
-  if not (List.exists (fun (i, _) -> Ipv4_addr.equal i ip) t.arp_cache) then
-    t.arp_cache <- (ip, mac) :: t.arp_cache
+  if not (arp_cached ip t.arp_cache) then t.arp_cache <- (ip, mac) :: t.arp_cache
 
 let handle_arp t (pkt : Packet.t) arp =
   learn_arp t arp.Arp.spa arp.Arp.sha;
@@ -64,13 +73,7 @@ let handle_icmp t (ip_hdr : Ipv4.t) msg =
           (* Reply straight to the sender's MAC, which we learned from the
              frame via the ARP cache or use the broadcast-free fast path
              below. *)
-          let dst_mac =
-            match
-              List.find_opt (fun (i, _) -> Ipv4_addr.equal i ip_hdr.Ipv4.src) t.arp_cache
-            with
-            | Some (_, m) -> m
-            | None -> Mac_addr.broadcast
-          in
+          let dst_mac = cached_mac ip_hdr.Ipv4.src t.arp_cache in
           send t
             (Packet.make ~dst:dst_mac ~src:t.mac
                (Packet.Ip (Ipv4.make ~src:t.ip ~dst:ip_hdr.Ipv4.src (Ipv4.Icmp reply))))

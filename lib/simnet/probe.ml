@@ -1,17 +1,19 @@
 let magic = "@T"
 
+(* One [Bytes] of the final length, zero padded: the magic, then the
+   send time as 8 big-endian bytes. *)
 let encode ~sent_at ~pad_to =
-  let b = Buffer.create (Stdlib.max 10 pad_to) in
-  Buffer.add_string b magic;
+  let b = Bytes.make (Stdlib.max 10 pad_to) '\x00' in
+  Bytes.unsafe_set b 0 magic.[0];
+  Bytes.unsafe_set b 1 magic.[1];
   let ns = Sim_time.to_ns sent_at in
-  for i = 7 downto 0 do
-    Buffer.add_char b (Char.chr ((ns lsr (i * 8)) land 0xff))
+  for i = 0 to 7 do
+    Bytes.unsafe_set b (2 + i) (Char.unsafe_chr ((ns lsr ((7 - i) * 8)) land 0xff))
   done;
-  while Buffer.length b < pad_to do Buffer.add_char b '\x00' done;
-  Buffer.contents b
+  Bytes.unsafe_to_string b
 
 let decode s =
-  if String.length s >= 10 && String.sub s 0 2 = magic then begin
+  if String.length s >= 10 && s.[0] = magic.[0] && s.[1] = magic.[1] then begin
     let ns = ref 0 in
     for i = 0 to 7 do ns := (!ns lsl 8) lor Char.code s.[2 + i] done;
     if !ns >= 0 then Some (Sim_time.of_ns !ns) else None

@@ -11,8 +11,7 @@ end
 
 type t = {
   name : string;
-  process :
-    now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result * int;
+  process : now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result;
   stats : unit -> (string * int) list;
   tier : unit -> string;
       (* which classification tier served the most recent packet —

@@ -37,9 +37,9 @@ end
     so the control plane (flow-mods) is common to all of them. *)
 type t = {
   name : string;
-  process :
-    now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result * int;
-      (** Returns the forwarding decision and its cost in cycles. *)
+  process : now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result;
+      (** Returns the forwarding decision, its cost in cycles set as
+          its [cycles] field. *)
   stats : unit -> (string * int) list;
       (** Implementation-specific counters (cache hits, recompiles, ...). *)
   tier : unit -> string;

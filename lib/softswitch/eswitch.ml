@@ -423,13 +423,12 @@ let create pipeline =
     st.probes <- 0;
     st.residual_scans <- 0;
     let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
-    let cycles =
-      Dataplane.Cost.parse
+    Pipeline.set_cycles result
+      (Dataplane.Cost.parse
       + (st.probes * Dataplane.Cost.eswitch_template)
       + (st.residual_scans * Dataplane.Cost.linear_per_entry)
-      + Dataplane.cycles_of_result result
-    in
-    (result, cycles)
+      + Dataplane.cycles_of_result result);
+    result
   in
   let stats () =
     let template_count =

@@ -1,29 +1,35 @@
 open Openflow
 
+type state = {
+  mutable packets : int;
+  mutable scanned_total : int;
+  (* the pass in progress *)
+  mutable scanned : int;
+  mutable tables_visited : int;
+}
+
 let create pipeline =
-  let scanned_total = ref 0 in
-  let packets = ref 0 in
+  let st = { packets = 0; scanned_total = 0; scanned = 0; tables_visited = 0 } in
+  let lookup table_id ~in_port fields =
+    st.tables_visited <- st.tables_visited + 1;
+    let entry, n = Flow_table.lookup_scan (Pipeline.table pipeline table_id) ~in_port fields in
+    st.scanned <- st.scanned + n;
+    entry
+  in
   let process ~now_ns ~in_port pkt =
-    let scanned = ref 0 in
-    let tables_visited = ref 0 in
-    let lookup table_id ~in_port fields =
-      incr tables_visited;
-      let entry, n = Flow_table.lookup_scan (Pipeline.table pipeline table_id) ~in_port fields in
-      scanned := !scanned + n;
-      entry
-    in
+    st.scanned <- 0;
+    st.tables_visited <- 0;
     let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
-    incr packets;
-    scanned_total := !scanned_total + !scanned;
-    let cycles =
-      Dataplane.Cost.parse
-      + (!tables_visited * Dataplane.Cost.table_base)
-      + (!scanned * Dataplane.Cost.linear_per_entry)
-      + Dataplane.cycles_of_result result
-    in
-    (result, cycles)
+    st.packets <- st.packets + 1;
+    st.scanned_total <- st.scanned_total + st.scanned;
+    Pipeline.set_cycles result
+      (Dataplane.Cost.parse
+      + (st.tables_visited * Dataplane.Cost.table_base)
+      + (st.scanned * Dataplane.Cost.linear_per_entry)
+      + Dataplane.cycles_of_result result);
+    result
   in
   let stats () =
-    [ ("packets", !packets); ("entries_scanned", !scanned_total) ]
+    [ ("packets", st.packets); ("entries_scanned", st.scanned_total) ]
   in
   { Dataplane.name = "linear"; process; stats; tier = (fun () -> "linear") }

@@ -102,12 +102,17 @@ let project mask ~in_port (f : Packet.Fields.t) =
     } )
 
 (* A cached classification: the chain of entries the slow path matched,
-   per table, to be replayed without lookups. *)
-type cached = { by_table : (int * Flow_entry.t) list }
+   per table, each held as the option a lookup returns.  [lookup] is
+   built once, when the slow path caches the chain, so a replay
+   allocates no closure and no option. *)
+type cached = { lookup : int -> in_port:int -> Packet.Fields.t -> Flow_entry.t option }
 
-let replay pipeline cached ~now_ns ~in_port pkt =
-  let lookup table_id ~in_port:_ _fields = List.assoc_opt table_id cached.by_table in
-  Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt
+let rec find_hit table_id = function
+  | [] -> None
+  | (id, hit) :: rest -> if id = table_id then hit else find_hit table_id rest
+
+let cached_of by_table =
+  { lookup = (fun table_id ~in_port:_ _ -> find_hit table_id by_table) }
 
 (* Megaflow keys hashed over every field: [Hashtbl.hash] stops after 10
    meaningful values, which would leave the L4 ports out of the hash and
@@ -180,7 +185,7 @@ let create ?(config = default_config) pipeline =
       Megaflow.reset megaflow;
     Megaflow.replace megaflow key cached
   in
-  let slow_path ~now_ns ~hash ~in_port pkt fields =
+  let slow_path ~now_ns ~hash ~in_port ~cycles pkt fields =
     incr upcalls;
     let scanned = ref 0 in
     let tables_visited = ref 0 in
@@ -192,23 +197,31 @@ let create ?(config = default_config) pipeline =
       in
       scanned := !scanned + n;
       (match entry with
-      | Some e -> matched_tables := (table_id, e) :: !matched_tables
+      | Some _ -> matched_tables := (table_id, entry) :: !matched_tables
       | None -> ());
       entry
     in
     let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
-    let cycles =
-      (!tables_visited * Dataplane.Cost.table_base)
+    Pipeline.set_cycles result
+      (cycles
+      + (!tables_visited * Dataplane.Cost.table_base)
       + (!scanned * Dataplane.Cost.linear_per_entry)
-    in
+      + Dataplane.cycles_of_result result);
     (* Populate caches only for successful classifications; misses go to
        the controller and must keep doing so. *)
     if not result.Pipeline.table_miss then begin
-      let cached = { by_table = List.rev !matched_tables } in
+      let cached = cached_of (List.rev !matched_tables) in
       if config.emc_enabled then emc_insert ~hash ~in_port fields cached;
       megaflow_insert (project !mask ~in_port fields) cached
     end;
-    (result, cycles)
+    result
+  in
+  let replay cached ~now_ns ~in_port pkt ~cycles =
+    let result =
+      Pipeline.execute_with pipeline ~lookup:cached.lookup ~now_ns ~in_port pkt
+    in
+    Pipeline.set_cycles result (cycles + Dataplane.cycles_of_result result);
+    result
   in
   let process ~now_ns ~in_port pkt =
     check_version ();
@@ -221,10 +234,8 @@ let create ?(config = default_config) pipeline =
     | Some { e_cached = cached; _ } ->
         incr emc_hits;
         last_tier := "emc";
-        let result = replay pipeline cached ~now_ns ~in_port pkt in
-        ( result,
-          base + Dataplane.Cost.emc_probe + Dataplane.Cost.emc_hit_extra
-          + Dataplane.cycles_of_result result )
+        replay cached ~now_ns ~in_port pkt
+          ~cycles:(base + Dataplane.Cost.emc_probe + Dataplane.Cost.emc_hit_extra)
     | None -> (
         let emc_miss_cost = if config.emc_enabled then Dataplane.Cost.emc_probe else 0 in
         let mkey = project !mask ~in_port fields in
@@ -233,16 +244,12 @@ let create ?(config = default_config) pipeline =
             incr megaflow_hits;
             last_tier := "megaflow";
             if config.emc_enabled then emc_insert ~hash ~in_port fields cached;
-            let result = replay pipeline cached ~now_ns ~in_port pkt in
-            ( result,
-              base + emc_miss_cost + Dataplane.Cost.megaflow_probe
-              + Dataplane.cycles_of_result result )
+            replay cached ~now_ns ~in_port pkt
+              ~cycles:(base + emc_miss_cost + Dataplane.Cost.megaflow_probe)
         | None ->
             last_tier := "upcall";
-            let result, slow_cycles = slow_path ~now_ns ~hash ~in_port pkt fields in
-            ( result,
-              base + emc_miss_cost + Dataplane.Cost.megaflow_probe + slow_cycles
-              + Dataplane.cycles_of_result result ))
+            slow_path ~now_ns ~hash ~in_port pkt fields
+              ~cycles:(base + emc_miss_cost + Dataplane.Cost.megaflow_probe))
   in
   let stats () =
     [

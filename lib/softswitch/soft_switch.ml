@@ -91,7 +91,9 @@ let hardware_dataplane pipeline =
   let packets = ref 0 in
   let process ~now_ns ~in_port pkt =
     incr packets;
-    (Pipeline.execute pipeline ~now_ns ~in_port pkt, 2)
+    let result = Pipeline.execute pipeline ~now_ns ~in_port pkt in
+    Pipeline.set_cycles result 2;
+    result
   in
   {
     Dataplane.name = "hardware";
@@ -112,13 +114,12 @@ let trace_tx t ~port ~detail pkt =
       ~component:t.name ~layer:Telemetry.Trace.Switch ~stage:"tx" ~port
       ~cycles:tx_cycles ~detail pkt
 
-let resolve_outputs t ~in_port outputs =
-  let ports = Node.port_count t.node in
-  List.iter
-    (fun output ->
-      match output with
+let rec resolve_outputs t ~in_port = function
+  | [] -> ()
+  | output :: rest ->
+      (match output with
       | Pipeline.Port (p, pkt) ->
-          if p >= 0 && p < ports && p <> in_port then begin
+          if p >= 0 && p < Node.port_count t.node && p <> in_port then begin
             trace_tx t ~port:p ~detail:"" pkt;
             Node.transmit t.node ~port:p pkt
           end
@@ -128,14 +129,14 @@ let resolve_outputs t ~in_port outputs =
           trace_tx t ~port:in_port ~detail:"in_port (hairpin)" pkt;
           Node.transmit t.node ~port:in_port pkt
       | Pipeline.Flood pkt ->
-          for p = 0 to ports - 1 do
+          for p = 0 to Node.port_count t.node - 1 do
             if p <> in_port then begin
               trace_tx t ~port:p ~detail:"flood" pkt;
               Node.transmit t.node ~port:p pkt
             end
           done
       | Pipeline.All_ports pkt ->
-          for p = 0 to ports - 1 do
+          for p = 0 to Node.port_count t.node - 1 do
             trace_tx t ~port:p ~detail:"all_ports" pkt;
             Node.transmit t.node ~port:p pkt
           done
@@ -153,8 +154,8 @@ let resolve_outputs t ~in_port outputs =
             t.controller
               (Of_message.Packet_in
                  { in_port; reason = Of_message.Action_to_controller; packet = pkt })
-          end)
-    outputs
+          end);
+      resolve_outputs t ~in_port rest
 
 (* Connection lost in Fail_standalone: degrade to a plain learning
    switch so local traffic keeps flowing until the controller returns. *)
@@ -194,7 +195,8 @@ let handle_packet t ~in_port pkt =
     Telemetry.Trace.emit ~ts_ns:now_ns ~component:t.name
       ~layer:Telemetry.Trace.Switch ~stage:"rx" ~port:in_port
       ~cycles:(Pmd.config t.pmd).Pmd.per_packet_io_cycles pkt;
-  let result, cycles = t.dataplane.Dataplane.process ~now_ns ~in_port pkt in
+  let result = t.dataplane.Dataplane.process ~now_ns ~in_port pkt in
+  let cycles = result.Pipeline.cycles in
   if Telemetry.Trace.enabled () then
     Telemetry.Trace.emit ~ts_ns:now_ns ~component:t.name
       ~layer:Telemetry.Trace.Switch ~stage:"pipeline" ~port:in_port ~cycles
@@ -255,11 +257,7 @@ let apply_mod t msg =
 (* An [IN_PORT] output needs a port of this switch to go back out of. *)
 let apply_packet_out t ~in_port actions pkt =
   let in_port = match in_port with Some p -> p | None -> -1 in
-  let outputs =
-    Pipeline.execute_actions t.pipeline
-      ~now_ns:(Sim_time.to_ns (Engine.now t.engine))
-      ~in_port actions pkt
-  in
+  let outputs = Pipeline.execute_actions t.pipeline actions pkt in
   if
     (in_port < 0 || in_port >= Node.port_count t.node)
     && List.exists (function Pipeline.In_port _ -> true | _ -> false) outputs

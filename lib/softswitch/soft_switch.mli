@@ -129,6 +129,6 @@ val publish_metrics :
 val pmd : t -> Pmd.t
 
 val process_direct :
-  t -> now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result * int
+  t -> now_ns:int -> in_port:int -> Netpkt.Packet.t -> Openflow.Pipeline.result
 (** Run the dataplane synchronously without the engine or PMD — what the
     microbenchmarks call in a tight loop. *)

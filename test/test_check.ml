@@ -366,48 +366,11 @@ let witness_packet_gen =
     (fun (dst, src) vlans l3 -> Packet.make ~vlans ~dst ~src l3)
     (pair mac mac) (list_size (int_bound 2) tag) l3
 
-let witness_match_gen =
-  let open QCheck2.Gen in
-  let module M = Openflow.Of_match in
-  let opt g = oneof [ return None; map Option.some g ] in
-  let mac_test =
-    map2
-      (fun value mask -> { M.value = Mac_addr.make_local value; mask })
-      (int_bound 2)
-      (oneofl
-         [ Mac_addr.broadcast; Mac_addr.of_string "ff:ff:ff:00:00:00"; Mac_addr.zero ])
-  in
-  let prefix =
-    map Ipv4_addr.Prefix.of_string
-      (oneofl [ "10.0.0.0/8"; "10.0.0.1/32"; "0.0.0.0/0"; "192.168.1.200/32"; "192.168.0.0/16" ])
-  in
-  let port = oneofl [ 0; 80; 443; -1 ] in
-  let vlan =
-    oneof
-      [ oneofl [ M.Absent; M.Present ]; map (fun v -> M.Vid v) (oneofl [ 0; 1; 101; -1 ]) ]
-  in
-  let* in_port = opt (oneofl [ 0; 1; -1 ]) in
-  let* eth_dst = opt mac_test in
-  let* eth_src = opt mac_test in
-  let* eth_type = opt (oneofl [ 0x0800; 0x0806; 0x88b5; -1 ]) in
-  let* vlan = opt vlan in
-  let* vlan_pcp = opt (oneofl [ 0; 3; -1 ]) in
-  let* ip_src = opt prefix in
-  let* ip_dst = opt prefix in
-  let* ip_proto = opt (oneofl [ 0; 1; 6; 17; 47; -1 ]) in
-  let* ip_tos = opt (oneofl [ 0; 4; -1 ]) in
-  let* l4_src = opt port in
-  let+ l4_dst = opt port in
-  {
-    M.in_port; eth_dst; eth_src; eth_type; vlan; vlan_pcp; ip_src; ip_dst;
-    ip_proto; ip_tos; l4_src; l4_dst;
-  }
-
 let witness_tests =
   [
     prop "Of_match.matches on Fields agrees with the oracle's packet match"
       ~count:2000
-      QCheck2.Gen.(triple witness_match_gen witness_packet_gen (int_bound 1))
+      QCheck2.Gen.(triple Gen.small_match_gen witness_packet_gen (int_bound 1))
       ~print:(fun (m, pkt, in_port) ->
         Format.asprintf "%a on port %d: %a" Openflow.Of_match.pp m in_port
           Packet.pp pkt)

@@ -90,7 +90,7 @@ let translator_tests =
             ~src_port:1 ~dst_port:2 "x"
         in
         (* vlan 102 arriving on the trunk goes to patch port 2, untagged *)
-        let r, _ =
+        let r =
           Softswitch.Soft_switch.process_direct ss1 ~now_ns:0 ~in_port:0
             (pkt (Some 102))
         in
@@ -99,7 +99,7 @@ let translator_tests =
             check Alcotest.(option int) "popped" None (Netpkt.Packet.outer_vid p)
         | _ -> Alcotest.fail "wrong trunk->patch behaviour");
         (* untagged from patch port 1 hairpins to the trunk with vlan 101 *)
-        let r, _ =
+        let r =
           Softswitch.Soft_switch.process_direct ss1 ~now_ns:0 ~in_port:1 (pkt None)
         in
         match r.Pipeline.outputs with
@@ -122,7 +122,7 @@ let translator_tests =
             ~ip_dst:(Netpkt.Ipv4_addr.of_string "10.0.0.2")
             ~src_port:1 ~dst_port:2 "x"
         in
-        let r, _ = Softswitch.Soft_switch.process_direct ss1 ~now_ns:0 ~in_port:0 pkt in
+        let r = Softswitch.Soft_switch.process_direct ss1 ~now_ns:0 ~in_port:0 pkt in
         check Alcotest.bool "miss" true r.Pipeline.table_miss;
         check Alcotest.int "no outputs" 0 (List.length r.Pipeline.outputs));
   ]

@@ -131,7 +131,7 @@ let pipeline_tests =
         let dp = Softswitch.Ovs_like.create p in
         let forwarded = ref 0 in
         for _ = 1 to 10 do
-          let r, _ = dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 (udp_pkt ()) in
+          let r = dp.Softswitch.Dataplane.process ~now_ns:0 ~in_port:0 (udp_pkt ()) in
           if r.Pipeline.outputs <> [] then incr forwarded
         done;
         (* bucket of 1000B admits exactly one 1000B frame at t=0 *)

@@ -20,6 +20,62 @@ let matches m ~in_port pkt = Of_match.matches_packet m ~in_port pkt
 
 (* ---- Matching ---- *)
 
+(* [m] rebuilt from fresh blocks: structurally equal, physically shared
+   with [m] in no field. *)
+let fresh_copy (m : Of_match.t) =
+  let opt f = function None -> None | Some x -> Some (f x) in
+  let mac v = Mac_addr.of_string (Mac_addr.to_string v) in
+  let mac_test (t : Of_match.mac_test) =
+    { Of_match.value = mac t.Of_match.value; mask = mac t.Of_match.mask }
+  in
+  let prefix p = Ipv4_addr.Prefix.of_string (Ipv4_addr.Prefix.to_string p) in
+  let vlan = function
+    | Of_match.Vid v -> Of_match.Vid v
+    | (Of_match.Absent | Of_match.Present) as v -> v
+  in
+  {
+    Of_match.in_port = opt Fun.id m.Of_match.in_port;
+    eth_dst = opt mac_test m.Of_match.eth_dst;
+    eth_src = opt mac_test m.Of_match.eth_src;
+    eth_type = opt Fun.id m.Of_match.eth_type;
+    vlan = opt vlan m.Of_match.vlan;
+    vlan_pcp = opt Fun.id m.Of_match.vlan_pcp;
+    ip_src = opt prefix m.Of_match.ip_src;
+    ip_dst = opt prefix m.Of_match.ip_dst;
+    ip_proto = opt Fun.id m.Of_match.ip_proto;
+    ip_tos = opt Fun.id m.Of_match.ip_tos;
+    l4_src = opt Fun.id m.Of_match.l4_src;
+    l4_dst = opt Fun.id m.Of_match.l4_dst;
+  }
+
+(* [a] with its field number [i] taken from [b]. *)
+let splice i (a : Of_match.t) (b : Of_match.t) =
+  match i with
+  | 0 -> { a with Of_match.in_port = b.Of_match.in_port }
+  | 1 -> { a with Of_match.eth_dst = b.Of_match.eth_dst }
+  | 2 -> { a with Of_match.eth_src = b.Of_match.eth_src }
+  | 3 -> { a with Of_match.eth_type = b.Of_match.eth_type }
+  | 4 -> { a with Of_match.vlan = b.Of_match.vlan }
+  | 5 -> { a with Of_match.vlan_pcp = b.Of_match.vlan_pcp }
+  | 6 -> { a with Of_match.ip_src = b.Of_match.ip_src }
+  | 7 -> { a with Of_match.ip_dst = b.Of_match.ip_dst }
+  | 8 -> { a with Of_match.ip_proto = b.Of_match.ip_proto }
+  | 9 -> { a with Of_match.ip_tos = b.Of_match.ip_tos }
+  | 10 -> { a with Of_match.l4_src = b.Of_match.l4_src }
+  | _ -> { a with Of_match.l4_dst = b.Of_match.l4_dst }
+
+(* Independent pairs, pairs built equal from separate blocks, and pairs
+   that differ in at most one field. *)
+let match_pair_gen =
+  let open QCheck2.Gen in
+  let* a = Gen.small_match_gen in
+  oneof
+    [
+      map (fun b -> (a, b)) Gen.small_match_gen;
+      return (a, fresh_copy a);
+      map2 (fun i b -> (a, fresh_copy (splice i a b))) (int_bound 11) Gen.small_match_gen;
+    ]
+
 let match_tests =
   [
     tc "wildcard matches everything" (fun () ->
@@ -95,6 +151,9 @@ let match_tests =
         check Alcotest.int "any" 12 (Of_match.wildcard_count Of_match.any);
         check Alcotest.int "one" 11
           (Of_match.wildcard_count Of_match.(any |> in_port 1)));
+    prop "equal is structural equality" ~count:2000 match_pair_gen
+      ~print:(fun (a, b) -> Format.asprintf "%a vs %a" Of_match.pp a Of_match.pp b)
+      (fun (a, b) -> Of_match.equal a b = (a = b));
     prop "subsumes is sound"
       (QCheck2.Gen.triple Gen.packet_gen
          (QCheck2.Gen.oneofl

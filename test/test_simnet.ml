@@ -525,6 +525,16 @@ let host_tests =
         let t = Sim_time.of_ns 123_456_789 in
         check Alcotest.(option int) "decode" (Some 123_456_789)
           (Option.map Sim_time.to_ns (Probe.decode (Probe.encode ~sent_at:t ~pad_to:40))));
+    prop "probe decode inverts encode at every length" ~count:1000
+      QCheck2.Gen.(
+        pair
+          (oneof [ small_nat; map (fun n -> n land max_int) int ])
+          (int_range 0 1500))
+      ~print:(fun (ns, pad_to) -> Printf.sprintf "sent_at=%d pad_to=%d" ns pad_to)
+      (fun (ns, pad_to) ->
+        let s = Probe.encode ~sent_at:(Sim_time.of_ns ns) ~pad_to in
+        String.length s = Stdlib.max 10 pad_to
+        && Option.map Sim_time.to_ns (Probe.decode s) = Some ns);
     tc "cbr stream sends the right count" (fun () ->
         let engine, h1, h2 = host_pair () in
         let stream =

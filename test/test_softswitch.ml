@@ -84,7 +84,7 @@ let equivalence_tests =
             let results =
               List.map
                 (fun (dp : Dataplane.t) ->
-                  outputs_of (fst (dp.Dataplane.process ~now_ns:0 ~in_port:(idx mod 4) pkt)))
+                  outputs_of (dp.Dataplane.process ~now_ns:0 ~in_port:(idx mod 4) pkt))
                 dps
             in
             match results with
@@ -112,7 +112,7 @@ let equivalence_tests =
         Flow_table.add (Pipeline.table p 0) ~now_ns:0
           (entry ~priority:3000 Of_match.(any |> eth_dst (mac 200)) [ Of_action.output 1 ]);
         (* The new rule must be visible immediately. *)
-        let r, _ = dp.Dataplane.process ~now_ns:0 ~in_port:0 (udp_pkt ~dst:(mac 200) ()) in
+        let r = dp.Dataplane.process ~now_ns:0 ~in_port:0 (udp_pkt ~dst:(mac 200) ()) in
         (match r.Pipeline.outputs with
         | [ Pipeline.Port (1, _) ] -> ()
         | _ -> Alcotest.fail "new rule not picked up");
@@ -131,6 +131,15 @@ let words_per_process (dp : Dataplane.t) ~in_port pkt =
   let before = Gc.minor_words () in
   for _ = 1 to n do run () done;
   (Gc.minor_words () -. before) /. float_of_int n
+
+(* One untagged pass through a one-table ESwitch: the fields view (12),
+   the result block (5), its one output and cons cell (6) and its one
+   matched entry's cons cell (3). *)
+let untagged_pass = 26
+
+(* A whole switch pass adds only the PMD completion thunk (7): a closure
+   over the switch, the result, the ingress port and the packet. *)
+let whole_pass = untagged_pass + 7
 
 let eswitch_tests =
   let ports = 8 in
@@ -166,30 +175,65 @@ let eswitch_tests =
       ~src_port:1000 ~dst_port:2000 "0123456789"
   in
   let host3 = Harmless.Deployment.host_mac 3 in
-  let bounded name dp ~in_port pkt ~port =
-    tc (name ^ " allocates at most 90 words per process") (fun () ->
-        (match (fst (dp.Dataplane.process ~now_ns:0 ~in_port pkt)).Pipeline.outputs with
+  (* Every pass below allocates [untagged_pass] words, plus what its
+     rewrites rebuild. *)
+  let bounded name dp ~in_port pkt ~port ~bound =
+    tc (Printf.sprintf "%s allocates at most %d words per process" name bound)
+      (fun () ->
+        (match (dp.Dataplane.process ~now_ns:0 ~in_port pkt).Pipeline.outputs with
         | [ Pipeline.Port (p, _) ] when p = port -> ()
         | _ -> Alcotest.failf "%s: expected one output on port %d" name port);
         let words = words_per_process dp ~in_port pkt in
-        if words > 90. then
-          Alcotest.failf "%s: %.1f minor words per process (bound 90)" name words)
+        if words > float_of_int bound then
+          Alcotest.failf "%s: %.1f minor words per process (bound %d)" name words
+            bound)
   in
   [
+    (* pop_vlan rebuilds the packet record (5) *)
     bounded "ss1 trunk->patch" ss1 ~in_port:Harmless.Translator.trunk_port
       (frame ~vlans:[ Vlan.make (vid 3) ] host3)
-      ~port:(Harmless.Translator.patch_port_of_logical 3);
+      ~port:(Harmless.Translator.patch_port_of_logical 3)
+      ~bound:(untagged_pass + 5);
+    (* push_vlan conses the shared VID-0 tag onto a new record (8), and
+       set_vlan_vid builds a tag, its cons and a record (12) *)
     bounded "ss1 patch->trunk" ss1
       ~in_port:(Harmless.Translator.patch_port_of_logical 3) (frame host3)
-      ~port:Harmless.Translator.trunk_port;
-    bounded "ss2 l2 lookup" ss2 ~in_port:0 (frame host3) ~port:3;
-    tc "an untagged udp pass allocates at most 38 words" (fun () ->
-        (* the fields view (12), the walk state (10), the result (4), its
-           one output (6), its one matched entry (3) and the (result,
-           cycles) pair (3) *)
+      ~port:Harmless.Translator.trunk_port ~bound:(untagged_pass + 20);
+    bounded "ss2 l2 lookup" ss2 ~in_port:0 (frame host3) ~port:3 ~bound:untagged_pass;
+    tc (Printf.sprintf "an untagged udp pass allocates exactly %d words" untagged_pass)
+      (fun () ->
         let words = words_per_process ss2 ~in_port:0 (frame host3) in
-        if words > 38. then
-          Alcotest.failf "%.1f minor words per process (bound 38)" words);
+        if words <> float_of_int untagged_pass then
+          Alcotest.failf "%.1f minor words per process (the breakdown says %d)" words
+            untagged_pass);
+    tc "a whole soft-switch pass allocates its pipeline pass and one thunk"
+      (fun () ->
+        (* Node.deliver -> dataplane -> PMD admission -> engine event ->
+           completion -> Node.transmit, tracing off. *)
+        let engine = Engine.create () in
+        let sw =
+          Soft_switch.create engine ~name:"pinned" ~ports:4
+            ~miss:Soft_switch.Drop_on_miss ()
+        in
+        Soft_switch.handle_message sw
+          (Of_message.Flow_mod
+             (Of_message.add_flow ~match_:Of_match.(any |> eth_dst host3)
+                [ Flow_entry.Apply_actions [ Of_action.output 3 ] ]));
+        let sent = ref 0 in
+        Node.attach (Soft_switch.node sw) ~port:3 (fun _ -> incr sent);
+        let pkt = frame host3 in
+        let once () =
+          Node.deliver (Soft_switch.node sw) ~port:0 pkt;
+          ignore (Engine.step engine)
+        in
+        for _ = 1 to 10 do once () done;
+        let n = 1000 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do once () done;
+        let words = (Gc.minor_words () -. before) /. float_of_int n in
+        check Alcotest.int "every frame forwarded" (n + 10) !sent;
+        if words > float_of_int whole_pass then
+          Alcotest.failf "%.1f minor words per switch pass (bound %d)" words whole_pass);
     tc "l4_dst-keyed rules agree with linear on every port" (fun () ->
         let mk () =
           let p = Pipeline.create ~num_tables:1 () in
@@ -208,7 +252,7 @@ let eswitch_tests =
               ~ip_dst:(ip "10.0.0.2") ~src_port:5000 ~dst_port:port ""
           in
           let out (dp : Dataplane.t) =
-            outputs_of (fst (dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt))
+            outputs_of (dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt)
           in
           if out linear <> out eswitch then
             Alcotest.failf "l4_dst %d: eswitch disagrees with linear" port
@@ -260,7 +304,7 @@ let cache_tests =
           (Flow_table.modify (Pipeline.table p 0) ~strict:true Of_match.any
              ~priority:1000
              [ Flow_entry.Apply_actions [ Of_action.output 9 ] ]);
-        let r, _ = dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
+        let r = dp.Dataplane.process ~now_ns:0 ~in_port:0 pkt in
         (match r.Pipeline.outputs with
         | [ Pipeline.Port (9, _) ] -> ()
         | _ -> Alcotest.fail "stale cache served");
@@ -346,7 +390,7 @@ let cache_tests =
           in
           let in_port = Rng.int rng 3 in
           let out (dp : Dataplane.t) =
-            outputs_of (fst (dp.Dataplane.process ~now_ns:0 ~in_port pkt))
+            outputs_of (dp.Dataplane.process ~now_ns:0 ~in_port pkt)
           in
           if out reference <> out tiny then
             Alcotest.failf "packet %d: tiny cache disagrees" idx
@@ -732,7 +776,7 @@ let random_equivalence_tests =
                  List.map
                    (fun (dp : Dataplane.t) ->
                      outputs_of
-                       (fst (dp.Dataplane.process ~now_ns:0 ~in_port:(idx mod 5) pkt)))
+                       (dp.Dataplane.process ~now_ns:0 ~in_port:(idx mod 5) pkt))
                    dps
                in
                match results with
@@ -884,8 +928,8 @@ let sync_tests =
            let long = Eswitch.create p and linear = Linear.create p in
            let now = ref 0 in
            let run (dp : Dataplane.t) in_port pkt =
-             let r, cycles = dp.Dataplane.process ~now_ns:!now ~in_port pkt in
-             (Check.Differential.render_result r, cycles)
+             let r = dp.Dataplane.process ~now_ns:!now ~in_port pkt in
+             (Check.Differential.render_result r, r.Pipeline.cycles)
            in
            let templates (dp : Dataplane.t) =
              List.assoc "templates" (dp.Dataplane.stats ())
