@@ -472,7 +472,7 @@ let flows_tests =
         (Staged.stage (fun () ->
              Softswitch.Flowrec.observe sample ~now_ns:0 ~in_port:1 p0));
       Test.make ~name:"flow-hash"
-        (Staged.stage (fun () -> ignore (Netpkt.Packet.flow_hash p0)));
+        (Staged.stage (fun () -> ignore (Netpkt.Packet.flow_hash ~seed:0 p0)));
       Test.make ~name:"merge-fabric"
         (Staged.stage (fun () -> Sdnctl.Flow_collector.merge_now fc));
     ]

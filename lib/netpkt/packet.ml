@@ -271,9 +271,9 @@ let flow_key t =
         fk_dport = 0;
       }
 
-(* Same value as [Flow_key.hash (flow_key t)] but computed without
+(* Same value as [Flow_key.hash ~seed (flow_key t)] but computed without
    materializing the record — the form the zero-alloc fast path wants. *)
-let flow_hash ?(seed = 0) t =
+let flow_hash ~seed t =
   match t.l3 with
   | Ip ip ->
       let sport, dport =

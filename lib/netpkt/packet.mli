@@ -122,9 +122,10 @@ val flow_key : t -> Flow_key.t
     a flow keeps one identity across the HARMLESS translator's tag
     push/pop. *)
 
-val flow_hash : ?seed:int -> t -> int
+val flow_hash : seed:int -> t -> int
 (** [Flow_key.hash ~seed (flow_key t)], computed without materializing
-    the key record (allocation-free on IP frames). *)
+    the key record (allocation-free on IP frames).  [seed] is required,
+    as an optional one would be boxed at every call. *)
 
 (** Convenience constructors used by tests, examples and workloads. *)
 val udp :

@@ -108,14 +108,15 @@ let clear t =
 let lookup t ~in_port fields =
   List.find_opt (fun e -> Of_match.matches e.Flow_entry.match_ ~in_port fields) t.entries
 
-let lookup_scan t ~in_port fields =
-  let rec scan n = function
-    | [] -> (None, n)
-    | e :: rest ->
-        if Of_match.matches e.Flow_entry.match_ ~in_port fields then (Some e, n + 1)
-        else scan (n + 1) rest
-  in
-  scan 0 t.entries
+(* Top-level, so a scan builds no closure over its arguments. *)
+let rec scan scanned ~in_port fields = function
+  | [] -> None
+  | e :: rest ->
+      incr scanned;
+      if Of_match.matches e.Flow_entry.match_ ~in_port fields then Some e
+      else scan scanned ~in_port fields rest
+
+let lookup_scan t ~scanned ~in_port fields = scan scanned ~in_port fields t.entries
 
 let hit _t ~now_ns ~bytes entry = Flow_entry.touch entry ~now_ns ~bytes
 

@@ -40,9 +40,10 @@ val lookup : t -> in_port:int -> Netpkt.Packet.Fields.t -> Flow_entry.t option
     Does {e not} update counters — callers decide (see {!hit}). *)
 
 val lookup_scan :
-  t -> in_port:int -> Netpkt.Packet.Fields.t -> Flow_entry.t option * int
-(** Like {!lookup} but also reports how many entries were examined —
-    the cost a linear dataplane pays. *)
+  t -> scanned:int ref -> in_port:int -> Netpkt.Packet.Fields.t -> Flow_entry.t option
+(** Like {!lookup}, but adds the number of entries examined — the cost a
+    linear dataplane pays — to the caller's [scanned] counter.  It
+    allocates only the [Some] of a hit. *)
 
 val hit : t -> now_ns:int -> bytes:int -> Flow_entry.t -> unit
 (** Record a packet against an entry found by {!lookup}. *)

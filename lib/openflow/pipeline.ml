@@ -212,10 +212,9 @@ let put_in_order r =
   (match r.outputs with [] | [ _ ] -> () | l -> r.outputs <- List.rev l);
   match r.matched with [] | [ _ ] -> () | l -> r.matched <- List.rev l
 
-let execute_with t ~lookup ~now_ns ~in_port pkt =
+let execute_with t ~lookup ~now_ns ~in_port pkt fields =
   let r = { outputs = []; matched = []; table_miss = false; cycles = 0 } in
-  walk t lookup now_ns in_port r 0 pkt pkt (Packet.Fields.of_packet pkt) []
-    Of_action.Drop;
+  walk t lookup now_ns in_port r 0 pkt pkt fields [] Of_action.Drop;
   put_in_order r;
   r
 
@@ -223,7 +222,7 @@ let execute t ~now_ns ~in_port pkt =
   let lookup table_id ~in_port fields =
     Flow_table.lookup t.tables.(table_id) ~in_port fields
   in
-  execute_with t ~lookup ~now_ns ~in_port pkt
+  execute_with t ~lookup ~now_ns ~in_port pkt (Packet.Fields.of_packet pkt)
 
 let execute_actions t actions pkt =
   let r = { outputs = []; matched = []; table_miss = false; cycles = 0 } in

@@ -65,21 +65,26 @@ val execute_with :
   now_ns:int ->
   in_port:int ->
   Netpkt.Packet.t ->
+  Netpkt.Packet.Fields.t ->
   result
-(** Like {!execute}, but table lookups go through [lookup] (first argument
-    is the table id).  This is how alternative dataplanes — caches,
+(** [execute_with t ~lookup ~now_ns ~in_port pkt fields] is like
+    {!execute}, but table lookups go through [lookup] (first argument is
+    the table id).  This is how alternative dataplanes — caches,
     specialized matchers — reuse the instruction-execution semantics while
-    supplying their own classification.
+    supplying their own classification.  [fields] must be
+    [Netpkt.Packet.Fields.of_packet pkt]: the caller extracts the view
+    once, so a dataplane that keys a cache on it does not pay for a
+    second one.
 
     Beyond what [lookup] allocates, a pass allocates its one result
     block (5 words), a cons cell per matched entry (3), an output and
-    its cons cell per emission (5 or 6), the rewritten packets, and one
-    {!Netpkt.Packet.Fields.t} view (12); a table given a packet that a
-    rewrite rebuilt gets a fresh view.  Everything else the walk needs
-    (the pipeline, [lookup], the clock, the ingress port and the
-    deferred action set) travels as arguments, so there is no state
-    record and no closure or ref.  [Write_actions] conses one cell per
-    kept rewrite; [Group] actions add their loop guard and flow hash. *)
+    its cons cell per emission (5 or 6) and the rewritten packets.  A
+    table given a packet that a rewrite rebuilt gets a fresh view (12).
+    Everything else the walk needs (the pipeline, [lookup], the clock,
+    the ingress port and the deferred action set) travels as arguments,
+    so there is no state record and no closure or ref.
+    [Write_actions] conses one cell per kept rewrite; [Group] actions
+    add their loop guard and flow hash. *)
 
 val execute_actions : t -> Of_action.t list -> Netpkt.Packet.t -> output list
 (** Run an explicit action list, as an [Apply_actions] instruction does:

@@ -422,7 +422,10 @@ let create pipeline =
     st.packets <- st.packets + 1;
     st.probes <- 0;
     st.residual_scans <- 0;
-    let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
+    let result =
+      Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt
+        (Packet.Fields.of_packet pkt)
+    in
     Pipeline.set_cycles result
       (Dataplane.Cost.parse
       + (st.probes * Dataplane.Cost.eswitch_template)

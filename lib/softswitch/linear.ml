@@ -4,28 +4,30 @@ type state = {
   mutable packets : int;
   mutable scanned_total : int;
   (* the pass in progress *)
-  mutable scanned : int;
+  scanned : int ref;
   mutable tables_visited : int;
 }
 
 let create pipeline =
-  let st = { packets = 0; scanned_total = 0; scanned = 0; tables_visited = 0 } in
+  let st = { packets = 0; scanned_total = 0; scanned = ref 0; tables_visited = 0 } in
   let lookup table_id ~in_port fields =
     st.tables_visited <- st.tables_visited + 1;
-    let entry, n = Flow_table.lookup_scan (Pipeline.table pipeline table_id) ~in_port fields in
-    st.scanned <- st.scanned + n;
-    entry
+    Flow_table.lookup_scan (Pipeline.table pipeline table_id) ~scanned:st.scanned
+      ~in_port fields
   in
   let process ~now_ns ~in_port pkt =
-    st.scanned <- 0;
+    st.scanned := 0;
     st.tables_visited <- 0;
-    let result = Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt in
+    let result =
+      Pipeline.execute_with pipeline ~lookup ~now_ns ~in_port pkt
+        (Netpkt.Packet.Fields.of_packet pkt)
+    in
     st.packets <- st.packets + 1;
-    st.scanned_total <- st.scanned_total + st.scanned;
+    st.scanned_total <- st.scanned_total + !(st.scanned);
     Pipeline.set_cycles result
       (Dataplane.Cost.parse
       + (st.tables_visited * Dataplane.Cost.table_base)
-      + (st.scanned * Dataplane.Cost.linear_per_entry)
+      + (!(st.scanned) * Dataplane.Cost.linear_per_entry)
       + Dataplane.cycles_of_result result);
     result
   in

@@ -261,6 +261,81 @@ let eswitch_tests =
 
 (* ---- Caches ---- *)
 
+(* SS_2's shape at its smallest: one exact eth_dst rule. *)
+let one_rule_pipeline () =
+  let p = Pipeline.create ~num_tables:1 () in
+  Flow_table.add (Pipeline.table p 0) ~now_ns:0
+    (entry Of_match.(any |> eth_dst (mac 2)) [ Of_action.output 3 ]);
+  p
+
+(* Two tables: /24 ip_dst rules, a quarter of which go on to an L4 table
+   with a catch-all, and an ARP flood.  Destinations 10.1.32-39.x match
+   nothing, so they are upcalled every time. *)
+let churn_pipeline () =
+  let p = Pipeline.create ~num_tables:2 () in
+  let t0 = Pipeline.table p 0 and t1 = Pipeline.table p 1 in
+  for k = 0 to 31 do
+    Flow_table.add t0 ~now_ns:0
+      (Flow_entry.make ~priority:2000
+         ~match_:
+           Of_match.(
+             any |> eth_type 0x0800
+             |> ip_dst (Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 1 k 0) 24))
+         (if k mod 4 = 0 then [ Flow_entry.Goto_table 1 ]
+          else [ Flow_entry.Apply_actions [ Of_action.output (k mod 8) ] ]))
+  done;
+  Flow_table.add t0 ~now_ns:0
+    (entry ~priority:1500 Of_match.(any |> eth_type 0x0806)
+       [ Of_action.Output Of_action.Flood ]);
+  Flow_table.add t1 ~now_ns:0
+    (entry Of_match.(any |> eth_type 0x0800 |> ip_proto 6 |> l4_dst 80)
+       [ Of_action.output 1 ]);
+  Flow_table.add t1 ~now_ns:0
+    (entry Of_match.(any |> eth_type 0x0800 |> ip_proto 17 |> l4_dst 53)
+       [ Of_action.output 2 ]);
+  Flow_table.add t1 ~now_ns:0
+    (Flow_entry.make ~priority:1 ~match_:Of_match.any
+       [ Flow_entry.Write_actions [ Of_action.output 3 ] ]);
+  p
+
+(* Halfway through the churn: a /25 inside one of the /24s, so the
+   megaflow mask lengthens. *)
+let churn_flow_mod =
+  Of_message.Flow_mod
+    (Of_message.add_flow ~priority:3000
+       ~match_:Of_match.(any |> eth_type 0x0800 |> ip_dst (prefix "10.1.4.0/25"))
+       [ Flow_entry.Apply_actions [ Of_action.output 7 ] ])
+
+(* 20k packets over 12k microflows (more than the default EMC's 8192
+   slots), half of them drawn from a hot set of 200, and after every
+   fifth packet a twin that differs only in the low byte of ip_dst. *)
+let churn_packets () =
+  let rng = Rng.create 34 in
+  let packet id ~low =
+    let in_port = id mod 4 in
+    if id mod 50 = 0 then
+      (in_port, Packet.arp_request ~src_mac:(mac 1) ~src_ip:(ip "10.0.0.1")
+         ~target_ip:(Ipv4_addr.of_octets 10 1 (id mod 40) low))
+    else
+      let src = mac (1 + (id mod 64))
+      and ip_src = Ipv4_addr.of_octets 10 0 (id / 256 mod 256) (id mod 256)
+      and ip_dst = Ipv4_addr.of_octets 10 1 (id mod 40) low
+      and src_port = 1024 + (id mod 20_000)
+      and dst_port = [| 80; 53; 8080 |].(id mod 3) in
+      ( in_port,
+        if id mod 2 = 0 then
+          Packet.tcp ~dst:(mac 2) ~src ~ip_src ~ip_dst ~src_port ~dst_port "x"
+        else Packet.udp ~dst:(mac 2) ~src ~ip_src ~ip_dst ~src_port ~dst_port "x" )
+  in
+  let out = ref [] in
+  for i = 0 to 16_666 do
+    let id = if Rng.bool rng then Rng.int rng 200 else Rng.int rng 12_000 in
+    let low = id * 37 mod 256 in
+    out := packet id ~low :: !out;
+    if i mod 5 = 4 then out := packet id ~low:(low lxor (1 + Rng.int rng 255)) :: !out
+  done;
+  Array.of_list (List.rev !out)
+
 let cache_tests =
   [
     tc "emc hits on repeated microflows" (fun () ->
@@ -332,7 +407,49 @@ let cache_tests =
         check Alcotest.bool "emc -1" true (rejects { d with Ovs_like.emc_capacity = -1 });
         check Alcotest.bool "emc 0 but disabled" false
           (rejects { d with Ovs_like.emc_enabled = false; emc_capacity = 0 }));
-    tc "new microflows allocate O(1) words against 1000 rules" (fun () ->
+    tc (Printf.sprintf "an emc hit allocates exactly %d words" untagged_pass)
+      (fun () ->
+        let dp = Ovs_like.create (one_rule_pipeline ()) in
+        let words = words_per_process dp ~in_port:0 (udp_pkt ()) in
+        check Alcotest.int "all but the first of 1010 passes are emc hits" 1009
+          (List.assoc "emc_hits" (dp.Dataplane.stats ()));
+        if words <> float_of_int untagged_pass then
+          Alcotest.failf "%.1f minor words per emc hit (an eswitch pass is %d)" words
+            untagged_pass);
+    tc
+      (Printf.sprintf "a megaflow hit that evicts an emc slot allocates exactly %d words"
+         untagged_pass) (fun () ->
+        (* One EMC slot and two microflows that share a megaflow: each
+           packet misses the EMC, hits the megaflow and evicts the other. *)
+        let dp =
+          Ovs_like.create
+            ~config:{ Ovs_like.default_config with Ovs_like.emc_capacity = 1 }
+            (one_rule_pipeline ())
+        in
+        let a = udp_pkt ~sport:1 () and b = udp_pkt ~sport:2 () in
+        let pair () =
+          ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 a);
+          ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 b)
+        in
+        for _ = 1 to 10 do pair () done;
+        let n = 500 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do pair () done;
+        let words = (Gc.minor_words () -. before) /. float_of_int (2 * n) in
+        let stat k = List.assoc k (dp.Dataplane.stats ()) in
+        check Alcotest.(pair int int) "(emc hits, upcalls)" (0, 1)
+          (stat "emc_hits", stat "upcalls");
+        if words <> float_of_int untagged_pass then
+          Alcotest.failf "%.1f minor words per megaflow hit (an eswitch pass is %d)"
+            words untagged_pass);
+    tc "a linear pass allocates exactly 28 words" (fun () ->
+        (* an eswitch pass plus the [Some] of the hit *)
+        let dp = Linear.create (one_rule_pipeline ()) in
+        let words = words_per_process dp ~in_port:0 (udp_pkt ()) in
+        if words <> float_of_int (untagged_pass + 2) then
+          Alcotest.failf "%.1f minor words per linear pass (want %d)" words
+            (untagged_pass + 2));
+    tc "new microflows allocate an eswitch pass each against 1000 rules" (fun () ->
         let dp = Ovs_like.create (Experiments_lib.E5_dataplane.build_pipeline 1000) in
         (* distinct source ports make every packet a new microflow; the
            1000 destinations hit every /32 rule *)
@@ -348,10 +465,16 @@ let cache_tests =
         done;
         let fresh = Array.init 1000 (fun i -> pkt (20_000 + i)) in
         let before = Gc.minor_words () in
-        Array.iter (fun p -> ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 p)) fresh;
-        let per_packet = (Gc.minor_words () -. before) /. 1000. in
-        if per_packet > 1000. then
-          Alcotest.failf "%.0f minor words per new microflow (bound 1000)" per_packet;
+        for i = 0 to 999 do
+          ignore (dp.Dataplane.process ~now_ns:0 ~in_port:0 fresh.(i))
+        done;
+        let words = int_of_float (Gc.minor_words () -. before) in
+        (* Every one is a megaflow hit at an eswitch pass's words.  The
+           only extra is storage for the 27 EMC slots these fill for the
+           first time: 13 key ints, the cached chain and a header. *)
+        check Alcotest.int "minor words for 1000 new microflows"
+          ((1000 * untagged_pass) + (27 * 15))
+          words;
         check Alcotest.int "no emc hits on new microflows" 0
           (List.assoc "emc_hits" (dp.Dataplane.stats ())));
     tc "microflows differing only in l4_src hit the emc on repeat" (fun () ->
@@ -403,6 +526,52 @@ let cache_tests =
         List.iter
           (fun k -> check Alcotest.bool (k ^ " exercised") true (stat k > 0))
           [ "emc_hits"; "megaflow_hits"; "upcalls" ]);
+    tc "a seeded churn keeps the cache model's outputs and counts" (fun () ->
+        (* The counts are the ones the cache model gave while its keys
+           were boxed records: changing how a tier stores or probes its
+           keys must not move them. *)
+        let packets = churn_packets () in
+        List.iter
+          (fun (backend, counts) ->
+            let ref_pipe = churn_pipeline () and pipe = churn_pipeline () in
+            let reference = Linear.create ref_pipe in
+            let dp = Option.get (Backends.find backend) pipe in
+            Array.iteri
+              (fun idx (in_port, pkt) ->
+                if idx = Array.length packets / 2 then begin
+                  ignore (Pipeline.apply ref_pipe ~now_ns:0 churn_flow_mod);
+                  ignore (Pipeline.apply pipe ~now_ns:0 churn_flow_mod)
+                end;
+                let out (dp : Dataplane.t) =
+                  outputs_of (dp.Dataplane.process ~now_ns:0 ~in_port pkt)
+                in
+                if out reference <> out dp then
+                  Alcotest.failf "%s, packet %d: disagrees with linear" backend idx)
+              packets;
+            let stats = dp.Dataplane.stats () in
+            check
+              Alcotest.(list (pair string int))
+              (backend ^ " counts")
+              counts
+              (List.map
+                 (fun k -> (k, List.assoc k stats))
+                 [ "emc_hits"; "megaflow_hits"; "upcalls"; "invalidations" ]))
+          [
+            ( "ovs",
+              [
+                ("emc_hits", 7691);
+                ("megaflow_hits", 8078);
+                ("upcalls", 4231);
+                ("invalidations", 1);
+              ] );
+            ( "ovs-tiny-cache",
+              [
+                ("emc_hits", 148);
+                ("megaflow_hits", 2452);
+                ("upcalls", 17400);
+                ("invalidations", 1);
+              ] );
+          ]);
   ]
 
 (* ---- PMD ---- *)
