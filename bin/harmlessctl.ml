@@ -851,9 +851,9 @@ let policy_check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "replay fuzzed packets through the policy interpreter, the \
-          compiled table on every backend, and the hand-written rules; \
-          exits nonzero on any divergence")
+         "replay fuzzed packets through the policy interpreter and the \
+          compiled table on every backend (and, for parental, its \
+          hand-written rules); exits nonzero on any divergence")
     Term.(
       const run_policy_check $ policy_check_cases_arg $ fuzz_seed_arg
       $ policy_check_dir_arg $ policy_check_replay_arg
@@ -863,8 +863,8 @@ let policy_cmd =
   Cmd.group
     (Cmd.info "policy"
        ~doc:
-         "compile NetKAT-lite policies to flow tables and prove them \
-          equivalent to the hand-written SS_2 apps")
+         "compile the SS_2 apps' NetKAT-lite policies to flow tables and \
+          fuzz the tables against the policy interpreter")
     [ policy_compile_cmd; policy_check_cmd ]
 
 (* ---- gc: memory telemetry over the quickstart scenario ---- *)

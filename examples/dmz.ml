@@ -31,7 +31,7 @@ let () =
     }
   in
   let ctrl = Sdnctl.Controller.create engine () in
-  Sdnctl.Controller.add_app ctrl (Sdnctl.Dmz.create policy ());
+  Sdnctl.Controller.add_app ctrl (Sdnctl.Dmz.create policy);
   ignore
     (Sdnctl.Controller.attach_switch ctrl
        (Harmless.Deployment.controller_switch deployment));

@@ -33,9 +33,7 @@ let () =
                 backend_ip = Harmless.Deployment.host_ip b;
                 backend_port = b;
               })
-            backends)
-       ());
-  Sdnctl.Controller.add_app ctrl (Sdnctl.L2_learning.create ());
+            backends));
   ignore
     (Sdnctl.Controller.attach_switch ctrl
        (Harmless.Deployment.controller_switch deployment));

@@ -3,11 +3,12 @@ module P = Openflow.Pipeline
 module Rng = Simnet.Rng
 module Syn = Policy.Syntax
 
+type hand = { hand_tables : int; hand_messages : Openflow.Of_message.t list }
+
 type spec = {
   spec_name : string;
   ports : int;
-  hand_tables : int;
-  hand_messages : Openflow.Of_message.t list;
+  hand : hand option;
   policy : Syn.t;
   mac_pool : Mac_addr.t list;
   ip_pool : Ipv4_addr.t list;
@@ -43,8 +44,7 @@ let dmz_spec () =
   {
     spec_name = "dmz";
     ports = 4;
-    hand_tables = 1;
-    hand_messages = Sdnctl.Dmz.messages policy ();
+    hand = None;
     policy = Sdnctl.Dmz.fragment policy ();
     mac_pool =
       [ mac 0x21; mac 0x22; mac 0x23; Mac_addr.broadcast; mac 0x99 ];
@@ -62,9 +62,7 @@ let lb_spec () =
   {
     spec_name = "lb";
     ports = 4;
-    hand_tables = 1;
-    hand_messages =
-      Sdnctl.Load_balancer.messages ~vip_ip ~vip_mac ~ingress_port:0 ~backends ();
+    hand = None;
     policy =
       Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:0 ~backends ();
     mac_pool =
@@ -93,8 +91,9 @@ let parental_spec () =
   {
     spec_name = "parental";
     ports = 3;
-    hand_tables = 1;
-    hand_messages = Sdnctl.Parental_control.messages t ();
+    hand =
+      Some
+        { hand_tables = 1; hand_messages = Sdnctl.Parental_control.messages t };
     policy = Sdnctl.Parental_control.fragment t;
     mac_pool = [ mac 0x51; mac 0x52; Mac_addr.broadcast ];
     ip_pool =
@@ -114,13 +113,10 @@ let ratelimit_spec () =
   {
     spec_name = "ratelimit";
     ports = 4;
-    hand_tables = 2;
-    hand_messages =
-      Sdnctl.Rate_limiter.messages ~limits ~goto_table:1 ()
-      @ Sdnctl.Rate_limiter.table1_messages ~num_hosts ();
+    hand = None;
     policy =
-      (* Metered traffic that table 1 cannot forward must still bill the
-         meter, exactly like the hand-written Goto_table pipeline. *)
+      (* What [Rate_limiter.create] compiles: metered traffic that the
+         forwarding fragment cannot deliver still bills the meter. *)
       seq
         (Sdnctl.Rate_limiter.fragment ~limits ())
         (orelse (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ()) discard);
@@ -136,8 +132,7 @@ let gateway_spec () =
   {
     spec_name = "gateway";
     ports = g.Sdnctl.Gateway.num_ports;
-    hand_tables = Sdnctl.Gateway.handwritten_tables;
-    hand_messages = Sdnctl.Gateway.handwritten_messages g;
+    hand = None;
     policy = Sdnctl.Gateway.policy g;
     mac_pool = Sdnctl.Gateway.macs g;
     ip_pool = Sdnctl.Gateway.ips g;
@@ -172,9 +167,12 @@ let run_case case =
     List.iter (fun msg -> ignore (P.apply pipeline ~now_ns:0 msg)) msgs
   in
   let hand =
-    let pipeline = P.create ~num_tables:sp.hand_tables () in
-    install pipeline sp.hand_messages;
-    ("hand:oracle", Oracle.dataplane pipeline)
+    match sp.hand with
+    | None -> []
+    | Some h ->
+        let pipeline = P.create ~num_tables:h.hand_tables () in
+        install pipeline h.hand_messages;
+        [ ("hand:oracle", Oracle.dataplane pipeline) ]
   in
   let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in
   let compiled =
@@ -199,7 +197,7 @@ let run_case case =
           if actual = expected then None
           else Some { impl; step_index = i; expected; actual; case }
         in
-        match List.find_map diverges (hand :: compiled) with
+        match List.find_map diverges (hand @ compiled) with
         | Some d -> Some d
         | None -> go (i + 1) rest)
   in

@@ -1,37 +1,40 @@
 (** Differential equivalence testing of the policy compiler.
 
-    For each {e spec} — a scenario with a policy term, a hand-written
-    message sequence that is supposed to implement the same behaviour,
-    and value pools to fuzz from — a {e case} (a timed packet sequence)
-    is replayed through three implementations:
+    For each {e spec} — a scenario with a policy term and value pools to
+    fuzz from — a {e case} (a timed packet sequence) is replayed through
+    two witnesses and the implementations under test:
 
     - the {b interpreter} ({!Policy.Interp}): the denotational ground
       truth, no flow table involved;
-    - the {b compiled table} ({!Policy.Compile.messages}) installed on an
-      oracle-driven pipeline {e and} on every backend in
-      {!Softswitch.Backends.all};
-    - the {b hand-written rules} installed on an oracle-driven pipeline
-      with however many tables the app composition needs.
+    - the {b compiled table} ({!Policy.Compile.messages}), the rules the
+      proactive SS_2 apps install, on an oracle-driven pipeline {e and}
+      on every backend in {!Softswitch.Backends.all};
+    - where the spec carries one, a {b hand-written} rule set on an
+      oracle-driven pipeline with however many tables it needs.  Only
+      [parental] does: its app installs hand-written rules per event.
 
     Every packet's output set is compared under a normalized rendering:
     outputs only (sorted, deduplicated, [IN_PORT] resolved to the ingress
     port) — table-miss flags and matched-rule lists are excluded because
-    the three implementations legitimately differ there (compiled tables
-    are total; the hand-written DMZ deny is an explicit rule while the
-    policy's is absence).  The first disagreement is a {e divergence};
-    divergences shrink greedily (packet steps removed while the
-    divergence persists) and serialize to a text repro file, exactly like
-    {!Differential}.
+    the implementations legitimately differ there (compiled tables are
+    total; a hand-written table may miss where the policy's answer is the
+    empty set).  The first disagreement is a {e divergence}; divergences
+    shrink greedily (packet steps removed while the divergence persists)
+    and serialize to a text repro file, exactly like {!Differential}.
 
     Specs are plain records, so a test can also build a custom one — e.g.
     pairing a policy with a deliberately broken rule set to prove the
     harness catches and shrinks real compiler bugs. *)
 
+type hand = {
+  hand_tables : int;  (** tables the hand-written rule set needs *)
+  hand_messages : Openflow.Of_message.t list;
+}
+
 type spec = {
   spec_name : string;
   ports : int;  (** packets arrive on ports [0 .. ports-1] *)
-  hand_tables : int;  (** tables the hand-written rule set needs *)
-  hand_messages : Openflow.Of_message.t list;
+  hand : hand option;  (** the optional hand-written witness *)
   policy : Policy.Syntax.t;
   mac_pool : Netpkt.Mac_addr.t list;
   ip_pool : Netpkt.Ipv4_addr.t list;
@@ -55,9 +58,10 @@ type divergence = {
 
 val specs : unit -> spec list
 (** Fresh instances (the parental handle is mutable) of the five standard
-    scenarios: each SS_2 app standalone — [dmz], [lb], [parental],
-    [ratelimit] (two hand-written tables: meters then L2) — plus the full
-    [gateway] composition from {!Sdnctl.Gateway}. *)
+    scenarios: each SS_2 app standalone — [dmz], [lb], [parental] (with
+    its hand-written witness), [ratelimit] (the meters sequenced before a
+    MAC-forwarding fragment, as {!Sdnctl.Rate_limiter.create} composes
+    them) — plus the full [gateway] composition from {!Sdnctl.Gateway}. *)
 
 val find_spec : string -> spec option
 

@@ -108,6 +108,10 @@ let send_all t dpid msgs =
       | msg -> send t dpid msg)
     msgs
 
+let policy_app name compiled =
+  let msgs = Policy.Compile.messages compiled in
+  { (no_op_app name) with switch_up = (fun t dpid -> send_all t dpid msgs) }
+
 let packet_out t dpid ?in_port ~actions packet =
   t.packet_outs <- t.packet_outs + 1;
   if Telemetry.Trace.enabled () then

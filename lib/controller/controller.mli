@@ -56,6 +56,12 @@ val send_all : t -> int64 -> Openflow.Of_message.t list -> unit
 (** Send a message sequence in order, counting flow-mods as {!install}
     does — the push path apps use to install a precomputed rule set. *)
 
+val policy_app : string -> Policy.Compile.t -> app
+(** A proactive app that pushes a compiled policy's {!Policy.Compile.messages}
+    (meters, groups, then its total flow table) on every switch-up.  The
+    message list is built once, here; compile the policy when the app is
+    created so an ill-formed one is rejected there. *)
+
 val packet_out :
   t -> int64 -> ?in_port:int -> actions:Openflow.Of_action.t list ->
   Netpkt.Packet.t -> unit

@@ -1,5 +1,4 @@
 open Netpkt
-open Openflow
 
 type vm = { vm_ip : Ipv4_addr.t; vm_mac : Mac_addr.t; vm_port : int }
 
@@ -23,56 +22,7 @@ let vm_for policy ip =
         (Printf.sprintf "Dmz: allowed pair names unknown VM %s"
            (Ipv4_addr.to_string ip))
 
-let validate policy =
-  List.iter
-    (fun (a, b) ->
-      ignore (vm_for policy a);
-      ignore (vm_for policy b))
-    policy.allowed
-
-(* Expand an optional ingress-port scope: one copy of the rule per port. *)
-let scoped in_ports match_ =
-  match in_ports with
-  | None -> [ match_ ]
-  | Some ports -> List.map (fun p -> Of_match.in_port p match_) ports
-
-let messages policy ?(table_id = 0) ?in_ports ?(priority = 2000) () =
-  validate policy;
-  let flow match_ ~priority instrs =
-    List.map
-      (fun m ->
-        Of_message.Flow_mod
-          (Of_message.add_flow ~table_id ~priority ~match_:m instrs))
-      (scoped in_ports match_)
-  in
-  let pair_rules src dst =
-    flow
-      Of_match.(
-        any
-        |> eth_type 0x0800
-        |> ip_src (Ipv4_addr.Prefix.make src.vm_ip 32)
-        |> ip_dst (Ipv4_addr.Prefix.make dst.vm_ip 32))
-      ~priority
-      [ Flow_entry.Apply_actions [ Of_action.output dst.vm_port ] ]
-  in
-  List.concat_map
-    (fun (a, b) ->
-      let va = vm_for policy a and vb = vm_for policy b in
-      pair_rules va vb @ pair_rules vb va)
-    policy.allowed
-  (* ARP must flow for resolution. *)
-  @ flow
-      Of_match.(any |> eth_type 0x0806)
-      ~priority:(priority - 200)
-      [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ]
-  (* Default-deny fence for IP. *)
-  @ flow
-      Of_match.(any |> eth_type 0x0800)
-      ~priority:(priority - 400)
-      [ Flow_entry.Apply_actions [ Of_action.Drop ] ]
-
 let fragment policy ?in_ports () =
-  validate policy;
   let open Policy.Syntax in
   let scope =
     match in_ports with
@@ -101,9 +51,5 @@ let fragment policy ?in_ports () =
        unmatched packet already yields the empty output set. *)
     @ [ seq (filter (conj [ scope; eth_type_is 0x0806 ])) flood ])
 
-let create policy ?(priority = 2000) () =
-  validate policy;
-  let switch_up ctrl dpid =
-    Controller.send_all ctrl dpid (messages policy ~priority ())
-  in
-  { (Controller.no_op_app "dmz") with Controller.switch_up }
+let create policy =
+  Controller.policy_app "dmz" (Policy.Compile.compile (fragment policy ()))

@@ -5,8 +5,9 @@
 
     - each allowed (a, b) pair gets forward rules in both directions;
     - ARP floods (hosts must resolve each other);
-    - all remaining IP traffic is dropped at a priority between the pair
-      rules and any L2 base app, so policy wins over learning. *)
+    - everything else is dropped.  The compiled table ends in a
+      priority-0 catch-all drop, so no packet misses it: the app owns
+      its table and does not hand misses to an L2 base app. *)
 
 type vm = {
   vm_ip : Netpkt.Ipv4_addr.t;
@@ -20,25 +21,17 @@ type policy = {
       (** unordered pairs; traffic is allowed both ways *)
 }
 
-val create : policy -> ?priority:int -> unit -> Controller.app
-(** Pair rules at [priority] (default 2000), ARP flood at [priority - 200],
-    the IP drop fence at [priority - 400].
+val create : policy -> Controller.app
+(** {!fragment}, compiled into table 0 once, here, and pushed on every
+    switch-up.
     @raise Invalid_argument if an allowed pair names an unknown VM. *)
-
-val messages :
-  policy -> ?table_id:int -> ?in_ports:int list -> ?priority:int -> unit ->
-  Openflow.Of_message.t list
-(** The exact message sequence {!create} pushes on switch-up, as a pure
-    value (default table 0, unscoped, priority 2000).  [in_ports] scopes
-    every rule to those ingress ports (one copy per port) so the app can
-    be composed with others on a shared switch.
-    @raise Invalid_argument as {!create} does. *)
 
 val fragment :
   policy -> ?in_ports:int list -> unit -> Policy.Syntax.t
-(** The same behaviour as a policy-algebra fragment: a union of pair
-    forwards plus the ARP flood.  The default-deny fence is implicit —
-    unmatched packets already produce the empty set.
+(** The policy: a union of pair forwards plus the ARP flood.  The
+    default-deny fence is implicit — unmatched packets produce the empty
+    set.  [in_ports] scopes every branch to those ingress ports so the
+    fragment can be composed with others on a shared switch.
     @raise Invalid_argument as {!create} does. *)
 
 val allows : policy -> Netpkt.Ipv4_addr.t -> Netpkt.Ipv4_addr.t -> bool

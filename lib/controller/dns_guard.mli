@@ -5,8 +5,9 @@
     it pins a drop rule for (user, resolved address) — before the user's
     browser has even opened the connection.
 
-    Composes like {!Rate_limiter}: accounting in table 0, forwarding
-    expected in table 1 (use {!Rate_limiter.table1_l2} or similar). *)
+    Snooping and drops live in table 0, which continues with
+    [Goto_table 1]; forwarding is expected in table 1 (use
+    {!Rate_limiter.table1_l2} or similar). *)
 
 type t
 

@@ -1,5 +1,4 @@
 open Netpkt
-open Openflow
 
 type subscriber = {
   sub_ip : Ipv4_addr.t;
@@ -82,33 +81,6 @@ let default () =
     num_ports = 10;
   }
 
-let l2_messages t =
-  (* ARP outranks the unicast band: resolution traffic always floods, so
-     one broadcast-domain rule covers every port instead of a per-MAC
-     copy under the ARP ethertype. *)
-  Of_message.Flow_mod
-    (Of_message.add_flow ~table_id:1 ~priority:1900
-       ~match_:Of_match.(any |> eth_type 0x0806)
-       [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ])
-  :: List.map
-       (fun s ->
-         Of_message.Flow_mod
-           (Of_message.add_flow ~table_id:1 ~priority:1700
-              ~match_:Of_match.(any |> eth_dst s.sub_mac)
-              [ Flow_entry.Apply_actions [ Of_action.output s.sub_port ] ]))
-       t.subscribers
-
-let handwritten_tables = 2
-
-let handwritten_messages t =
-  Rate_limiter.messages ~limits:t.limits ~table_id:0 ~goto_table:1 ()
-  @ Parental_control.messages t.parental ~table_id:1 ()
-  @ Dmz.messages t.dmz ~table_id:1 ~in_ports:t.dmz_ports ()
-  @ Load_balancer.messages ~vip_ip:t.vip_ip ~vip_mac:t.vip_mac
-      ~ingress_port:t.lb_ingress ~backends:t.lb_backends ~table_id:1
-      ~vip_in_ports:[ t.lb_ingress ] ()
-  @ l2_messages t
-
 let l2_fragment t =
   let open Policy.Syntax in
   orelse
@@ -120,13 +92,12 @@ let l2_fragment t =
 
 let policy t =
   let open Policy.Syntax in
-  (* Table 1 as fallback bands, mirroring the hand-written priorities:
-     parental sniff (2100) > dmz pairs (2000) = lb (2000, disjoint by
-     ingress scope) > arp flood (1900; the dmz and lb per-port arp rules
-     at 1800 agree with it and are shadowed) > subscriber L2 (1700).
-     The parental drops (2200) shadow everything, so they guard the
-     whole chain; the dmz deny (1600) sits below every forwarding band
-     and is plain absence. *)
+  (* The forwarding bands chain by fallback, first match wins: the
+     parental sniff, then the DMZ and load-balancer slices (disjoint by
+     ingress scope, so they join by union; their per-port ARP floods agree
+     with the broadcast-domain flood below), then subscriber L2 with ARP
+     flooding first.  The parental drops shadow everything, so they guard
+     the whole chain; the DMZ's default deny is plain absence. *)
   let sniff_ctrl =
     seq (filter (Parental_control.sniff_pred t.parental)) (to_controller ())
   in
@@ -142,13 +113,12 @@ let policy t =
         l2_fragment t;
       ]
   in
-  let table1 =
+  let unblocked =
     seq (filter (neg (Parental_control.blocked_pred t.parental))) forwarding
   in
-  (* The meter stage must bill dropped traffic too (the hand-written
-     pipeline meters in table 0 before table 1 decides), hence the
-     explicit discard fallback rather than a bare empty set. *)
-  seq (Rate_limiter.fragment ~limits:t.limits ()) (orelse table1 discard)
+  (* The meter stage must bill dropped traffic too, hence the explicit
+     discard fallback rather than a bare empty set. *)
+  seq (Rate_limiter.fragment ~limits:t.limits ()) (orelse unblocked discard)
 
 (* Value pools for the equivalence fuzzer: every address the scenario
    knows plus a stranger of each kind, so collisions are the common case. *)

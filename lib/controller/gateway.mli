@@ -1,13 +1,11 @@
 (** The composed residential-gateway scenario: all four SS_2 apps sharing
-    one switch, in both implementations.
+    one switch.
 
-    Port map (with {!default}): 0–3 subscribers, 4–5 DMZ VMs, 6 the load
-    balancer's ingress trunk, 7–8 its backends.  The hand-written build
-    uses two tables — rate-limit meters in table 0 ([Goto_table 1]), all
-    forwarding and filtering bands in table 1.  {!policy} expresses the
-    same behaviour as one policy term whose compiled form fits one table —
-    the composition the equivalence harness proves and the table-size
-    experiment measures. *)
+    Port map (with {!default}): 0–3 subscribers, 4–6 DMZ VMs, 7 the load
+    balancer's ingress trunk, 8–9 its backends.  {!policy} composes the
+    apps' fragments into one policy term whose compiled form fits one
+    table — the composition the equivalence harness checks and the
+    table-size experiment measures. *)
 
 type subscriber = {
   sub_ip : Netpkt.Ipv4_addr.t;
@@ -34,18 +32,9 @@ val default : unit -> t
     sniffed parental block, 2 rate limits).  Fresh because the parental
     handle is mutable. *)
 
-val handwritten_tables : int
-(** Tables the hand-written composition needs (2). *)
-
-val handwritten_messages : t -> Openflow.Of_message.t list
-(** Every app's {e messages} concatenated in registration order —
-    rate limiter (table 0), parental control, DMZ (scoped to
-    [dmz_ports]), load balancer (VIP scoped to [lb_ingress]), subscriber
-    L2 + ARP flood (table 1). *)
-
 val policy : t -> Policy.Syntax.t
 (** The whole gateway as one policy term: the metering stage sequenced
-    into the table-1 bands chained by [orelse] in priority order, with
+    into the forwarding bands chained by [orelse] in precedence order, with
     parental drops as a negated guard and an explicit [discard] fallback
     so dropped traffic still meters. *)
 

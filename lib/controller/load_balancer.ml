@@ -1,85 +1,10 @@
 open Netpkt
-open Openflow
 
 type backend = {
   backend_mac : Mac_addr.t;
   backend_ip : Ipv4_addr.t;
   backend_port : int;
 }
-
-(* Every port the app owns: where VIP traffic enters plus the backends. *)
-let lb_ports ~ingress_port ~backends ?vip_in_ports () =
-  let ingress =
-    match vip_in_ports with None -> [ ingress_port ] | Some ps -> ps
-  in
-  let backend_ports = List.map (fun b -> b.backend_port) backends in
-  ingress @ List.filter (fun p -> not (List.mem p ingress)) backend_ports
-
-let messages ~vip_ip ~vip_mac ~ingress_port ~backends ?(group_id = 1)
-    ?(priority = 2000) ?(table_id = 0) ?vip_in_ports () =
-  if backends = [] then invalid_arg "Load_balancer: no backends";
-  let buckets =
-    List.map
-      (fun b ->
-        {
-          Group_table.weight = 1;
-          actions =
-            [
-              Of_action.Set_eth_dst b.backend_mac;
-              Of_action.Set_ip_dst b.backend_ip;
-              Of_action.output b.backend_port;
-            ];
-        })
-      backends
-  in
-  let vip_match =
-    Of_match.(
-      any |> eth_type 0x0800 |> ip_dst (Ipv4_addr.Prefix.make vip_ip 32))
-  in
-  let vip_matches =
-    match vip_in_ports with
-    | None -> [ vip_match ]
-    | Some ports -> List.map (fun p -> Of_match.in_port p vip_match) ports
-  in
-  Of_message.Group_mod
-    (Of_message.Add_group
-       { id = group_id; gtype = Group_table.Select; buckets })
-  (* VIP-bound traffic -> the select group. *)
-  :: List.map
-       (fun m ->
-         Of_message.Flow_mod
-           (Of_message.add_flow ~table_id ~priority ~match_:m
-              [ Flow_entry.Apply_actions [ Of_action.Group group_id ] ]))
-       vip_matches
-  (* Return traffic: un-rewrite and send to the ingress side. *)
-  @ List.map
-      (fun b ->
-        Of_message.Flow_mod
-          (Of_message.add_flow ~table_id ~priority
-             ~match_:
-               Of_match.(
-                 any
-                 |> eth_type 0x0800
-                 |> ip_src (Ipv4_addr.Prefix.make b.backend_ip 32)
-                 |> in_port b.backend_port)
-             [
-               Flow_entry.Apply_actions
-                 [
-                   Of_action.Set_eth_src vip_mac;
-                   Of_action.Set_ip_src vip_ip;
-                   Of_action.output ingress_port;
-                 ];
-             ]))
-      backends
-  (* ARP must flow on the app's own ports for VIP and backend
-     resolution. *)
-  @ List.map
-      (fun p ->
-        Of_message.Flow_mod
-          (Of_message.add_flow ~table_id ~priority:(priority - 200)
-             ~match_:Of_match.(any |> eth_type 0x0806 |> in_port p)
-             [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ]))
-      (lb_ports ~ingress_port ~backends ?vip_in_ports ())
 
 let fragment ~vip_ip ~vip_mac ~ingress_port ~backends ?vip_in_ports () =
   if backends = [] then invalid_arg "Load_balancer: no backends";
@@ -118,30 +43,30 @@ let fragment ~vip_ip ~vip_mac ~ingress_port ~backends ?vip_in_ports () =
                 [ set_eth_src vip_mac; set_ip_src vip_ip; fwd ingress_port ]))
          backends)
   in
+  (* ARP floods on the app's own ports (where VIP traffic enters, plus
+     the backends) for VIP and backend resolution. *)
   let arp_branch =
+    let ingress = Option.value vip_in_ports ~default:[ ingress_port ] in
+    let backend_ports =
+      List.filter
+        (fun p -> not (List.mem p ingress))
+        (List.map (fun b -> b.backend_port) backends)
+    in
     seq
       (filter
          (conj
             [
-              disj
-                (List.map in_port
-                   (lb_ports ~ingress_port ~backends ?vip_in_ports ()));
+              disj (List.map in_port (ingress @ backend_ports));
               eth_type_is 0x0806;
             ]))
       flood
   in
-  (* The hand-written app installs the VIP rule before the return rules at
-     equal priority, so on their (spoofed-source) overlap the VIP rule
-     wins the first-installed tie-break — [orelse] mirrors that.  ARP is
-     disjoint by ethertype, so it joins by union. *)
+  (* On the (spoofed-source) overlap of the VIP and return branches the
+     VIP branch wins, hence [orelse].  ARP is disjoint by ethertype, so it
+     joins by union. *)
   union (orelse vip_branch return_branch) arp_branch
 
-let create ~vip_ip ~vip_mac ~ingress_port ~backends ?(group_id = 1)
-    ?(priority = 2000) () =
-  if backends = [] then invalid_arg "Load_balancer.create: no backends";
-  let switch_up ctrl dpid =
-    Controller.send_all ctrl dpid
-      (messages ~vip_ip ~vip_mac ~ingress_port ~backends ~group_id ~priority
-         ())
-  in
-  { (Controller.no_op_app "load-balancer") with Controller.switch_up }
+let create ~vip_ip ~vip_mac ~ingress_port ~backends =
+  Controller.policy_app "load-balancer"
+    (Policy.Compile.compile
+       (fragment ~vip_ip ~vip_mac ~ingress_port ~backends ()))

@@ -16,28 +16,9 @@ val create :
   vip_mac:Netpkt.Mac_addr.t ->
   ingress_port:int ->
   backends:backend list ->
-  ?group_id:int ->
-  ?priority:int ->
-  unit ->
   Controller.app
-(** Installs everything proactively on switch-up.  Defaults: group 1,
-    priority 2000 (above the L2 base app). *)
-
-val messages :
-  vip_ip:Netpkt.Ipv4_addr.t ->
-  vip_mac:Netpkt.Mac_addr.t ->
-  ingress_port:int ->
-  backends:backend list ->
-  ?group_id:int ->
-  ?priority:int ->
-  ?table_id:int ->
-  ?vip_in_ports:int list ->
-  unit ->
-  Openflow.Of_message.t list
-(** The exact message sequence {!create} pushes (group mod first, then the
-    VIP rule, then return rules), as a pure value.  [vip_in_ports] scopes
-    the VIP rule to those ingress ports — return rules are already
-    port-scoped by construction.
+(** {!fragment}, compiled into table 0 once, here, and pushed on every
+    switch-up: the select group, then the table.
     @raise Invalid_argument on an empty backend list. *)
 
 val fragment :
@@ -48,7 +29,9 @@ val fragment :
   ?vip_in_ports:int list ->
   unit ->
   Policy.Syntax.t
-(** The same behaviour as a policy fragment: VIP traffic hash-balanced
-    over the backends ([Balance]), with return-traffic rewrites as the
-    fallback branch.
+(** The policy: VIP traffic hash-balanced over the backends ([Balance],
+    compiled to a [Select] group), with return-traffic rewrites as the
+    fallback branch and ARP flooding on the app's ports.
+    [vip_in_ports] scopes the VIP branch to those ingress ports — the
+    return branch is already port-scoped by construction.
     @raise Invalid_argument on an empty backend list. *)

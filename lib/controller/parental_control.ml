@@ -49,7 +49,7 @@ let needs_sniffing t user =
     (fun (u, h) -> Ipv4_addr.equal u user && Option.is_none (site_ip t h))
     t.blocked
 
-let messages_for_user t ?(table_id = 0) user =
+let messages_for_user t user =
   List.filter_map
     (fun (u, host) ->
       if Ipv4_addr.equal u user then
@@ -57,7 +57,7 @@ let messages_for_user t ?(table_id = 0) user =
         | Some site ->
             Some
               (Of_message.Flow_mod
-                 (Of_message.add_flow ~table_id ~priority:t.priority
+                 (Of_message.add_flow ~priority:t.priority
                     ~match_:(drop_match ~user ~site)
                     [ Flow_entry.Apply_actions [ Of_action.Drop ] ]))
         | None -> None
@@ -67,7 +67,7 @@ let messages_for_user t ?(table_id = 0) user =
   if needs_sniffing t user then
     [
       Of_message.Flow_mod
-        (Of_message.add_flow ~table_id ~priority:(t.priority - 100)
+        (Of_message.add_flow ~priority:(t.priority - 100)
            ~match_:(sniff_match ~user)
            [
              Flow_entry.Apply_actions
@@ -78,8 +78,7 @@ let messages_for_user t ?(table_id = 0) user =
 
 let users t = List.sort_uniq Ipv4_addr.compare (List.map fst t.blocked)
 
-let messages t ?table_id () =
-  List.concat_map (messages_for_user t ?table_id) (users t)
+let messages t = List.concat_map (messages_for_user t) (users t)
 
 let install_for_user t ctrl dpid user =
   Controller.send_all ctrl dpid (messages_for_user t user)

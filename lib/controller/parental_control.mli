@@ -27,10 +27,14 @@ val create :
 
 val app : t -> Controller.app
 
-val messages : t -> ?table_id:int -> unit -> Openflow.Of_message.t list
-(** The proactive rule set {!app} installs on switch-up (per user in
-    address order: resolvable drops in [blocked] order, then the sniff
-    rule if any host is unresolvable), as a pure value.  Default table 0. *)
+val messages : t -> Openflow.Of_message.t list
+(** The proactive rule set {!app} installs in table 0 on switch-up (per
+    user in address order: resolvable drops in [blocked] order, then the
+    sniff rule if any host is unresolvable), as a pure value.  These rules
+    stay hand-written: {!app} installs and deletes them per event, and a
+    miss in their table reaches the next app (E8 pairs this one with
+    {!L2_learning}).  A compiled table is total, so it would end those
+    packet-ins. *)
 
 val blocked_pred : t -> Policy.Syntax.pred
 (** Matches exactly the traffic the proactive drop rules kill. *)

@@ -1,5 +1,4 @@
 open Netpkt
-open Openflow
 
 type limit = {
   subject : Ipv4_addr.t;
@@ -7,48 +6,23 @@ type limit = {
   burst_kb : int;
 }
 
-let subject_match limit =
-  Of_match.(
-    any |> eth_type 0x0800 |> ip_src (Ipv4_addr.Prefix.make limit.subject 32))
-
-let messages ~limits ?(priority = 2000) ?(table_id = 0) ?(goto_table = 1) () =
-  List.concat
-    (List.mapi
-       (fun i limit ->
-         let meter_id = i + 1 in
-         [
-           Of_message.Meter_mod
-             (Of_message.Add_meter
-                {
-                  id = meter_id;
-                  band =
-                    {
-                      Meter_table.rate_kbps = limit.rate_kbps;
-                      burst_kb = limit.burst_kb;
-                    };
-                });
-           Of_message.Flow_mod
-             (Of_message.add_flow ~table_id ~priority
-                ~match_:(subject_match limit)
-                [
-                  Flow_entry.Meter meter_id; Flow_entry.Goto_table goto_table;
-                ]);
-         ])
-       limits)
-  (* Everything else skips the meters. *)
-  @ [
-      Of_message.Flow_mod
-        (Of_message.add_flow ~table_id ~priority:1 ~match_:Of_match.any
-           [ Flow_entry.Goto_table goto_table ]);
-    ]
+let rec check_distinct = function
+  | [] -> ()
+  | limit :: rest ->
+      if List.exists (fun l -> Ipv4_addr.equal l.subject limit.subject) rest then
+        invalid_arg
+          (Printf.sprintf "Rate_limiter: duplicate subject %s"
+             (Ipv4_addr.to_string limit.subject));
+      check_distinct rest
 
 let fragment ~limits () =
+  check_distinct limits;
   let open Policy.Syntax in
   let subject_pred limit =
     conj [ eth_type_is 0x0800; ip_src_is limit.subject ]
   in
-  (* Exactly one branch applies per packet: a per-subject meter (the
-     hand-written table-0 rules) or the unmetered pass-through. *)
+  (* Exactly one branch applies per packet: a per-subject meter or the
+     unmetered pass-through. *)
   unions
     (List.mapi
        (fun i limit ->
@@ -59,28 +33,18 @@ let fragment ~limits () =
        limits
     @ [ filter (neg (disj (List.map subject_pred limits))) ])
 
-let create ~limits ?(priority = 2000) () =
-  let switch_up ctrl dpid =
-    Controller.send_all ctrl dpid (messages ~limits ~priority ())
-  in
-  { (Controller.no_op_app "rate-limiter") with Controller.switch_up }
-
-let table1_messages ~num_hosts ?(table_id = 1) () =
-  Of_message.Flow_mod
-    (Of_message.add_flow ~table_id ~priority:1100
-       ~match_:Of_match.(any |> eth_type 0x0806)
-       [ Flow_entry.Apply_actions [ Of_action.Output Of_action.Flood ] ])
-  :: List.init num_hosts (fun i ->
-         Of_message.Flow_mod
-           (Of_message.add_flow ~table_id ~priority:1000
-              ~match_:Of_match.(any |> eth_dst (Mac_addr.make_local (i + 1)))
-              [ Flow_entry.Apply_actions [ Of_action.output i ] ]))
+let create ~limits forward =
+  let open Policy.Syntax in
+  (* Metered traffic that [forward] does not deliver still bills its
+     meter: the explicit [discard] keeps the meter on the path. *)
+  Controller.policy_app "rate-limiter"
+    (Policy.Compile.compile
+       (seq (fragment ~limits ()) (orelse forward discard)))
 
 let table1_fragment ~num_hosts () =
   let open Policy.Syntax in
-  (* The ARP flood outranks the MAC forwards in the hand-written table and
-     their matches overlap (the forwards carry no eth_type test), so the
-     bands chain by fallback rather than union. *)
+  (* ARP floods whatever its destination MAC; the MAC forwards carry no
+     eth_type test, so the bands chain by fallback rather than union. *)
   orelse
     (seq (filter (eth_type_is 0x0806)) flood)
     (unions
@@ -88,7 +52,5 @@ let table1_fragment ~num_hosts () =
             seq (filter (eth_dst_is (Mac_addr.make_local (i + 1)))) (fwd i))))
 
 let table1_l2 ~num_hosts =
-  let switch_up ctrl dpid =
-    Controller.send_all ctrl dpid (table1_messages ~num_hosts ())
-  in
-  { (Controller.no_op_app "table1-l2") with Controller.switch_up }
+  Controller.policy_app "table1-l2"
+    (Policy.Compile.compile ~table_id:1 (table1_fragment ~num_hosts ()))

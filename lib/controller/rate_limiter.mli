@@ -3,9 +3,10 @@
     absorb into the network.
 
     Each policy entry caps one source host's IP traffic with an OpenFlow
-    meter; limited traffic continues through the rest of the pipeline via
-    [Goto_table 1], so this app composes with a forwarding app installed
-    in table 1 (see {!table1_l2}). *)
+    meter.  The metering stage is a pass-through {!fragment}; {!create}
+    sequences it before a forwarding policy and compiles the two into
+    one table, where each subject's rules carry a [Meter] instruction
+    ahead of their actions. *)
 
 type limit = {
   subject : Netpkt.Ipv4_addr.t;  (** source host to police *)
@@ -13,35 +14,26 @@ type limit = {
   burst_kb : int;
 }
 
-val create : limits:limit list -> ?priority:int -> unit -> Controller.app
-(** Installs one meter and one table-0 flow per limit on switch-up, plus
-    a table-0 default that forwards everything (unmetered) to table 1.
-    Meter ids are assigned [1, 2, ...] in list order.  Default priority
-    2000. *)
-
-val messages :
-  limits:limit list -> ?priority:int -> ?table_id:int -> ?goto_table:int ->
-  unit -> Openflow.Of_message.t list
-(** The exact message sequence {!create} pushes on switch-up (meter and
-    flow per limit interleaved, then the unmetered default), as a pure
-    value.  Defaults: table 0, continue at table 1, priority 2000. *)
+val create : limits:limit list -> Policy.Syntax.t -> Controller.app
+(** [create ~limits forward] compiles
+    [seq (fragment ~limits ()) (orelse forward discard)] into table 0
+    once, here, and pushes it on every switch-up: the meters, then the
+    table.  Metered traffic that [forward] drops still bills its meter.
+    @raise Invalid_argument as {!fragment} does, or if the composition
+    does not compile. *)
 
 val fragment : limits:limit list -> unit -> Policy.Syntax.t
 (** The metering stage as a pass-through policy fragment: each subject's
-    IP traffic goes through [Police] with meter id [index + 1] (the ids
-    {!messages} assigns); everything else passes unmetered.  Sequence it
-    before a forwarding fragment.  Subjects must be distinct — duplicate
-    subjects would meter a packet twice where the hand-written table's
-    first-match takes one rule. *)
+    IP traffic goes through [Police] with meter id [index + 1]; everything
+    else passes unmetered.  Sequence it before a forwarding fragment.
+    @raise Invalid_argument naming the address if two limits share a
+    subject (a packet would be metered twice). *)
 
 val table1_l2 : num_hosts:int -> Controller.app
 (** A proactive destination-MAC forwarding app for {e table 1}, matching
-    the {!Harmless.Deployment} host conventions — the forwarding layer
-    under the policer. *)
-
-val table1_messages :
-  num_hosts:int -> ?table_id:int -> unit -> Openflow.Of_message.t list
-(** {!table1_l2}'s rule set as a pure value (default table 1). *)
+    the {!Harmless.Deployment} host conventions: {!table1_fragment}
+    compiled into table 1 — the forwarding layer under a table-0 app
+    that continues with [Goto_table 1], such as {!Dns_guard}. *)
 
 val table1_fragment : num_hosts:int -> unit -> Policy.Syntax.t
 (** {!table1_l2}'s behaviour as a fragment: MAC forwards with an ARP-flood

@@ -32,8 +32,7 @@ let measure_run () =
                  burst_kb = 16;
                };
              ]
-           ();
-         Sdnctl.Rate_limiter.table1_l2 ~num_hosts:3;
+           (Sdnctl.Rate_limiter.table1_fragment ~num_hosts:3 ());
        ]);
   let rng = Rng.create 5 in
   let frame = 1024 in

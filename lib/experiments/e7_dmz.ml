@@ -41,7 +41,7 @@ let measure () =
     }
   in
   ignore
-    (Common.attach_with_apps deployment [ Sdnctl.Dmz.create policy () ]);
+    (Common.attach_with_apps deployment [ Sdnctl.Dmz.create policy ]);
   (* Probe every ordered pair with a distinctive UDP port, and note the
      ports each host receives. *)
   let probe_port src dst = 20000 + (src * 100) + dst in

@@ -72,8 +72,7 @@ let scenarios =
                       (Harmless.Deployment.host_ip 0, Harmless.Deployment.host_ip 1);
                       (Harmless.Deployment.host_ip 2, Harmless.Deployment.host_ip 3);
                     ];
-                }
-                ();
+                };
             ]);
         traffic = udp_burst;
         warmup = Sim_time.ms 5;

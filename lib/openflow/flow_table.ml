@@ -105,10 +105,16 @@ let clear t =
     bump t
   end
 
-let lookup t ~in_port fields =
-  List.find_opt (fun e -> Of_match.matches e.Flow_entry.match_ ~in_port fields) t.entries
+(* Top-level, so a lookup or a scan builds no closure over its
+   arguments. *)
+let rec find ~in_port fields = function
+  | [] -> None
+  | e :: rest ->
+      if Of_match.matches e.Flow_entry.match_ ~in_port fields then Some e
+      else find ~in_port fields rest
 
-(* Top-level, so a scan builds no closure over its arguments. *)
+let lookup t ~in_port fields = find ~in_port fields t.entries
+
 let rec scan scanned ~in_port fields = function
   | [] -> None
   | e :: rest ->

@@ -37,13 +37,13 @@ val clear : t -> unit
 
 val lookup : t -> in_port:int -> Netpkt.Packet.Fields.t -> Flow_entry.t option
 (** Highest-priority matching entry (stable: earliest-added wins ties).
-    Does {e not} update counters — callers decide (see {!hit}). *)
+    Does {e not} update counters — callers decide (see {!hit}).  It
+    allocates only the [Some] of a hit. *)
 
 val lookup_scan :
   t -> scanned:int ref -> in_port:int -> Netpkt.Packet.Fields.t -> Flow_entry.t option
 (** Like {!lookup}, but adds the number of entries examined — the cost a
-    linear dataplane pays — to the caller's [scanned] counter.  It
-    allocates only the [Some] of a hit. *)
+    linear dataplane pays — to the caller's [scanned] counter. *)
 
 val hit : t -> now_ns:int -> bytes:int -> Flow_entry.t -> unit
 (** Record a packet against an entry found by {!lookup}. *)

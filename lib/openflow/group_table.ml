@@ -30,6 +30,7 @@ let modify t ~id gtype buckets =
   Hashtbl.replace t id { gtype; buckets; total_weight }
 
 let remove t ~id = Hashtbl.remove t id
+let size t = Hashtbl.length t
 
 let select_buckets t ~id ~flow_hash =
   match Hashtbl.find_opt t id with

@@ -22,6 +22,7 @@ val modify : t -> id:int -> group_type -> bucket list -> unit
 (** @raise Not_found if absent. *)
 
 val remove : t -> id:int -> unit
+val size : t -> int
 
 val select_buckets :
   t -> id:int -> flow_hash:int -> bucket list

@@ -25,16 +25,23 @@ type t = {
   tables : Flow_table.t array;
   group_table : Group_table.t;
   meter_table : Meter_table.t;
+  lookup : int -> in_port:int -> Packet.Fields.t -> Flow_entry.t option;
+      (* the plain table lookup {!execute} walks with, built once *)
 }
 
 let create ?(num_tables = 4) ?max_entries_per_table () =
   if num_tables <= 0 then invalid_arg "Pipeline.create: num_tables <= 0";
+  let tables =
+    Array.init num_tables (fun _ ->
+        Flow_table.create ?max_entries:max_entries_per_table ())
+  in
   {
-    tables =
-      Array.init num_tables (fun _ ->
-          Flow_table.create ?max_entries:max_entries_per_table ());
+    tables;
     group_table = Group_table.create ();
     meter_table = Meter_table.create ();
+    lookup =
+      (fun table_id ~in_port fields ->
+        Flow_table.lookup tables.(table_id) ~in_port fields);
   }
 
 let num_tables t = Array.length t.tables
@@ -219,10 +226,7 @@ let execute_with t ~lookup ~now_ns ~in_port pkt fields =
   r
 
 let execute t ~now_ns ~in_port pkt =
-  let lookup table_id ~in_port fields =
-    Flow_table.lookup t.tables.(table_id) ~in_port fields
-  in
-  execute_with t ~lookup ~now_ns ~in_port pkt (Packet.Fields.of_packet pkt)
+  execute_with t ~lookup:t.lookup ~now_ns ~in_port pkt (Packet.Fields.of_packet pkt)
 
 let execute_actions t actions pkt =
   let r = { outputs = []; matched = []; table_miss = false; cycles = 0 } in

@@ -57,7 +57,11 @@ val flow_hash : Netpkt.Packet.Fields.t -> int
     before hashing, so it allocates. *)
 
 val execute : t -> now_ns:int -> in_port:int -> Netpkt.Packet.t -> result
-(** Flow-entry counters of matched entries are updated. *)
+(** Flow-entry counters of matched entries are updated.  This is
+    {!execute_with} over {!Flow_table.lookup}, a lookup the pipeline
+    builds once: a pass allocates the fields view (12 words), what
+    {!execute_with} allocates, and the [Some] of each table hit (2) —
+    28 words for one table, one output and no rewrite. *)
 
 val execute_with :
   t ->

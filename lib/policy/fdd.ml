@@ -147,10 +147,12 @@ let equal a b = a.uid = b.uid
 
 (* Hash-consing.  Keys are rendered to strings: address types are abstract,
    so structural-hash stability is not guaranteed, while their printed forms
-   are injective and cheap at this scale. *)
+   are injective and cheap at this scale.  Every memo table here starts
+   small and grows on demand: any program that links the controller links
+   them, and a 512-bucket table would sit in its major heap unused. *)
 let next_uid = ref 0
-let leaf_tbl : (string, t) Hashtbl.t = Hashtbl.create 512
-let branch_tbl : (string * int * int, t) Hashtbl.t = Hashtbl.create 512
+let leaf_tbl : (string, t) Hashtbl.t = Hashtbl.create 16
+let branch_tbl : (string * int * int, t) Hashtbl.t = Hashtbl.create 16
 
 let intern tbl k node =
   match Hashtbl.find_opt tbl k with
@@ -206,7 +208,7 @@ let natom key = branch key drop id
 (* Generic ordered merge: pairs the leaves reached by the same packet in
    both diagrams and combines them with [op]. *)
 let merge ~name op =
-  let tbl : (int * int, t) Hashtbl.t = Hashtbl.create 512 in
+  let tbl : (int * int, t) Hashtbl.t = Hashtbl.create 16 in
   ignore name;
   let rec go d1 d2 =
     let k = (d1.uid, d2.uid) in
@@ -242,7 +244,7 @@ let as_guard name a k =
 let prod = merge ~name:"prod" (fun a b -> as_guard "prod" a (fun () -> b))
 let ors = merge ~name:"ors" (fun a b -> if a = [] then b else a)
 
-let negate_tbl : (int, t) Hashtbl.t = Hashtbl.create 128
+let negate_tbl : (int, t) Hashtbl.t = Hashtbl.create 16
 
 let rec negate d =
   match Hashtbl.find_opt negate_tbl d.uid with
@@ -262,7 +264,7 @@ let rec negate d =
    key order — the ordered merges in [prod]/[sum] restore the invariant. *)
 let cond key hi lo = sum (prod (atom key) hi) (prod (natom key) lo)
 
-let seq_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 512
+let seq_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 16
 
 let rec seq d1 d2 =
   let k = (d1.uid, d2.uid) in

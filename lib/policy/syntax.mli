@@ -10,15 +10,15 @@
     Two side-effecting primitives extend the pure algebra so the four
     controller apps can be expressed: [Police] runs the packet through a
     token-bucket meter (identified by an explicit [meter_id] so that the
-    compiled table, the interpreter and the hand-written apps share bucket
-    state granularity), and [Balance] picks one modification list out of a
-    bucket list by flow hash (compiled to an OpenFlow select group).
+    compiled table and the interpreter share bucket state granularity),
+    and [Balance] picks one modification list out of a bucket list by
+    flow hash (compiled to an OpenFlow select group).
 
     Locations are just another field ([Loc]): testing it reads the ingress
     port, modifying it sets the egress. [Disc] is an explicit discard
     location — unlike an empty output set it keeps earlier side effects
-    (metering) observable, mirroring a hand-written pipeline that meters in
-    table 0 and drops in table 1. *)
+    (metering) observable, as a pipeline that meters a packet before a
+    later stage drops it must. *)
 
 type location =
   | Phys of int  (** a physical port *)

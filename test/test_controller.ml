@@ -171,7 +171,7 @@ let lb_tests =
             [ 0; 1 ]
         in
         let app =
-          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends ()
+          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends
         in
         let engine, _, _, _, send, received = rig [ app ] in
         let to_vip sport =
@@ -215,7 +215,7 @@ let lb_tests =
           ]
         in
         let app =
-          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends ()
+          Sdnctl.Load_balancer.create ~vip_ip ~vip_mac ~ingress_port:3 ~backends
         in
         let engine, _, _, _, send, received = rig [ app ] in
         send 0
@@ -251,7 +251,7 @@ let dmz_tests =
             allowed = [ (Ipv4_addr.of_octets 10 0 0 1, Ipv4_addr.of_octets 10 0 0 2) ];
           }
         in
-        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy () ] in
+        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy ] in
         send 0 (udp_between 0 1);
         send 1 (udp_between 1 0);
         send 0 (udp_between 0 2);
@@ -270,7 +270,7 @@ let dmz_tests =
           }
         in
         let policy = { Sdnctl.Dmz.vms = List.init 2 vm; allowed = [] } in
-        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy () ] in
+        let engine, _, _, _, send, received = rig [ Sdnctl.Dmz.create policy ] in
         send 0
           (Packet.arp_request ~src_mac:(mac 1)
              ~src_ip:(Ipv4_addr.of_octets 10 0 0 1)
@@ -285,7 +285,7 @@ let dmz_tests =
           }
         in
         check Alcotest.bool "raises" true
-          (try ignore (Sdnctl.Dmz.create policy ()); false
+          (try ignore (Sdnctl.Dmz.create policy); false
            with Invalid_argument _ -> true));
   ]
 

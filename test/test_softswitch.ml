@@ -449,6 +449,24 @@ let cache_tests =
         if words <> float_of_int (untagged_pass + 2) then
           Alcotest.failf "%.1f minor words per linear pass (want %d)" words
             (untagged_pass + 2));
+    tc "a hardware pass allocates exactly 28 words" (fun () ->
+        (* The hardware dataplane runs [Pipeline.execute]: an eswitch pass
+           plus the [Some] of the hit, with the lookup built once per
+           pipeline rather than per call. *)
+        let p = one_rule_pipeline () in
+        let dp =
+          {
+            Dataplane.name = "hardware";
+            process =
+              (fun ~now_ns ~in_port pkt -> Pipeline.execute p ~now_ns ~in_port pkt);
+            stats = (fun () -> []);
+            tier = (fun () -> "tcam");
+          }
+        in
+        let words = words_per_process dp ~in_port:0 (udp_pkt ()) in
+        if words <> float_of_int (untagged_pass + 2) then
+          Alcotest.failf "%.1f minor words per hardware pass (want %d)" words
+            (untagged_pass + 2));
     tc "new microflows allocate an eswitch pass each against 1000 rules" (fun () ->
         let dp = Ovs_like.create (Experiments_lib.E5_dataplane.build_pipeline 1000) in
         (* distinct source ports make every packet a new microflow; the
