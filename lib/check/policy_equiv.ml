@@ -3,12 +3,10 @@ module P = Openflow.Pipeline
 module Rng = Simnet.Rng
 module Syn = Policy.Syntax
 
-type hand = { hand_tables : int; hand_messages : Openflow.Of_message.t list }
-
 type spec = {
   spec_name : string;
   ports : int;
-  hand : hand option;
+  hand : Openflow.Of_message.t list option;
   policy : Syn.t;
   mac_pool : Mac_addr.t list;
   ip_pool : Ipv4_addr.t list;
@@ -91,9 +89,7 @@ let parental_spec () =
   {
     spec_name = "parental";
     ports = 3;
-    hand =
-      Some
-        { hand_tables = 1; hand_messages = Sdnctl.Parental_control.messages t };
+    hand = Some (Sdnctl.Parental_control.messages t);
     policy = Sdnctl.Parental_control.fragment t;
     mac_pool = [ mac 0x51; mac 0x52; Mac_addr.broadcast ];
     ip_pool =
@@ -109,17 +105,13 @@ let ratelimit_spec () =
       { Sdnctl.Rate_limiter.subject = ip "10.7.0.2"; rate_kbps = 256; burst_kb = 8 } ]
   in
   let num_hosts = 4 in
-  let open Syn in
   {
     spec_name = "ratelimit";
     ports = 4;
     hand = None;
     policy =
-      (* What [Rate_limiter.create] compiles: metered traffic that the
-         forwarding fragment cannot deliver still bills the meter. *)
-      seq
-        (Sdnctl.Rate_limiter.fragment ~limits ())
-        (orelse (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ()) discard);
+      Sdnctl.Rate_limiter.policy ~limits
+        (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ());
     mac_pool =
       List.init num_hosts (fun i -> mac (i + 1))
       @ [ Mac_addr.broadcast; mac 0x99 ];
@@ -169,9 +161,9 @@ let run_case case =
   let hand =
     match sp.hand with
     | None -> []
-    | Some h ->
-        let pipeline = P.create ~num_tables:h.hand_tables () in
-        install pipeline h.hand_messages;
+    | Some msgs ->
+        let pipeline = P.create ~num_tables:1 () in
+        install pipeline msgs;
         [ ("hand:oracle", Oracle.dataplane pipeline) ]
   in
   let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in

@@ -9,9 +9,9 @@
     - the {b compiled table} ({!Policy.Compile.messages}), the rules the
       proactive SS_2 apps install, on an oracle-driven pipeline {e and}
       on every backend in {!Softswitch.Backends.all};
-    - where the spec carries one, a {b hand-written} rule set on an
-      oracle-driven pipeline with however many tables it needs.  Only
-      [parental] does: its app installs hand-written rules per event.
+    - where the spec carries one, a {b hand-written} rule set on a
+      one-table oracle-driven pipeline.  Only [parental] does: its app
+      installs hand-written rules per event.
 
     Every packet's output set is compared under a normalized rendering:
     outputs only (sorted, deduplicated, [IN_PORT] resolved to the ingress
@@ -26,15 +26,11 @@
     pairing a policy with a deliberately broken rule set to prove the
     harness catches and shrinks real compiler bugs. *)
 
-type hand = {
-  hand_tables : int;  (** tables the hand-written rule set needs *)
-  hand_messages : Openflow.Of_message.t list;
-}
-
 type spec = {
   spec_name : string;
   ports : int;  (** packets arrive on ports [0 .. ports-1] *)
-  hand : hand option;  (** the optional hand-written witness *)
+  hand : Openflow.Of_message.t list option;
+      (** the optional hand-written witness, for table 0 *)
   policy : Policy.Syntax.t;
   mac_pool : Netpkt.Mac_addr.t list;
   ip_pool : Netpkt.Ipv4_addr.t list;

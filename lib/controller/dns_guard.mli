@@ -7,7 +7,9 @@
 
     Snooping and drops live in table 0, which continues with
     [Goto_table 1]; forwarding is expected in table 1 (use
-    {!Rate_limiter.table1_l2} or similar). *)
+    {!Rate_limiter.table1_l2} or similar).  [table1_l2]'s table 1 is
+    total: it drops what it cannot forward, so a table-1 miss does not
+    reach the controller. *)
 
 type t
 

@@ -116,9 +116,7 @@ let policy t =
   let unblocked =
     seq (filter (neg (Parental_control.blocked_pred t.parental))) forwarding
   in
-  (* The meter stage must bill dropped traffic too, hence the explicit
-     discard fallback rather than a bare empty set. *)
-  seq (Rate_limiter.fragment ~limits:t.limits ()) (orelse unblocked discard)
+  Rate_limiter.policy ~limits:t.limits unblocked
 
 (* Value pools for the equivalence fuzzer: every address the scenario
    knows plus a stranger of each kind, so collisions are the common case. *)

@@ -33,10 +33,10 @@ val default : unit -> t
     handle is mutable. *)
 
 val policy : t -> Policy.Syntax.t
-(** The whole gateway as one policy term: the metering stage sequenced
-    into the forwarding bands chained by [orelse] in precedence order, with
-    parental drops as a negated guard and an explicit [discard] fallback
-    so dropped traffic still meters. *)
+(** The whole gateway as one policy term: the forwarding bands chained by
+    [orelse] in precedence order, with parental drops as a negated guard,
+    under the metering stage of {!Rate_limiter.policy} (whose [discard]
+    fallback makes dropped traffic still meter). *)
 
 (** Value pools for the equivalence fuzzer — every address the scenario
     knows plus strangers, so collisions are the common case. *)

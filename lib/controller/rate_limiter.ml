@@ -33,13 +33,15 @@ let fragment ~limits () =
        limits
     @ [ filter (neg (disj (List.map subject_pred limits))) ])
 
-let create ~limits forward =
+let policy ~limits forward =
   let open Policy.Syntax in
   (* Metered traffic that [forward] does not deliver still bills its
      meter: the explicit [discard] keeps the meter on the path. *)
+  seq (fragment ~limits ()) (orelse forward discard)
+
+let create ~limits forward =
   Controller.policy_app "rate-limiter"
-    (Policy.Compile.compile
-       (seq (fragment ~limits ()) (orelse forward discard)))
+    (Policy.Compile.compile (policy ~limits forward))
 
 let table1_fragment ~num_hosts () =
   let open Policy.Syntax in

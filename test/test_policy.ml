@@ -509,7 +509,7 @@ let harness_tests =
           {
             sp with
             PE.spec_name = "dmz-broken";
-            hand = Some { PE.hand_tables = 1; hand_messages = broken };
+            hand = Some broken;
           }
         in
         let rec hunt seed =
@@ -541,12 +541,7 @@ let harness_tests =
             sp with
             PE.spec_name = "dmz-reversed";
             hand =
-              Some
-                {
-                  PE.hand_tables = 1;
-                  hand_messages =
-                    List.map (fun fm -> Openflow.Of_message.Flow_mod fm) broken;
-                };
+              Some (List.map (fun fm -> Openflow.Of_message.Flow_mod fm) broken);
           }
         in
         let rec hunt seed =
