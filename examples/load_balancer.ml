@@ -54,9 +54,7 @@ let () =
   done;
   Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 100));
 
-  let ok =
-    List.length (List.filter (fun (s, _) -> s = 200) (Host.http_responses c))
-  in
+  let ok = Host.http_status_count c ~status:200 in
   Printf.printf "client got %d/120 responses (all appear to come from %s)\n" ok
     (Ipv4_addr.to_string vip_ip);
   List.iter

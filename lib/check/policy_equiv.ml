@@ -152,7 +152,12 @@ let normalize ~in_port outputs =
 
 (* ---- running a case across every implementation ---- *)
 
-let run_case case =
+(* The rules a spec's policy compiles to: built once per run, load or
+   checked seed, and shared by every case and shrink step, since a
+   spec's policy never changes. *)
+let compiled_messages sp = Policy.Compile.messages (Policy.Compile.compile sp.policy)
+
+let run_case ~compiled case =
   let sp = case.spec in
   let interp = Policy.Interp.create sp.policy in
   let install pipeline msgs =
@@ -166,11 +171,10 @@ let run_case case =
         install pipeline msgs;
         [ ("hand:oracle", Oracle.dataplane pipeline) ]
   in
-  let compiled_msgs = Policy.Compile.messages (Policy.Compile.compile sp.policy) in
   let compiled =
     List.map
       (fun (name, pipeline, dp) ->
-        install pipeline compiled_msgs;
+        install pipeline compiled;
         ("compiled:" ^ name, dp))
       (Fuzz.implementations ~num_tables:1)
   in
@@ -239,13 +243,13 @@ let gen_case sp ~seed =
 
 (* ---- the harness ---- *)
 
-let check case =
-  match run_case case with
+let check ~compiled case =
+  match run_case ~compiled case with
   | None -> None
   | Some d ->
-      Some (Fuzz.shrink (fun steps -> run_case { case with steps }) case.steps d)
+      Some (Fuzz.shrink (fun steps -> run_case ~compiled { case with steps }) case.steps d)
 
-let check_case sp ~seed = check (gen_case sp ~seed)
+let check_case sp ~seed = check ~compiled:(compiled_messages sp) (gen_case sp ~seed)
 
 type 'd report = 'd Fuzz.report = {
   cases : int;
@@ -257,7 +261,8 @@ let run ?on_divergence ~spec ~seed ~cases () =
   Fuzz.run ?on_divergence
     ~gen:(fun seed -> gen_case spec ~seed)
     ~packets:(fun case -> List.length case.steps)
-    ~check ~seed ~cases ()
+    ~check:(check ~compiled:(compiled_messages spec))
+    ~seed ~cases ()
 
 (* ---- repro files ---- *)
 
@@ -288,7 +293,9 @@ let of_string text =
   | Ok (Some sp, steps) -> Ok { spec = sp; steps = List.rev steps }
 
 let save ~path ?comment case = Fuzz.save ~path ?comment (to_string case)
-let load ~path = Fuzz.load ~path ~of_string ~run:run_case
+let load ~path =
+  Fuzz.load ~path ~of_string ~run:(fun case ->
+      run_case ~compiled:(compiled_messages case.spec) case)
 
 let pp_divergence fmt d =
   Format.fprintf fmt

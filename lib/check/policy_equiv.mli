@@ -87,7 +87,8 @@ val run :
   ?on_divergence:(divergence -> unit) ->
   spec:spec -> seed:int -> cases:int -> unit -> divergence report
 (** Run [cases] seeded cases ([seed], [seed+1], ...) against one spec,
-    through {!Fuzz.run}. *)
+    through {!Fuzz.run}.  The spec's policy is compiled once, and every
+    case and shrink step installs the same messages. *)
 
 (** {1 Repro files} *)
 

@@ -70,9 +70,7 @@ let measure () =
   and mn = List.fold_left Stdlib.min max_int counts in
   {
     per_backend;
-    responses_ok =
-      List.length
-        (List.filter (fun (status, _) -> status = 200) (Host.http_responses c));
+    responses_ok = Host.http_status_count c ~status:200;
     balance_ratio = (if mn = 0 then infinity else float_of_int mx /. float_of_int mn);
   }
 

@@ -18,13 +18,13 @@ type fetch = { who : string; target : string; when_ : string; got_response : boo
 
 let fetch_and_wait engine deployment ~user ~server ~host ~port =
   let u = Harmless.Deployment.host deployment user in
-  let before = List.length (Host.http_responses u) in
+  let before = Host.http_responses u in
   Host.http_get u
     ~server_mac:(Harmless.Deployment.host_mac server)
     ~server_ip:(Harmless.Deployment.host_ip server)
     ~host ~path:"/" ~src_port:port;
   Common.run_for engine (Sim_time.ms 30);
-  List.length (Host.http_responses u) > before
+  Host.http_responses u > before
 
 let measure () =
   let engine = Engine.create () in

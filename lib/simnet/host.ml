@@ -1,5 +1,7 @@
 open Netpkt
 
+type status_count = { status : int; mutable count : int }
+
 type t = {
   node : Node.t;
   engine : Engine.t;
@@ -8,7 +10,7 @@ type t = {
   ip : Ipv4_addr.t;
   mutable udp_rx : int;
   mutable echo_replies : int;
-  mutable http_responses : (int * string) list; (* newest first *)
+  mutable http_statuses : status_count list; (* one per status seen *)
   mutable udp_echo_ports : int list;
   mutable pages : string list option; (* Some = serving http *)
   mutable dns_zone : (string * Ipv4_addr.t) list option; (* Some = dns server *)
@@ -37,7 +39,12 @@ let resolved t = List.rev t.resolved
 let nxdomains t = t.nxdomains
 let received_count t = Node.rx_packets t.node ~port:0
 let udp_received t = t.udp_rx
-let http_responses t = List.rev t.http_responses
+let http_responses t = List.fold_left (fun n c -> n + c.count) 0 t.http_statuses
+
+let http_status_count t ~status =
+  match List.find_opt (fun c -> c.status = status) t.http_statuses with
+  | Some c -> c.count
+  | None -> 0
 let echo_replies t = t.echo_replies
 let latency t = t.latency
 let arp_cache t = t.arp_cache
@@ -129,13 +136,19 @@ let handle_udp t (pkt : Packet.t) (ip_hdr : Ipv4.t) (dgram : Udp.t) =
          (Packet.Ip (Ipv4.make ~src:t.ip ~dst:ip_hdr.Ipv4.src (Ipv4.Udp echo))))
   end
 
+(* A plain scan, so counting a response allocates nothing after its
+   status's first. *)
+let rec count_status t status = function
+  | [] -> t.http_statuses <- { status; count = 1 } :: t.http_statuses
+  | c :: rest -> if c.status = status then c.count <- c.count + 1 else count_status t status rest
+
 let handle_tcp t (pkt : Packet.t) (ip_hdr : Ipv4.t) (seg : Tcp.t) =
   match t.pages with
   | None -> (
-      (* Client side: record HTTP responses. *)
+      (* Client side: count HTTP responses by status. *)
       match Http_lite.parse_response seg.Tcp.payload with
       | Some resp ->
-          t.http_responses <- (resp.Http_lite.status, resp.Http_lite.resp_body) :: t.http_responses
+          count_status t resp.Http_lite.status t.http_statuses
       | None -> ())
   | Some pages -> (
       match Http_lite.parse_request seg.Tcp.payload with
@@ -195,7 +208,7 @@ let create engine ~name ~mac ~ip () =
       ip;
       udp_rx = 0;
       echo_replies = 0;
-      http_responses = [];
+      http_statuses = [];
       udp_echo_ports = [];
       pages = None;
       dns_zone = None;

@@ -66,8 +66,11 @@ val received_count : t -> int
     {!on_receive} or a {!Capture}. *)
 
 val udp_received : t -> int
-val http_responses : t -> (int * string) list
-(** Status and body of each HTTP response received, oldest first. *)
+val http_responses : t -> int
+(** HTTP responses received.  The host keeps counts, not the responses. *)
+
+val http_status_count : t -> status:int -> int
+(** HTTP responses received with this status. *)
 
 val echo_replies : t -> int
 (** ICMP echo replies received. *)

@@ -501,7 +501,7 @@ let host_tests =
              ~ip_src:(Host.ip h1) ~ip_dst:(Host.ip h2) ~src_port:1 ~dst_port:2 "x");
         Engine.run engine;
         check Alcotest.int "not consumed" 0 (Host.udp_received h2));
-    tc "http server returns 200 then 404" (fun () ->
+    tc "http server returns one 200 and one 404" (fun () ->
         let engine, h1, h2 = host_pair () in
         Host.serve_http h2 ~pages:[ "/index.html" ];
         Host.http_get h1 ~server_mac:(Host.mac h2) ~server_ip:(Host.ip h2)
@@ -509,8 +509,9 @@ let host_tests =
         Host.http_get h1 ~server_mac:(Host.mac h2) ~server_ip:(Host.ip h2)
           ~host:"example.com" ~path:"/missing" ~src_port:4001;
         Engine.run engine;
-        check Alcotest.(list int) "statuses" [ 200; 404 ]
-          (List.map fst (Host.http_responses h1)));
+        check Alcotest.int "responses" 2 (Host.http_responses h1);
+        check Alcotest.int "one 200" 1 (Host.http_status_count h1 ~status:200);
+        check Alcotest.int "one 404" 1 (Host.http_status_count h1 ~status:404));
     tc "latency recorded for probes" (fun () ->
         let engine, h1, h2 = host_pair () in
         let payload = Probe.encode ~sent_at:(Engine.now engine) ~pad_to:20 in
