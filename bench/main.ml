@@ -16,6 +16,10 @@
                        the flow-mod plus ESwitch's incremental sync
    - translator/*   -> the SS_1 split ablation (DESIGN section 5)
    - pmd/batch-*    -> PMD batching ablation
+   - engine/*       -> the event queue alone: 1,000 frames per run through
+                       about 234 in flight over 20 sinks (a hairpin run's
+                       shape), in order (the sinks' lanes) or jittered
+                       (the out-of-order fallback)
    - e2e/*          -> E2/E3 companions: a full ping through HARMLESS
    - wire/*, table/* and mgmt/* -> substrate costs backing everything else
 
@@ -172,6 +176,39 @@ let pmd_tests =
            Simnet.Engine.run engine))
   in
   Test.make_grouped ~name:"pmd" [ mk 1; mk 32; mk 256 ]
+
+(* ---- engine/* : 1,000 frames through the event queue per run ---- *)
+
+let engine_tests =
+  let frames = 1_000 and sinks = 20 and depth = 234 in
+  let mk name ~jitter =
+    let open Simnet in
+    let engine = Engine.create () in
+    let pkt = Netpkt.Packet.make ~dst:(mac 2) ~src:(mac 1) (Netpkt.Packet.Raw (Netpkt.Ethertype.of_int 0x88b5, "")) in
+    let sinks = Array.init sinks (fun _ -> Engine.sink engine (fun _ _ -> ())) in
+    let next = ref 0 in
+    (* Each sink's frames arrive 1 us after they are sent, plus up to
+       [jitter] ns drawn from a fixed cycle, as a degraded link adds. *)
+    let deliver () =
+      let k = !next in
+      next := k + 1;
+      let extra = if jitter = 0 then 0 else k * 7919 mod (jitter + 1) in
+      Engine.deliver_at engine
+        (Sim_time.add (Engine.now engine) (1_000 + extra))
+        sinks.(k mod Array.length sinks) 0 pkt
+    in
+    for _ = 1 to depth do
+      deliver ()
+    done;
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for _ = 1 to frames do
+             ignore (Engine.step engine);
+             deliver ()
+           done))
+  in
+  Test.make_grouped ~name:"engine"
+    [ mk "deliver-in-order" ~jitter:0; mk "deliver-jittered" ~jitter:500 ]
 
 (* ---- e2e/* : a full ping through a prebuilt deployment ---- *)
 
@@ -559,6 +596,7 @@ let all_tests =
     lookup_tests;
     translator_tests;
     pmd_tests;
+    engine_tests;
     e2e_tests;
     wire_tests;
     table_tests;

@@ -28,10 +28,9 @@ let build engine ?dataplane ?pmd ~nics ~ss2 members =
   Array.iteri
     (fun m map ->
       for i = 0 to Port_map.size map - 1 do
-        ignore
-          (Patch_port.connect
-             (Soft_switch.node ss1s.(m), nics + i)
-             (Soft_switch.node ss2, offsets.(m) + i))
+        Patch_port.connect
+          (Soft_switch.node ss1s.(m), nics + i)
+          (Soft_switch.node ss2, offsets.(m) + i)
       done;
       Translator.install ss1s.(m) map)
     maps;

@@ -241,7 +241,7 @@ let create engine ~name ~ports ?(processing_delay = Sim_time.us 4)
       flooded = 0;
     }
   in
-  let forward_later in_port pkt = forward t ~in_port pkt in
+  let forward_later = Engine.sink engine (fun in_port pkt -> forward t ~in_port pkt) in
   Node.set_handler node (fun _node ~in_port pkt ->
       if t.processing_delay = 0 then forward t ~in_port pkt
       else

@@ -6,11 +6,20 @@
     advances as one deterministic event sequence.
 
     An event is either a thunk ({!schedule_at} and friends: timers, the
-    controller channel, traffic sources) or a typed delivery
-    ({!deliver_at}: a frame handed to a sink on a port), which the
+    controller channel, traffic sources, PMD completions) or a delivery
+    ({!deliver_at}: a frame handed to a {!sink} on a port), which the
     per-packet hops use.  Events run in (instant, scheduling order) order,
-    whatever their kind.  Scheduling and running a delivery allocate
-    nothing. *)
+    whatever their kind.
+
+    Thunks wait in a binary heap.  Each sink has its own FIFO lane of
+    deliveries, and a delivery at or after the newest instant already in
+    its lane is appended there; only the lanes' heads are kept in order,
+    in a small heap of ints.  A delivery earlier than its lane's newest
+    one (link jitter) waits in the thunk heap instead, as a closure.
+    Dispatch merges the two heaps by (instant, scheduling order), so the
+    order does not depend on which queue holds an event.  Scheduling and
+    running an in-order delivery allocate nothing once the sink's lane
+    has grown to its depth. *)
 
 type t
 
@@ -31,12 +40,19 @@ val schedule_every : t -> ?start:Sim_time.span -> Sim_time.span -> (unit -> bool
     are built on top of this.
     @raise Invalid_argument if [period <= 0] or [start < 0]. *)
 
-val deliver_at :
-  t -> Sim_time.t -> (int -> Netpkt.Packet.t -> unit) -> int -> Netpkt.Packet.t -> unit
-(** [deliver_at t time sink port pkt] runs [sink port pkt] at [time].
-    Build [sink] once per link direction or device, not per frame: then
-    neither the call nor the event's dispatch allocates.
-    @raise Invalid_argument if the instant is in the past. *)
+type sink
+(** A receiver of deliveries, with its own lane. *)
+
+val sink : t -> (int -> Netpkt.Packet.t -> unit) -> sink
+(** [sink t f] is a sink that runs [f port pkt] for each delivery.  Build
+    one per link direction or device, not per frame: an engine keeps
+    every sink it made. *)
+
+val deliver_at : t -> Sim_time.t -> sink -> int -> Netpkt.Packet.t -> unit
+(** [deliver_at t time sink port pkt] runs the sink's function on [port]
+    and [pkt] at [time].
+    @raise Invalid_argument if the instant is in the past or [sink] was
+    made by another engine. *)
 
 val step : t -> bool
 (** Run the earliest pending event.  [false] if none was pending. *)
@@ -47,7 +63,7 @@ val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
     clock is advanced to exactly [until]. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events, thunks and deliveries; O(1). *)
 
 val events_executed : t -> int
 (** Total events executed since creation. *)

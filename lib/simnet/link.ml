@@ -45,7 +45,7 @@ type dir_stats = {
 type dir = {
   cfg : config;
   engine : Engine.t;
-  deliver : int -> Netpkt.Packet.t -> unit;  (* the far node's [Node.deliver] *)
+  deliver : Engine.sink;  (* the far node's [Node.deliver] *)
   dst_port : int;
   rng : Rng.t;
   mutable next_free : Sim_time.t;
@@ -121,7 +121,7 @@ let connect ?(a_to_b = gige) ?(b_to_a = gige) (node_a, port_a) (node_b, port_b) 
     {
       cfg;
       engine;
-      deliver = (fun port pkt -> Node.deliver dst ~port pkt);
+      deliver = Engine.sink engine (fun port pkt -> Node.deliver dst ~port pkt);
       dst_port;
       rng = Rng.create cfg.impair_seed;
       next_free = Sim_time.zero;

@@ -3,7 +3,5 @@
     is a same-instant engine event — no bandwidth, queueing or propagation
     cost, matching the shared-memory port pairs of OVS/ESwitch. *)
 
-type t
-
-val connect : Simnet.Node.t * int -> Simnet.Node.t * int -> t
+val connect : Simnet.Node.t * int -> Simnet.Node.t * int -> unit
 (** @raise Invalid_argument if a port is attached or engines differ. *)

@@ -379,6 +379,174 @@ let witness_tests =
         = Check.Oracle.matches m ~in_port pkt);
   ]
 
+(* ---- parser totality ---- *)
+
+(* Every parser of text the project writes itself, with well-formed
+   inputs to mutate.  A parser is total when it answers (a value, an
+   [Error] or [None]) for any string instead of raising. *)
+let parsers () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let ok name f s =
+    match f s with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: seed does not parse: %s\n%s" name e s
+  in
+  let fault_script =
+    Simnet.Fault.to_script
+      (Simnet.Fault.random_events (Simnet.Rng.create 7)
+         ~targets:[ "channel"; "trunk:primary"; "mgmt"; "switch:ss2" ]
+         ~n:6 ~horizon:(Simnet.Sim_time.ms 100))
+    ^ "\n# comment\n\n90ms  trunk:primary  degrade loss=0.05 jitter=100us\n"
+  in
+  let config =
+    let open Ethswitch.Port_config in
+    Mgmt.Device_config.make ~hostname:"sw1"
+      [ { port = 0; mode = Access 10; description = Some "host a" };
+        { port = 1; mode = Trunk { native = Some 1; allowed = Only [ 10; 20 ] };
+          description = Some "uplink" };
+        { port = 2; mode = Trunk { native = None; allowed = All }; description = None };
+        { port = 3; mode = Disabled; description = None } ]
+  in
+  let dialects : (module Mgmt.Dialect.S) list =
+    [ (module Mgmt.Dialect.Ios); (module Mgmt.Dialect.Eos); (module Mgmt.Dialect.Junos) ]
+  in
+  let rendered = List.map (fun (module M : Mgmt.Dialect.S) -> M.render config) dialects in
+  let json =
+    Telemetry.Json.(
+      Obj
+        [ ("schema", Str "x/1"); ("n", Int (-42)); ("f", Float 1.5e-3); ("b", Bool true);
+          ("z", Null); ("a", Arr [ Int 1; Str "q\"\\\n\t"; Obj [] ]) ])
+  in
+  let postmortem =
+    String.concat "\n"
+      [ "harmless-postmortem/2"; "scenario chaos"; "seed 42"; "captured 85000000";
+        "window 5000000 85000000"; "triggers 1";
+        "event 193 10000000 warn fault 0017c56f down channel down"; "events 2";
+        "event 10 5214663 debug controller 153e8d2a packet-in dpid:2 port=0";
+        "event 193 10000000 warn fault 0017c56f down channel down"; "spans 2";
+        "span 28 - 0be9989f 65000000 65429877 930 packet - icmp echo-req";
+        "span 29 28 0be9989f 65000000 65000000 0 h0 h0"; "series 1";
+        "ts pings_answered_total 2"; "point 63000000 44"; "point 63500000 45.5"; "" ]
+  in
+  let bench =
+    Telemetry.Bench_history.snapshot_to_history_line ~label:"seed"
+      { Telemetry.Bench_history.quick = true; label = "";
+        rows =
+          [ { name = "engine/deliver-in-order"; ns_per_run = Some 89306.6;
+              minor_words_per_run = Some 1.7; r_square = Some 0.98; runs = 3 };
+            { name = "e2e/ping-harmless"; ns_per_run = None; minor_words_per_run = None;
+              r_square = None; runs = 2 } ] }
+  in
+  let wal =
+    let open Mgmt.Txn in
+    let log = create () in
+    List.iter
+      (fun e -> ignore (append log ~txn:"migrate-sw1" e))
+      [ Begin "sw1 ports 0-3"; Stage_start "drain"; Note "two hosts moved";
+        Stage_done "drain"; Rollback "canary breach: loss 3%"; Rolled_back ];
+    ignore (append log ~txn:"migrate-sw2" Committed);
+    to_string log
+  in
+  let repros ~policy = List.map read (corpus_repros ~policy) in
+  let parsers =
+    [ ("Fault.parse_script", (fun s -> ignore (Simnet.Fault.parse_script s)), [ fault_script ]);
+      ("Fault.parse_span", (fun s -> ignore (Simnet.Fault.parse_span s)),
+       [ "100us"; "20ms"; "1.5s"; "90ns"; "0ms" ]);
+      ("Json.of_string", (fun s -> ignore (Telemetry.Json.of_string s)),
+       [ Telemetry.Json.to_string json; Telemetry.Json.to_string_lines (Arr [ json; json ]) ]);
+      ("Postmortem.of_string", (fun s -> ignore (Telemetry.Postmortem.of_string s)),
+       [ postmortem ]);
+      ("Bench_history.snapshot_of_string",
+       (fun s -> ignore (Telemetry.Bench_history.snapshot_of_string s)), [ bench ]);
+      ("Txn.of_string", (fun s -> ignore (Mgmt.Txn.of_string s)), [ wal ]);
+      ("Differential.of_string", (fun s -> ignore (D.of_string s)), repros ~policy:false);
+      ("Policy_equiv.of_string", (fun s -> ignore (Check.Policy_equiv.of_string s)),
+       repros ~policy:true);
+      ("Ipv4_addr.of_string_opt", (fun s -> ignore (Ipv4_addr.of_string_opt s)),
+       [ "10.0.0.1"; "255.255.255.255"; "0.0.0.0" ]);
+      ("Mac_addr.of_string_opt", (fun s -> ignore (Mac_addr.of_string_opt s)),
+       [ "02:00:00:00:00:01"; "ff:ff:ff:ff:ff:ff" ]) ]
+    @ List.map
+        (fun (module M : Mgmt.Dialect.S) ->
+          (M.name ^ ".parse", (fun s -> ignore (M.parse s)), rendered))
+        dialects
+  in
+  (* The seeds themselves are well-formed. *)
+  ok "fault" Simnet.Fault.parse_script fault_script;
+  ok "postmortem" Telemetry.Postmortem.of_string postmortem;
+  ok "bench" Telemetry.Bench_history.snapshot_of_string bench;
+  ok "wal" Mgmt.Txn.of_string wal;
+  List.iter (fun (module M : Mgmt.Dialect.S) -> ok M.name M.parse (M.render config)) dialects;
+  parsers
+
+(* Truncation, byte flips, splices, huge numbers and duplicated lines. *)
+let mutate s =
+  let open QCheck2.Gen in
+  let n = String.length s in
+  let at i = if n = 0 then 0 else i mod n in
+  oneof
+    [ map (fun i -> String.sub s 0 (i mod (n + 1))) nat;
+      map2 (fun i c -> if n = 0 then s else String.mapi (fun j x -> if j = at i then c else x) s) nat char;
+      map2
+        (fun i piece ->
+          let i = i mod (n + 1) in
+          String.sub s 0 i ^ piece ^ String.sub s i (n - i))
+        nat
+        (oneofl
+           [ "\n"; "\r\n"; " "; "\t"; "#"; "="; ":"; "."; ","; "-"; "\""; "\\"; "{"; "}";
+             "["; "]"; "\\u12"; "ms"; "us"; "txn"; "packet "; "span "; "event "; "point ";
+             "interface "; "set "; "!"; "\000"; "\255" ]);
+      (* the digit run at or after [i], replaced *)
+      map2
+        (fun i big ->
+          let rec digit j = if j >= n then None else if '0' <= s.[j] && s.[j] <= '9' then Some j else digit (j + 1) in
+          match digit (at i) with
+          | None -> s
+          | Some j ->
+              let k = ref j in
+              while !k < n && '0' <= s.[!k] && s.[!k] <= '9' do incr k done;
+              String.sub s 0 j ^ big ^ String.sub s !k (n - !k))
+        nat
+        (oneofl
+           [ "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+             "99999999999999999999999999"; "0x7fffffffffffffff"; "1e308"; "nan"; "-0"; "1_0" ]);
+      (* a line, from one LF to the next, said twice *)
+      map
+        (fun i ->
+          match String.index_from_opt s (at i) '\n' with
+          | Some a -> (
+              match String.index_from_opt s (a + 1) '\n' with
+              | Some b -> String.sub s 0 b ^ String.sub s a (n - a)
+              | None -> s)
+          | None -> s)
+        nat ]
+
+let totality_tests =
+  [
+    tc "every text parser is total under mutation" (fun () ->
+        let parsers = Array.of_list (parsers ()) in
+        let case seed =
+          let rand = Random.State.make [| seed |] in
+          let name, parse, seeds = parsers.(seed mod Array.length parsers) in
+          let input =
+            QCheck2.Gen.(generate1 ~rand (oneofl seeds >>= mutate >>= mutate))
+          in
+          (name, parse, input)
+        in
+        let report =
+          Check.Fuzz.run ~gen:case ~packets:(fun _ -> 1) ~seed:1 ~cases:10_000
+            ~check:(fun (name, parse, input) ->
+              match parse input with
+              | () -> None
+              | exception e -> Some (name, input, Printexc.to_string e))
+            ()
+        in
+        check Alcotest.int "parsed" 10_000 report.Check.Fuzz.packets;
+        List.iter
+          (fun (name, input, e) -> Alcotest.failf "%s raised %s on %S" name e input)
+          report.Check.Fuzz.divergences);
+  ]
+
 let suite =
   [
     ("check.corpus", corpus_tests);
@@ -388,4 +556,5 @@ let suite =
     ("check.oracle-match", witness_tests);
     ("check.codec-fuzz", codec_tests);
     ("check.transparency", transparency_tests);
+    ("check.totality", totality_tests);
   ]

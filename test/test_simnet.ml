@@ -38,32 +38,133 @@ let[@inline never] fresh_frame i =
 
 let test_frame = fresh_frame 1
 
-(* Schedule [log i] at each [times.(i)], as a thunk where [deliver.(i)] is
-   false and as a delivery on port [i] otherwise; return the pop order. *)
-let pop_order times deliver =
+(* An engine script: [`At (dt, None)] schedules a thunk at [now + dt],
+   [`At (dt, Some k)] a delivery there to sink [k]; events are numbered
+   in scheduling order.  [`Step] runs one event. *)
+type op = [ `At of int * int option | `Step ]
+
+(* Run [ops] on a fresh engine with [sinks] sinks, then drain it; return
+   the event numbers in pop order and [Engine.pending] after each op. *)
+let run_ops ~sinks (ops : op list) =
   let e = Engine.create () in
   let order = ref [] in
-  let sink port _ = order := port :: !order in
+  let sinks = Array.init sinks (fun _ -> Engine.sink e (fun n _ -> order := n :: !order)) in
   let pkt = fresh_frame 2 in
-  List.iteri
-    (fun i (t, d) ->
-      let at = Sim_time.of_ns t in
-      if d then Engine.deliver_at e at sink i pkt
-      else Engine.schedule_at e at (fun () -> order := i :: !order))
-    (List.combine times deliver);
+  let n = ref 0 in
+  let pending =
+    List.map
+      (fun op ->
+        (match op with
+        | `Step -> ignore (Engine.step e)
+        | `At (dt, ev) -> (
+            let at = Sim_time.add (Engine.now e) dt and i = !n in
+            incr n;
+            match ev with
+            | None -> Engine.schedule_at e at (fun () -> order := i :: !order)
+            | Some k -> Engine.deliver_at e at sinks.(k) i pkt));
+        Engine.pending e)
+      ops
+  in
   Engine.run e;
-  List.rev !order
+  (List.rev !order, pending)
+
+(* The same script on a sorted list: the specification. *)
+let model_ops (ops : op list) =
+  let queue = ref [] and now = ref 0 and n = ref 0 and order = ref [] in
+  let pop () =
+    match List.sort compare !queue with
+    | [] -> ()
+    | (at, i) :: rest ->
+        queue := rest;
+        now := at;
+        order := i :: !order
+  in
+  let pending =
+    List.map
+      (fun op ->
+        (match op with
+        | `Step -> pop ()
+        | `At (dt, _) ->
+            queue := (!now + dt, !n) :: !queue;
+            incr n);
+        List.length !queue)
+      ops
+  in
+  while !queue <> [] do
+    pop ()
+  done;
+  (List.rev !order, pending)
+
+let pop_order ?(sinks = 1) events =
+  fst (run_ops ~sinks (List.map (fun (t, ev) -> `At (t, ev)) events))
+
+let ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 200)
+      (frequency
+         [ (1, return `Step);
+           (4, map2 (fun dt ev -> `At (dt, ev)) (int_bound 50) (opt (int_bound 4))) ]))
+
+let print_ops ops =
+  String.concat ","
+    (List.map
+       (function
+         | `Step -> "s"
+         | `At (dt, None) -> string_of_int dt
+         | `At (dt, Some k) -> Printf.sprintf "%d>%d" dt k)
+       ops)
+
+(* In-order deliveries spread over [sinks] sinks with [depth] in flight,
+   the shape of a hairpin run (about 234 frames over about 20 sinks):
+   [once ()] runs one event and schedules the next delivery. *)
+let steady_deliveries e ~sinks ~depth =
+  let total = ref 0 in
+  let sinks = Array.init sinks (fun _ -> Engine.sink e (fun port _ -> total := !total + port)) in
+  let k = ref 0 in
+  let deliver () =
+    Engine.deliver_at e (Sim_time.add (Engine.now e) 1_000) sinks.(!k) 1 test_frame;
+    k := (!k + 7) mod Array.length sinks
+  in
+  for _ = 1 to depth do
+    deliver ()
+  done;
+  let once () =
+    ignore (Engine.step e);
+    deliver ()
+  in
+  (once, total)
+
+(* Deliver one fresh frame through [schedule], run the engine and check
+   that nothing it kept still reaches the frame. *)
+let check_not_pinned schedule =
+  let e = Engine.create () in
+  let seen = Weak.create 1 in
+  let ran = ref 0 in
+  let sink = Engine.sink e (fun _ _ -> incr ran) in
+  let[@inline never] schedule () =
+    let pkt = fresh_frame 3 in
+    Weak.set seen 0 (Some pkt);
+    schedule e sink pkt
+  in
+  schedule ();
+  Engine.run e;
+  Gc.full_major ();
+  check Alcotest.bool "ran" true (!ran > 0);
+  check Alcotest.bool "collected" false (Weak.check seen 0);
+  (* The engine, and through it the sink's lane, is still live here. *)
+  check Alcotest.int "drained" 0 (Engine.pending e)
 
 let eq_tests =
   [
     tc "pops in time order" (fun () ->
         let times = [ 50; 10; 30; 20; 40 ] in
-        let order = pop_order times (List.map (fun _ -> false) times) in
+        let order = pop_order (List.map (fun t -> (t, None)) times) in
         check Alcotest.(list int) "sorted" [ 10; 20; 30; 40; 50 ]
           (List.map (List.nth times) order));
     tc "fifo among equal timestamps" (fun () ->
-        check Alcotest.(list int) "fifo" [ 0; 1; 2; 3 ]
-          (pop_order [ 7; 7; 7; 7 ] [ false; true; false; true ]));
+        check Alcotest.(list int) "fifo" [ 0; 1; 2; 3; 4 ]
+          (pop_order ~sinks:2
+             [ (7, None); (7, Some 0); (7, None); (7, Some 1); (7, Some 0) ]));
     prop "qcheck: always non-decreasing pop order"
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 200)
          (QCheck2.Gen.int_bound 10_000))
@@ -83,60 +184,74 @@ let eq_tests =
           last := now
         done;
         !ok && !monotone);
-    prop "qcheck: thunks and deliveries pop in (time, seq) order"
-      QCheck2.Gen.(
-        list_size (int_range 1 200) (pair (int_bound 50) bool))
-      ~print:(fun l ->
-        String.concat ","
-          (List.map (fun (t, d) -> Printf.sprintf "%d%s" t (if d then "d" else "")) l))
-      (fun events ->
-        let times = List.map fst events in
-        let expected =
-          List.mapi (fun i t -> (t, i)) times
-          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map snd
-        in
-        pop_order times (List.map snd events) = expected);
+    (* Random instants per sink put deliveries both at and before their
+       lane's newest instant, and steps between them interleave scheduling
+       with dispatch: the lanes, the out-of-order fallback and the thunks
+       must together pop as a stable sort by (instant, scheduling order). *)
+    prop "qcheck: thunks and deliveries over several sinks pop in (time, seq) order"
+      ops_gen ~print:print_ops
+      (fun ops -> run_ops ~sinks:5 ops = model_ops ops);
+    tc "pending counts lane deliveries and thunks" (fun () ->
+        let e = Engine.create () in
+        let a = Engine.sink e (fun _ _ -> ()) and b = Engine.sink e (fun _ _ -> ()) in
+        Engine.deliver_at e (Sim_time.of_ns 10) a 0 test_frame;
+        Engine.deliver_at e (Sim_time.of_ns 20) a 0 test_frame;
+        Engine.deliver_at e (Sim_time.of_ns 5) a 0 test_frame;
+        Engine.deliver_at e (Sim_time.of_ns 15) b 0 test_frame;
+        Engine.schedule_at e (Sim_time.of_ns 30) (fun () -> ());
+        check Alcotest.int "queued" 5 (Engine.pending e);
+        Engine.enable_telemetry e;
+        Engine.run e;
+        check Alcotest.int "drained" 0 (Engine.pending e);
+        match Engine.queue_depth_series e with
+        | None -> Alcotest.fail "no queue-depth series"
+        | Some series ->
+            check
+              Alcotest.(list (pair int int))
+              "depth after each pop"
+              [ (5, 4); (10, 3); (15, 2); (20, 1); (30, 0) ]
+              (List.map (fun (ts, v) -> (ts, int_of_float v))
+                 (Telemetry.Timeseries.to_list series)));
+    tc "a sink of another engine is rejected" (fun () ->
+        let e = Engine.create () and other = Engine.create () in
+        let sink = Engine.sink other (fun _ _ -> ()) in
+        check Alcotest.bool "foreign sink" true
+          (try
+             Engine.deliver_at e (Sim_time.of_ns 10) sink 0 test_frame;
+             false
+           with Invalid_argument _ -> true);
+        check Alcotest.int "nothing queued" 0 (Engine.pending e));
     tc "scheduling and running a delivery allocate nothing" (fun () ->
         let e = Engine.create () in
-        let total = ref 0 in
-        let sink port _ = total := !total + port in
-        let once () =
-          Engine.deliver_at e (Engine.now e) sink 1 test_frame;
-          ignore (Engine.step e)
-        in
-        once ();
-        let before = Gc.minor_words () in
-        for _ = 1 to 1_000 do
+        let once, total = steady_deliveries e ~sinks:20 ~depth:234 in
+        (* Warm-up: every lane reaches its depth. *)
+        for _ = 1 to 2_000 do
           once ()
         done;
-        check Alcotest.int "minor words over 1k deliveries" 0
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          once ()
+        done;
+        check Alcotest.int "minor words over 10k deliveries" 0
           (int_of_float (Gc.minor_words () -. before));
-        check Alcotest.int "all delivered" 1_001 !total);
-    tc "a delivered frame is not pinned by the queue" (fun () ->
-        let e = Engine.create () in
-        let seen = Weak.create 1 in
-        let ran = ref false in
-        let sink _ _ = ran := true in
-        let[@inline never] schedule () =
-          let pkt = fresh_frame 3 in
-          Weak.set seen 0 (Some pkt);
-          Engine.deliver_at e (Sim_time.of_ns 10) sink 0 pkt
-        in
-        schedule ();
-        Engine.run e;
-        Gc.full_major ();
-        check Alcotest.bool "ran" true !ran;
-        check Alcotest.bool "collected" false (Weak.check seen 0);
-        (* The engine itself is still live here. *)
-        check Alcotest.int "drained" 0 (Engine.pending e));
+        check Alcotest.int "all delivered" 12_000 !total;
+        check Alcotest.int "in flight" 234 (Engine.pending e));
+    tc "a delivered frame is not pinned by the queue (lane)" (fun () ->
+        check_not_pinned (fun e sink pkt ->
+            Engine.deliver_at e (Sim_time.of_ns 10) sink 0 pkt;
+            Engine.deliver_at e (Sim_time.of_ns 20) sink 0 test_frame));
+    tc "a delivered frame is not pinned by the queue (out of order)" (fun () ->
+        check_not_pinned (fun e sink pkt ->
+            Engine.deliver_at e (Sim_time.of_ns 20) sink 0 test_frame;
+            Engine.deliver_at e (Sim_time.of_ns 10) sink 0 pkt));
     tc "delivery in the past rejected" (fun () ->
         let e = Engine.create () in
+        let sink = Engine.sink e (fun _ _ -> ()) in
         Engine.schedule_after e 100 (fun () -> ());
         Engine.run e;
         check Alcotest.bool "past" true
           (try
-             Engine.deliver_at e (Sim_time.of_ns 50) (fun _ _ -> ()) 0 test_frame;
+             Engine.deliver_at e (Sim_time.of_ns 50) sink 0 test_frame;
              false
            with Invalid_argument _ -> true));
   ]

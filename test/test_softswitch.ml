@@ -676,7 +676,7 @@ let agent_tests =
         let engine = Engine.create () in
         let a = Node.create engine ~name:"a" ~ports:1 in
         let b = Node.create engine ~name:"b" ~ports:1 in
-        ignore (Patch_port.connect (a, 0) (b, 0));
+        Patch_port.connect (a, 0) (b, 0);
         let got = ref 0 in
         Node.set_handler b (fun _ ~in_port:_ _ -> incr got);
         Node.transmit a ~port:0 (udp_pkt ());
