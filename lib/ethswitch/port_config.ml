@@ -7,8 +7,13 @@ type mode =
 
 let default = Access 1
 
-let allows allowed vid =
-  match allowed with All -> true | Only vids -> List.mem vid vids
+(* Int equality per element, not [List.mem]'s polymorphic compare: this
+   runs on every trunk classify and egress decision. *)
+let rec mem_vid (vid : int) = function
+  | [] -> false
+  | v :: rest -> v = vid || mem_vid vid rest
+
+let allows allowed vid = match allowed with All -> true | Only vids -> mem_vid vid vids
 
 type encap = Not_member | Untagged | Tagged
 

@@ -115,14 +115,22 @@ let port_config_tests =
           (Port_config.classify_ingress m ~tag_vid:6));
     tc "trunk ingress classification" (fun () ->
         let m =
-          Port_config.Trunk { native = Some 1; allowed = Port_config.Only [ 10; 20 ] }
+          Port_config.Trunk { native = Some 1; allowed = Port_config.Only [ 10; 20; 40 ] }
         in
         check Alcotest.int "untagged -> native" 1
           (Port_config.classify_ingress m ~tag_vid:(-1));
         check Alcotest.int "allowed" 10
           (Port_config.classify_ingress m ~tag_vid:10);
+        check Alcotest.int "allowed at the tail" 40
+          (Port_config.classify_ingress m ~tag_vid:40);
         check Alcotest.int "not allowed" (-1)
-          (Port_config.classify_ingress m ~tag_vid:30));
+          (Port_config.classify_ingress m ~tag_vid:30);
+        check Alcotest.int "above every allowed" (-1)
+          (Port_config.classify_ingress m ~tag_vid:41);
+        check Alcotest.bool "tail tags on egress" true
+          (Port_config.egress_encap m ~vlan:40 = Port_config.Tagged);
+        check Alcotest.bool "outside on egress" true
+          (Port_config.egress_encap m ~vlan:41 = Port_config.Not_member));
     tc "trunk without native drops untagged" (fun () ->
         let m = Port_config.Trunk { native = None; allowed = Port_config.All } in
         check Alcotest.int "dropped" (-1)
