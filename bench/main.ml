@@ -20,6 +20,9 @@
                        about 234 in flight over 20 sinks (a hairpin run's
                        shape), in order (the sinks' lanes) or jittered
                        (the out-of-order fallback)
+   - legacy/*       -> the legacy switch's MAC table: 1,000 refreshes or
+                       lookups per run over zipf-imix-ovs's table (48
+                       hosts' MACs on each of 48 access VLANs)
    - e2e/*          -> E2/E3 companions: a full ping through HARMLESS
    - wire/*, table/* and mgmt/* -> substrate costs backing everything else
 
@@ -209,6 +212,37 @@ let engine_tests =
   in
   Test.make_grouped ~name:"engine"
     [ mk "deliver-in-order" ~jitter:0; mk "deliver-jittered" ~jitter:500 ]
+
+(* ---- legacy/* : 1,000 MAC table operations per run ---- *)
+
+let legacy_tests =
+  let module M = Ethswitch.Mac_table in
+  let hosts = 48 in
+  let keys = hosts * hosts and now = Simnet.Sim_time.zero in
+  let addrs = Array.init hosts (fun i -> mac (i + 1)) in
+  let vlan k = 1 + (k / hosts) and addr k = addrs.(k mod hosts) in
+  let table = M.create () in
+  for k = 0 to keys - 1 do
+    M.learn table ~now ~vlan:(vlan k) ~mac:(addr k) ~port:(k mod hosts)
+  done;
+  (* A stride coprime to [keys] walks every key before it repeats. *)
+  let next = ref 0 in
+  let each f () =
+    for _ = 1 to 1_000 do
+      let k = !next in
+      next := (k + 7) mod keys;
+      f k
+    done
+  in
+  Test.make_grouped ~name:"legacy"
+    [
+      Test.make ~name:"mac-learn-refresh"
+        (Staged.stage
+           (each (fun k -> M.learn table ~now ~vlan:(vlan k) ~mac:(addr k) ~port:(k mod hosts))));
+      Test.make ~name:"mac-lookup"
+        (Staged.stage
+           (each (fun k -> ignore (M.lookup table ~now ~vlan:(vlan k) ~mac:(addr k)))));
+    ]
 
 (* ---- e2e/* : a full ping through a prebuilt deployment ---- *)
 
@@ -597,6 +631,7 @@ let all_tests =
     translator_tests;
     pmd_tests;
     engine_tests;
+    legacy_tests;
     e2e_tests;
     wire_tests;
     table_tests;

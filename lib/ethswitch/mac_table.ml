@@ -1,171 +1,194 @@
 open Simnet
 
-module Itbl = Hashtbl.Make (Int)
-
 (* One int per (VLAN, MAC): the VLAN above the 48-bit address. *)
 let key ~vlan ~mac = (vlan lsl 48) lor Netpkt.Mac_addr.to_int mac
 
-type entry = {
-  mutable port : int;
-  mutable learned_at : Sim_time.t;
-  mutable stamp : int; (* of this entry's latest learn *)
-}
+let none = -1
 
-(* Learn order, oldest first, is a ring of (key, stamp) pairs.  Every
-   learn pushes a pair with a fresh stamp, so a refreshed or removed
-   entry leaves a stale pair behind; eviction skips stale pairs as it
-   pops them (lazy deletion), and a full ring drops them in place
-   before it grows. *)
+(* An open-addressed hash table of flat int arrays indexed by bucket,
+   probed linearly and at most half full ([keys.(b) = none] when empty).
+   It starts with room for 16 entries and doubles on demand, up to room
+   for [capacity].  A removal shifts the rest of its probe run back, so
+   there are no tombstones.  The entries form one list through
+   [prev]/[next] in learn order, least recently learned at [oldest]: a
+   refresh relinks its bucket at [newest], and eviction and the aging
+   sweep take [oldest]. *)
 type t = {
-  table : entry Itbl.t;
   capacity : int;
   aging : Sim_time.span;
-  mutable ring_keys : int array;
-  mutable ring_stamps : int array;
-  mutable head : int;
-  mutable len : int;
-  mutable next_stamp : int;
+  mutable keys : int array;
+  mutable ports : int array;
+  mutable learned : int array; (* ns *)
+  mutable prev : int array;
+  mutable next : int array;
+  mutable shift : int; (* 63 - log2 (Array.length keys) *)
+  mutable count : int;
+  mutable oldest : int;
+  mutable newest : int;
   mutable per_port : int array; (* entries per port *)
 }
 
-let create ?(capacity = 8192) ?(aging = Sim_time.s 300) () =
-  if capacity <= 0 then invalid_arg "Mac_table.create: capacity <= 0";
-  {
-    table = Itbl.create 256;
-    capacity;
-    aging;
-    ring_keys = Array.make 16 0;
-    ring_stamps = Array.make 16 0;
-    head = 0;
-    len = 0;
-    next_stamp = 0;
-    per_port = Array.make 16 0;
-  }
+(* The top bits of a multiplicative hash: every key bit, the VLAN's at
+   48 and up included, reaches them.  The low bits of the product never
+   see the VLAN, so every VLAN copy of a MAC would share a bucket. *)
+let home t key = (key * 0x1E3779B97F4A7C15) lsr t.shift
 
-let expired t ~now entry = Sim_time.diff now entry.learned_at > t.aging
+(* The bucket holding [key], or the empty bucket ending its run. *)
+let rec probe t key b =
+  let k = t.keys.(b) in
+  if k = key || k = none then b else probe t key ((b + 1) land (Array.length t.keys - 1))
+
+let find t key = probe t key (home t key)
+let expired t ~now b = Sim_time.to_ns now - t.learned.(b) > t.aging
 
 let count t port delta =
   let n = Array.length t.per_port in
   if port >= n then begin
-    let wider = Array.make (max (port + 1) (2 * n)) 0 in
+    let wider = Array.make (Int.max (port + 1) (2 * n)) 0 in
     Array.blit t.per_port 0 wider 0 n;
     t.per_port <- wider
   end;
   t.per_port.(port) <- t.per_port.(port) + delta
 
-let remove t key entry =
-  Itbl.remove t.table key;
-  count t entry.port (-1)
+let unlink t b =
+  let p = t.prev.(b) and n = t.next.(b) in
+  if p = none then t.oldest <- n else t.next.(p) <- n;
+  if n = none then t.newest <- p else t.prev.(n) <- p
 
-let live t key stamp =
-  match Itbl.find t.table key with
-  | entry -> entry.stamp = stamp
-  | exception Not_found -> false
+let link_newest t b =
+  t.prev.(b) <- t.newest;
+  t.next.(b) <- none;
+  if t.newest = none then t.oldest <- b else t.next.(t.newest) <- b;
+  t.newest <- b
 
-(* Drop the stale pairs in place, then double the ring if live pairs
-   still fill more than half of it, so the next compaction is at least
-   half a ring of pushes away. *)
-let compact t =
-  let n = Array.length t.ring_keys in
-  let kept = ref 0 in
-  for i = 0 to t.len - 1 do
-    let src = (t.head + i) mod n in
-    let k = t.ring_keys.(src) and s = t.ring_stamps.(src) in
-    if live t k s then begin
-      let dst = (t.head + !kept) mod n in
-      t.ring_keys.(dst) <- k;
-      t.ring_stamps.(dst) <- s;
-      incr kept
-    end
+let insert t key port learned =
+  let b = find t key in
+  t.keys.(b) <- key;
+  t.ports.(b) <- port;
+  t.learned.(b) <- learned;
+  link_newest t b
+
+(* Rehash into [2^bits] buckets, keeping the learn order. *)
+let resize t bits =
+  let keys = t.keys and ports = t.ports and learned = t.learned and next = t.next in
+  let buckets = 1 lsl bits in
+  t.keys <- Array.make buckets none;
+  t.ports <- Array.make buckets 0;
+  t.learned <- Array.make buckets 0;
+  t.prev <- Array.make buckets none;
+  t.next <- Array.make buckets none;
+  t.shift <- 63 - bits;
+  let b = ref t.oldest in
+  t.oldest <- none;
+  t.newest <- none;
+  while !b <> none do
+    insert t keys.(!b) ports.(!b) learned.(!b);
+    b := next.(!b)
+  done
+
+let create ?(capacity = 8192) ?(aging = Sim_time.s 300) () =
+  if capacity <= 0 then invalid_arg "Mac_table.create: capacity <= 0";
+  let t =
+    { capacity; aging; keys = [||]; ports = [||]; learned = [||]; prev = [||];
+      next = [||]; shift = 63; count = 0; oldest = none; newest = none;
+      per_port = Array.make 16 0 }
+  in
+  let rec bits n = if 1 lsl n >= 2 * Int.min 16 capacity then n else bits (n + 1) in
+  resize t (bits 1);
+  t
+
+(* Move the entry in bucket [j] to the empty bucket [hole]. *)
+let move t j hole =
+  t.keys.(hole) <- t.keys.(j);
+  t.ports.(hole) <- t.ports.(j);
+  t.learned.(hole) <- t.learned.(j);
+  let p = t.prev.(j) and n = t.next.(j) in
+  t.prev.(hole) <- p;
+  t.next.(hole) <- n;
+  if p = none then t.oldest <- hole else t.next.(p) <- hole;
+  if n = none then t.newest <- hole else t.prev.(n) <- hole
+
+(* Empty bucket [b], then walk the rest of its run: an entry whose home
+   is not cyclically in (hole, j] moves back into the hole, and the hole
+   moves to where that entry was. *)
+let remove t b =
+  unlink t b;
+  count t t.ports.(b) (-1);
+  t.count <- t.count - 1;
+  let mask = Array.length t.keys - 1 in
+  let hole = ref b and j = ref ((b + 1) land mask) in
+  while t.keys.(!j) <> none do
+    if (!j - home t t.keys.(!j)) land mask >= (!j - !hole) land mask then begin
+      move t !j !hole;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
   done;
-  t.len <- !kept;
-  if 2 * t.len > n then begin
-    let unroll ring =
-      Array.init (2 * n) (fun i -> if i < t.len then ring.((t.head + i) mod n) else 0)
-    in
-    t.ring_keys <- unroll t.ring_keys;
-    t.ring_stamps <- unroll t.ring_stamps;
-    t.head <- 0
-  end
-
-let push t key stamp =
-  if t.len = Array.length t.ring_keys then compact t;
-  let at = (t.head + t.len) mod Array.length t.ring_keys in
-  t.ring_keys.(at) <- key;
-  t.ring_stamps.(at) <- stamp;
-  t.len <- t.len + 1
-
-let pop t =
-  t.head <- (t.head + 1) mod Array.length t.ring_keys;
-  t.len <- t.len - 1
-
-(* Pop pairs off the head of the ring: stale pairs, and live entries
-   while they have aged out by [now] — or, with [~evict], exactly one live
-   entry whatever its age.  Pairs are in stamp order and [learned_at]
-   rises with the stamp, so the first live entry that has not expired
-   ends an aging sweep: amortised O(1). *)
-let rec sweep t ~now ~evict =
-  if t.len > 0 then begin
-    let k = t.ring_keys.(t.head) and s = t.ring_stamps.(t.head) in
-    match Itbl.find t.table k with
-    | entry when entry.stamp = s ->
-        if evict || expired t ~now entry then begin
-          pop t;
-          remove t k entry;
-          if not evict then sweep t ~now ~evict
-        end
-    | _ | (exception Not_found) ->
-        pop t;
-        sweep t ~now ~evict
-  end
+  t.keys.(!hole) <- none
 
 let learn t ~now ~vlan ~mac ~port =
   if port < 0 then invalid_arg "Mac_table.learn: negative port";
   if Netpkt.Mac_addr.is_unicast mac then begin
     let key = key ~vlan ~mac in
-    let stamp = t.next_stamp in
-    t.next_stamp <- stamp + 1;
-    (match Itbl.find t.table key with
-    | entry ->
-        count t entry.port (-1);
+    let b = find t key in
+    if t.keys.(b) = key then begin
+      if t.ports.(b) <> port then begin
+        count t t.ports.(b) (-1);
         count t port 1;
-        entry.port <- port;
-        entry.learned_at <- now;
-        entry.stamp <- stamp
-    | exception Not_found ->
-        if Itbl.length t.table >= t.capacity then sweep t ~now ~evict:true;
-        Itbl.add t.table key { port; learned_at = now; stamp };
-        count t port 1);
-    push t key stamp
+        t.ports.(b) <- port
+      end;
+      t.learned.(b) <- Sim_time.to_ns now;
+      if b <> t.newest then begin
+        unlink t b;
+        link_newest t b
+      end
+    end
+    else begin
+      if t.count >= t.capacity then remove t t.oldest;
+      if 2 * (t.count + 1) > Array.length t.keys then resize t (64 - t.shift);
+      (* eviction and growth both move entries: probe again *)
+      insert t key port (Sim_time.to_ns now);
+      t.count <- t.count + 1;
+      count t port 1
+    end
   end
 
 let lookup t ~now ~vlan ~mac =
   let key = key ~vlan ~mac in
-  match Itbl.find t.table key with
-  | entry ->
-      if expired t ~now entry then begin
-        remove t key entry;
-        -1
-      end
-      else entry.port
-  | exception Not_found -> -1
+  let b = find t key in
+  if t.keys.(b) <> key then none
+  else if expired t ~now b then begin
+    remove t b;
+    none
+  end
+  else t.ports.(b)
 
-let entry_count t = Itbl.length t.table
+let entry_count t = t.count
+
+(* Entries sit in learn order, so the first one that has not aged out
+   ends the sweep: amortised O(1). *)
+let rec sweep t ~now =
+  if t.oldest <> none && expired t ~now t.oldest then begin
+    remove t t.oldest;
+    sweep t ~now
+  end
 
 let count_port t ~now ~port =
-  sweep t ~now ~evict:false;
+  sweep t ~now;
   if port >= 0 && port < Array.length t.per_port then t.per_port.(port) else 0
 
 let flush t =
-  Itbl.reset t.table;
-  t.head <- 0;
-  t.len <- 0;
+  Array.fill t.keys 0 (Array.length t.keys) none;
+  t.count <- 0;
+  t.oldest <- none;
+  t.newest <- none;
   Array.fill t.per_port 0 (Array.length t.per_port) 0
 
+(* A removal shifts later entries of its run back, into [b] or past it,
+   or (when the run wraps) only between buckets already cleared of
+   [port]: so [b] is looked at again, and no entry is skipped. *)
 let flush_port t ~port =
-  let doomed =
-    Itbl.fold
-      (fun key entry acc -> if entry.port = port then (key, entry) :: acc else acc)
-      t.table []
-  in
-  List.iter (fun (key, entry) -> remove t key entry) doomed
+  let b = ref 0 in
+  while !b < Array.length t.keys do
+    if t.keys.(!b) <> none && t.ports.(!b) = port then remove t !b else incr b
+  done

@@ -44,7 +44,7 @@ let payload_size t =
 
 let size t = 14 + (4 * List.length t.vlans) + payload_size t
 
-let wire_size t = max 60 (size t) + 4
+let wire_size t = Int.max 60 (size t) + 4
 
 let l3_bytes = function
   | Ip ip -> Ipv4.encode ip

@@ -160,7 +160,7 @@ let sink t run =
       head = 0; count = 0; last = 0 }
   in
   if t.sink_count = Array.length t.sinks then begin
-    let more = max 8 t.sink_count in
+    let more = Int.max 8 t.sink_count in
     t.sinks <- Array.append t.sinks (Array.make more s);
     t.lanes <- Array.append t.lanes (Array.make (3 * more) 0)
   end;
@@ -171,8 +171,8 @@ let sink t run =
 (* Double [s]'s ring (8 cells at first), its deliveries from cell 0. *)
 let grow_lane s =
   let cap = Array.length s.packets in
-  let cells = Array.make (3 * max 8 (2 * cap)) 0 in
-  let packets = Array.make (max 8 (2 * cap)) no_packet in
+  let cells = Array.make (3 * Int.max 8 (2 * cap)) 0 in
+  let packets = Array.make (Int.max 8 (2 * cap)) no_packet in
   for k = 0 to s.count - 1 do
     let i = (s.head + k) land (cap - 1) in
     set cells k s.cells.(3 * i) s.cells.((3 * i) + 1) s.cells.((3 * i) + 2);

@@ -116,17 +116,20 @@ let handle_dns t (pkt : Packet.t) (ip_hdr : Ipv4.t) (dgram : Udp.t) =
                  (Packet.Ip
                     (Ipv4.make ~src:t.ip ~dst:ip_hdr.Ipv4.src (Ipv4.Udp out))))
 
+let rec echoes ports (port : int) =
+  match ports with [] -> false | p :: rest -> p = port || echoes rest port
+
 let handle_udp t (pkt : Packet.t) (ip_hdr : Ipv4.t) (dgram : Udp.t) =
   t.udp_rx <- t.udp_rx + 1;
   if dgram.Udp.dst_port = Dns_lite.server_port
      || dgram.Udp.src_port = Dns_lite.server_port
   then handle_dns t pkt ip_hdr dgram;
-  (match Probe.decode dgram.Udp.payload with
-  | Some sent_at ->
-      let delay = Sim_time.diff (Engine.now t.engine) sent_at in
-      if delay >= 0 then Telemetry.Hdr.record t.latency delay
-  | None -> ());
-  if List.mem dgram.Udp.dst_port t.udp_echo_ports then begin
+  let sent_at = Probe.decode dgram.Udp.payload in
+  if sent_at >= 0 then begin
+    let delay = Sim_time.to_ns (Engine.now t.engine) - sent_at in
+    if delay >= 0 then Telemetry.Hdr.record t.latency delay
+  end;
+  if echoes t.udp_echo_ports dgram.Udp.dst_port then begin
     let echo =
       Udp.make ~src_port:dgram.Udp.dst_port ~dst_port:dgram.Udp.src_port
         dgram.Udp.payload

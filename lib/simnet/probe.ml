@@ -3,7 +3,7 @@ let magic = "@T"
 (* One [Bytes] of the final length, zero padded: the magic, then the
    send time as 8 big-endian bytes. *)
 let encode ~sent_at ~pad_to =
-  let b = Bytes.make (Stdlib.max 10 pad_to) '\x00' in
+  let b = Bytes.make (Int.max 10 pad_to) '\x00' in
   Bytes.unsafe_set b 0 magic.[0];
   Bytes.unsafe_set b 1 magic.[1];
   let ns = Sim_time.to_ns sent_at in
@@ -16,6 +16,6 @@ let decode s =
   if String.length s >= 10 && s.[0] = magic.[0] && s.[1] = magic.[1] then begin
     let ns = ref 0 in
     for i = 0 to 7 do ns := (!ns lsl 8) lor Char.code s.[2 + i] done;
-    if !ns >= 0 then Some (Sim_time.of_ns !ns) else None
+    if !ns >= 0 then !ns else -1
   end
-  else None
+  else -1

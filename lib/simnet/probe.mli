@@ -8,5 +8,6 @@ val encode : sent_at:Sim_time.t -> pad_to:int -> string
 (** A payload of at least [pad_to] bytes (and at least 10) embedding
     [sent_at]. *)
 
-val decode : string -> Sim_time.t option
-(** The embedded timestamp, if the payload is a probe. *)
+val decode : string -> int
+(** The embedded send instant in nanoseconds, or [-1] if the payload is
+    not a probe.  Allocates nothing. *)

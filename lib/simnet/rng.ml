@@ -1,17 +1,24 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state, as the 8 bytes of one [Bytes]: a [mutable]
+   [int64] field would box a fresh [Int64] on every store. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* splitmix64: fast, full 64-bit period, excellent for simulation. *)
 let next t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = Int64.add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let bits64 = next
-let split t = { state = next t }
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

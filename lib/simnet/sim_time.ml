@@ -15,10 +15,10 @@ let add t d =
   r
 
 let diff a b = a - b
-let max = Stdlib.max
+let max = Int.max
 let compare = Int.compare
-let ( <= ) = Stdlib.( <= )
-let ( < ) = Stdlib.( < )
+let ( <= ) (a : t) b = a <= b
+let ( < ) (a : t) b = a < b
 let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000

@@ -14,14 +14,14 @@ let interval_ns rng = function
       int_of_float (1e9 /. rate)
   | Poisson rate ->
       if rate <= 0.0 then invalid_arg "Traffic: rate <= 0";
-      Stdlib.max 1 (int_of_float (Rng.exponential rng ~mean:(1e9 /. rate)))
+      Int.max 1 (int_of_float (Rng.exponential rng ~mean:(1e9 /. rate)))
 
 (* IMIX per Agilent's classic 7:4:1 distribution. *)
 let imix_sizes = [| 64; 64; 64; 64; 64; 64; 64; 594; 594; 594; 594; 1518 |]
 
 let draw_size rng = function
-  | Fixed n -> Stdlib.max 64 n
-  | Uniform (lo, hi) -> Stdlib.max 64 (Rng.int_in rng lo hi)
+  | Fixed n -> Int.max 64 n
+  | Uniform (lo, hi) -> Int.max 64 (Rng.int_in rng lo hi)
   | Imix -> Rng.choose rng imix_sizes
 
 (* A generic open-loop generator: schedules [emit] according to the
@@ -49,7 +49,7 @@ let udp_stream ~rng ~src ~dst_mac ~dst_ip ?(src_port = 10000) ?(dst_port = 20000
       let wire = draw_size rng size in
       (* Payload size so the final frame hits [wire] bytes on the wire:
          wire = max 60 (14 eth + 20 ip + 8 udp + payload) + 4 fcs. *)
-      let payload_len = Stdlib.max 10 (wire - 4 - 14 - 20 - 8) in
+      let payload_len = Int.max 10 (wire - 4 - 14 - 20 - 8) in
       let payload = Probe.encode ~sent_at:(Engine.now engine) ~pad_to:payload_len in
       let pkt =
         Packet.udp ~dst:dst_mac ~src:(Host.mac src) ~ip_src:(Host.ip src)
@@ -66,7 +66,7 @@ let multi_udp_stream ~rng ~src ~dests ?(skew = 0.0) ?(dst_port = 20000) ?start
   generate engine ~rng ~start ~stop arrival (fun () ->
       let dst_mac, dst_ip = dests.(Rng.Zipf.draw zipf rng) in
       let wire = draw_size rng size in
-      let payload_len = Stdlib.max 10 (wire - 4 - 14 - 20 - 8) in
+      let payload_len = Int.max 10 (wire - 4 - 14 - 20 - 8) in
       let payload = Probe.encode ~sent_at:(Engine.now engine) ~pad_to:payload_len in
       let src_port = 1024 + Rng.int rng 60000 in
       let pkt =

@@ -21,7 +21,7 @@ let default_config =
 
 let ns_of_cycles cfg cycles =
   let hz = cfg.ghz *. float_of_int cfg.cores in
-  Stdlib.max 1 (int_of_float (ceil (float_of_int cycles /. hz)))
+  Int.max 1 (int_of_float (ceil (float_of_int cycles /. hz)))
 
 let packet_service_cycles cfg ~dataplane_cycles =
   dataplane_cycles + cfg.per_packet_io_cycles

@@ -9,11 +9,11 @@ type t = {
   mutable total : int;
   mutable vmin : int;
   mutable vmax : int;
-  mutable sum : float;
+  mutable sum : int; (* exact: a float field would box on every [record] *)
 }
 
 let create () =
-  { counts = Array.make bucket_count 0; total = 0; vmin = max_int; vmax = 0; sum = 0.0 }
+  { counts = Array.make bucket_count 0; total = 0; vmin = max_int; vmax = 0; sum = 0 }
 
 let index_of v =
   if v < linear_limit then v
@@ -40,10 +40,10 @@ let record t v =
   t.total <- t.total + 1;
   if v < t.vmin then t.vmin <- v;
   if v > t.vmax then t.vmax <- v;
-  t.sum <- t.sum +. float_of_int v
+  t.sum <- t.sum + v
 
 let count t = t.total
-let sum t = t.sum
+let sum t = float_of_int t.sum
 
 let min t =
   if t.total = 0 then invalid_arg "Hdr.min: empty";
@@ -53,7 +53,7 @@ let max t =
   if t.total = 0 then invalid_arg "Hdr.max: empty";
   t.vmax
 
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0.0 else sum t /. float_of_int t.total
 
 let percentile t p =
   if t.total = 0 then invalid_arg "Hdr.percentile: empty";
@@ -74,7 +74,7 @@ let merge a b =
     total = a.total + b.total;
     vmin = Stdlib.min a.vmin b.vmin;
     vmax = Stdlib.max a.vmax b.vmax;
-    sum = a.sum +. b.sum;
+    sum = a.sum + b.sum;
   }
 
 let reset t =
@@ -82,4 +82,4 @@ let reset t =
   t.total <- 0;
   t.vmin <- max_int;
   t.vmax <- 0;
-  t.sum <- 0.0
+  t.sum <- 0

@@ -5,9 +5,105 @@ open Netpkt
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
+let prop name ?(count = 500) gen ~print f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ~print gen f)
+
 (* ---- MAC table ---- *)
 
 let mac i = Mac_addr.make_local i
+
+type mac_op =
+  | Learn of int * int * int (* vlan, mac, port *)
+  | Lookup of int * int
+  | Count_port of int
+  | Flush_port of int
+  | Flush
+
+(* Few VLANs and MACs, so keys repeat and collide in a small index;
+   MAC 0 stands for broadcast, which is never learned.  Most scripts run
+   at capacities 1-8 and short aging; the rest hold more than the
+   initial 16 entries, so the table grows and rehashes mid-script. *)
+let mac_vlans = [| 0; 1; 2; 4094 |]
+let script_mac i = if i = 0 then Mac_addr.broadcast else mac i
+
+let mac_script_gen =
+  let open QCheck2.Gen in
+  let vlan = map (fun i -> mac_vlans.(i)) (int_bound 3) in
+  let addr = int_bound 12 and port = int_bound 3 in
+  let op =
+    frequency
+      [
+        (6, map3 (fun v m p -> Learn (v, m, p)) vlan addr port);
+        (6, map2 (fun v m -> Lookup (v, m)) vlan addr);
+        (2, map (fun p -> Count_port p) port);
+        (1, map (fun p -> Flush_port p) port);
+        (1, pure Flush);
+      ]
+  in
+  let small = pair (int_range 1 8) (int_range 1 20)
+  and growing = pair (int_range 17 48) (int_range 200 2000) in
+  map2
+    (fun (capacity, aging) script -> (capacity, aging, script))
+    (frequency [ (3, small); (1, growing) ])
+    (list_size (int_range 1 200) (pair (int_bound 6) op))
+
+let print_mac_script (capacity, aging, script) =
+  let op = function
+    | Learn (v, m, p) -> Printf.sprintf "learn v%d m%d p%d" v m p
+    | Lookup (v, m) -> Printf.sprintf "lookup v%d m%d" v m
+    | Count_port p -> Printf.sprintf "count_port p%d" p
+    | Flush_port p -> Printf.sprintf "flush_port p%d" p
+    | Flush -> "flush"
+  in
+  Printf.sprintf "capacity %d aging %d: %s" capacity aging
+    (String.concat "; " (List.map (fun (dt, o) -> Printf.sprintf "+%d %s" dt (op o)) script))
+
+(* The model is a list of (key, port, learned_at), oldest learned first;
+   eviction takes the head.  Every op's result and the entry count after
+   it must agree with the model's. *)
+let mac_table_agrees ~capacity ~aging script =
+  let t = Mac_table.create ~capacity ~aging:(Sim_time.ns aging) () in
+  let model = ref [] and clock = ref 0 in
+  let expired (_, _, at) = !clock - at > aging in
+  let rec sweep = function e :: rest when expired e -> sweep rest | l -> l in
+  let run = function
+    | Learn (v, m, p) ->
+        Mac_table.learn t ~now:(Sim_time.of_ns !clock) ~vlan:v ~mac:(script_mac m) ~port:p;
+        if m <> 0 then begin
+          let others = List.filter (fun (k, _, _) -> k <> (v, m)) !model in
+          let kept = if List.length others >= capacity then List.tl others else others in
+          model := kept @ [ ((v, m), p, !clock) ]
+        end;
+        true
+    | Lookup (v, m) ->
+        let got = Mac_table.lookup t ~now:(Sim_time.of_ns !clock) ~vlan:v ~mac:(script_mac m) in
+        let want =
+          match List.find_opt (fun (k, _, _) -> k = (v, m)) !model with
+          | None -> -1
+          | Some e when expired e ->
+              model := List.filter (fun (k, _, _) -> k <> (v, m)) !model;
+              -1
+          | Some (_, p, _) -> p
+        in
+        got = want
+    | Count_port p ->
+        model := sweep !model;
+        let want = List.length (List.filter (fun (_, q, _) -> q = p) !model) in
+        Mac_table.count_port t ~now:(Sim_time.of_ns !clock) ~port:p = want
+    | Flush_port p ->
+        Mac_table.flush_port t ~port:p;
+        model := List.filter (fun (_, q, _) -> q <> p) !model;
+        true
+    | Flush ->
+        Mac_table.flush t;
+        model := [];
+        true
+  in
+  List.for_all
+    (fun (dt, op) ->
+      clock := !clock + dt;
+      run op && Mac_table.entry_count t = List.length !model)
+    script
 
 let mac_table_tests =
   [
@@ -99,6 +195,8 @@ let mac_table_tests =
           (Mac_table.lookup t ~now:Sim_time.zero ~vlan:1 ~mac:(mac 1));
         check Alcotest.int "kept" 2
           (Mac_table.lookup t ~now:Sim_time.zero ~vlan:1 ~mac:(mac 2)));
+    prop "agrees with a list-based LRU model" mac_script_gen ~print:print_mac_script
+      (fun (capacity, aging, script) -> mac_table_agrees ~capacity ~aging script);
   ]
 
 (* ---- Port configuration ---- *)
@@ -256,6 +354,22 @@ let switch_tests =
         check Alcotest.int "every frame flooded" 100_000
           (Legacy_switch.flooded sw);
         if cpu_s > 2.0 then Alcotest.failf "100k new MACs took %.2f s of CPU" cpu_s);
+    tc "one MAC on all 4094 VLANs stays O(1) per frame" (fun () ->
+        (* every key shares its 48 low bits: a bucket index that ignores
+           the VLAN puts all 4094 in one probe run *)
+        let t = Mac_table.create () in
+        let started = Sys.time () in
+        for round = 0 to 249 do
+          for vlan = 1 to 4094 do
+            Mac_table.learn t ~now:Sim_time.zero ~vlan ~mac:(mac 1) ~port:(vlan land 7);
+            if Mac_table.lookup t ~now:Sim_time.zero ~vlan ~mac:(mac 1) <> vlan land 7 then
+              Alcotest.failf "round %d: vlan %d lost" round vlan
+          done
+        done;
+        let cpu_s = Sys.time () -. started in
+        check Alcotest.int "one entry per VLAN" 4094 (Mac_table.entry_count t);
+        if cpu_s > 2.0 then
+          Alcotest.failf "1M learns and lookups over 4094 VLANs took %.2f s of CPU" cpu_s);
     tc "floods unknown destination, then forwards directly" (fun () ->
         let engine, sw, send, received = switch_rig ~ports:4 in
         send 0 (udp_pkt ~from_mac:(mac 1) ~to_mac:(mac 2) ());

@@ -639,8 +639,11 @@ let host_tests =
           (Telemetry.Hdr.min (Host.latency h2) > 0));
     tc "probe round-trip" (fun () ->
         let t = Sim_time.of_ns 123_456_789 in
-        check Alcotest.(option int) "decode" (Some 123_456_789)
-          (Option.map Sim_time.to_ns (Probe.decode (Probe.encode ~sent_at:t ~pad_to:40))));
+        check Alcotest.int "decode" 123_456_789
+          (Probe.decode (Probe.encode ~sent_at:t ~pad_to:40)));
+    tc "probe decode of a non-probe is -1" (fun () ->
+        check Alcotest.int "no magic" (-1) (Probe.decode "not a probe payload");
+        check Alcotest.int "too short" (-1) (Probe.decode "@T1234"));
     prop "probe decode inverts encode at every length" ~count:1000
       QCheck2.Gen.(
         pair
@@ -650,7 +653,7 @@ let host_tests =
       (fun (ns, pad_to) ->
         let s = Probe.encode ~sent_at:(Sim_time.of_ns ns) ~pad_to in
         String.length s = Stdlib.max 10 pad_to
-        && Option.map Sim_time.to_ns (Probe.decode s) = Some ns);
+        && Probe.decode s = ns);
     tc "cbr stream sends the right count" (fun () ->
         let engine, h1, h2 = host_pair () in
         let stream =
