@@ -303,6 +303,9 @@ let wire_tests =
 
 let table_tests =
   let table = Ethswitch.Mac_table.create () in
+  (* Keys are built here, outside the timed closure: the row prices the
+     table, not Mac_addr.make_local. *)
+  let macs = Array.init 4096 mac in
   let i = ref 0 in
   let flow_table = Openflow.Flow_table.create () in
   for k = 0 to 999 do
@@ -321,7 +324,7 @@ let table_tests =
       Test.make ~name:"mac-learn-lookup"
         (Staged.stage (fun () ->
              incr i;
-             let m = mac (!i land 0xfff) in
+             let m = macs.(!i land 0xfff) in
              Ethswitch.Mac_table.learn table ~now:Simnet.Sim_time.zero ~vlan:1 ~mac:m
                ~port:(!i land 7);
              ignore

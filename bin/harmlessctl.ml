@@ -852,8 +852,8 @@ let policy_check_cmd =
     (Cmd.info "check"
        ~doc:
          "replay fuzzed packets through the policy interpreter and the \
-          compiled table on every backend (and, for parental, its \
-          hand-written rules); exits nonzero on any divergence")
+          compiled table on every backend, comparing outputs and table \
+          misses; exits nonzero on any divergence")
     Term.(
       const run_policy_check $ policy_check_cases_arg $ fuzz_seed_arg
       $ policy_check_dir_arg $ policy_check_replay_arg

@@ -6,8 +6,8 @@ module Syn = Policy.Syntax
 type spec = {
   spec_name : string;
   ports : int;
-  hand : Openflow.Of_message.t list option;
   policy : Syn.t;
+  table : Openflow.Of_message.t list;
   mac_pool : Mac_addr.t list;
   ip_pool : Ipv4_addr.t list;
   l4_pool : int list;
@@ -29,6 +29,18 @@ type divergence = {
 let ip = Ipv4_addr.of_string
 let mac = Mac_addr.make_local
 
+(* A built-in spec checks the compile of its policy. *)
+let spec ~name ~ports ~mac_pool ~ip_pool ~l4_pool policy =
+  {
+    spec_name = name;
+    ports;
+    policy;
+    table = Policy.Compile.messages (Policy.Compile.compile policy);
+    mac_pool;
+    ip_pool;
+    l4_pool;
+  }
+
 let dmz_spec () =
   let vm i = { Sdnctl.Dmz.vm_ip = ip (Printf.sprintf "10.0.0.%d" i);
                vm_mac = mac (0x20 + i); vm_port = i - 1 } in
@@ -39,16 +51,11 @@ let dmz_spec () =
         [ (vm1.Sdnctl.Dmz.vm_ip, vm2.Sdnctl.Dmz.vm_ip);
           (vm1.Sdnctl.Dmz.vm_ip, vm3.Sdnctl.Dmz.vm_ip) ] }
   in
-  {
-    spec_name = "dmz";
-    ports = 4;
-    hand = None;
-    policy = Sdnctl.Dmz.fragment policy ();
-    mac_pool =
-      [ mac 0x21; mac 0x22; mac 0x23; Mac_addr.broadcast; mac 0x99 ];
-    ip_pool = [ ip "10.0.0.1"; ip "10.0.0.2"; ip "10.0.0.3"; ip "192.0.2.1" ];
-    l4_pool = [ 80; 443 ];
-  }
+  spec ~name:"dmz" ~ports:4
+    ~mac_pool:[ mac 0x21; mac 0x22; mac 0x23; Mac_addr.broadcast; mac 0x99 ]
+    ~ip_pool:[ ip "10.0.0.1"; ip "10.0.0.2"; ip "10.0.0.3"; ip "192.0.2.1" ]
+    ~l4_pool:[ 80; 443 ]
+    (Sdnctl.Dmz.fragment policy ())
 
 let lb_spec () =
   let backends =
@@ -57,21 +64,16 @@ let lb_spec () =
           backend_mac = mac (0xb1 + i); backend_port = i + 1 })
   in
   let vip_ip = ip "10.9.0.9" and vip_mac = mac 0x91 in
-  {
-    spec_name = "lb";
-    ports = 4;
-    hand = None;
-    policy =
-      Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:0 ~backends ();
-    mac_pool =
-      (vip_mac
-      :: List.map (fun b -> b.Sdnctl.Load_balancer.backend_mac) backends)
-      @ [ Mac_addr.broadcast; mac 0x99 ];
-    ip_pool =
-      (vip_ip :: List.map (fun b -> b.Sdnctl.Load_balancer.backend_ip) backends)
-      @ [ ip "192.0.2.1" ];
-    l4_pool = [ 80; 8080 ];
-  }
+  spec ~name:"lb" ~ports:4
+    ~mac_pool:
+      ((vip_mac
+       :: List.map (fun b -> b.Sdnctl.Load_balancer.backend_mac) backends)
+      @ [ Mac_addr.broadcast; mac 0x99 ])
+    ~ip_pool:
+      ((vip_ip :: List.map (fun b -> b.Sdnctl.Load_balancer.backend_ip) backends)
+      @ [ ip "192.0.2.1" ])
+    ~l4_pool:[ 80; 8080 ]
+    (Sdnctl.Load_balancer.fragment ~vip_ip ~vip_mac ~ingress_port:0 ~backends ())
 
 let parental_spec () =
   let t =
@@ -86,18 +88,14 @@ let parental_spec () =
           (ip "10.5.0.1", "nosuch.example") ]
       ()
   in
-  {
-    spec_name = "parental";
-    ports = 3;
-    hand = Some (Sdnctl.Parental_control.messages t);
-    policy = Sdnctl.Parental_control.fragment t;
-    mac_pool = [ mac 0x51; mac 0x52; Mac_addr.broadcast ];
-    ip_pool =
+  spec ~name:"parental" ~ports:3
+    ~mac_pool:[ mac 0x51; mac 0x52; Mac_addr.broadcast ]
+    ~ip_pool:
       [ ip "10.5.0.1"; ip "10.5.0.2"; ip "10.5.0.3";
-        ip "203.0.113.5"; ip "203.0.113.7"; ip "192.0.2.1" ];
-    (* 80 twice: blocked-site traffic is the interesting half *)
-    l4_pool = [ 80; 80; 443 ];
-  }
+        ip "203.0.113.5"; ip "203.0.113.7"; ip "192.0.2.1" ]
+      (* 80 twice: blocked-site traffic is the interesting half *)
+    ~l4_pool:[ 80; 80; 443 ]
+    (Sdnctl.Parental_control.fragment t)
 
 let ratelimit_spec () =
   let limits =
@@ -105,76 +103,50 @@ let ratelimit_spec () =
       { Sdnctl.Rate_limiter.subject = ip "10.7.0.2"; rate_kbps = 256; burst_kb = 8 } ]
   in
   let num_hosts = 4 in
-  {
-    spec_name = "ratelimit";
-    ports = 4;
-    hand = None;
-    policy =
-      Sdnctl.Rate_limiter.policy ~limits
-        (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ());
-    mac_pool =
-      List.init num_hosts (fun i -> mac (i + 1))
-      @ [ Mac_addr.broadcast; mac 0x99 ];
-    ip_pool = [ ip "10.7.0.1"; ip "10.7.0.2"; ip "10.7.0.3" ];
-    l4_pool = [ 53; 80 ];
-  }
+  spec ~name:"ratelimit" ~ports:4
+    ~mac_pool:
+      (List.init num_hosts (fun i -> mac (i + 1))
+      @ [ Mac_addr.broadcast; mac 0x99 ])
+    ~ip_pool:[ ip "10.7.0.1"; ip "10.7.0.2"; ip "10.7.0.3" ]
+    ~l4_pool:[ 53; 80 ]
+    (Sdnctl.Rate_limiter.policy ~limits
+       (Sdnctl.Rate_limiter.table1_fragment ~num_hosts ()))
 
 let gateway_spec () =
   let g = Sdnctl.Gateway.default () in
-  {
-    spec_name = "gateway";
-    ports = g.Sdnctl.Gateway.num_ports;
-    hand = None;
-    policy = Sdnctl.Gateway.policy g;
-    mac_pool = Sdnctl.Gateway.macs g;
-    ip_pool = Sdnctl.Gateway.ips g;
-    l4_pool = Sdnctl.Gateway.l4_ports g;
-  }
+  spec ~name:"gateway" ~ports:g.Sdnctl.Gateway.num_ports
+    ~mac_pool:(Sdnctl.Gateway.macs g) ~ip_pool:(Sdnctl.Gateway.ips g)
+    ~l4_pool:(Sdnctl.Gateway.l4_ports g) (Sdnctl.Gateway.policy g)
 
-let specs () =
-  [ dmz_spec (); lb_spec (); parental_spec (); ratelimit_spec ();
-    gateway_spec () ]
+let builders =
+  [ ("dmz", dmz_spec); ("lb", lb_spec); ("parental", parental_spec);
+    ("ratelimit", ratelimit_spec); ("gateway", gateway_spec) ]
 
-let find_spec name =
-  List.find_opt (fun s -> s.spec_name = name) (specs ())
+let specs () = List.map (fun (_, build) -> build ()) builders
+let find_spec name = Option.map (fun build -> build ()) (List.assoc_opt name builders)
 
 (* ---- normalization ---- *)
 
-let normalize ~in_port outputs =
+let normalize ~in_port (r : P.result) =
   let render = function
     | P.In_port pkt -> Differential.render_output (P.Port (in_port, pkt))
     | out -> Differential.render_output out
   in
   "["
   ^ String.concat " "
-      (List.sort_uniq String.compare (List.map render outputs))
+      (List.sort_uniq String.compare (List.map render r.P.outputs))
   ^ "]"
+  ^ if r.P.table_miss then " miss" else ""
 
 (* ---- running a case across every implementation ---- *)
 
-(* The rules a spec's policy compiles to: built once per run, load or
-   checked seed, and shared by every case and shrink step, since a
-   spec's policy never changes. *)
-let compiled_messages sp = Policy.Compile.messages (Policy.Compile.compile sp.policy)
-
-let run_case ~compiled case =
+let run_case case =
   let sp = case.spec in
   let interp = Policy.Interp.create sp.policy in
-  let install pipeline msgs =
-    List.iter (fun msg -> ignore (P.apply pipeline ~now_ns:0 msg)) msgs
-  in
-  let hand =
-    match sp.hand with
-    | None -> []
-    | Some msgs ->
-        let pipeline = P.create ~num_tables:1 () in
-        install pipeline msgs;
-        [ ("hand:oracle", Oracle.dataplane pipeline) ]
-  in
-  let compiled =
+  let impls =
     List.map
       (fun (name, pipeline, dp) ->
-        install pipeline compiled;
+        List.iter (fun msg -> ignore (P.apply pipeline ~now_ns:0 msg)) sp.table;
         ("compiled:" ^ name, dp))
       (Fuzz.implementations ~num_tables:1)
   in
@@ -186,14 +158,15 @@ let run_case ~compiled case =
             (Policy.Interp.run interp ~now_ns:s.now_ns ~in_port:s.in_port s.pkt)
         in
         let diverges (impl, dp) =
-          let result =
-            dp.Softswitch.Dataplane.process ~now_ns:s.now_ns ~in_port:s.in_port s.pkt
+          let actual =
+            normalize ~in_port:s.in_port
+              (dp.Softswitch.Dataplane.process ~now_ns:s.now_ns
+                 ~in_port:s.in_port s.pkt)
           in
-          let actual = normalize ~in_port:s.in_port result.P.outputs in
           if actual = expected then None
           else Some { impl; step_index = i; expected; actual; case }
         in
-        match List.find_map diverges (hand @ compiled) with
+        match List.find_map diverges impls with
         | Some d -> Some d
         | None -> go (i + 1) rest)
   in
@@ -243,13 +216,13 @@ let gen_case sp ~seed =
 
 (* ---- the harness ---- *)
 
-let check ~compiled case =
-  match run_case ~compiled case with
+let check case =
+  match run_case case with
   | None -> None
   | Some d ->
-      Some (Fuzz.shrink (fun steps -> run_case ~compiled { case with steps }) case.steps d)
+      Some (Fuzz.shrink (fun steps -> run_case { case with steps }) case.steps d)
 
-let check_case sp ~seed = check ~compiled:(compiled_messages sp) (gen_case sp ~seed)
+let check_case sp ~seed = check (gen_case sp ~seed)
 
 type 'd report = 'd Fuzz.report = {
   cases : int;
@@ -261,7 +234,7 @@ let run ?on_divergence ~spec ~seed ~cases () =
   Fuzz.run ?on_divergence
     ~gen:(fun seed -> gen_case spec ~seed)
     ~packets:(fun case -> List.length case.steps)
-    ~check:(check ~compiled:(compiled_messages spec))
+    ~check
     ~seed ~cases ()
 
 (* ---- repro files ---- *)
@@ -293,9 +266,7 @@ let of_string text =
   | Ok (Some sp, steps) -> Ok { spec = sp; steps = List.rev steps }
 
 let save ~path ?comment case = Fuzz.save ~path ?comment (to_string case)
-let load ~path =
-  Fuzz.load ~path ~of_string ~run:(fun case ->
-      run_case ~compiled:(compiled_messages case.spec) case)
+let load ~path = Fuzz.load ~path ~of_string ~run:run_case
 
 let pp_divergence fmt d =
   Format.fprintf fmt

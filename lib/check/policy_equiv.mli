@@ -1,37 +1,35 @@
 (** Differential equivalence testing of the policy compiler.
 
-    For each {e spec} — a scenario with a policy term and value pools to
-    fuzz from — a {e case} (a timed packet sequence) is replayed through
-    two witnesses and the implementations under test:
+    For each {e spec} — a scenario with a policy term, the rules under
+    test and value pools to fuzz from — a {e case} (a timed packet
+    sequence) is replayed through the {b interpreter}
+    ({!Policy.Interp}), the denotational ground truth with no flow table
+    involved, and through the spec's rules (for the built-in specs the
+    compiled table, {!Policy.Compile.messages}, the rules the apps
+    install) on an oracle-driven pipeline {e and} on every backend in
+    {!Softswitch.Backends.all}.
 
-    - the {b interpreter} ({!Policy.Interp}): the denotational ground
-      truth, no flow table involved;
-    - the {b compiled table} ({!Policy.Compile.messages}), the rules the
-      proactive SS_2 apps install, on an oracle-driven pipeline {e and}
-      on every backend in {!Softswitch.Backends.all};
-    - where the spec carries one, a {b hand-written} rule set on a
-      one-table oracle-driven pipeline.  Only [parental] does: its app
-      installs hand-written rules per event.
-
-    Every packet's output set is compared under a normalized rendering:
-    outputs only (sorted, deduplicated, [IN_PORT] resolved to the ingress
-    port) — table-miss flags and matched-rule lists are excluded because
-    the implementations legitimately differ there (compiled tables are
-    total; a hand-written table may miss where the policy's answer is the
-    empty set).  The first disagreement is a {e divergence}; divergences
-    shrink greedily (packet steps removed while the divergence persists)
-    and serialize to a text repro file, exactly like {!Differential}.
+    Every packet's outcome is compared under a normalized rendering: the
+    outputs (sorted, deduplicated, [IN_PORT] resolved to the ingress
+    port) and a miss marker.  The interpreter misses where the policy
+    answers [pass], a table where no rule matches, so a table that drops
+    what the policy leaves to the next app diverges.  Matched-rule lists
+    are excluded.  The first disagreement is a {e divergence};
+    divergences shrink greedily (packet steps removed while the
+    divergence persists) and serialize to a text repro file, exactly like
+    {!Differential}.
 
     Specs are plain records, so a test can also build a custom one — e.g.
-    pairing a policy with a deliberately broken rule set to prove the
+    pairing a policy with a deliberately broken table to prove the
     harness catches and shrinks real compiler bugs. *)
 
 type spec = {
   spec_name : string;
   ports : int;  (** packets arrive on ports [0 .. ports-1] *)
-  hand : Openflow.Of_message.t list option;
-      (** the optional hand-written witness, for table 0 *)
   policy : Policy.Syntax.t;
+  table : Openflow.Of_message.t list;
+      (** the rules under test, for table 0; the built-in specs hold the
+          compile of [policy] *)
   mac_pool : Netpkt.Mac_addr.t list;
   ip_pool : Netpkt.Ipv4_addr.t list;
   l4_pool : int list;
@@ -43,7 +41,7 @@ type case = { spec : spec; steps : step list }
 type divergence = {
   impl : string;
       (** the implementation that disagreed with the interpreter:
-          ["hand:oracle"], ["compiled:oracle"] or ["compiled:<backend>"] *)
+          ["compiled:oracle"] or ["compiled:<backend>"] *)
   step_index : int;
   expected : string;  (** the interpreter's normalized output set *)
   actual : string;
@@ -54,19 +52,20 @@ type divergence = {
 
 val specs : unit -> spec list
 (** Fresh instances (the parental handle is mutable) of the five standard
-    scenarios: each SS_2 app standalone — [dmz], [lb], [parental] (with
-    its hand-written witness), [ratelimit] (the meters sequenced before a
+    scenarios: each SS_2 app standalone — [dmz], [lb], [parental] (whose
+    policy ends in [pass]), [ratelimit] (the meters sequenced before a
     MAC-forwarding fragment, as {!Sdnctl.Rate_limiter.create} composes
     them) — plus the full [gateway] composition from {!Sdnctl.Gateway}. *)
 
 val find_spec : string -> spec option
+(** A fresh instance of one of {!specs}, compiling only that one. *)
 
 (** {1 Running} *)
 
-val normalize :
-  in_port:int -> Openflow.Pipeline.output list -> string
+val normalize : in_port:int -> Openflow.Pipeline.result -> string
 (** The comparison form: sorted deduplicated outputs with packet bytes,
-    [IN_PORT] rendered as the concrete ingress port. *)
+    [IN_PORT] rendered as the concrete ingress port, then [" miss"] if
+    the packet missed. *)
 
 val gen_case : spec -> seed:int -> case
 (** Draw a seeded packet sequence from the spec's pools: ARP, ICMP, UDP
@@ -87,8 +86,8 @@ val run :
   ?on_divergence:(divergence -> unit) ->
   spec:spec -> seed:int -> cases:int -> unit -> divergence report
 (** Run [cases] seeded cases ([seed], [seed+1], ...) against one spec,
-    through {!Fuzz.run}.  The spec's policy is compiled once, and every
-    case and shrink step installs the same messages. *)
+    through {!Fuzz.run}.  Every case and shrink step installs the spec's
+    [table] on fresh implementations. *)
 
 (** {1 Repro files} *)
 

@@ -81,7 +81,8 @@ val resyncs : t -> int
 val packet_ins_received : t -> int
 
 val errors_received : t -> string list
-(** Error messages from switches, oldest first. *)
+(** Error messages from switches, oldest first.  Only tests read it; it
+    stays as the one place a rejected flow-mod shows up. *)
 
 val publish_metrics :
   ?registry:Telemetry.Registry.t -> ?labels:Telemetry.Registry.labels ->

@@ -3,13 +3,16 @@ open Openflow
 
 type t = {
   blocked : (Ipv4_addr.t * string) list;
-  priority : int;
   mutable bindings : (string * Ipv4_addr.t) list; (* newest first *)
   mutable installed : (Ipv4_addr.t * Ipv4_addr.t) list; (* (user, addr) *)
 }
 
-let create ~blocked ?(priority = 2500) () =
-  { blocked; priority; bindings = []; installed = [] }
+(* Both above the compiled band: the snoop copies every DNS response
+   before any compiled decision, and a pinned drop outranks the snoop. *)
+let snoop_priority = Policy.Compile.ceiling
+let drop_priority = Policy.Compile.ceiling + 1
+
+let create ~blocked () = { blocked; bindings = []; installed = [] }
 
 let bindings t = List.rev t.bindings
 let blocks_installed t = List.length t.installed
@@ -23,7 +26,7 @@ let block_rule t ctrl dpid ~user ~addr =
   if not already then begin
     t.installed <- (user, addr) :: t.installed;
     Controller.install ctrl dpid
-      (Of_message.add_flow ~priority:(t.priority + 100)
+      (Of_message.add_flow ~priority:drop_priority
          ~match_:
            Of_match.(
              any
@@ -38,7 +41,7 @@ let app t =
     (* Copy DNS responses to the controller; the original continues
        through the forwarding table. *)
     Controller.install ctrl dpid
-      (Of_message.add_flow ~priority:t.priority
+      (Of_message.add_flow ~priority:snoop_priority
          ~match_:
            Of_match.(any |> eth_type 0x0800 |> ip_proto 17 |> l4_src Dns_lite.server_port)
          [

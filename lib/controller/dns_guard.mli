@@ -9,17 +9,18 @@
     [Goto_table 1]; forwarding is expected in table 1 (use
     {!Rate_limiter.table1_l2} or similar).  [table1_l2]'s table 1 is
     total: it drops what it cannot forward, so a table-1 miss does not
-    reach the controller. *)
+    reach the controller.
+
+    The snoop rule acts and then continues with [Goto_table 1], which
+    the policy compiler does not express ([pass] is a miss, not
+    act-then-continue), so the app builds its rules itself. *)
 
 type t
 
-val create :
-  blocked:(Netpkt.Ipv4_addr.t * string) list ->
-  ?priority:int ->
-  unit ->
-  t
-(** [blocked] pairs a user address with a forbidden hostname.  Default
-    priority 2500 for the snoop rule; drops go in at [priority + 100]. *)
+val create : blocked:(Netpkt.Ipv4_addr.t * string) list -> unit -> t
+(** [blocked] pairs a user address with a forbidden hostname.  The snoop
+    rule sits at {!Policy.Compile.ceiling} and the drops one above, both
+    over every compiled rule. *)
 
 val app : t -> Controller.app
 

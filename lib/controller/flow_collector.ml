@@ -81,7 +81,6 @@ let merged_hll t = let _, hll, _ = t.merged in hll
 let merged_topk t = let _, _, topk = t.merged in topk
 
 let hosts t = Telemetry.Sketch.Hll.estimate (merged_hll t)
-let cm_query t ~key = Telemetry.Sketch.Cm.query (merged_cm t) ~key
 
 let top ?k t =
   let l = Telemetry.Sketch.Topk.to_list (merged_topk t) in

@@ -47,9 +47,6 @@ val hosts : t -> float
 (** Estimated distinct source hosts in the merged view (as of the last
     merge). *)
 
-val cm_query : t -> key:int -> int
-(** Estimated bytes for a flow hash in the merged count-min view. *)
-
 val top : ?k:int -> t -> (string * int * int) list
 (** Merged heavy hitters, [(flow, est_bytes, err)], count desc then
     key asc; at most [k] entries when given. *)

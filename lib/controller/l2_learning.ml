@@ -2,7 +2,11 @@ open Netpkt
 open Openflow
 module Mac_table = Ethswitch.Mac_table
 
-let create ?(priority = 1000) ?(idle_timeout_s = 300) () =
+(* Below the compiled band: a compiled table's decisions outrank learned
+   MACs in the same table. *)
+let priority = Policy.Compile.base - 1000
+
+let create ?(idle_timeout_s = 300) () =
   (* One learner per datapath, aged like the rules it installs. *)
   let tables : (int64, Mac_table.t) Hashtbl.t = Hashtbl.create 8 in
   let table dpid =

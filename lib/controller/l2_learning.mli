@@ -15,8 +15,10 @@
     timer, and knowing the rule is still installed would need
     [Flow_removed] tracking. *)
 
-val create : ?priority:int -> ?idle_timeout_s:int -> unit -> Controller.app
-(** Defaults: priority 1000, 300 s idle timeout on installed flows and on
+val create : ?idle_timeout_s:int -> unit -> Controller.app
+(** Installs its rules at priority 1000, below {!Policy.Compile.base}, so
+    a compiled table in the same table (parental control's) decides
+    first.  Default 300 s idle timeout on installed flows and on
     learned addresses.  A port-down event flushes the addresses learned
     behind the port ({!Ethswitch.Mac_table.flush_port}) and withdraws
     the flows that output to it. *)

@@ -3,9 +3,6 @@ open Openflow
 
 type t = {
   pairs : (Ipv4_addr.t * Ipv4_addr.t) list;
-  table : int;
-  forward_table : int;
-  priority : int;
   mutable dpids : int64 list;
   (* One stats poller per datapath — the single source of counter truth.
      The matrix below is a *view* over the pollers' latest flow-stats
@@ -13,15 +10,14 @@ type t = {
   pollers : (int64, Stats_poller.t) Hashtbl.t;
 }
 
-let create ~pairs ?(table = 0) ?(forward_table = 1) ?(priority = 3000) () =
-  {
-    pairs;
-    table;
-    forward_table;
-    priority;
-    dpids = [];
-    pollers = Hashtbl.create 4;
-  }
+(* Accounting rules live in table 0 and hand off to the forwarding
+   table 1.  They sit above every other table-0 rule, compiled or
+   pinned, so each tracked packet is counted. *)
+let table = 0
+let forward_table = 1
+let priority = Policy.Compile.ceiling + 2
+
+let create ~pairs () = { pairs; dpids = []; pollers = Hashtbl.create 4 }
 
 let pair_match (src, dst) =
   Of_match.(
@@ -36,14 +32,14 @@ let app t =
     List.iter
       (fun pair ->
         Controller.install ctrl dpid
-          (Of_message.add_flow ~table_id:t.table ~priority:t.priority
+          (Of_message.add_flow ~table_id:table ~priority
              ~match_:(pair_match pair)
-             [ Flow_entry.Goto_table t.forward_table ]))
+             [ Flow_entry.Goto_table forward_table ]))
       t.pairs;
     (* everything untracked also continues to the forwarding table *)
     Controller.install ctrl dpid
-      (Of_message.add_flow ~table_id:t.table ~priority:1 ~match_:Of_match.any
-         [ Flow_entry.Goto_table t.forward_table ])
+      (Of_message.add_flow ~table_id:table ~priority:1 ~match_:Of_match.any
+         [ Flow_entry.Goto_table forward_table ])
   in
   { (Controller.no_op_app "monitor") with Controller.switch_up }
 
@@ -77,7 +73,7 @@ let matrix t =
             List.fold_left
               (fun acc (s : Of_message.flow_stat) ->
                 if
-                  s.Of_message.stat_table_id = t.table
+                  s.Of_message.stat_table_id = table
                   && Of_match.equal s.Of_message.stat_match m
                   && s.Of_message.stat_packets >= fst acc
                 then (s.Of_message.stat_packets, s.Of_message.stat_bytes)

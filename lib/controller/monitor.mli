@@ -12,21 +12,20 @@
     datapath — the monitor keeps no accounting of its own; {!matrix} is
     a view over the pollers' latest flow-stats replies, so the same
     polled numbers feed this matrix, the [harmlessctl top] dashboard
-    and any alert rules. *)
+    and any alert rules.
+
+    No deployment path uses the monitor; only tests do.  It stays because
+    it installs the accounting rules of the flow-record agreement test,
+    and its [Goto_table] rules are outside what the policy compiler
+    expresses ([pass] is a miss, not act-then-continue). *)
 
 type t
 
-val create :
-  pairs:(Netpkt.Ipv4_addr.t * Netpkt.Ipv4_addr.t) list ->
-  ?table:int ->
-  ?forward_table:int ->
-  ?priority:int ->
-  unit ->
-  t
+val create : pairs:(Netpkt.Ipv4_addr.t * Netpkt.Ipv4_addr.t) list -> unit -> t
 (** Track the given ordered (src, dst) pairs.  Accounting rules go in
-    [table] (default 0) and hand off to [forward_table] (default 1), so
-    combine with a forwarding app that populates table 1 (e.g.
-    {!Rate_limiter.table1_l2}). *)
+    table 0, at [Policy.Compile.ceiling + 2] (over every compiled or
+    pinned rule), and hand off to table 1, so combine with a forwarding
+    app that populates table 1 (e.g. {!Rate_limiter.table1_l2}). *)
 
 val app : t -> Controller.app
 

@@ -58,13 +58,20 @@ val consecutive_failures : t -> int
 
 val current_delay : t -> Simnet.Sim_time.span
 (** The delay the next round will be scheduled after: the base period
-    when healthy, the retry policy's backoff when failing. *)
+    when healthy, the retry policy's backoff when failing.  Only tests
+    read it; it stays as the one read-out of the backoff. *)
 
 val latest_flows : t -> Openflow.Of_message.flow_stat list
 (** The most recent flow-stats reply's entries (order preserved);
     [[]] before the first reply. *)
 
 val latest_ports : t -> Openflow.Of_message.port_stat list
+
+(** {2 Recorded series}
+
+    Only tests read the next four; they stay because they are how a
+    test sees that every polled flow and port got its own series
+    ({!port_rate} and {!top_flows} only summarize them). *)
 
 val flow_keys : t -> string list
 (** Stable identifiers ("t<table> p<prio> <match>") of every flow this

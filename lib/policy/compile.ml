@@ -9,20 +9,14 @@ module Meter_table = Openflow.Meter_table
 module Pipeline = Openflow.Pipeline
 
 type t = {
-  policy : Syntax.t;
-  fdd : Fdd.t;
   table_id : int;
   flow_mods : Of_message.flow_mod list;
   group_mods : Of_message.group_mod list;
   meter_mods : Of_message.meter_mod list;
 }
 
-let policy t = t.policy
-let fdd t = t.fdd
-let flow_mods t = t.flow_mods
-let flow_count t = List.length t.flow_mods
-let group_count t = List.length t.group_mods
-let meter_count t = List.length t.meter_mods
+let base = 2000
+let ceiling = 32_000
 
 let collect_meter_mods fdd =
   let seen : (int, police) Hashtbl.t = Hashtbl.create 8 in
@@ -126,6 +120,9 @@ let output_of_loc = function
   | Some Flood -> [ Of_action.Output Of_action.Flood ]
   | Some (Ctrl n) -> [ Of_action.Output (Of_action.Controller n) ]
   | Some Disc -> [ Of_action.Drop ]
+  | Some Pass ->
+      (* [reject_pass] and Syntax.check leave no pass to encode. *)
+      assert false
   | None -> [ Of_action.Output Of_action.In_port ]
 
 let balance_group ga ~outer_loc buckets =
@@ -220,10 +217,11 @@ let pred_of_keys keys =
 let ite pred then_ else_ =
   Fdd.sum (Fdd.prod pred then_) (Fdd.prod (Fdd.negate pred) else_)
 
-let minimize target rules =
+let minimize ~floor target rules =
   (* [target] is the observable ({!Fdd.strip_disc}) diagram the rules were
      extracted from, so leaf comparisons here are already modulo
-     discard. *)
+     discard.  [floor] is what a packet no kept rule matches gets: the
+     catch-all drop, or the table miss of a policy ending in pass. *)
   let rules_arr = Array.of_list rules in
   let n = Array.length rules_arr in
   (* shadow.(i): a higher-priority rule matches.  Computed against the
@@ -236,7 +234,7 @@ let minimize target rules =
     shadow.(i + 1) <- Fdd.sum shadow.(i) (pred_of_keys rules_arr.(i).keys)
   done;
   let kept = ref [] in
-  let suffix = ref Fdd.drop in
+  let suffix = ref floor in
   for i = n - 1 downto 0 do
     let r = rules_arr.(i) in
     let reach =
@@ -251,13 +249,37 @@ let minimize target rules =
   done;
   if Fdd.equal !suffix target then !kept else rules
 
+let pass_leaf = Fdd.leaf [ Fdd.Act.make [ (Loc, At Pass) ] ]
+
+(* The leaf a packet failing every test reaches: the policy's last
+   fallback. *)
+let rec floor_leaf (d : Fdd.t) =
+  match d.node with Fdd.Leaf _ -> d | Fdd.Branch (_, _, lo) -> floor_leaf lo
+
+(* A table miss falls through to whatever sits below the table, never to
+   a lower rule of the same table: a pass that survives minimization has
+   no encoding. *)
+let reject_pass r =
+  if List.exists (fun a -> Fdd.Act.loc a = Some Pass) r.acts then
+    invalid_arg
+      (match r.acts with
+      | [ _ ] ->
+          Format.asprintf
+            "Policy.Compile: pass leaf %s at %a shadows a lower rule"
+            (Fdd.to_string (Fdd.leaf r.acts))
+            Of_match.pp r.match_
+      | _ ->
+          Printf.sprintf
+            "Policy.Compile: pass inside the multi-action leaf %s has no \
+             flow-rule encoding"
+            (Fdd.to_string (Fdd.leaf r.acts)))
+
 let compile ?(table_id = 0) pol =
-  let fdd = Fdd.of_policy pol in
   (* Tables materialise outputs only, so extraction works on the
      observable quotient: discard-only leaves become plain drops (and
      merge into the catch-all), and discards next to other actions
      vanish. *)
-  let obs = Fdd.strip_disc fdd in
+  let obs = Fdd.strip_disc (Fdd.of_policy pol) in
   let meter_mods = collect_meter_mods obs in
   let ga = { next_id = 1; tbl = Hashtbl.create 8; mods_rev = [] } in
   (* DFS, hi before lo: rule order = descending priority. *)
@@ -271,32 +293,65 @@ let compile ?(table_id = 0) pol =
         walk keys match_ lo
   in
   walk [] Of_match.any obs;
-  let rules = minimize obs (List.rev !rules_rev) in
+  let ends_in_pass = Fdd.equal (floor_leaf obs) pass_leaf in
+  let floor = if ends_in_pass then pass_leaf else Fdd.drop in
+  let rules = minimize ~floor obs (List.rev !rules_rev) in
+  List.iter reject_pass rules;
   let n = List.length rules in
+  if n > ceiling - base then
+    invalid_arg
+      (Printf.sprintf
+         "Policy.Compile: %d rules cross the priority ceiling %d" n ceiling);
   let flow_mods =
     List.mapi
       (fun i r ->
-        Of_message.add_flow ~table_id ~priority:(n - i) ~match_:r.match_
+        Of_message.add_flow ~table_id ~priority:(base + n - 1 - i)
+          ~match_:r.match_
           (instructions_of_leaf ga r.acts))
       rules
-    @ [
+    @
+    if ends_in_pass then []
+    else
+      [
         Of_message.add_flow ~table_id ~priority:0 ~match_:Of_match.any
           [ Flow_entry.Apply_actions [ Of_action.Drop ] ];
       ]
   in
-  {
-    policy = pol;
-    fdd;
-    table_id;
-    flow_mods;
-    group_mods = List.rev ga.mods_rev;
-    meter_mods;
-  }
+  { table_id; flow_mods; group_mods = List.rev ga.mods_rev; meter_mods }
 
 let messages t =
   List.map (fun m -> Of_message.Meter_mod m) t.meter_mods
   @ List.map (fun g -> Of_message.Group_mod g) t.group_mods
   @ List.map (fun f -> Of_message.Flow_mod f) t.flow_mods
+
+let diff ~old t =
+  if old.group_mods @ t.group_mods <> [] || old.meter_mods @ t.meter_mods <> []
+  then invalid_arg "Policy.Compile.diff: groups and meters are not diffed";
+  let same_slot (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
+    a.table_id = b.table_id && a.priority = b.priority
+    && Of_match.equal a.match_ b.match_
+  in
+  let adds =
+    List.filter
+      (fun (fm : Of_message.flow_mod) ->
+        not
+          (List.exists
+             (fun (o : Of_message.flow_mod) ->
+               same_slot o fm && o.instructions = fm.instructions)
+             old.flow_mods))
+      t.flow_mods
+  in
+  let deletes =
+    List.filter_map
+      (fun (o : Of_message.flow_mod) ->
+        if List.exists (same_slot o) t.flow_mods then None
+        else
+          Some
+            (Of_message.delete_flow ~table_id:o.table_id ~strict:true
+               ~priority:o.priority o.match_))
+      old.flow_mods
+  in
+  List.map (fun fm -> Of_message.Flow_mod fm) (adds @ deletes)
 
 let pp_instructions ppf instrs =
   let first = ref true in
@@ -317,7 +372,8 @@ let render t =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "policy-table table=%d rules=%d groups=%d meters=%d\n"
-       t.table_id (flow_count t) (group_count t) (meter_count t));
+       t.table_id (List.length t.flow_mods) (List.length t.group_mods)
+       (List.length t.meter_mods));
   List.iter
     (function
       | Of_message.Add_meter { id; band } ->

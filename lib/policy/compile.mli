@@ -5,10 +5,26 @@
     the conjunction of the positive tests on its path; the negative ([lo])
     edges need no encoding because every [hi]-side leaf above shadows the
     packets it captures — which is also why interior drop leaves {e must}
-    emit rules.  The only safe omission is the trailing run of drop rules,
-    replaced by a single priority-0 catch-all drop; compiled tables are
-    therefore total (no table miss, no spurious packet-ins from
-    send-to-controller miss behaviour).
+    emit rules.  The only safe omission is the trailing run of rules that
+    agree with the policy's last fallback:
+    - if that fallback is a drop, the run becomes a single priority-0
+      catch-all drop, so the table is total (no table miss, no spurious
+      packet-ins from send-to-controller miss behaviour);
+    - if it is {!Syntax.pass}, the run emits nothing and there is no
+      catch-all: those packets miss, and reach whatever sits below the
+      table (the next app's rules, or a packet-in).
+
+    A [pass] cannot appear anywhere else.  Inside one table a miss skips
+    every lower rule, so a [pass] rule that the minimization keeps (an
+    interior [pass] that would shadow a lower rule, or a [pass] sharing a
+    leaf with other actions) is rejected with the leaf named.
+
+    {b One priority band.}  Every compiled table's rules count up from
+    {!base}, one priority per rule, and stay below {!ceiling}; the
+    catch-all sits at 0.  Apps place their own rules relative to the
+    band: [L2_learning]'s learned MACs below {!base}, and rules that must
+    outrank any compiled decision (parental control's pinned drops) at
+    {!ceiling} and above.
 
     Leaves map to OpenFlow as follows:
     - a single action: [Apply_actions] of its rewrites (field order) plus
@@ -26,23 +42,29 @@
 
 type t
 
+val base : int
+(** 2000: the priority of a compiled table's lowest rule. *)
+
+val ceiling : int
+(** 32000: the first priority above every compiled rule. *)
+
 val compile : ?table_id:int -> Syntax.t -> t
 (** @raise Invalid_argument on an ill-formed policy (see {!Syntax.check}
-    and {!Fdd.of_policy}), a meter declared with two different bands, or a
-    meter inside a multi-action leaf. *)
-
-val policy : t -> Syntax.t
-val fdd : t -> Fdd.t
-
-val flow_mods : t -> Openflow.Of_message.flow_mod list
-(** In descending priority order, catch-all drop last. *)
+    and {!Fdd.of_policy}), a meter declared with two different bands, a
+    meter inside a multi-action leaf, a [pass] the table cannot encode
+    (above), or more rules than fit between {!base} and {!ceiling}. *)
 
 val messages : t -> Openflow.Of_message.t list
-(** Meters, then groups, then flows — dependency order. *)
+(** Meters, then groups, then flows — dependency order; flows in
+    descending priority order, catch-all drop (if any) last. *)
 
-val flow_count : t -> int
-val group_count : t -> int
-val meter_count : t -> int
+val diff : old:t -> t -> Openflow.Of_message.t list
+(** The flow-mods that turn a switch holding [old]'s table into one
+    holding the new table: adds for the rules [old] lacks, then strict
+    deletes for [old]'s rules whose priority and match the new table
+    does not use.  Sent in order without barriers, so for a moment the
+    switch holds rules of both.
+    @raise Invalid_argument if either table has groups or meters. *)
 
 val render : t -> string
 (** Deterministic human-readable dump (meters, groups, then rules with

@@ -88,8 +88,6 @@ module Act = struct
       if c <> 0 then c
       else Option.compare compare_buckets a.balance b.balance
 
-  let equal a b = compare a b = 0
-
   let pp ppf a =
     if is_id a then Format.pp_print_string ppf "id"
     else begin
@@ -123,8 +121,6 @@ module Act = struct
         a.balance
     end
 
-  let to_string a = Format.asprintf "%a" pp a
-
   (* [compose a b] is "do [a], then [b]".  The caller guarantees
      [a.balance = None] (tests and further policy after a balance are
      rejected in [seq_act]). *)
@@ -145,32 +141,53 @@ and node = Leaf of Act.t list | Branch of key * t * t
 
 let equal a b = a.uid = b.uid
 
-(* Hash-consing.  Keys are rendered to strings: address types are abstract,
-   so structural-hash stability is not guaranteed, while their printed forms
-   are injective and cheap at this scale.  Every memo table here starts
-   small and grows on demand: any program that links the controller links
-   them, and a 512-bucket table would sit in its major heap unused. *)
+(* Hash-consing.  A leaf is keyed by its sorted action set, compared with
+   [Act.compare]; a branch by its field, the integer form of its tested
+   value (one kind of value per field, so that is injective) and its
+   children's uids.  Neither key is printed: rendering one per lookup
+   was most of a compile's allocation.  Every memo table here starts
+   small and grows on demand: any program that links the controller
+   links them, and a 512-bucket table would sit in its major heap
+   unused. *)
+module Leaf_tbl = Hashtbl.Make (struct
+  type t = Act.t list
+
+  let equal = List.equal (fun a b -> Act.compare a b = 0)
+  let hash = Hashtbl.hash
+end)
+
 let next_uid = ref 0
-let leaf_tbl : (string, t) Hashtbl.t = Hashtbl.create 16
-let branch_tbl : (string * int * int, t) Hashtbl.t = Hashtbl.create 16
+let leaf_tbl : t Leaf_tbl.t = Leaf_tbl.create 16
+let branch_tbl : (field * int * int * int, t) Hashtbl.t = Hashtbl.create 16
 
-let intern tbl k node =
-  match Hashtbl.find_opt tbl k with
-  | Some t -> t
-  | None ->
-      let t = { uid = !next_uid; node } in
-      incr next_uid;
-      Hashtbl.add tbl k t;
-      t
+let value_code = function
+  | Int n -> n
+  | Mac m -> Netpkt.Mac_addr.to_int m
+  | Ip a -> Netpkt.Ipv4_addr.to_int a
+  | At (Phys p) -> p
+  | At _ ->
+      (* Syntax.check admits no other location test. *)
+      assert false
 
+let fresh node =
+  let t = { uid = !next_uid; node } in
+  incr next_uid;
+  t
+
+(* Lookups here and below match on [find] rather than [find_opt]: a hit
+   then allocates nothing. *)
 let leaf acts =
   (* Only the order/duplicate quotient here — notably discard actions are
      NOT dropped next to others: a later [seq] can still test or
      overwrite a discarded state's fields, so that quotient is deferred
      to {!strip_disc} where the actions really are final. *)
   let acts = List.sort_uniq Act.compare acts in
-  let k = String.concat "||" (List.map Act.to_string acts) in
-  intern leaf_tbl k (Leaf acts)
+  match Leaf_tbl.find leaf_tbl acts with
+  | t -> t
+  | exception Not_found ->
+      let t = fresh (Leaf acts) in
+      Leaf_tbl.add leaf_tbl acts t;
+      t
 
 let drop = leaf []
 let id = leaf [ Act.id ]
@@ -200,21 +217,33 @@ let rec assume ((f, _) as key) d =
    value it already holds changes no packet. *)
 let branch key hi lo =
   if hi == assume key lo then lo
-  else intern branch_tbl (key_to_string key, hi.uid, lo.uid) (Branch (key, hi, lo))
+  else
+    let f, v = key in
+    let k = (f, value_code v, hi.uid, lo.uid) in
+    match Hashtbl.find branch_tbl k with
+    | t -> t
+    | exception Not_found ->
+        let t = fresh (Branch (key, hi, lo)) in
+        Hashtbl.add branch_tbl k t;
+        t
 
 let atom key = branch key id drop
 let natom key = branch key drop id
 
+(* A memo key for a pair of nodes, packed into one int: no uid reaches
+   2^31 (each node is several heap words). *)
+let pair d1 d2 = (d1.uid lsl 31) lor d2.uid
+
 (* Generic ordered merge: pairs the leaves reached by the same packet in
    both diagrams and combines them with [op]. *)
 let merge ~name op =
-  let tbl : (int * int, t) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (int, t) Hashtbl.t = Hashtbl.create 16 in
   ignore name;
   let rec go d1 d2 =
-    let k = (d1.uid, d2.uid) in
-    match Hashtbl.find_opt tbl k with
-    | Some r -> r
-    | None ->
+    let k = pair d1 d2 in
+    match Hashtbl.find tbl k with
+    | r -> r
+    | exception Not_found ->
         let r =
           match (d1.node, d2.node) with
           | Leaf a, Leaf b -> leaf (op a b)
@@ -247,9 +276,9 @@ let ors = merge ~name:"ors" (fun a b -> if a = [] then b else a)
 let negate_tbl : (int, t) Hashtbl.t = Hashtbl.create 16
 
 let rec negate d =
-  match Hashtbl.find_opt negate_tbl d.uid with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find negate_tbl d.uid with
+  | r -> r
+  | exception Not_found ->
       let r =
         match d.node with
         | Leaf [] -> id
@@ -264,13 +293,13 @@ let rec negate d =
    key order — the ordered merges in [prod]/[sum] restore the invariant. *)
 let cond key hi lo = sum (prod (atom key) hi) (prod (natom key) lo)
 
-let seq_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 16
+let seq_tbl : (int, t) Hashtbl.t = Hashtbl.create 16
 
 let rec seq d1 d2 =
-  let k = (d1.uid, d2.uid) in
-  match Hashtbl.find_opt seq_tbl k with
-  | Some r -> r
-  | None ->
+  let k = pair d1 d2 in
+  match Hashtbl.find seq_tbl k with
+  | r -> r
+  | exception Not_found ->
       let r =
         match d1.node with
         | Leaf acts ->
@@ -322,17 +351,6 @@ let of_policy pol =
   in
   go pol
 
-let eval env d =
-  let rec go d =
-    match d.node with
-    | Leaf acts -> acts
-    | Branch ((f, v), hi, lo) -> (
-        match env f with
-        | Some v' when equal_value v v' -> go hi
-        | _ -> go lo)
-  in
-  go d
-
 let strip_disc d =
   let memo = Hashtbl.create 64 in
   let rec go d =
@@ -349,21 +367,6 @@ let strip_disc d =
         r
   in
   go d
-
-let size d =
-  let seen = Hashtbl.create 64 in
-  let rec go d =
-    if not (Hashtbl.mem seen d.uid) then begin
-      Hashtbl.add seen d.uid ();
-      match d.node with
-      | Leaf _ -> ()
-      | Branch (_, hi, lo) ->
-          go hi;
-          go lo
-    end
-  in
-  go d;
-  Hashtbl.length seen
 
 let leaves d =
   let seen = Hashtbl.create 64 in

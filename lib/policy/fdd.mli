@@ -43,15 +43,8 @@ module Act : sig
       so that quotient is only sound at observation time
       ({!strip_disc}). *)
 
-  val id : t
-
   val loc : t -> Syntax.location option
   (** The location modification, if any ([None] = leave at ingress port). *)
-
-  val compare : t -> t -> int
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
-  val to_string : t -> string
 end
 
 type t = private { uid : int; node : node }
@@ -63,7 +56,6 @@ val equal : t -> t -> bool
 val leaf : Act.t list -> t
 val drop : t
 val id : t
-val branch : key -> t -> t -> t
 val atom : key -> t
 
 val sum : t -> t -> t
@@ -73,24 +65,14 @@ val prod : t -> t -> t
 (** [prod pred d] guards [d] by a {e predicate} diagram (leaves [[]] or
     [[id]] only). @raise Invalid_argument if the left operand is not one. *)
 
-val seq : t -> t -> t
-(** Sequential composition: resolves the right diagram's tests against the
-    left's modifications symbolically.
-    @raise Invalid_argument on a test/modification/meter after [Balance] or
-    a second meter in sequence. *)
-
 val negate : t -> t
 (** @raise Invalid_argument on a non-predicate diagram. *)
 
-val of_pred : Syntax.pred -> t
-
 val of_policy : Syntax.t -> t
 (** Checks well-formedness ({!Syntax.check}) then compiles.
-    @raise Invalid_argument as {!Syntax.check}, {!seq} or {!negate} do. *)
-
-val eval : (Syntax.field -> Syntax.value option) -> t -> Act.t list
-(** Walk the diagram under a field valuation ([None] = field absent; a test
-    on an absent field takes the [lo] edge). *)
+    @raise Invalid_argument as {!Syntax.check} or {!negate} do, or on a
+    test, modification or meter after [Balance] or a second meter in
+    sequence. *)
 
 val strip_disc : t -> t
 (** Quotient by output observability: plain-discard actions (location
@@ -102,11 +84,7 @@ val strip_disc : t -> t
     table cannot: the final action set is all that remains.  Used by the
     compiler, never during policy composition. *)
 
-val size : t -> int
-(** Number of distinct nodes (shared nodes counted once). *)
-
 val leaves : t -> Act.t list list
 (** All distinct leaf action sets, in left-to-right order. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

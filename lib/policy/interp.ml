@@ -34,8 +34,6 @@ let create pol =
   Syntax.check pol;
   { policy = pol; meters = collect_meters pol }
 
-let policy t = t.policy
-
 (* One evaluation state: accumulated ghost writes plus pending meter and
    bucket choice. *)
 type st = {
@@ -209,8 +207,8 @@ let apply_mods pkt mods =
     pkt
     (List.sort compare_key mods)
 
-let render ~in_port pkt st =
-  ignore in_port;
+(* A pass renders nothing here: [run] reports it as the table miss. *)
+let render pkt st =
   let pre = List.filter (fun (f, _) -> compare_field f Loc <> 0) st.mods in
   let pkt' = apply_mods pkt pre in
   let loc = find_mod st.mods Loc in
@@ -218,9 +216,12 @@ let render ~in_port pkt st =
   | Some (At (Phys p)) -> [ Pipeline.Port (p, pkt') ]
   | Some (At Flood) -> [ Pipeline.Flood pkt' ]
   | Some (At (Ctrl n)) -> [ Pipeline.Controller (n, pkt') ]
-  | Some (At Disc) -> []
+  | Some (At (Disc | Pass)) -> []
   | Some _ -> assert false
   | None -> [ Pipeline.In_port pkt' ]
+
+let passes st =
+  match find_mod st.mods Loc with Some (At Pass) -> true | _ -> false
 
 (* Replicates Group_table.select_buckets for a Select group whose buckets
    all have weight 1: cumulative-weight walk over [abs hash mod total]. *)
@@ -234,37 +235,44 @@ let run t ~now_ns ~in_port pkt =
   let base = base_value ~in_port fl in
   let states = eval ~base init t.policy in
   let states = dedup_states (List.map (normalize_st ~base) states) in
-  List.concat_map
-    (fun st ->
-      let metered_out =
-        match st.police with
-        | None -> false
-        | Some p ->
-            Meter_table.apply t.meters ~id:p.meter_id ~now_ns
-              ~bytes:(Packet.size pkt)
-            = `Drop
-      in
-      if metered_out then []
-      else
-        let st =
-          match st.balance with
-          | None -> st
-          | Some buckets ->
-              (* The pipeline hashes the packet as it stands when the group
-                 action runs, i.e. after this rule's earlier rewrites. *)
-              let pre =
-                List.filter (fun (f, _) -> compare_field f Loc <> 0) st.mods
-              in
-              let hashed = Packet.Fields.of_packet (apply_mods pkt pre) in
-              let bucket =
-                pick_bucket buckets ~flow_hash:(Pipeline.flow_hash hashed)
-              in
-              let mods =
-                List.fold_left
-                  (fun mods (f, v) -> set_mod mods f v)
-                  st.mods bucket
-              in
-              { st with balance = None; mods }
+  let outputs =
+    List.concat_map
+      (fun st ->
+        let metered_out =
+          match st.police with
+          | None -> false
+          | Some p ->
+              Meter_table.apply t.meters ~id:p.meter_id ~now_ns
+                ~bytes:(Packet.size pkt)
+              = `Drop
         in
-        render ~in_port pkt st)
-    states
+        if metered_out then []
+        else
+          let st =
+            match st.balance with
+            | None -> st
+            | Some buckets ->
+                (* The pipeline hashes the packet as it stands when the group
+                   action runs, i.e. after this rule's earlier rewrites. *)
+                let pre =
+                  List.filter (fun (f, _) -> compare_field f Loc <> 0) st.mods
+                in
+                let hashed = Packet.Fields.of_packet (apply_mods pkt pre) in
+                let bucket =
+                  pick_bucket buckets ~flow_hash:(Pipeline.flow_hash hashed)
+                in
+                let mods =
+                  List.fold_left
+                    (fun mods (f, v) -> set_mod mods f v)
+                    st.mods bucket
+                in
+                { st with balance = None; mods }
+          in
+          render pkt st)
+      states
+  in
+  (* A pass is reported as the table miss that leaves the packet to the
+     table below.  Next to other outputs it has no flow-table encoding,
+     and Compile rejects it. *)
+  Pipeline.make_result ~outputs ~table_miss:(List.exists passes states)
+    ~matched:[]

@@ -1,4 +1,4 @@
-type location = Phys of int | Flood | Ctrl of int | Disc
+type location = Phys of int | Flood | Ctrl of int | Disc | Pass
 
 type field =
   | Loc
@@ -76,6 +76,7 @@ let location_rank = function
   | Flood -> 1
   | Ctrl _ -> 2
   | Disc -> 3
+  | Pass -> 4
 
 let compare_location a b =
   match (a, b) with
@@ -104,6 +105,7 @@ let pp_location ppf = function
   | Flood -> Format.pp_print_string ppf "flood"
   | Ctrl n -> Format.fprintf ppf "ctrl:%d" n
   | Disc -> Format.pp_print_string ppf "disc"
+  | Pass -> Format.pp_print_string ppf "pass"
 
 let pp_value ppf = function
   | Int n -> Format.pp_print_int ppf n
@@ -202,7 +204,12 @@ let rec check = function
   | Balance buckets ->
       if buckets = [] then
         invalid_arg "Policy.Syntax: balance needs at least one bucket";
-      List.iter (fun b -> List.iter (fun (f, v) -> check_mod f v) b) buckets
+      List.iter
+        (List.iter (function
+           | _, At Pass ->
+               invalid_arg "Policy.Syntax: pass inside a balance bucket"
+           | f, v -> check_mod f v))
+        buckets
 
 (* Constructors *)
 
@@ -224,10 +231,8 @@ let disj = function
 
 let neg p = Not p
 let in_port p = test Loc (At (Phys p))
-let eth_src_is m = test Eth_src (Mac m)
 let eth_dst_is m = test Eth_dst (Mac m)
 let eth_type_is n = test Eth_type (Int n)
-let vlan_vid_is n = test Vlan_vid (Int n)
 let ip_proto_is n = test Ip_proto (Int n)
 let ip_src_is a = test Ip_src (Ip a)
 let ip_dst_is a = test Ip_dst (Ip a)
@@ -236,11 +241,9 @@ let fwd p = Mod (Loc, At (Phys p))
 let flood = Mod (Loc, At Flood)
 let to_controller ?(bytes = 0) () = Mod (Loc, At (Ctrl bytes))
 let discard = Mod (Loc, At Disc)
+let pass = Mod (Loc, At Pass)
 let set_eth_src m = Mod (Eth_src, Mac m)
-let set_eth_dst m = Mod (Eth_dst, Mac m)
 let set_ip_src a = Mod (Ip_src, Ip a)
-let set_ip_dst a = Mod (Ip_dst, Ip a)
-let set_l4_dst n = Mod (L4_dst, Int n)
 let union a b = Union (a, b)
 let seq a b = Seq (a, b)
 let orelse a b = Orelse (a, b)

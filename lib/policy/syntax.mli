@@ -18,13 +18,23 @@
     port, modifying it sets the egress. [Disc] is an explicit discard
     location — unlike an empty output set it keeps earlier side effects
     (metering) observable, as a pipeline that meters a packet before a
-    later stage drops it must. *)
+    later stage drops it must.
+
+    [Pass] is "no decision": the packet leaves this policy's table as a
+    table miss and goes to whatever sits below it (the next app's rules,
+    or the switch's miss behaviour).  It is a location write like any
+    other, so it composes the way [Disc] does: under [seq] a later [Loc]
+    write overrides it and a later [Loc] test fails on it; under
+    [orelse] it is an answer, so [orelse pass q] never reaches [q] (use
+    [drop] to fall through).  Only a policy whose final fallback is
+    [pass] compiles with it ({!Compile}). *)
 
 type location =
   | Phys of int  (** a physical port *)
   | Flood  (** all ports except ingress *)
   | Ctrl of int  (** punt to controller, with max bytes of payload *)
   | Disc  (** explicit discard: no output, side effects retained *)
+  | Pass  (** no decision: a table miss *)
 
 type field =
   | Loc
@@ -78,7 +88,6 @@ val pp_value : Format.formatter -> value -> unit
 val pp_mods : Format.formatter -> (field * value) list -> unit
 (** Comma-separated [field:=value] list. *)
 
-val pp_pred : Format.formatter -> pred -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -88,7 +97,7 @@ val to_string : t -> string
     [Ip_dst] with [Ip], [Loc] with [At], the rest with [Int]); [Eth_type],
     [Vlan_vid] and [Ip_proto] are read-only (no [Mod]); [Mod Loc] accepts
     any location while [Test Loc] only a [Phys] port; [Balance] buckets
-    hold modifications only. *)
+    hold modifications only, and no [pass]. *)
 
 val check : t -> unit
 (** Structural well-formedness of a whole policy.
@@ -109,10 +118,8 @@ val disj : pred list -> pred
 val neg : pred -> pred
 
 val in_port : int -> pred
-val eth_src_is : Netpkt.Mac_addr.t -> pred
 val eth_dst_is : Netpkt.Mac_addr.t -> pred
 val eth_type_is : int -> pred
-val vlan_vid_is : int -> pred
 val ip_proto_is : int -> pred
 val ip_src_is : Netpkt.Ipv4_addr.t -> pred
 val ip_dst_is : Netpkt.Ipv4_addr.t -> pred
@@ -125,11 +132,11 @@ val flood : t
 val to_controller : ?bytes:int -> unit -> t
 val discard : t
 
+val pass : t
+(** [loc := pass]: leave the packet to whatever sits below this table. *)
+
 val set_eth_src : Netpkt.Mac_addr.t -> t
-val set_eth_dst : Netpkt.Mac_addr.t -> t
 val set_ip_src : Netpkt.Ipv4_addr.t -> t
-val set_ip_dst : Netpkt.Ipv4_addr.t -> t
-val set_l4_dst : int -> t
 
 val union : t -> t -> t
 val seq : t -> t -> t

@@ -323,7 +323,7 @@ let pc_tests =
             ~blocked:[ (user, "sneaky.example") ]
             ()
         in
-        let engine, _, _, _, send, received =
+        let engine, sw, _, _, send, received =
           rig [ Sdnctl.Parental_control.app pc; Sdnctl.L2_learning.create () ]
         in
         let http ~server host =
@@ -335,7 +335,13 @@ let pc_tests =
         send 0 (http ~server:2 "sneaky.example");
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 20));
         check Alcotest.int "sniffed and dropped" 0 (List.length received.(2));
-        check Alcotest.int "counted" 1 (Sdnctl.Parental_control.sniffed_drops pc);
+        check Alcotest.int "one drop pinned above the compiled band" 1
+          (List.length
+             (List.filter
+                (fun (e : Flow_entry.t) ->
+                  e.Flow_entry.priority = Policy.Compile.ceiling)
+                (Flow_table.entries
+                   (Pipeline.table (Softswitch.Soft_switch.pipeline sw) 0))));
         (* an allowed Host on a *different* server flows through; the same
            server IP stays collaterally blocked by the pinned drop rule *)
         send 0 (http ~server:3 "fine.example");
@@ -367,9 +373,78 @@ let pc_tests =
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 50));
         send 0 (http ());
         Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 70));
-        check Alcotest.int "allowed again" 2 (List.length received.(2));
-        check Alcotest.bool "list empty" true
-          (Sdnctl.Parental_control.blocked_list pc = []));
+        check Alcotest.int "allowed again" 2 (List.length received.(2)));
+    tc "block and unblock leave exactly the compiled table" (fun () ->
+        let user = Ipv4_addr.of_octets 10 0 0 1 in
+        let sniffed = Ipv4_addr.of_octets 10 0 0 2 in
+        let site = Ipv4_addr.of_octets 10 0 0 3 in
+        let server = Ipv4_addr.of_octets 10 0 0 4 in
+        let pc =
+          Sdnctl.Parental_control.create ~sites:[ ("x.example", site) ]
+            ~blocked:[ (sniffed, "sneaky.example") ]
+            ()
+        in
+        let engine, sw, ctrl, _, send, _ = rig [ Sdnctl.Parental_control.app pc ] in
+        let render priority match_ actions =
+          Format.asprintf "%d %a -> %a" priority Of_match.pp match_
+            Of_action.pp_list actions
+        in
+        let installed () =
+          List.sort compare
+            (List.map
+               (fun (e : Flow_entry.t) ->
+                 render e.Flow_entry.priority e.Flow_entry.match_
+                   (Flow_entry.actions e))
+               (Flow_table.entries
+                  (Pipeline.table (Softswitch.Soft_switch.pipeline sw) 0)))
+        in
+        let compiled () =
+          List.map
+            (fun (fm : Of_message.flow_mod) ->
+              render fm.Of_message.priority fm.Of_message.match_
+                (Flow_entry.actions
+                   (Flow_entry.make ~match_:fm.Of_message.match_
+                      fm.Of_message.instructions)))
+            (List.filter_map
+               (function Of_message.Flow_mod fm -> Some fm | _ -> None)
+               (Policy.Compile.messages
+                  (Policy.Compile.compile (Sdnctl.Parental_control.fragment pc))))
+        in
+        (* A sniffed GET to a blocked host pins an exact drop at the
+           ceiling, outside the compiled band. *)
+        send 1
+          (Packet.tcp ~dst:(mac 4) ~src:(mac 2) ~ip_src:sniffed ~ip_dst:server
+             ~src_port:1234 ~dst_port:80
+             (Http_lite.render_request (Http_lite.get ~host:"sneaky.example" "/")));
+        Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 10));
+        let pinned =
+          [
+            render Policy.Compile.ceiling
+              Of_match.(
+                any |> eth_type 0x0800 |> ip_proto 6
+                |> ip_src (Ipv4_addr.Prefix.make sniffed 32)
+                |> ip_dst (Ipv4_addr.Prefix.make server 32)
+                |> l4_dst 80)
+              [ Of_action.Drop ];
+          ]
+        in
+        let before = compiled () in
+        check Alcotest.(list string) "compile plus the pinned drop"
+          (List.sort compare (before @ pinned)) (installed ());
+        Sdnctl.Parental_control.block pc ctrl ~user ~host:"x.example";
+        Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 15));
+        let blocked = compiled () in
+        check Alcotest.(list string) "the new compile plus the pinned drop"
+          (List.sort compare (blocked @ pinned)) (installed ());
+        Sdnctl.Parental_control.unblock pc ctrl ~user ~host:"x.example";
+        Engine.run engine ~until:(Sim_time.of_ns (Sim_time.ms 20));
+        let now = installed () in
+        check Alcotest.(list string) "none of the blocked compile's rules remain" []
+          (List.filter
+             (fun r -> List.mem r now && not (List.mem r before))
+             blocked);
+        check Alcotest.(list string) "back to the first compile plus the pin"
+          (List.sort compare (before @ pinned)) now);
   ]
 
 let suite =

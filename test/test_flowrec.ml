@@ -154,7 +154,8 @@ let collector_tests =
         check Alcotest.int "sampled sums" 10 (FC.sampled c);
         check Alcotest.int "merged count-min answers per-switch flows"
           (6 * Netpkt.Packet.size pa)
-          (FC.cm_query c ~key:(Netpkt.Packet.flow_hash ~seed:5 pa));
+          (Telemetry.Sketch.Cm.query (FC.merged_cm c)
+             ~key:(Netpkt.Packet.flow_hash ~seed:5 pa));
         let top = FC.top c in
         check Alcotest.int "both flows ranked" 2 (List.length top);
         check Alcotest.bool "heavier flow first" true

@@ -27,7 +27,9 @@ let gen_test : Syn.pred QCheck2.Gen.t =
   QCheck2.Gen.oneof
     [
       QCheck2.Gen.map Syn.in_port (QCheck2.Gen.int_range 0 3);
-      QCheck2.Gen.map (fun i -> Syn.eth_src_is (mac i)) (QCheck2.Gen.int_range 1 3);
+      QCheck2.Gen.map
+        (fun i -> Syn.test Syn.Eth_src (Syn.Mac (mac i)))
+        (QCheck2.Gen.int_range 1 3);
       QCheck2.Gen.map (fun i -> Syn.eth_dst_is (mac i)) (QCheck2.Gen.int_range 1 3);
       QCheck2.Gen.oneofl [ Syn.eth_type_is 0x0800; Syn.eth_type_is 0x0806 ];
       QCheck2.Gen.map
@@ -38,7 +40,7 @@ let gen_test : Syn.pred QCheck2.Gen.t =
         (QCheck2.Gen.int_range 1 3);
       QCheck2.Gen.oneofl [ Syn.ip_proto_is 6; Syn.ip_proto_is 17 ];
       QCheck2.Gen.oneofl [ Syn.l4_dst_is 80; Syn.l4_dst_is 53 ];
-      QCheck2.Gen.oneofl [ Syn.vlan_vid_is 101 ];
+      QCheck2.Gen.oneofl [ Syn.test Syn.Vlan_vid (Syn.Int 101) ];
     ]
 
 let gen_pred : Syn.pred QCheck2.Gen.t =
@@ -65,11 +67,15 @@ let gen_pred : Syn.pred QCheck2.Gen.t =
 let gen_mod : Syn.t QCheck2.Gen.t =
   QCheck2.Gen.oneof
     [
-      QCheck2.Gen.map (fun i -> Syn.set_eth_dst (mac i)) (QCheck2.Gen.int_range 1 3);
       QCheck2.Gen.map
-        (fun i -> Syn.set_ip_dst (ip (Printf.sprintf "10.0.0.%d" i)))
+        (fun i -> Syn.Mod (Syn.Eth_dst, Syn.Mac (mac i)))
         (QCheck2.Gen.int_range 1 3);
-      QCheck2.Gen.map Syn.set_l4_dst (QCheck2.Gen.oneofl [ 80; 53 ]);
+      QCheck2.Gen.map
+        (fun i -> Syn.Mod (Syn.Ip_dst, Syn.Ip (ip (Printf.sprintf "10.0.0.%d" i))))
+        (QCheck2.Gen.int_range 1 3);
+      QCheck2.Gen.map
+        (fun n -> Syn.Mod (Syn.L4_dst, Syn.Int n))
+        (QCheck2.Gen.oneofl [ 80; 53 ]);
       QCheck2.Gen.map Syn.fwd (QCheck2.Gen.int_range 0 3);
       QCheck2.Gen.oneofl [ Syn.flood; Syn.discard; Syn.to_controller () ];
     ]
@@ -102,7 +108,8 @@ let print_policy2 (p, q) = Syn.to_string p ^ " || " ^ Syn.to_string q
 let print_policy3 (p, q, r) =
   String.concat " || " (List.map Syn.to_string [ p; q; r ])
 
-let print_pred p = Format.asprintf "%a" Syn.pp_pred p
+let print_pred p = Syn.to_string (Syn.filter p)
+let fdd_of_pred p = Fdd.of_policy (Syn.filter p)
 let fdd_eq name a b =
   if not (Fdd.equal a b) then
     QCheck2.Test.fail_reportf "%s:@.%s@.  !=@.%s" name (Fdd.to_string a)
@@ -134,21 +141,21 @@ let law_tests =
           (Fdd.of_policy (Syn.orelse p (Syn.orelse q r))));
     prop "negation involution" gen_pred ~print:print_pred (fun a ->
         fdd_eq "!!a = a"
-          (Fdd.of_pred (Syn.neg (Syn.neg a)))
-          (Fdd.of_pred a));
+          (fdd_of_pred (Syn.neg (Syn.neg a)))
+          (fdd_of_pred a));
     prop "De Morgan" (QCheck2.Gen.pair gen_pred gen_pred)
       ~print:(fun (a, b) -> print_pred a ^ " || " ^ print_pred b)
       (fun (a, b) ->
         fdd_eq "!(a & b) = !a + !b"
-          (Fdd.of_pred (Syn.neg (Syn.And (a, b))))
-          (Fdd.of_pred (Syn.Or (Syn.neg a, Syn.neg b))));
+          (fdd_of_pred (Syn.neg (Syn.And (a, b))))
+          (fdd_of_pred (Syn.Or (Syn.neg a, Syn.neg b))));
     prop "conjunction commutes (canonical test order)"
       (QCheck2.Gen.pair gen_pred gen_pred)
       ~print:(fun (a, b) -> print_pred a ^ " || " ^ print_pred b)
       (fun (a, b) ->
         fdd_eq "a & b = b & a"
-          (Fdd.of_pred (Syn.And (a, b)))
-          (Fdd.of_pred (Syn.And (b, a))));
+          (fdd_of_pred (Syn.And (a, b)))
+          (fdd_of_pred (Syn.And (b, a))));
     prop "filter of conjunction = seq of filters" gen_pred ~print:print_pred
       (fun a ->
         fdd_eq "filter (a & a') = filter a ; filter a'"
@@ -188,7 +195,7 @@ let structure_tests =
   [
     tc "field order puts Loc at the root" (fun () ->
         let d =
-          Fdd.of_pred (Syn.And (Syn.ip_src_is (ip "10.0.0.1"), Syn.in_port 2))
+          fdd_of_pred (Syn.And (Syn.ip_src_is (ip "10.0.0.1"), Syn.in_port 2))
         in
         match d.Fdd.node with
         | Fdd.Branch ((Syn.Loc, _), _, _) -> ()
@@ -207,52 +214,80 @@ let structure_tests =
         let frag =
           Syn.seq (Syn.filter (Syn.eth_dst_is (mac 1))) (Syn.fwd 1)
         in
-        check Alcotest.int "union with itself adds no nodes"
-          (Fdd.size (Fdd.of_policy frag))
-          (Fdd.size (Fdd.of_policy (Syn.union frag frag))));
-    tc "eval walks to the right leaf" (fun () ->
-        let d =
-          Fdd.of_policy
-            (Syn.seq (Syn.filter (Syn.in_port 2)) (Syn.fwd 3))
-        in
-        let env = function
-          | Syn.Loc -> Some (Syn.At (Syn.Phys 2))
-          | _ -> None
-        in
-        (match Fdd.eval env d with
-        | [ act ] ->
-            check Alcotest.bool "forwards to 3" true
-              (Fdd.Act.loc act = Some (Syn.Phys 3))
-        | acts -> Alcotest.failf "expected one act, got %d" (List.length acts));
-        let env0 = function
-          | Syn.Loc -> Some (Syn.At (Syn.Phys 0))
-          | _ -> None
-        in
-        check Alcotest.int "other port drops" 0 (List.length (Fdd.eval env0 d)));
+        check Alcotest.bool "union with itself is the same node" true
+          (Fdd.of_policy frag == Fdd.of_policy (Syn.union frag frag)));
   ]
 
 (* ---- compiler structure units ---- *)
+
+(* A compiled table's (flow, group, meter) message counts. *)
+let counts c =
+  List.fold_left
+    (fun (f, g, m) -> function
+      | Openflow.Of_message.Flow_mod _ -> (f + 1, g, m)
+      | Openflow.Of_message.Group_mod _ -> (f, g + 1, m)
+      | Openflow.Of_message.Meter_mod _ -> (f, g, m + 1)
+      | _ -> (f, g, m))
+    (0, 0, 0) (Compile.messages c)
+
+let flow_mods c =
+  List.filter_map
+    (function Openflow.Of_message.Flow_mod fm -> Some fm | _ -> None)
+    (Compile.messages c)
+
+let priorities c =
+  List.map (fun fm -> fm.Openflow.Of_message.priority) (flow_mods c)
 
 let compile_tests =
   [
     tc "tables are total: catch-all drop at priority 0" (fun () ->
         let c = Compile.compile (PE.find_spec "gateway" |> Option.get).PE.policy in
-        let fms = Compile.flow_mods c in
-        check Alcotest.bool "has rules" true (fms <> []);
-        let last = List.nth fms (List.length fms - 1) in
-        check Alcotest.int "last priority" 0 last.Openflow.Of_message.priority;
+        let prios = priorities c in
+        check Alcotest.bool "has rules" true (prios <> []);
+        let last = List.nth prios (List.length prios - 1) in
+        check Alcotest.int "last priority" 0 last;
         (* strictly descending priorities *)
         ignore
           (List.fold_left
-             (fun prev fm ->
-               check Alcotest.bool "descending" true
-                 (fm.Openflow.Of_message.priority < prev);
-               fm.Openflow.Of_message.priority)
-             max_int fms));
+             (fun prev p ->
+               check Alcotest.bool "descending" true (p < prev);
+               p)
+             max_int prios);
+        (* the rest count up from the band's base, below its ceiling *)
+        let band = List.filter (fun p -> p <> 0) prios in
+        check Alcotest.int "lowest rule at the base" Compile.base
+          (List.nth band (List.length band - 1));
+        check Alcotest.bool "below the ceiling" true
+          (List.hd band < Compile.ceiling));
+    tc "a policy ending in pass has no catch-all" (fun () ->
+        let c =
+          Compile.compile
+            (Syn.orelse (Syn.seq (Syn.filter (Syn.in_port 1)) (Syn.fwd 2)) Syn.pass)
+        in
+        check Alcotest.(list int) "one rule, at the base" [ Compile.base ]
+          (priorities c);
+        check Alcotest.(list int) "pass alone installs nothing" []
+          (priorities (Compile.compile Syn.pass)));
+    tc "an interior pass shadowing a lower rule is rejected" (fun () ->
+        let bad =
+          Syn.orelse (Syn.seq (Syn.filter (Syn.in_port 1)) Syn.pass) (Syn.fwd 2)
+        in
+        Alcotest.check_raises "raises"
+          (Invalid_argument
+             "Policy.Compile: pass leaf {loc:=pass} at in_port=1 shadows a \
+              lower rule")
+          (fun () -> ignore (Compile.compile bad)));
+    tc "pass inside a multi-action leaf is rejected" (fun () ->
+        Alcotest.check_raises "raises"
+          (Invalid_argument
+             "Policy.Compile: pass inside the multi-action leaf {loc:=port:1 , \
+              loc:=pass} has no flow-rule encoding")
+          (fun () -> ignore (Compile.compile (Syn.union Syn.pass (Syn.fwd 1)))));
     tc "multi-output leaf becomes an All group" (fun () ->
         let c = Compile.compile (Syn.union (Syn.fwd 1) (Syn.fwd 2)) in
-        check Alcotest.int "one group" 1 (Compile.group_count c);
-        check Alcotest.int "no meters" 0 (Compile.meter_count c));
+        let _, groups, meters = counts c in
+        check Alcotest.int "one group" 1 groups;
+        check Alcotest.int "no meters" 0 meters);
     tc "meter in a multi-action leaf is rejected" (fun () ->
         let bad =
           Syn.union
@@ -287,12 +322,10 @@ let compile_tests =
            rule pushes took 27 flow rules (EXPERIMENTS.md E18); those
            builders are gone, so the figure is frozen here. *)
         let hand_rules = 27 in
-        let c = Compile.compile (Sdnctl.Gateway.policy g) in
+        let flows, _, _ = counts (Compile.compile (Sdnctl.Gateway.policy g)) in
         check Alcotest.bool
-          (Printf.sprintf "compiled %d <= hand-written %d"
-             (Compile.flow_count c) hand_rules)
-          true
-          (Compile.flow_count c <= hand_rules));
+          (Printf.sprintf "compiled %d <= hand-written %d" flows hand_rules)
+          true (flows <= hand_rules));
   ]
 
 (* ---- interpreter semantics units ---- *)
@@ -301,12 +334,15 @@ let pkt_tcp ?(src = mac 1) ?(dst = mac 2) ?(ip_src = ip "10.0.0.1")
     ?(ip_dst = ip "10.0.0.2") ?(dst_port = 80) () =
   Packet.tcp ~dst ~src ~ip_src ~ip_dst ~src_port:1234 ~dst_port "payload"
 
+let outputs it ~now_ns pkt =
+  (Interp.run it ~now_ns ~in_port:0 pkt).Openflow.Pipeline.outputs
+
 let interp_tests =
   [
     tc "ghost write: set then test an absent field" (fun () ->
         let x = ip "192.0.2.1" in
         let p =
-          Syn.seq (Syn.set_ip_dst x)
+          Syn.seq (Syn.Mod (Syn.Ip_dst, Syn.Ip x))
             (Syn.seq (Syn.filter (Syn.ip_dst_is x)) (Syn.fwd 1))
         in
         let it = Interp.create p in
@@ -314,28 +350,28 @@ let interp_tests =
           Packet.arp_request ~src_mac:(mac 1) ~src_ip:(ip "10.0.0.1")
             ~target_ip:(ip "10.0.0.2")
         in
-        match Interp.run it ~now_ns:0 ~in_port:0 arp with
+        let r = Interp.run it ~now_ns:0 ~in_port:0 arp in
+        match r.Openflow.Pipeline.outputs with
         | [ Openflow.Pipeline.Port (1, out) ] ->
             (* the test passed on the ghost value, but ARP carries no IP
                header to rewrite *)
             check Alcotest.string "packet unmodified"
               (Check.Hex.encode (Packet.encode arp))
               (Check.Hex.encode (Packet.encode out))
-        | outs ->
-            Alcotest.failf "expected port 1, got %s"
-              (PE.normalize ~in_port:0 outs));
+        | _ ->
+            Alcotest.failf "expected port 1, got %s" (PE.normalize ~in_port:0 r));
     tc "outputs are a set: duplicate effects collapse" (fun () ->
         let p = Syn.union (Syn.fwd 1) (Syn.fwd 1) in
         let it = Interp.create p in
         check Alcotest.int "one output" 1
-          (List.length (Interp.run it ~now_ns:0 ~in_port:0 (pkt_tcp ()))));
+          (List.length (outputs it ~now_ns:0 (pkt_tcp ()))));
     tc "police: depleted bucket drops, time refills" (fun () ->
         let p =
           Syn.seq (Syn.police ~meter_id:1 ~rate_kbps:8 ~burst_kb:1) (Syn.fwd 1)
         in
         let it = Interp.create p in
         let pkt = Packet.pad_to 1000 (pkt_tcp ()) in
-        let run now = List.length (Interp.run it ~now_ns:now ~in_port:0 pkt) in
+        let run now = List.length (outputs it ~now_ns:now pkt) in
         check Alcotest.int "first passes on burst" 1 (run 0);
         check Alcotest.int "burst exhausted" 0 (run 1000);
         (* 8 kbps = 1 kB/s: one second refills the kilobyte burst *)
@@ -351,7 +387,8 @@ let interp_tests =
         check Alcotest.string "same backend both times"
           (PE.normalize ~in_port:0 o1)
           (PE.normalize ~in_port:0 o2);
-        check Alcotest.int "exactly one backend" 1 (List.length o1));
+        check Alcotest.int "exactly one backend" 1
+          (List.length o1.Openflow.Pipeline.outputs));
     tc "discard keeps meter side effects" (fun () ->
         let p =
           Syn.seq (Syn.police ~meter_id:1 ~rate_kbps:8 ~burst_kb:1)
@@ -360,7 +397,7 @@ let interp_tests =
         let it = Interp.create p in
         let pkt = Packet.pad_to 1000 (pkt_tcp ()) in
         check Alcotest.int "no output" 0
-          (List.length (Interp.run it ~now_ns:0 ~in_port:0 pkt));
+          (List.length (outputs it ~now_ns:0 pkt));
         (* the discard billed the bucket: a forwarding policy sharing the
            meter would now drop — observable through a fresh interp with
            the same packet sequence *)
@@ -370,7 +407,20 @@ let interp_tests =
         let it2 = Interp.create p2 in
         ignore (Interp.run it2 ~now_ns:0 ~in_port:0 pkt);
         check Alcotest.int "second packet metered out" 0
-          (List.length (Interp.run it2 ~now_ns:1000 ~in_port:0 pkt)));
+          (List.length (outputs it2 ~now_ns:1000 pkt)));
+    tc "pass is a table miss, an answer to orelse, overridden by seq"
+      (fun () ->
+        let run p =
+          PE.normalize ~in_port:0
+            (Interp.run (Interp.create p) ~now_ns:0 ~in_port:0 (pkt_tcp ()))
+        in
+        check Alcotest.string "pass" "[] miss" (run Syn.pass);
+        check Alcotest.string "orelse stops at pass" "[] miss"
+          (run (Syn.orelse Syn.pass (Syn.fwd 1)));
+        check Alcotest.string "orelse falls through drop" (run (Syn.fwd 1))
+          (run (Syn.orelse Syn.drop (Syn.fwd 1)));
+        check Alcotest.string "a later write overrides pass" (run (Syn.fwd 1))
+          (run (Syn.seq Syn.pass (Syn.fwd 1))));
   ]
 
 (* ---- golden table dumps ---- *)
@@ -443,6 +493,17 @@ let install_tests =
                  { Sdnctl.Load_balancer.backend_ip =
                      ip (Printf.sprintf "10.9.1.%d" (i + 1));
                    backend_mac = mac (0xb1 + i); backend_port = i + 1 })));
+    installs "parental" (fun () ->
+        Sdnctl.Parental_control.app
+          (Sdnctl.Parental_control.create
+             ~sites:
+               [ ("blocked.example", ip "203.0.113.5");
+                 ("other.example", ip "203.0.113.7") ]
+             ~blocked:
+               [ (ip "10.5.0.1", "blocked.example");
+                 (ip "10.5.0.2", "nosuch.example");
+                 (ip "10.5.0.1", "nosuch.example") ]
+             ()));
     installs "ratelimit" (fun () ->
         Sdnctl.Rate_limiter.create
           ~limits:
@@ -473,9 +534,8 @@ let equiv_tests =
   List.map
     (fun sp ->
       tc
-        (Printf.sprintf "equivalence: %s (compiled =%s interpreter)"
-           sp.PE.spec_name
-           (if Option.is_some sp.PE.hand then " hand-written =" else ""))
+        (Printf.sprintf "equivalence: %s (compiled = interpreter)"
+           sp.PE.spec_name)
         (fun () ->
           let r =
             PE.run ~spec:sp ~seed:42 ~cases:(equiv_cases sp.PE.spec_name) ()
@@ -486,13 +546,21 @@ let equiv_tests =
           check Alcotest.bool "packets compared" true (r.PE.packets > 100)))
     (PE.specs ())
 
+(* The first divergence of [sp] over seeds 1..200. *)
+let hunt sp =
+  let rec go seed =
+    if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
+    else match PE.check_case sp ~seed with None -> go (seed + 1) | Some d -> d
+  in
+  go 1
+
 let harness_tests =
   [
-    tc "broken hand-written rules diverge and shrink to one packet" (fun () ->
+    tc "broken hand-written table diverges and shrinks to one packet" (fun () ->
         let sp = Option.get (PE.find_spec "dmz") in
-        (* A witness built from the compiled table minus its ARP flood
-           rule: ARP between VMs now dead-ends in the catch-all drop while
-           the policy still floods it. *)
+        (* The compiled table minus its ARP flood rule: ARP between VMs
+           now dead-ends in the catch-all drop while the policy still
+           floods it. *)
         let broken =
           List.filter
             (function
@@ -503,57 +571,45 @@ let harness_tests =
                   | Some 0x0806 -> false
                   | _ -> true)
               | _ -> true)
-            (Compile.messages (Compile.compile sp.PE.policy))
+            sp.PE.table
         in
-        let sp =
-          {
-            sp with
-            PE.spec_name = "dmz-broken";
-            hand = Some broken;
-          }
-        in
-        let rec hunt seed =
-          if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
-          else
-            match PE.check_case sp ~seed with
-            | None -> hunt (seed + 1)
-            | Some d -> d
-        in
-        let d = hunt 1 in
-        check Alcotest.string "hand side diverged" "hand:oracle" d.PE.impl;
+        let d = hunt { sp with PE.spec_name = "dmz-broken"; table = broken } in
+        check Alcotest.string "the sabotaged table diverged" "compiled:oracle"
+          d.PE.impl;
         check Alcotest.int "shrunk to a single packet" 1
           (List.length d.PE.case.PE.steps));
     tc "broken compiler pass (reversed priorities) is caught" (fun () ->
         let sp = Option.get (PE.find_spec "dmz") in
-        let c = Compile.compile sp.PE.policy in
-        let fms = Compile.flow_mods c in
+        let fms = flow_mods (Compile.compile sp.PE.policy) in
         let prios = List.map (fun fm -> fm.Openflow.Of_message.priority) fms in
+        (* Rule order is now inverted, so shadowing breaks and the
+           interpreter disagrees. *)
         let broken =
           List.map2
-            (fun fm p -> { fm with Openflow.Of_message.priority = p })
+            (fun fm p ->
+              Openflow.Of_message.Flow_mod
+                { fm with Openflow.Of_message.priority = p })
             fms (List.rev prios)
         in
-        (* Hand the sabotaged table to the harness as the hand-written
-           witness: rule order is now inverted, so shadowing breaks and the
-           interpreter disagrees. *)
-        let sp =
-          {
-            sp with
-            PE.spec_name = "dmz-reversed";
-            hand =
-              Some (List.map (fun fm -> Openflow.Of_message.Flow_mod fm) broken);
-          }
-        in
-        let rec hunt seed =
-          if seed > 200 then Alcotest.fail "no divergence found in 200 seeds"
-          else
-            match PE.check_case sp ~seed with
-            | None -> hunt (seed + 1)
-            | Some d -> d
-        in
-        let d = hunt 1 in
-        check Alcotest.string "the sabotaged table diverged" "hand:oracle"
+        let d = hunt { sp with PE.spec_name = "dmz-reversed"; table = broken } in
+        check Alcotest.string "the sabotaged table diverged" "compiled:oracle"
           d.PE.impl);
+    tc "a table that drops instead of passing diverges and shrinks" (fun () ->
+        let sp = Option.get (PE.find_spec "parental") in
+        (* The pass encoding undone: the catch-all drop is back, so what
+           the policy leaves to the next app dies in this table. *)
+        let broken =
+          sp.PE.table
+          @ [ Openflow.Of_message.Flow_mod
+                (Openflow.Of_message.add_flow ~priority:0
+                   ~match_:Openflow.Of_match.any
+                   [ Openflow.Flow_entry.Apply_actions [ Openflow.Of_action.Drop ] ]) ]
+        in
+        let d = hunt { sp with PE.spec_name = "parental-no-pass"; table = broken } in
+        check Alcotest.string "the interpreter missed" "[] miss" d.PE.expected;
+        check Alcotest.string "the table dropped" "[]" d.PE.actual;
+        check Alcotest.int "shrunk to a single packet" 1
+          (List.length d.PE.case.PE.steps));
     prop "repro files are a to_string/of_string fixpoint" ~count:50
       (QCheck2.Gen.int_range 1 10_000) ~print:string_of_int (fun seed ->
         let sp = Option.get (PE.find_spec "gateway") in
